@@ -38,8 +38,8 @@ def _check_slack(r: Residue) -> None:
     p = r.params
     if p.io_stable:
         bound = 1 << (p.k + 2)
-        assert all(-bound <= comp <= bound - 2 for comp in r.comps), \
-            "component outside additive slack range"
+        if not all(-bound <= comp <= bound - 2 for comp in r.comps):
+            raise ParameterError("component outside additive slack range")
 
 
 def cvma_mul(x: Residue, y: Residue,
@@ -191,7 +191,8 @@ def red1(z: WideResidue, v: tuple[int, ...] | None = None,
         vi = t * u_prev
         u_cur = (vi - zc[s]) & mask
         num = zc[s] + u_cur - vi
-        assert num & mask == 0, "inexact division in reduction"
+        if num & mask:
+            raise ParameterError("inexact division in reduction")
         out.append(num >> slice_bits)
         u_prev = u_cur
     return WideResidue(tuple(out), params)
@@ -306,5 +307,6 @@ def modmul_trace(params: GrpParams) -> dict[str, int]:
     ctr = OpCounter()
     zeros = Residue((0,) * params.m_plus_1, params)
     modmul(zeros, zeros, ctr)
-    assert ctr.mul >= m * params.m_plus_1 // 2
+    if ctr.mul < m * params.m_plus_1 // 2:
+        raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
     return ctr.as_dict()

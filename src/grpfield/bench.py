@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 from .arith import OpCounter, modmul
 from .errors import ParameterError
-from .params import GrpParams, psi
-
-DEFAULT_WORD_BITS = 64
+from .params import DEFAULT_WORD_BITS, GrpParams, psi
 
 
 class MontCtx:
@@ -39,6 +37,7 @@ class MontCtx:
         self.r = 1 << (w * self.n_words)
         self.r_mod = self.r % modulus
         self.r2_mod = self.r * self.r % modulus
+        self.r_inv = pow(self.r, -1, modulus)
 
     def _split(self, x: int) -> list[int]:
         return [(x >> (self.w * i)) & self.word_mask
@@ -59,8 +58,7 @@ class MontCtx:
         return self._split(x * self.r_mod % self.modulus)
 
     def from_montgomery(self, words: list[int]) -> int:
-        inv_r = pow(self.r, -1, self.modulus)
-        return self.from_words(words) * inv_r % self.modulus
+        return self.from_words(words) * self.r_inv % self.modulus
 
 
 def montgomery_modmul(x: list[int], y: list[int], ctx: MontCtx,
@@ -195,7 +193,8 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
         got = ctx.from_montgomery(
             montgomery_modmul(ctx.to_montgomery(a), ctx.to_montgomery(b),
                               ctx))
-        assert got == a * b % p, "baseline failed oracle check"
+        if got != a * b % p:
+            raise ParameterError("baseline failed oracle check")
 
     mx0 = ctx.to_montgomery(rng.randrange(p))
     my0 = ctx.to_montgomery(rng.randrange(p))

@@ -39,9 +39,13 @@ def parse_spec(text: str) -> tuple[int, int, int]:
 
 def _seed(args: argparse.Namespace) -> int:
     env = os.environ.get("GRP_SEED")
-    if env is not None:
+    if env is None:
+        return getattr(args, "seed", 0)
+    try:
         return int(env)
-    return getattr(args, "seed", 0)
+    except ValueError:
+        raise ParameterError(
+            f"GRP_SEED must be an integer, got {env!r}") from None
 
 
 def _params_from_spec(text: str, w: int, q: int,

@@ -45,6 +45,14 @@ class CanonicalElement:
                 f"value {self.value} outside [0, {self.modulus})")
 
 
+def horner(vec: Sequence[int], t: int) -> int:
+    """Value at t of a descending-power coefficient vector, unreduced."""
+    acc = 0
+    for comp in vec:
+        acc = acc * t + comp
+    return acc
+
+
 def psi_inverse(vec: Sequence[int], t: int, modulus: int) -> CanonicalElement:
     """Evaluate a coefficient vector at t and reduce into [0, modulus).
 
@@ -53,10 +61,7 @@ def psi_inverse(vec: Sequence[int], t: int, modulus: int) -> CanonicalElement:
     """
     if modulus <= 1:
         raise ParameterError(f"modulus must exceed 1, got {modulus}")
-    acc = 0
-    for comp in vec:
-        acc = acc * t + comp
-    return CanonicalElement(acc % modulus, modulus)
+    return CanonicalElement(horner(vec, t) % modulus, modulus)
 
 
 def congruent(u: Sequence[int], v: Sequence[int], t: int, modulus: int) -> bool:

@@ -3,6 +3,10 @@
 A field is described by (m+1, l, c, w, q) with t = 2**l * c and
 p = t**m + ... + t + 1.  Residue vectors are stored in descending-power
 order, matching the oracle module: ``comps[0]`` multiplies t**m.
+
+The stability inequalities live here only: GrpParams checks t <= 2**k - 2
+and c < 2**(k-l), and k_max and l_min give the word-size and I/O bounds
+that GrpParams, the tables and the searches all use.
 """
 
 from __future__ import annotations
@@ -13,26 +17,31 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotPrimeError, ParameterError, StabilityError
-from .oracle import CanonicalElement, is_probable_prime, psi_inverse
+from .oracle import CanonicalElement, horner, is_probable_prime
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_PRIME_ROUNDS = 64
 
 
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def ceil_log2(x: int) -> int:
     """Smallest k with 2**k >= x, for x >= 1."""
     return (x - 1).bit_length()
+
+
+def k_max(m_plus_1: int, w: int) -> int:
+    """Largest k with ceil(log2(m/2)) + 2k + 5 <= 2w (word-size constraint)."""
+    return (2 * w - 5 - ceil_log2((m_plus_1 - 1) // 2)) // 2
+
+
+def l_min(m_plus_1: int, log_t: int, q: int, den: int = 1) -> int:
+    """Smallest l with q*(l-1) >= ceil(log2(m/2)) + log_t/den + 3.
+
+    This is I/O stability: q reductions by b = 2**l shrink a product back
+    to reduced size.  log_t is normally k; the density estimator passes
+    the exact rational bits/m as log_t/den.
+    """
+    need = (ceil_log2((m_plus_1 - 1) // 2) + 3) * den + log_t
+    return 1 + -(-need // (den * q))
 
 
 def mods(x: int, t: int) -> int:
@@ -75,7 +84,7 @@ class GrpParams:
                  require_prime: bool,
                  prime_rounds: int = DEFAULT_PRIME_ROUNDS,
                  rng: random.Random | None = None) -> None:
-        if m_plus_1 < 3 or m_plus_1 % 2 == 0 or not _is_small_prime(m_plus_1):
+        if m_plus_1 < 3 or not is_probable_prime(m_plus_1):
             raise ParameterError(f"m+1 must be an odd prime >= 3, got {m_plus_1}")
         if l < 1 or c < 1 or w < 8 or q < 1:
             raise ParameterError(
@@ -87,16 +96,15 @@ class GrpParams:
         self.w = w
         self.q = q
 
-        m = m_plus_1 - 1
         self.t = (1 << l) * c
         self.k = ceil_log2(self.t)
         self.b = 1 << l
-        self.log_half_m = ceil_log2(m // 2)
+        self.log_half_m = ceil_log2((m_plus_1 - 1) // 2)
 
         if self.t > (1 << self.k) - 2:
             raise StabilityError(
                 f"t = {self.t} exceeds 2^k - 2 = {(1 << self.k) - 2}")
-        if self.log_half_m + 2 * self.k + 5 > 2 * w:
+        if self.k > k_max(m_plus_1, w):
             raise StabilityError(
                 "word-size constraint violated: "
                 f"ceil(log2(m/2)) + 2k + 5 = {self.log_half_m + 2 * self.k + 5}"
@@ -108,10 +116,10 @@ class GrpParams:
         # I/O stability of repeated modmul: q reductions must shrink the
         # product back to reduced size.  Not enforced as an error so toy
         # fields stay constructible; search paths reject unstable triples.
-        self.io_stable = self.q * (l - 1) >= self.log_half_m + self.k + 3
+        self.io_stable = l >= l_min(m_plus_1, self.k, q)
 
-        self.p = ((self.t ** m_plus_1) - 1) // (self.t - 1)
         self.ring_modulus = self.t ** m_plus_1 - 1
+        self.p = self.ring_modulus // (self.t - 1)
 
         self.prime_checked = False
         if require_prime:
@@ -144,9 +152,7 @@ class GrpParams:
     @property
     def slack_bits(self) -> int:
         """How far l sits above the stability minimum (negative if below)."""
-        num = self.log_half_m + self.k + 3
-        l_min = 1 + -(-num // self.q)
-        return self.l - l_min
+        return self.l - l_min(self.m_plus_1, self.k, self.q)
 
     def label(self) -> str:
         return f"phi({self.m_plus_1},2^{self.l}*{self.c})"
@@ -219,11 +225,7 @@ def to_residue(params: GrpParams, x: int) -> Residue:
 
 def canonical_value(r: Residue | WideResidue) -> int:
     """Evaluate a vector at t and reduce modulo the field characteristic."""
-    acc = 0
-    t = r.params.t
-    for comp in r.comps:
-        acc = acc * t + comp
-    return acc % r.params.p
+    return horner(r.comps, r.params.t) % r.params.p
 
 
 def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
@@ -272,4 +274,4 @@ def psi(params: GrpParams, x: int) -> Residue:
 
 def ring_value(r: Residue | WideResidue) -> int:
     """Evaluate a vector modulo t^(m+1) - 1, the embedding ring."""
-    return psi_inverse(r.comps, r.params.t, r.params.ring_modulus).value
+    return horner(r.comps, r.params.t) % r.params.ring_modulus

@@ -4,6 +4,8 @@ Stability rows give, per field degree, the largest word-stable t and the
 smallest reduction shift; the density estimator predicts how many fields
 of a requested bitlength exist; the searches enumerate actual prime
 fields, including the fast ones whose cofactor has Hamming weight 2.
+The stability inequalities come from the params module (k_max, l_min
+and the GrpParams checks); nothing here restates them.
 """
 
 from __future__ import annotations
@@ -11,36 +13,26 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, RangeError, StabilityError
 from .oracle import is_probable_prime
-from .params import GrpParams, ceil_log2, params_new
+from .params import GrpParams, ceil_log2, k_max, l_min, params_new
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
-def _log_half_m(m_plus_1: int) -> int:
-    return ceil_log2((m_plus_1 - 1) // 2)
-
-
-def _word_k_max(m_plus_1: int, w: int) -> int:
-    """Largest k with ceil(log2(m/2)) + 2k + 5 <= 2w."""
-    return (2 * w - 5 - _log_half_m(m_plus_1)) // 2
-
-
-def _l_min(m_plus_1: int, log_t, q: int) -> int:
-    """Smallest l with q*(l-1) >= ceil(log2(m/2)) + log_t + 3.
-
-    log_t may be an int or an exact Fraction (the density estimator uses
-    the real-valued bits/m rather than the integer k).
-    """
-    need = Fraction(_log_half_m(m_plus_1) + 3) + Fraction(log_t)
-    return 1 + math.ceil(need / q)
+def _degree_for_bits(bits: int, w: int) -> tuple[int, int]:
+    """(m+1, k_max) of the smallest degree whose stable t reaches `bits`."""
+    for m_plus_1 in _DEGREES:
+        k = k_max(m_plus_1, w)
+        if k >= 1 and (m_plus_1 - 1) * k >= bits:
+            return m_plus_1, k
+    raise RangeError(
+        f"no supported degree represents {bits}-bit fields at w={w}")
 
 
 @dataclass(frozen=True)
@@ -56,17 +48,21 @@ class StabilityRow:
 
 def stability_table(w: int, q: int,
                     m_plus_1_max: int = 17) -> list[StabilityRow]:
-    """Stable-parameter rows for each odd prime degree up to the limit."""
+    """Stable-parameter rows for each odd prime degree up to the limit.
+
+    A row is listed only if some field satisfies it, which needs k - l >= 2:
+    below that the bound cofactor c_bound - 1 is 1 (t a power of two) or 0.
+    """
     if w < 8 or q < 1:
         raise ParameterError(f"need w >= 8 and q >= 1, got w={w} q={q}")
     rows = []
     for m_plus_1 in _DEGREES:
         if m_plus_1 > m_plus_1_max:
             break
-        k = _word_k_max(m_plus_1, w)
-        l = _l_min(m_plus_1, k, q)
-        if k < 1 or l > k:
-            continue  # degree not representable at this word size
+        k = k_max(m_plus_1, w)
+        l = l_min(m_plus_1, k, q)
+        if k - l < 2:
+            continue  # no field of this degree at this word size
         rows.append(StabilityRow(m_plus_1, k, l, 1 << (k - l),
                                  (m_plus_1 - 1) * k))
     return rows
@@ -125,37 +121,30 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
         raise ParameterError(
             f"need bits >= 2 and sample_primes >= 1, got {bits}, "
             f"{sample_primes}")
-    for m_plus_1 in _DEGREES:
-        m = m_plus_1 - 1
-        k_max = _word_k_max(m_plus_1, w)
-        if k_max >= 1 and m * k_max >= bits:
-            break
-    else:
-        raise RangeError(
-            f"no supported degree represents {bits}-bit fields at w={w}")
-
+    m_plus_1, k_hi = _degree_for_bits(bits, w)
+    m = m_plus_1 - 1
     log_t = Fraction(bits, m)
-    l_min = _l_min(m_plus_1, log_t, q)
-    if l_min > k_max:
+    l_lo = l_min(m_plus_1, bits, q, m)
+    if l_lo > k_hi:
         raise RangeError(
-            f"{bits}-bit fields need l >= {l_min} > k_max = {k_max} "
+            f"{bits}-bit fields need l >= {l_lo} > k_max = {k_hi} "
             f"at w={w}, q={q}")
-    c_hi = _floor_pow2(log_t - l_min)
-    c_lo = _floor_pow2(Fraction(bits - 1, m) - l_min)
+    c_hi = _floor_pow2(log_t - l_lo)
+    c_lo = _floor_pow2(Fraction(bits - 1, m) - l_lo)
     interval = c_hi - c_lo
 
     rng = random.Random(rng_seed)
     found = scanned = 0
     c = c_lo + 1
     while found < sample_primes:
-        t = (1 << l_min) * c
+        t = (1 << l_lo) * c
         p = (t ** m_plus_1 - 1) // (t - 1)
         scanned += 1
         if is_probable_prime(p, 24, rng):
             found += 1
         c += 1
     p_prime = found / scanned
-    return DensityEstimate(bits, m_plus_1, k_max, float(log_t), l_min,
+    return DensityEstimate(bits, m_plus_1, k_hi, float(log_t), l_lo,
                            interval, p_prime, interval * p_prime)
 
 
@@ -171,13 +160,13 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
         raise ParameterError(
             f"need 1 <= c_min <= c_max, got {c_min}, {c_max}")
     k_hi = ceil_log2((1 << l) * c_max)
-    if _log_half_m(m_plus_1) + 2 * k_hi + 5 > 2 * w:
+    if k_hi > k_max(m_plus_1, w):
         raise StabilityError(
             f"t up to 2^{k_hi} violates the word-size constraint at w={w}")
-    if l < _l_min(m_plus_1, k_hi, q):
-        raise StabilityError(
-            f"l = {l} below the stability minimum "
-            f"{_l_min(m_plus_1, k_hi, q)} for k = {k_hi}, q = {q}")
+    l_lo = l_min(m_plus_1, k_hi, q)
+    if l < l_lo:
+        raise StabilityError(f"l = {l} below the stability minimum {l_lo} "
+                             f"for k = {k_hi}, q = {q}")
 
     rng = random.Random(rng_seed)
     out = []
@@ -208,9 +197,9 @@ def pure_power_scan(l_max: int,
             f"l_max capped at 400 for practical primality, got {l_max}")
     rng = random.Random(rng_seed)
     out = []
-    candidates = [n for n in range(2, l_max + 1)
-                  if all(n % d for d in range(2, int(n ** 0.5) + 1))]
-    for l in candidates:
+    for l in range(2, l_max + 1):
+        if not is_probable_prime(l):  # exact: l is below the sieve bound
+            continue
         p = ((1 << (l * l)) - 1) // ((1 << l) - 1)
         if is_probable_prime(p, 64, rng):
             out.append((l, l))
@@ -225,20 +214,12 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2,
     (l, c).  Each result carries the slack_bits diagnostic, the distance
     between its l and the stability minimum.
     """
-    for m_plus_1 in _DEGREES:
-        m = m_plus_1 - 1
-        k_max = _word_k_max(m_plus_1, w)
-        if k_max >= 1 and m * k_max >= bits_target:
-            break
-    else:
-        raise RangeError(
-            f"no supported degree represents {bits_target}-bit fields")
-
+    m_plus_1, k_hi = _degree_for_bits(bits_target, w)
     rng = random.Random(rng_seed)
     out = []
     seen = set()
-    for l in range(1, k_max + 1):
-        for e in range(1, k_max - l + 1):
+    for l in range(1, k_hi + 1):
+        for e in range(1, k_hi - l + 1):
             for c in ((1 << e) - 1, (1 << e) + 1):
                 if c < 3 or (l, c) in seen:
                     continue

@@ -1,6 +1,10 @@
 """Tests for multiplication, reduction and the auxiliary field operations."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,3 +292,25 @@ class TestAuxiliaryOps:
             ym = to_montgomery(psi(f243, b))
             prod = from_montgomery(modmul(xm, ym))
             assert canonical_value(prod) == a * b % f243.p
+
+
+_SLACK_SCRIPT = """
+import sys
+from grpfield import ParameterError, Residue, add, params_new, zero
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+params = params_new(5, 59, 3, require_prime=False)
+try:
+    add(Residue((1 << 70, 0, 0, 0, 0), params), zero(params))
+except ParameterError as exc:
+    print(exc)
+"""
+
+
+def test_slack_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", _SLACK_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "component outside additive slack range"

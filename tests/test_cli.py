@@ -79,3 +79,8 @@ class TestDispatch:
                    "--runs", "5", "--seed", "99"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+    def test_env_seed_not_an_integer_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GRP_SEED", "abc")
+        assert main(["params", "hw2", "--bits", "243"]) == 2
+        assert capsys.readouterr().err.startswith("error: GRP_SEED")

@@ -63,15 +63,18 @@ class TestParamsNew:
             params_new(5, 1, 3, 64, 2, require_prime=True)  # 1555 = 5*311
 
     def test_table_rows_construct_at_bounds(self):
-        for q in (2, 3):
-            for row in stability_table(64, q):
-                params = params_new(row.m_plus_1, row.l_min, row.c_bound - 1,
-                                    64, q, require_prime=False)
-                assert params.io_stable
-                assert params.k == row.k
-                with pytest.raises(StabilityError):
-                    params_new(row.m_plus_1, row.l_min, row.c_bound, 64, q,
-                               require_prime=False)
+        # Small words push l_min up to k, where c_bound - 1 is no cofactor.
+        for w in (12, 16, 24, 32, 64):
+            for q in (2, 3):
+                for row in stability_table(w, q):
+                    params = params_new(row.m_plus_1, row.l_min,
+                                        row.c_bound - 1, w, q,
+                                        require_prime=False)
+                    assert params.io_stable
+                    assert params.k == row.k
+                    with pytest.raises(StabilityError):
+                        params_new(row.m_plus_1, row.l_min, row.c_bound, w,
+                                   q, require_prime=False)
 
     def test_below_l_min_not_io_stable(self):
         # same k = 61 as the degree-5 table row, but one bit less shift
