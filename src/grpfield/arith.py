@@ -8,16 +8,24 @@ reductions, so results carry a b**-q factor: all field arithmetic
 happens in the Montgomery domain, where the factor cancels.
 
 Every operation executes the same sequence of primitive operations
-regardless of the input values.  Pass an OpCounter to count them.
+regardless of the input values.  Uncounted ``modmul`` and ``invert`` run
+a straight-line kernel generated for each field on its first use (see
+:func:`kernel_source`); passing an OpCounter runs the loop code instead,
+which counts the operations and is the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, canonical_value)
+
+# A field's generated modmul: component tuples in, reduced tuple out.
+Kernel = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
 
 
 @dataclass
@@ -198,13 +206,70 @@ def red1(z: WideResidue, v: tuple[int, ...] | None = None,
     return WideResidue(tuple(out), params)
 
 
+def kernel_source(params: GrpParams) -> str:
+    """Python source of the field's modmul kernel, ``kernel(x, y)``.
+
+    The kernel maps two component tuples to the components of
+    modmul(x, y): the cvma_mul products over ``params.cvma_pairs``, then
+    q passes of red3 in the form red3 picks by default, all unrolled.
+    Only storage indices are written into the text; the field constants
+    are the names L, MASK, C and E, bound where the kernel is built.
+    """
+    n = params.m_plus_1
+    xs = ", ".join(f"x{s}" for s in range(n))
+    ys = ", ".join(f"y{s}" for s in range(n))
+    lines = ["def kernel(x, y):", f"    {xs} = x", f"    {ys} = y"]
+    for s, pairs in enumerate(params.cvma_pairs):
+        terms = " + ".join(f"(x{sa} - x{sb}) * (y{sb} - y{sa})"
+                           for sa, sb in pairs)
+        lines.append(f"    z0_{s} = {terms}")
+    sign = None if params.c_shift_add is None else params.c_shift_add[1]
+    for r in range(1, params.q + 1):
+        outs = []
+        for s in range(n):
+            low = f"z{r - 1}_{s - 1 if s else n - 1} & MASK"
+            if sign is not None:
+                lines.append(f"    w{r}_{s} = {low}")
+                low = f"w{r}_{s}"
+                cm = f"(({low} << E) {'+' if sign > 0 else '-'} {low})"
+            else:
+                cm = f"C * ({low})"
+            outs.append(f"(z{r - 1}_{s} >> L) + {cm}")
+        if r < params.q:
+            lines += [f"    z{r}_{s} = {out}" for s, out in enumerate(outs)]
+        else:
+            lines.append("    return (" + ", ".join(outs) + ")")
+    return "\n".join(lines) + "\n"
+
+
+def _kernel(params: GrpParams) -> Kernel:
+    """The field's modmul kernel, built on first use and kept on params."""
+    kernel = params.modmul_kernel
+    if kernel is None:
+        namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
+        if params.c_shift_add is not None:
+            namespace["E"] = params.c_shift_add[0]
+        exec(kernel_source(params), namespace)
+        kernel = params.modmul_kernel = namespace["kernel"]
+    return kernel
+
+
 def modmul(x: Residue, y: Residue,
            counter: OpCounter | None = None) -> Residue:
-    """Full modular multiplication: product congruent to x*y*b**-q mod p."""
+    """Full modular multiplication: product congruent to x*y*b**-q mod p.
+
+    Without a counter this runs the field's generated kernel; with one,
+    the counted cvma_mul and red3 loops, which give the same components.
+    """
+    params = x.params
+    if y.params is not params and y.params != params:
+        raise ParameterError("residues from different fields")
+    if counter is None:
+        return Residue(_kernel(params)(x.comps, y.comps), params)
     z = cvma_mul(x, y, counter)
-    for _ in range(x.params.q):
+    for _ in range(params.q):
         z = red3(z, counter)
-    return Residue(z.comps, x.params)
+    return Residue(z.comps, params)
 
 
 def modmul_interleaved(x: Residue, y: Residue,
@@ -275,13 +340,20 @@ def invert(x: Residue, counter: OpCounter | None = None) -> Residue:
     params = x.params
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
+    if counter is None:
+        mul = _kernel(params)
+    else:
+        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+            return modmul(Residue(a, params), Residue(b, params),
+                          counter).comps
     e = params.p - 2
-    acc = params.mont_r  # Montgomery form of 1
+    xc = x.comps
+    acc = params.mont_r.comps  # Montgomery form of 1
     for i in range(e.bit_length() - 1, -1, -1):
-        acc = modmul(acc, acc, counter)
+        acc = mul(acc, acc)
         if (e >> i) & 1:
-            acc = modmul(acc, x, counter)
-    return acc
+            acc = mul(acc, xc)
+    return Residue(acc, params)
 
 
 def equals(x: Residue, y: Residue) -> bool:

@@ -170,7 +170,10 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
 
     The baseline multiplies modulo the same characteristic, packed into
     whole w-bit words.  Both loops chain each product into the next
-    multiplication so no iteration can be skipped.
+    multiplication so no iteration can be skipped.  The ratio sets the
+    field's unrolled modmul kernel against a CIOS baseline that still
+    runs as loops, so part of the gap is the unrolling, not the
+    representation.
     """
     if iters < 1 or runs < 1:
         raise ParameterError(f"need iters, runs >= 1, got {iters}, {runs}")

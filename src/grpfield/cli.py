@@ -141,6 +141,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    """Time modmul against the CIOS baseline; print the report as JSON.
+
+    The ratio compares the field's unrolled modmul kernel with a CIOS
+    baseline that runs as loops.
+    """
     params = _params_from_spec(args.param, args.w, args.q)
     report = run_bench(params, iters=args.iters, runs=args.runs,
                        seed=_seed(args))

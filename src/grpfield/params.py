@@ -21,6 +21,7 @@ from .oracle import CanonicalElement, horner, is_probable_prime
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_PRIME_ROUNDS = 64
+_FIELD_NAMES = ("m_plus_1", "l", "c", "w", "q")
 
 
 def ceil_log2(x: int) -> int:
@@ -84,6 +85,12 @@ class GrpParams:
                  require_prime: bool,
                  prime_rounds: int = DEFAULT_PRIME_ROUNDS,
                  rng: random.Random | None = None) -> None:
+        # Exact type: bool is an int subclass, and these values
+        # drive the generated modmul kernel.
+        for name, value in zip(_FIELD_NAMES, (m_plus_1, l, c, w, q)):
+            if type(value) is not int:
+                raise ParameterError(
+                    f"{name} must be an integer, got {value!r}")
         if m_plus_1 < 3 or not is_probable_prime(m_plus_1):
             raise ParameterError(f"m+1 must be an odd prime >= 3, got {m_plus_1}")
         if l < 1 or c < 1 or w < 8 or q < 1:
@@ -138,6 +145,9 @@ class GrpParams:
                 self.c_shift_add = (e, 1)
             elif c == (1 << e) - 1:
                 self.c_shift_add = (e, -1)
+
+        # Straight-line modmul kernel, generated by arith on first use.
+        self.modmul_kernel = None
 
         # Montgomery-domain constants (psi of small canonical values).
         self.mont_in = to_residue(self, pow(self.b, 2 * q, self.p))

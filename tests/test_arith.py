@@ -1,5 +1,6 @@
 """Tests for multiplication, reduction and the auxiliary field operations."""
 
+import ast
 import os
 import random
 import subprocess
@@ -15,6 +16,8 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       modmul_interleaved, modmul_trace, params_new, psi,
                       randomize, red1, red2, red3, ring_value, square, sub,
                       to_montgomery, v_vector, zero)
+from grpfield.arith import kernel_source
+from test_acceptance import TABLE4_FIELDS
 
 
 def _random_reduced(params, rng):
@@ -220,6 +223,17 @@ class TestModmul:
                 assert canonical_value(modmul_interleaved(x, y)) == \
                     canonical_value(modmul(x, y))
 
+    def test_rejects_mixed_fields(self, f243, f228, toy):
+        x = psi(f243, 5)
+        for other in (f228, toy):  # same and different component count
+            with pytest.raises(ParameterError, match="different fields"):
+                modmul(x, psi(other, 7))
+            with pytest.raises(ParameterError, match="different fields"):
+                modmul(psi(other, 7), x)
+        # equal descriptions built separately are the same field
+        twin = params_new(5, 59, 3, 64, 2)
+        assert modmul(x, psi(twin, 7)).comps == modmul(x, psi(f243, 7)).comps
+
     def test_trace_is_input_independent(self, f243):
         trace = modmul_trace(f243)
         rng = random.Random(13)
@@ -228,6 +242,69 @@ class TestModmul:
             modmul(_random_reduced(f243, rng), _random_reduced(f243, rng),
                    ctr)
             assert ctr.as_dict() == trace
+
+
+# The Table 4 fields, plus phi(5,2^50*13): c = 13 is not 2^e +/- 1, so its
+# kernel takes the multiply form of red3.
+KERNEL_SPECS = [(m1, l, c) for _, m1, l, c in TABLE4_FIELDS] + [(5, 50, 13)]
+
+
+def _spec_id(spec):
+    return "phi({},2^{}*{})".format(*spec)
+
+
+def _slack_edges(params):
+    """Vectors of the slack edges -2^(k+1), 2^(k+1) and 2^(k+2) - 2."""
+    k = params.k
+    edges = (-(1 << (k + 1)), 1 << (k + 1), (1 << (k + 2)) - 2)
+    n = params.m_plus_1
+    mixed = [tuple(edges[(s + r) % 3] for s in range(n)) for r in range(3)]
+    flat = [(edge,) * n for edge in edges]
+    return [Residue(comps, params) for comps in mixed + flat]
+
+
+def _loop_modmul(x, y):
+    z = cvma_mul(x, y)
+    for _ in range(x.params.q):
+        z = red3(z)
+    return z.comps
+
+
+class TestKernel:
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
+    def test_bit_identical_to_loops(self, spec):
+        params = params_new(*spec, 64, 2, require_prime=False)
+        assert params.modmul_kernel is None  # built on first use only
+        rng = random.Random(17)
+        edges = _slack_edges(params)
+        xs = [_random_reduced(params, rng) for _ in range(40)] + edges
+        for x in xs:
+            for y in [rng.choice(xs)] + edges:
+                assert modmul(x, y).comps == _loop_modmul(x, y)
+        assert params.modmul_kernel is not None
+        for x in (to_montgomery(psi(params, rng.randrange(1, params.p))),
+                  edges[0]):
+            assert invert(x).comps == invert(x, OpCounter()).comps
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    def test_op_tally_is_modmul_trace(self, spec):
+        # The kernel is the code that runs, so its data-independent
+        # operation sequence is checked on its syntax tree.
+        params = params_new(*spec, 64, 2, require_prime=False)
+        classes = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
+                   ast.RShift: "shift", ast.LShift: "shift",
+                   ast.BitAnd: "mask"}
+        banned = (ast.If, ast.IfExp, ast.For, ast.While, ast.BoolOp,
+                  ast.Compare, ast.comprehension, ast.ListComp,
+                  ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                  ast.Attribute, ast.Call, ast.Constant, ast.UnaryOp)
+        tally = dict.fromkeys(("mul", "add", "shift", "mask"), 0)
+        for node in ast.walk(ast.parse(kernel_source(params))):
+            assert not isinstance(node, banned), ast.dump(node)
+            if isinstance(node, ast.BinOp):
+                tally[classes[type(node.op)]] += 1
+        assert tally == modmul_trace(params)
 
 
 class TestAuxiliaryOps:

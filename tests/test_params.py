@@ -1,5 +1,6 @@
 """Tests for parameter validation and the residue representation."""
 
+import json
 import random
 
 import pytest
@@ -52,6 +53,16 @@ class TestParamsNew:
         for bad in (4, 9, 15, 1):
             with pytest.raises(ParameterError):
                 params_new(bad, 10, 3, 64, 2, require_prime=False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("l", "42"), ("c", 513.0), ("q", True), ("m_plus_1", 11.0),
+        ("w", None)])
+    def test_fields_must_be_integers(self, key, value):
+        obj = json.loads(params_to_json(
+            params_new(11, 42, 513, require_prime=False)))
+        obj[key] = value
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            params_from_json(json.dumps(obj))
 
     def test_word_size_constraint(self):
         # degree 5 at w=64 tops out at k = 61
