@@ -8,21 +8,22 @@ reductions, so results carry a b**-q factor: all field arithmetic
 happens in the Montgomery domain, where the factor cancels.
 
 Every operation executes the same sequence of primitive operations
-regardless of the input values.  Uncounted ``modmul`` and ``invert`` run
-a straight-line kernel generated for each field on its first use (see
-:func:`kernel_source`); passing an OpCounter runs the loop code instead,
-which counts the operations and is the reference the kernel is tested
-against.
+regardless of the input values.  ``modmul`` and ``invert`` run a
+straight-line kernel generated for each field on its first use (see
+:func:`kernel_source`), tested against the cvma_mul and red3 loops; an
+OpCounter passed in only receives the closed-form tally of that
+sequence (:func:`modmul_trace`) and never changes the code that runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
-from .params import (GrpParams, Residue, WideResidue, canonical_value)
+from .params import (GrpParams, Residue, WideResidue, canonical_value,
+                     check_slack)
 
 # A field's generated modmul: component tuples in, reduced tuple out.
 Kernel = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
@@ -38,20 +39,40 @@ class OpCounter:
     mask: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {"mul": self.mul, "add": self.add,
-                "shift": self.shift, "mask": self.mask}
+        return asdict(self)
+
+    def tally(self, counts: dict[str, int], times: int = 1) -> None:
+        """Add `times` runs of an operation sequence with these counts."""
+        for name, count in counts.items():
+            setattr(self, name, getattr(self, name) + times * count)
 
 
-def _check_slack(r: Residue) -> None:
-    p = r.params
-    if p.io_stable:
-        bound = 1 << (p.k + 2)
-        if not all(-bound <= comp <= bound - 2 for comp in r.comps):
-            raise ParameterError("component outside additive slack range")
+class _Uncounted(OpCounter):
+    """The default counter: drops every tally."""
+
+    def tally(self, counts: dict[str, int], times: int = 1) -> None:
+        pass
+
+
+UNCOUNTED = _Uncounted()
+
+
+def _cvma_counts(m_plus_1: int) -> dict[str, int]:
+    """Per component, m/2 products of two differences and m/2 - 1 adds."""
+    h = (m_plus_1 - 1) // 2
+    return {"mul": m_plus_1 * h, "add": m_plus_1 * (3 * h - 1)}
+
+
+def _same_field(x: Residue, y: Residue) -> GrpParams:
+    """The field of both operands; raises if they come from two fields."""
+    params = x.params
+    if y.params is not params and y.params != params:
+        raise ParameterError("residues from different fields")
+    return params
 
 
 def cvma_mul(x: Residue, y: Residue,
-             counter: OpCounter | None = None) -> WideResidue:
+             counter: OpCounter = UNCOUNTED) -> WideResidue:
     """Multiplication step: m/2 difference products per component.
 
     The result is congruent to x*y modulo the field characteristic (not
@@ -62,32 +83,16 @@ def cvma_mul(x: Residue, y: Residue,
     xc = x.comps
     yc = y.comps
     out = []
-    if counter is None:
-        for pairs in params.cvma_pairs:
-            acc = 0
-            for sa, sb in pairs:
-                acc += (xc[sa] - xc[sb]) * (yc[sb] - yc[sa])
-            out.append(acc)
-    else:
-        for pairs in params.cvma_pairs:
-            acc = 0
-            first = True
-            for sa, sb in pairs:
-                counter.add += 2
-                counter.mul += 1
-                term = (xc[sa] - xc[sb]) * (yc[sb] - yc[sa])
-                if first:
-                    acc = term
-                    first = False
-                else:
-                    counter.add += 1
-                    acc += term
-            out.append(acc)
+    for pairs in params.cvma_pairs:
+        acc = 0
+        for sa, sb in pairs:
+            acc += (xc[sa] - xc[sb]) * (yc[sb] - yc[sa])
+        out.append(acc)
+    counter.tally(_cvma_counts(params.m_plus_1))
     return WideResidue(tuple(out), params)
 
 
-def red3(z: WideResidue, counter: OpCounter | None = None,
-         use_shift_add: bool | None = None) -> WideResidue:
+def red3(z: WideResidue, use_shift_add: bool | None = None) -> WideResidue:
     """Divide components by b via arithmetic shift plus a cofactor term.
 
     Component i becomes z_i/b + c*(z_{i+1} mod b), cyclically; floor
@@ -108,25 +113,16 @@ def red3(z: WideResidue, counter: OpCounter | None = None,
         e, sign = params.c_shift_add
         for s in range(n):
             low = zc[s - 1] & mask  # s-1 wraps to the constant term
-            if counter is not None:
-                counter.mask += 1
-                counter.shift += 2
-                counter.add += 2
             cm = (low << e) + low if sign > 0 else (low << e) - low
             out.append((zc[s] >> l) + cm)
     else:
         for s in range(n):
             low = zc[s - 1] & mask
-            if counter is not None:
-                counter.mask += 1
-                counter.mul += 1
-                counter.shift += 1
-                counter.add += 1
             out.append((zc[s] >> l) + c * low)
     return WideResidue(tuple(out), params)
 
 
-def red2(z: WideResidue, counter: OpCounter | None = None) -> WideResidue:
+def red2(z: WideResidue) -> WideResidue:
     """Variant of red3 rounding the shifted term up instead of down."""
     params = z.params
     l = params.l
@@ -136,11 +132,6 @@ def red2(z: WideResidue, counter: OpCounter | None = None) -> WideResidue:
     n = params.m_plus_1
     out = []
     for s in range(n):
-        if counter is not None:
-            counter.mask += 2
-            counter.shift += 1
-            counter.mul += 1
-            counter.add += 2
         up = (zc[s] + ((-zc[s]) & mask)) >> l
         out.append(up - c * ((-zc[s - 1]) & mask))
     return WideResidue(tuple(out), params)
@@ -164,8 +155,7 @@ def v_vector(params: GrpParams, slice_bits: int | None = None) -> tuple[int, ...
 
 
 def red1(z: WideResidue, v: tuple[int, ...] | None = None,
-         slice_bits: int | None = None,
-         counter: OpCounter | None = None) -> WideResidue:
+         slice_bits: int | None = None) -> WideResidue:
     """General-t reduction: divide components by b = 2**slice_bits.
 
     Only needs t even; one pass per word slice, applied q times for a
@@ -184,18 +174,9 @@ def red1(z: WideResidue, v: tuple[int, ...] | None = None,
 
     u_prev = 0
     for s in range(n):
-        if counter is not None:
-            counter.mul += 1
-            counter.add += 1
-            counter.mask += 2
         u_prev = (u_prev + v[s] * (zc[s] & mask)) & mask
     out = []
     for s in range(n):
-        if counter is not None:
-            counter.mul += 1
-            counter.add += 2
-            counter.mask += 1
-            counter.shift += 1
         vi = t * u_prev
         u_cur = (vi - zc[s]) & mask
         num = zc[s] + u_cur - vi
@@ -242,38 +223,32 @@ def kernel_source(params: GrpParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kernel(params: GrpParams) -> Kernel:
-    """The field's modmul kernel, built on first use and kept on params."""
-    kernel = params.modmul_kernel
-    if kernel is None:
+def _kernel(params: GrpParams) -> tuple[Kernel, dict[str, int]]:
+    """The field's modmul kernel and trace, built once, kept on params."""
+    built = params.modmul_kernel
+    if built is None:
         namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
         if params.c_shift_add is not None:
             namespace["E"] = params.c_shift_add[0]
         exec(kernel_source(params), namespace)
-        kernel = params.modmul_kernel = namespace["kernel"]
-    return kernel
+        built = params.modmul_kernel = (namespace["kernel"],
+                                        modmul_trace(params))
+    return built
 
 
 def modmul(x: Residue, y: Residue,
-           counter: OpCounter | None = None) -> Residue:
+           counter: OpCounter = UNCOUNTED) -> Residue:
     """Full modular multiplication: product congruent to x*y*b**-q mod p.
 
-    Without a counter this runs the field's generated kernel; with one,
-    the counted cvma_mul and red3 loops, which give the same components.
+    Runs the field's generated kernel; a counter receives modmul_trace.
     """
-    params = x.params
-    if y.params is not params and y.params != params:
-        raise ParameterError("residues from different fields")
-    if counter is None:
-        return Residue(_kernel(params)(x.comps, y.comps), params)
-    z = cvma_mul(x, y, counter)
-    for _ in range(params.q):
-        z = red3(z, counter)
-    return Residue(z.comps, params)
+    params = _same_field(x, y)
+    kernel, trace = _kernel(params)
+    counter.tally(trace)
+    return Residue(kernel(x.comps, y.comps), params)
 
 
-def modmul_interleaved(x: Residue, y: Residue,
-                       counter: OpCounter | None = None) -> Residue:
+def modmul_interleaved(x: Residue, y: Residue) -> Residue:
     """Interleaved multiplication and reduction, same contract as modmul.
 
     The x components are split into q base-b digits (signed top digit),
@@ -295,29 +270,26 @@ def modmul_interleaved(x: Residue, y: Residue,
         for s in range(n):
             acc = 0
             for sa, sb in params.cvma_pairs[s]:
-                if counter is not None:
-                    counter.mul += 1
-                    counter.add += 3
                 acc += (digits[sa][j] - digits[sb][j]) * (yc[sb] - yc[sa])
             z[s] += acc
-        z = list(red3(WideResidue(tuple(z), params), counter).comps)
+        z = list(red3(WideResidue(tuple(z), params)).comps)
     return Residue(tuple(z), params)
 
 
 def add(x: Residue, y: Residue) -> Residue:
     """Componentwise sum; no reduction, the next modmul absorbs the growth."""
-    out = Residue(tuple(a + b for a, b in zip(x.comps, y.comps)), x.params)
-    _check_slack(out)
-    return out
+    params = _same_field(x, y)
+    comps = tuple(a + b for a, b in zip(x.comps, y.comps))
+    return check_slack(Residue(comps, params))
 
 
 def sub(x: Residue, y: Residue) -> Residue:
-    out = Residue(tuple(a - b for a, b in zip(x.comps, y.comps)), x.params)
-    _check_slack(out)
-    return out
+    params = _same_field(x, y)
+    comps = tuple(a - b for a, b in zip(x.comps, y.comps))
+    return check_slack(Residue(comps, params))
 
 
-def square(x: Residue, counter: OpCounter | None = None) -> Residue:
+def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     """Same code path as modmul: no common subexpressions to share."""
     return modmul(x, x, counter)
 
@@ -331,22 +303,19 @@ def from_montgomery(r: Residue) -> Residue:
     return modmul(r, r.params.mont_one)
 
 
-def invert(x: Residue, counter: OpCounter | None = None) -> Residue:
+def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     """Montgomery-domain inverse by powering to p - 2.
 
     Fixed square-and-multiply ladder over the bits of p - 2: the
-    operation sequence depends only on the field, not on x.
+    operation sequence depends only on the field, not on x, and a
+    counter receives modmul_trace once per square and per multiply.
     """
     params = x.params
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
-    if counter is None:
-        mul = _kernel(params)
-    else:
-        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-            return modmul(Residue(a, params), Residue(b, params),
-                          counter).comps
+    mul, trace = _kernel(params)
     e = params.p - 2
+    counter.tally(trace, e.bit_length() + e.bit_count())
     xc = x.comps
     acc = params.mont_r.comps  # Montgomery form of 1
     for i in range(e.bit_length() - 1, -1, -1):
@@ -358,8 +327,7 @@ def invert(x: Residue, counter: OpCounter | None = None) -> Residue:
 
 def equals(x: Residue, y: Residue) -> bool:
     """Field equality, via the canonical representation."""
-    if x.params != y.params:
-        raise ParameterError("residues from different fields")
+    _same_field(x, y)
     return canonical_value(x) == canonical_value(y)
 
 
@@ -368,17 +336,23 @@ def randomize(x: Residue, r: int) -> Residue:
     params = x.params
     if not 0 <= r < params.t - 1:
         raise ParameterError(f"scaling factor {r} outside [0, t-2]")
-    out = Residue(tuple(comp + r for comp in x.comps), params)
-    _check_slack(out)
-    return out
+    comps = tuple(comp + r for comp in x.comps)
+    return check_slack(Residue(comps, params))
 
 
 def modmul_trace(params: GrpParams) -> dict[str, int]:
-    """Operation-class counts of one modmul, a function of params only."""
-    m = params.m_plus_1 - 1
-    ctr = OpCounter()
-    zeros = Residue((0,) * params.m_plus_1, params)
-    modmul(zeros, zeros, ctr)
-    if ctr.mul < m * params.m_plus_1 // 2:
+    """Operation-class counts of one modmul, a function of params only.
+
+    cvma_mul, then q red3 passes.  Per component a pass takes a mask, a
+    shift and an add, plus the cofactor product c * low: one multiply,
+    or a shift and an add when c = 2**e +/- 1.
+    """
+    n = params.m_plus_1
+    trace = OpCounter(**_cvma_counts(n))
+    cofactor = ({"mul": 1} if params.c_shift_add is None
+                else {"shift": 1, "add": 1})
+    trace.tally({"mask": 1, "shift": 1, "add": 1}, params.q * n)
+    trace.tally(cofactor, params.q * n)
+    if trace.mul < (n - 1) * n // 2:
         raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
-    return ctr.as_dict()
+    return trace.as_dict()

@@ -15,7 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .arith import OpCounter, modmul
+from .arith import UNCOUNTED, OpCounter, modmul
 from .errors import ParameterError
 from .params import DEFAULT_WORD_BITS, GrpParams, psi
 
@@ -62,12 +62,12 @@ class MontCtx:
 
 
 def montgomery_modmul(x: list[int], y: list[int], ctx: MontCtx,
-                      counter: OpCounter | None = None) -> list[int]:
+                      counter: OpCounter = UNCOUNTED) -> list[int]:
     """CIOS Montgomery multiplication on w-bit limb vectors.
 
     Returns words of x*y*2^(-n*w) mod modulus; 2n^2 + n word
     multiplications (n^2 operand products, n quotient words, n^2 modulus
-    products).
+    products).  The final subtraction is left out of the count.
     """
     n = ctx.n_words
     w = ctx.w
@@ -79,11 +79,6 @@ def montgomery_modmul(x: list[int], y: list[int], ctx: MontCtx,
         carry = 0
         xi = x[i]
         for j in range(n):
-            if counter is not None:
-                counter.mul += 1
-                counter.add += 2
-                counter.mask += 1
-                counter.shift += 1
             s = acc[j] + xi * y[j] + carry
             acc[j] = s & mask
             carry = s >> w
@@ -91,21 +86,9 @@ def montgomery_modmul(x: list[int], y: list[int], ctx: MontCtx,
         acc[n] = s & mask
         acc[n + 1] = s >> w
 
-        if counter is not None:
-            counter.mul += 1
-            counter.mask += 1
         q = (acc[0] * n0) & mask
         carry = (acc[0] + q * mod[0]) >> w
-        if counter is not None:
-            counter.mul += 1
-            counter.add += 1
-            counter.shift += 1
         for j in range(1, n):
-            if counter is not None:
-                counter.mul += 1
-                counter.add += 2
-                counter.mask += 1
-                counter.shift += 1
             s = acc[j] + q * mod[j] + carry
             acc[j - 1] = s & mask
             carry = s >> w
@@ -113,6 +96,8 @@ def montgomery_modmul(x: list[int], y: list[int], ctx: MontCtx,
         acc[n - 1] = s & mask
         acc[n] = acc[n + 1] + (s >> w)
         acc[n + 1] = 0
+    counter.tally({"mul": 2 * n * n + n, "add": 4 * n * n - n,
+                   "shift": 2 * n * n, "mask": 2 * n * n})
     out = acc[:n]
     if acc[n] or ctx.from_words(out) >= ctx.modulus:
         borrow = 0

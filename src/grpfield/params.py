@@ -146,7 +146,7 @@ class GrpParams:
             elif c == (1 << e) - 1:
                 self.c_shift_add = (e, -1)
 
-        # Straight-line modmul kernel, generated by arith on first use.
+        # Straight-line modmul kernel and its trace, built by arith.
         self.modmul_kernel = None
 
         # Montgomery-domain constants (psi of small canonical values).
@@ -206,6 +206,16 @@ class Residue:
                 f"got {len(self.comps)}")
 
 
+def check_slack(r: Residue) -> Residue:
+    """Return r; raise if its components leave the additive slack range."""
+    p = r.params
+    if p.io_stable:
+        bound = 1 << (p.k + 2)
+        if not all(-bound <= comp <= bound - 2 for comp in r.comps):
+            raise ParameterError("component outside additive slack range")
+    return r
+
+
 @dataclass(frozen=True)
 class WideResidue:
     """Double-width accumulator vector, output of the multiplication step."""
@@ -256,7 +266,7 @@ def residue_from_json(text: str) -> Residue:
     obj = json.loads(text)
     params = _params_from_obj(obj)
     comps = tuple(int(s) for s in obj["comps"])
-    return Residue(comps, params)
+    return check_slack(Residue(comps, params))
 
 
 def params_to_json(params: GrpParams) -> str:
@@ -274,7 +284,7 @@ def _params_obj(params: GrpParams) -> dict:
 
 def _params_from_obj(obj: dict) -> GrpParams:
     return params_new(obj["m_plus_1"], obj["l"], obj["c"], obj["w"],
-                      obj["q"], require_prime=False)
+                      obj["q"])
 
 
 def psi(params: GrpParams, x: int) -> Residue:

@@ -225,14 +225,17 @@ class TestModmul:
 
     def test_rejects_mixed_fields(self, f243, f228, toy):
         x = psi(f243, 5)
-        for other in (f228, toy):  # same and different component count
-            with pytest.raises(ParameterError, match="different fields"):
-                modmul(x, psi(other, 7))
-            with pytest.raises(ParameterError, match="different fields"):
-                modmul(psi(other, 7), x)
+        for op in (modmul, add, sub, equals):
+            for other in (f228, toy):  # same and different component count
+                with pytest.raises(ParameterError, match="different fields"):
+                    op(x, psi(other, 7))
+                with pytest.raises(ParameterError, match="different fields"):
+                    op(psi(other, 7), x)
         # equal descriptions built separately are the same field
         twin = params_new(5, 59, 3, 64, 2)
-        assert modmul(x, psi(twin, 7)).comps == modmul(x, psi(f243, 7)).comps
+        for op in (modmul, add, sub):
+            assert op(x, psi(twin, 7)).comps == op(x, psi(f243, 7)).comps
+        assert equals(x, psi(twin, 5))
 
     def test_trace_is_input_independent(self, f243):
         trace = modmul_trace(f243)
@@ -270,6 +273,18 @@ def _loop_modmul(x, y):
     return z.comps
 
 
+def _ladder_invert(x, counter):
+    """Reference invert: square-and-multiply over p - 2 with counted modmul."""
+    params = x.params
+    e = params.p - 2
+    acc = params.mont_r
+    for i in reversed(range(e.bit_length())):
+        acc = modmul(acc, acc, counter)
+        if (e >> i) & 1:
+            acc = modmul(acc, x, counter)
+    return acc.comps
+
+
 class TestKernel:
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
@@ -285,7 +300,13 @@ class TestKernel:
         assert params.modmul_kernel is not None
         for x in (to_montgomery(psi(params, rng.randrange(1, params.p))),
                   edges[0]):
-            assert invert(x).comps == invert(x, OpCounter()).comps
+            counted, reference = OpCounter(), OpCounter()
+            inverse = invert(x)
+            assert inverse.comps == invert(x, counted).comps
+            assert inverse.comps == _ladder_invert(x, reference)
+            assert counted.as_dict() == reference.as_dict()
+            assert canonical_value(modmul(x, inverse)) == \
+                canonical_value(params.mont_r)
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
     def test_op_tally_is_modmul_trace(self, spec):

@@ -54,6 +54,9 @@ class TestMontgomeryBaseline:
         # CIOS: n^2 operand products + n quotient words + n^2 modulus
         # products per multiplication
         assert ctr.mul == 2 * n * n + n
+        # each multiply-accumulate also adds twice, masks and shifts once
+        assert ctr.as_dict() == {"mul": 2 * n * n + n, "add": 4 * n * n - n,
+                                 "shift": 2 * n * n, "mask": 2 * n * n}
 
     def test_odd_composite_allowed(self):
         # Montgomery arithmetic needs an odd modulus, not a prime one

@@ -190,3 +190,20 @@ class TestJson:
         again = residue_from_json(residue_to_json(r))
         assert again.comps == r.comps
         assert again.params == f243
+
+    def test_composite_field_refused(self):
+        # phi(5,2^31*(2^25-1)) is stable but divisible by 8951, so invert
+        # on it would return garbage.
+        composite = params_new(5, 31, (1 << 25) - 1, 64, 2,
+                               require_prime=False)
+        assert composite.p % 8951 == 0
+        with pytest.raises(NotPrimeError):
+            params_from_json(params_to_json(composite))
+        with pytest.raises(NotPrimeError):
+            residue_from_json(residue_to_json(zero(composite)))
+
+    def test_residue_components_range_checked(self, f243):
+        obj = json.loads(residue_to_json(psi(f243, 12345)))
+        obj["comps"][0] = str(1 << 400)
+        with pytest.raises(ParameterError, match="slack range"):
+            residue_from_json(json.dumps(obj))

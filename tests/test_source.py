@@ -16,3 +16,15 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements at {path.name} lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_branch_on_counter(path):
+    # Op counts are closed-form tallies: a counter never picks the code
+    # that runs, so no branch may test it.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.If, ast.IfExp, ast.While))
+             and any(isinstance(name, ast.Name) and name.id == "counter"
+                     for name in ast.walk(node.test))]
+    assert lines == [], f"branches on counter at {path.name} lines {lines}"
