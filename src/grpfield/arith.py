@@ -23,10 +23,11 @@ from typing import Callable
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, canonical_value,
-                     check_slack)
+                     check_slack, montgomery_constants)
 
 # A field's generated modmul: component tuples in, reduced tuple out.
 Kernel = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
+Comps = tuple[int, ...]
 
 
 @dataclass
@@ -103,6 +104,9 @@ def red3(z: WideResidue, use_shift_add: bool | None = None) -> WideResidue:
     params = z.params
     if use_shift_add is None:
         use_shift_add = params.c_shift_add is not None
+    elif use_shift_add and params.c_shift_add is None:
+        raise ParameterError(
+            f"c = {params.c} is not 2^e +/- 1: no shift-and-add form")
     l = params.l
     mask = params.b - 1
     c = params.c
@@ -223,16 +227,19 @@ def kernel_source(params: GrpParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kernel(params: GrpParams) -> tuple[Kernel, dict[str, int]]:
-    """The field's modmul kernel and trace, built once, kept on params."""
+def _kernel(params: GrpParams
+            ) -> tuple[Kernel, dict[str, int], tuple[Comps, Comps, Comps]]:
+    """The field's modmul kernel, its trace and the components of
+    (mont_in, mont_one, mont_r): built once, kept on params."""
     built = params.modmul_kernel
     if built is None:
         namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
         if params.c_shift_add is not None:
             namespace["E"] = params.c_shift_add[0]
         exec(kernel_source(params), namespace)
+        mont = tuple(r.comps for r in montgomery_constants(params))
         built = params.modmul_kernel = (namespace["kernel"],
-                                        modmul_trace(params))
+                                        modmul_trace(params), mont)
     return built
 
 
@@ -243,7 +250,7 @@ def modmul(x: Residue, y: Residue,
     Runs the field's generated kernel; a counter receives modmul_trace.
     """
     params = _same_field(x, y)
-    kernel, trace = _kernel(params)
+    kernel, trace, _ = _kernel(params)
     counter.tally(trace)
     return Residue(kernel(x.comps, y.comps), params)
 
@@ -295,12 +302,17 @@ def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
 
 
 def to_montgomery(r: Residue) -> Residue:
-    """Scale by b**q: multiply by the precomputed b**2q residue."""
-    return modmul(r, r.params.mont_in)
+    """Scale by b**q: modmul by mont_in, the b**2q residue."""
+    params = r.params
+    kernel, _, mont = _kernel(params)
+    return Residue(kernel(r.comps, mont[0]), params)
 
 
 def from_montgomery(r: Residue) -> Residue:
-    return modmul(r, r.params.mont_one)
+    """Scale by b**-q: modmul by mont_one."""
+    params = r.params
+    kernel, _, mont = _kernel(params)
+    return Residue(kernel(r.comps, mont[1]), params)
 
 
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
@@ -313,11 +325,11 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     params = x.params
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
-    mul, trace = _kernel(params)
+    mul, trace, mont = _kernel(params)
     e = params.p - 2
     counter.tally(trace, e.bit_length() + e.bit_count())
     xc = x.comps
-    acc = params.mont_r.comps  # Montgomery form of 1
+    acc = mont[2]  # mont_r, the Montgomery form of 1
     for i in range(e.bit_length() - 1, -1, -1):
         acc = mul(acc, acc)
         if (e >> i) & 1:

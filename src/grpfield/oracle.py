@@ -8,13 +8,14 @@ sequences in descending-power order: ``vec[0]`` is the coefficient of
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
 
-# Small primes used for fast rejection before Miller-Rabin.
+# Trial division covers the primes below this bound.
 _TRIAL_BOUND = 1000
 
 
@@ -27,7 +28,8 @@ def _sieve(bound: int) -> list[int]:
     return [i for i in range(bound) if flags[i]]
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
+_SMALL_PRIMES = frozenset(_sieve(_TRIAL_BOUND))
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -95,25 +97,21 @@ def lattice_basis(m_plus_1: int, t: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def is_probable_prime(n: int, rounds: int = 64,
-                      rng: random.Random | None = None) -> bool:
-    """Miller-Rabin with uniformly random bases, after trial division.
+def trial_division(n: int) -> bool | None:
+    """Primality of n decided by the primes below 1000, or None.
 
-    Pass a seeded ``random.Random`` for reproducible runs; a fresh one is
-    created otherwise.
+    Exact for n < 1000; above that, False when a small prime divides n
+    and None when Miller-Rabin has to decide.
     """
-    if rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    if n < 2:
+    if n < _TRIAL_BOUND:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _PRIMORIAL) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if rng is None:
-        rng = random.Random()
+    return None
 
+
+def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
+    """`rounds` Miller-Rabin rounds on odd n > 3, bases drawn from rng."""
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -131,6 +129,22 @@ def is_probable_prime(n: int, rounds: int = 64,
         else:
             return False
     return True
+
+
+def is_probable_prime(n: int, rounds: int = 64,
+                      rng: random.Random | None = None) -> bool:
+    """Miller-Rabin with uniformly random bases, after trial division.
+
+    Pass a seeded ``random.Random`` for reproducible runs; a fresh one is
+    created otherwise.  Bases are drawn only for n that pass trial
+    division.
+    """
+    if rounds < 1:
+        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    verdict = trial_division(n)
+    if verdict is not None:
+        return verdict
+    return miller_rabin(n, rounds, random.Random() if rng is None else rng)
 
 
 def modular_inverse(a: int, modulus: int) -> int:

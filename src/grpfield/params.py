@@ -7,10 +7,16 @@ order, matching the oracle module: ``comps[0]`` multiplies t**m.
 The stability inequalities live here only: GrpParams checks t <= 2**k - 2
 and c < 2**(k-l), and k_max and l_min give the word-size and I/O bounds
 that GrpParams, the tables and the searches all use.
+
+Constructing a GrpParams validates the field and nothing more, so a
+search can reject a candidate cheaply: the Montgomery constants
+(``mont_in``, ``mont_one``, ``mont_r``) and arith's modmul kernel are
+built on first use and then kept on the GrpParams.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -51,6 +57,7 @@ def mods(x: int, t: int) -> int:
     return r - t if r >= t // 2 else r
 
 
+@functools.cache
 def _half_index_pairs(m_plus_1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Storage-index pairs driving the product formulae.
 
@@ -75,10 +82,33 @@ def _half_index_pairs(m_plus_1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
-class GrpParams:
-    """Validated description of one field; immutable after construction.
+def _shift_add_form(c: int) -> tuple[int, int] | None:
+    """(e, sign) with c = 2**e + sign, for sign = -1 or +1, else None.
 
-    Use :func:`params_new` rather than calling the constructor directly.
+    c = 3 is both 2**2 - 1 and 2**1 + 1; the -1 form is taken.
+    """
+    if c & (c + 1) == 0:
+        return c.bit_length(), -1
+    if c > 2 and (c - 1) & (c - 2) == 0:
+        return (c - 1).bit_length() - 1, 1
+    return None
+
+
+def _mont_constant(index: int, doc: str) -> property:
+    """Read-only view of one entry of montgomery_constants."""
+    return property(lambda self: montgomery_constants(self)[index], doc=doc)
+
+
+class GrpParams:
+    """Validated description of one field.
+
+    The field values and everything derived from them are fixed at
+    construction.  The Montgomery constants and the modmul kernel are
+    built on first use (see :func:`montgomery_constants` and
+    ``arith.kernel_source``) and cached in the ``montgomery`` and
+    ``modmul_kernel`` attributes, which start as None: a search that
+    rejects the field never builds them.  Use :func:`params_new` rather
+    than calling the constructor directly.
     """
 
     def __init__(self, m_plus_1: int, l: int, c: int, w: int, q: int, *,
@@ -130,29 +160,30 @@ class GrpParams:
 
         self.prime_checked = False
         if require_prime:
-            if not is_probable_prime(self.p, prime_rounds, rng):
-                raise NotPrimeError(
-                    f"phi_{m_plus_1}(2^{l}*{c}) failed {prime_rounds}-round "
-                    "Miller-Rabin")
-            self.prime_checked = True
+            self.prove_prime(prime_rounds, rng)
 
         # Per-field constant tables.
         self.cvma_pairs = _half_index_pairs(m_plus_1)
         # c = 2^e + 1 or 2^e - 1 enables a shift-and-add reduction path.
-        self.c_shift_add: tuple[int, int] | None = None
-        for e in range(1, c.bit_length() + 1):
-            if c == (1 << e) + 1:
-                self.c_shift_add = (e, 1)
-            elif c == (1 << e) - 1:
-                self.c_shift_add = (e, -1)
+        self.c_shift_add = _shift_add_form(c)
 
-        # Straight-line modmul kernel and its trace, built by arith.
+        # Built on first use: the straight-line modmul kernel and its
+        # trace (by arith), and the Montgomery constants.
         self.modmul_kernel = None
+        self.montgomery: tuple[Residue, Residue, Residue] | None = None
 
-        # Montgomery-domain constants (psi of small canonical values).
-        self.mont_in = to_residue(self, pow(self.b, 2 * q, self.p))
-        self.mont_one = to_residue(self, 1)
-        self.mont_r = to_residue(self, pow(self.b, q, self.p))
+    mont_in = _mont_constant(0, "b^(2q) mod p: to_montgomery multiplies by it.")
+    mont_one = _mont_constant(1, "1: from_montgomery multiplies by it.")
+    mont_r = _mont_constant(2, "b^q mod p, the Montgomery form of 1.")
+
+    def prove_prime(self, rounds: int = DEFAULT_PRIME_ROUNDS,
+                    rng: random.Random | None = None) -> None:
+        """Set prime_checked, or raise NotPrimeError if p is composite."""
+        if not is_probable_prime(self.p, rounds, rng):
+            raise NotPrimeError(
+                f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) failed "
+                f"{rounds}-round Miller-Rabin")
+        self.prime_checked = True
 
     @property
     def bits(self) -> int:
@@ -204,6 +235,21 @@ class Residue:
             raise ParameterError(
                 f"expected {self.params.m_plus_1} components, "
                 f"got {len(self.comps)}")
+
+
+def montgomery_constants(params: GrpParams
+                         ) -> tuple[Residue, Residue, Residue]:
+    """(mont_in, mont_one, mont_r) of the field, built once, kept on params.
+
+    They are the residues of b^(2q) mod p, 1 and b^q mod p.
+    """
+    built = params.montgomery
+    if built is None:
+        b, q, p = params.b, params.q, params.p
+        built = params.montgomery = (to_residue(params, pow(b, 2 * q, p)),
+                                     to_residue(params, 1),
+                                     to_residue(params, pow(b, q, p)))
+    return built
 
 
 def check_slack(r: Residue) -> Residue:
@@ -282,9 +328,21 @@ def _params_obj(params: GrpParams) -> dict:
             "w": params.w, "q": params.q}
 
 
+# (m+1, l, c) of every characteristic the JSON loaders have proved prime,
+# so that loading many residues of one field proves it once.
+_PROVEN_PRIMES: set[tuple[int, int, int]] = set()
+
+
 def _params_from_obj(obj: dict) -> GrpParams:
-    return params_new(obj["m_plus_1"], obj["l"], obj["c"], obj["w"],
-                      obj["q"])
+    params = params_new(obj["m_plus_1"], obj["l"], obj["c"], obj["w"],
+                        obj["q"], require_prime=False)
+    key = (params.m_plus_1, params.l, params.c)
+    if key in _PROVEN_PRIMES:
+        params.prime_checked = True
+    else:
+        params.prove_prime()
+        _PROVEN_PRIMES.add(key)
+    return params
 
 
 def psi(params: GrpParams, x: int) -> Residue:

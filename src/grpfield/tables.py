@@ -16,13 +16,35 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import is_probable_prime
+from .oracle import is_probable_prime, miller_rabin, trial_division
 from .params import GrpParams, ceil_log2, k_max, l_min, params_new
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def _seeded_prime_test(rng_seed: int,
+                       rounds: int = 64) -> Callable[[int], bool]:
+    """is_probable_prime with one Random(rng_seed) shared by all calls.
+
+    The Random is seeded when the first candidate passes trial division,
+    so a scan that rejects by trial division never pays for seeding; the
+    bases drawn are those of a Random seeded up front.
+    """
+    rng = None
+
+    def test(n: int) -> bool:
+        nonlocal rng
+        verdict = trial_division(n)
+        if verdict is not None:
+            return verdict
+        if rng is None:
+            rng = random.Random(rng_seed)
+        return miller_rabin(n, rounds, rng)
+    return test
 
 
 def _degree_for_bits(bits: int, w: int) -> tuple[int, int]:
@@ -133,14 +155,14 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
     c_lo = _floor_pow2(Fraction(bits - 1, m) - l_lo)
     interval = c_hi - c_lo
 
-    rng = random.Random(rng_seed)
+    is_prime = _seeded_prime_test(rng_seed, 24)
     found = scanned = 0
     c = c_lo + 1
     while found < sample_primes:
         t = (1 << l_lo) * c
         p = (t ** m_plus_1 - 1) // (t - 1)
         scanned += 1
-        if is_probable_prime(p, 24, rng):
+        if is_prime(p):
             found += 1
         c += 1
     p_prime = found / scanned
@@ -168,7 +190,7 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
         raise StabilityError(f"l = {l} below the stability minimum {l_lo} "
                              f"for k = {k_hi}, q = {q}")
 
-    rng = random.Random(rng_seed)
+    is_prime = _seeded_prime_test(rng_seed)
     out = []
     for c in range(c_min, c_max + 1):
         try:
@@ -177,7 +199,7 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
             continue  # e.g. c a power of two, which folds into l
         if not params.io_stable:
             continue
-        if is_probable_prime(params.p, 64, rng):
+        if is_prime(params.p):
             params.prime_checked = True
             out.append(params)
             if len(out) >= max_results:
@@ -195,13 +217,13 @@ def pure_power_scan(l_max: int,
     if l_max > 400:
         raise ParameterError(
             f"l_max capped at 400 for practical primality, got {l_max}")
-    rng = random.Random(rng_seed)
+    is_prime = _seeded_prime_test(rng_seed)
     out = []
     for l in range(2, l_max + 1):
         if not is_probable_prime(l):  # exact: l is below the sieve bound
             continue
         p = ((1 << (l * l)) - 1) // ((1 << l) - 1)
-        if is_probable_prime(p, 64, rng):
+        if is_prime(p):
             out.append((l, l))
     return out
 
@@ -215,7 +237,7 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2,
     between its l and the stability minimum.
     """
     m_plus_1, k_hi = _degree_for_bits(bits_target, w)
-    rng = random.Random(rng_seed)
+    is_prime = _seeded_prime_test(rng_seed)
     out = []
     seen = set()
     for l in range(1, k_hi + 1):
@@ -231,7 +253,7 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2,
                     continue
                 if not params.io_stable or params.bits != bits_target:
                     continue
-                if is_probable_prime(params.p, 64, rng):
+                if is_prime(params.p):
                     params.prime_checked = True
                     out.append(params)
     out.sort(key=lambda p: (p.l, p.c))

@@ -136,6 +136,15 @@ class TestRed3:
             assert red3(z, use_shift_add=True).comps == \
                 red3(z, use_shift_add=False).comps
 
+    def test_shift_add_refused_without_form(self):
+        # c = 13 is not 2^e +/- 1, so there is no shift-and-add path.
+        params = params_new(5, 50, 13, 64, 2, require_prime=False)
+        assert params.c_shift_add is None
+        z = WideResidue((1, 2, 3, 4, 5), params)
+        with pytest.raises(ParameterError, match="shift-and-add"):
+            red3(z, use_shift_add=True)
+        assert red3(z).comps == red3(z, use_shift_add=False).comps
+
 
 class TestRed2:
     def test_zero_and_example(self, toy):

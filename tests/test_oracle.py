@@ -101,3 +101,37 @@ class TestIsProbablePrime:
     def test_rounds_validated(self):
         with pytest.raises(ParameterError):
             is_probable_prime(157, 0)
+
+    def test_trial_division_matches_sieve(self):
+        # The primes below 5000 by a plain sieve; every n here is decided
+        # exactly, by trial division or by Miller-Rabin past 1000.
+        bound = 5000
+        flags = [True] * bound
+        flags[0] = flags[1] = False
+        for i in range(2, bound):
+            if flags[i]:
+                for j in range(i * i, bound, i):
+                    flags[j] = False
+        rng = random.Random(0)
+        for n in range(-3, bound):
+            assert is_probable_prime(n, 16, rng) == (n >= 0 and flags[n]), n
+
+    def test_small_times_large_prime_rejected(self):
+        # No base would be drawn: trial division rejects these products.
+        t = (1 << 59) * 3
+        large = [(t ** 5 - 1) // (t - 1), (1 << 127) - 1, 1000003]
+        small = [2, 3, 5, 7, 11, 541, 983, 997]
+        for p in large:
+            assert is_probable_prime(p, 8, random.Random(0))
+            for d in small:
+                assert not is_probable_prime(d * p, 1, _NoBases())
+                assert not is_probable_prime(d * p * p, 1, _NoBases())
+        # 1009 is the first prime past trial division: Miller-Rabin decides.
+        assert not is_probable_prime(1009 * large[1], 8, random.Random(0))
+
+
+class _NoBases(random.Random):
+    """An rng that fails the test if Miller-Rabin draws from it."""
+
+    def randrange(self, *args):
+        raise AssertionError("Miller-Rabin ran after trial division")

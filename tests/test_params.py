@@ -6,12 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grpfield.oracle
+import grpfield.params
 from grpfield import (NotPrimeError, ParameterError, StabilityError,
                       canonical_value, mods, params_from_json, params_new,
                       params_to_json, psi, residue_from_json,
                       residue_to_json, ring_value, stability_table,
                       to_canonical, to_montgomery, to_residue, zero)
 from grpfield.arith import from_montgomery
+from test_acceptance import TABLE4_FIELDS
 
 
 class TestMods:
@@ -93,10 +96,48 @@ class TestParamsNew:
         assert params.k == 61
         assert not params.io_stable
 
+    def test_shift_add_form(self):
+        # The closed form agrees with the definition: the last e in
+        # 1..bitlen(c) with c = 2^e + 1 or 2^e - 1, so c = 3 -> (2, -1).
+        for c in range(1, 1 << 12):
+            want = None
+            for e in range(1, c.bit_length() + 1):
+                if c == (1 << e) + 1:
+                    want = (e, 1)
+                elif c == (1 << e) - 1:
+                    want = (e, -1)
+            assert grpfield.params._shift_add_form(c) == want, c
+        assert params_new(5, 59, 3, require_prime=False).c_shift_add == (2, -1)
+
     def test_repunit_identity(self):
         for args in [(3, 2, 3), (5, 59, 3), (11, 42, 513)]:
             params = params_new(*args, 64, 2, require_prime=False)
             assert (params.t - 1) * params.p == params.ring_modulus
+
+
+class TestLazyConstants:
+    SPECS = [(3, 2, 3)] + [(m1, l, c) for _, m1, l, c in TABLE4_FIELDS]
+
+    def test_built_on_first_use(self, monkeypatch):
+        calls = []
+        real = grpfield.params.to_residue
+
+        def counting(params, x):
+            calls.append(x)
+            return real(params, x)
+        monkeypatch.setattr(grpfield.params, "to_residue", counting)
+        fields = [params_new(*spec, 64, q, require_prime=False)
+                  for spec in self.SPECS for q in (2, 3)]
+        assert calls == []  # a rejected search candidate pays for none
+        for params in fields:
+            assert params.montgomery is None
+            b, q, p = params.b, params.q, params.p
+            assert params.mont_in == real(params, pow(b, 2 * q, p))
+            assert params.mont_one == real(params, 1)
+            assert params.mont_r == real(params, pow(b, q, p))
+            assert params.montgomery == (params.mont_in, params.mont_one,
+                                         params.mont_r)
+        assert len(calls) == 3 * len(fields)  # built once per field
 
 
 class TestToResidue:
@@ -201,6 +242,31 @@ class TestJson:
             params_from_json(params_to_json(composite))
         with pytest.raises(NotPrimeError):
             residue_from_json(residue_to_json(zero(composite)))
+
+    def test_field_proved_once(self, monkeypatch):
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        runs = []
+        real = grpfield.oracle.miller_rabin
+
+        def counting(n, rounds, rng):
+            runs.append(n)
+            return real(n, rounds, rng)
+        monkeypatch.setattr(grpfield.oracle, "miller_rabin", counting)
+        f511 = params_new(11, 42, 513, 64, 2, require_prime=False)
+        text = residue_to_json(psi(f511, 12345))
+        for _ in range(2):
+            loaded = residue_from_json(text)
+            assert loaded.params.prime_checked
+        assert params_from_json(params_to_json(f511)).prime_checked
+        assert runs == [f511.p]
+        # A composite is never remembered: every load proves it again.
+        composite = params_new(5, 31, (1 << 25) - 1, 64, 2,
+                               require_prime=False)
+        text = residue_to_json(zero(composite))
+        for _ in range(2):
+            with pytest.raises(NotPrimeError):
+                residue_from_json(text)
+        assert runs == [f511.p, composite.p, composite.p]
 
     def test_residue_components_range_checked(self, f243):
         obj = json.loads(residue_to_json(psi(f243, 12345)))

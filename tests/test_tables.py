@@ -96,6 +96,14 @@ class TestSearchGrps:
         with pytest.raises(StabilityError):
             search_grps(5, 20, 2 ** 35, 2 ** 35 + 4)  # l far below minimum
 
+    def test_pinned_cofactors(self):
+        # The benchmark's search range: a faster primality path must find
+        # exactly these cofactors.
+        found = search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500)
+        assert [p.c for p in found] == [1048592, 1048658, 1048698, 1048939,
+                                        1048948, 1049004, 1049005, 1049060]
+        assert all(p.prime_checked for p in found)
+
     def test_bad_range(self):
         with pytest.raises(ParameterError):
             search_grps(5, 59, 3, 2)
