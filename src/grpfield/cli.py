@@ -2,8 +2,10 @@
 
 Subcommands: `params` (tables, search, estimate, hw2), `selftest` and
 `bench`.  Field specs use the grammar phi(M,2^L*C), e.g. phi(5,2^59*3).
-Exit codes: 0 success, 1 test failure, 2 usage error.  The GRP_SEED
-environment variable overrides any --seed flag.
+Exit codes: 0 success, 1 test failure, 2 usage error.  Only `selftest`
+and `bench` take --seed, and the GRP_SEED environment variable overrides
+it there; the `params` searches draw no seed, since their primality test
+takes its bases from each candidate.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def parse_spec(text: str) -> tuple[int, int, int]:
 def _seed(args: argparse.Namespace) -> int:
     env = os.environ.get("GRP_SEED")
     if env is None:
-        return getattr(args, "seed", 0)
+        return args.seed
     try:
         return int(env)
     except ValueError:
@@ -65,8 +67,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     found = search_grps(args.m, args.l, args.c_min, args.c_max,
-                        max_results=args.limit, rng_seed=_seed(args),
-                        w=args.w, q=args.q)
+                        max_results=args.limit, w=args.w, q=args.q)
     for params in found:
         print(f"{params.label()} bits={params.bits}")
     return 0
@@ -74,8 +75,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     est = estimate_density(args.bits, args.w, args.q,
-                           sample_primes=args.sample_primes,
-                           rng_seed=_seed(args))
+                           sample_primes=args.sample_primes)
     print(f"bits={est.bits} m_plus_1={est.m_plus_1} k_max={est.k_max} "
           f"log_t_max={est.log_t_max:.4g} l_min={est.l_min} "
           f"interval={est.interval_size} p_prime={est.p_prime:.3g} "
@@ -84,8 +84,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hw2(args: argparse.Namespace) -> int:
-    for params in hw2_search(args.bits, args.w, args.q,
-                             rng_seed=_seed(args)):
+    for params in hw2_search(args.bits, args.w, args.q):
         print(f"{params.label()} bits={params.bits} "
               f"slack_bits={params.slack_bits}")
     return 0
@@ -179,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--c-min", type=int, required=True)
     search_p.add_argument("--c-max", type=int, required=True)
     search_p.add_argument("--limit", type=int, default=10)
-    search_p.add_argument("--seed", type=int, default=0)
     search_p.add_argument("--w", type=int, default=64)
     search_p.add_argument("--q", type=int, default=2)
     search_p.set_defaults(func=_cmd_search)
@@ -189,14 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     est_p.add_argument("--w", type=int, default=64)
     est_p.add_argument("--q", type=int, default=2)
     est_p.add_argument("--sample-primes", type=int, default=100)
-    est_p.add_argument("--seed", type=int, default=0)
     est_p.set_defaults(func=_cmd_estimate)
 
     hw2_p = psub.add_parser("hw2", help="weight-2 cofactor search")
     hw2_p.add_argument("--bits", type=int, required=True)
     hw2_p.add_argument("--w", type=int, default=64)
     hw2_p.add_argument("--q", type=int, default=2)
-    hw2_p.add_argument("--seed", type=int, default=0)
     hw2_p.set_defaults(func=_cmd_hw2)
 
     self_p = sub.add_parser("selftest", help="oracle-equivalence checks")

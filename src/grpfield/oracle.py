@@ -29,7 +29,10 @@ def _sieve(bound: int) -> list[int]:
 
 
 _SMALL_PRIMES = frozenset(_sieve(_TRIAL_BOUND))
-_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# The primes up to 47 multiply to a 60-bit number, so most small factors
+# are found by a one-word gcd before the long one with the rest.
+_WORD_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p <= 47)
+_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p > 47)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def trial_division(n: int) -> bool | None:
     """
     if n < _TRIAL_BOUND:
         return n in _SMALL_PRIMES
-    if math.gcd(n, _PRIMORIAL) != 1:
+    if math.gcd(n, _WORD_PRIMORIAL) != 1 or math.gcd(n, _PRIMORIAL) != 1:
         return False
     return None
 
@@ -133,18 +136,21 @@ def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
 
 def is_probable_prime(n: int, rounds: int = 64,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin with uniformly random bases, after trial division.
+    """Miller-Rabin with pseudo-random bases, after trial division.
 
-    Pass a seeded ``random.Random`` for reproducible runs; a fresh one is
-    created otherwise.  Bases are drawn only for n that pass trial
-    division.
+    Without an rng the bases come from a Random seeded with the bytes of
+    n, which CPython hashes with SHA-512: the verdict is a reproducible
+    function of n, and whoever picks n cannot fix the bases in advance.
+    Bases are drawn only for n that pass trial division.
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
     verdict = trial_division(n)
     if verdict is not None:
         return verdict
-    return miller_rabin(n, rounds, random.Random() if rng is None else rng)
+    if rng is None:
+        rng = random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
+    return miller_rabin(n, rounds, rng)
 
 
 def modular_inverse(a: int, modulus: int) -> int:

@@ -26,7 +26,6 @@ from .errors import NotPrimeError, ParameterError, StabilityError
 from .oracle import CanonicalElement, horner, is_probable_prime
 
 DEFAULT_WORD_BITS = 64
-DEFAULT_PRIME_ROUNDS = 64
 _FIELD_NAMES = ("m_plus_1", "l", "c", "w", "q")
 
 
@@ -113,7 +112,6 @@ class GrpParams:
 
     def __init__(self, m_plus_1: int, l: int, c: int, w: int, q: int, *,
                  require_prime: bool,
-                 prime_rounds: int = DEFAULT_PRIME_ROUNDS,
                  rng: random.Random | None = None) -> None:
         # Exact type: bool is an int subclass, and these values
         # drive the generated modmul kernel.
@@ -160,7 +158,7 @@ class GrpParams:
 
         self.prime_checked = False
         if require_prime:
-            self.prove_prime(prime_rounds, rng)
+            self.prove_prime(rng)
 
         # Per-field constant tables.
         self.cvma_pairs = _half_index_pairs(m_plus_1)
@@ -176,13 +174,11 @@ class GrpParams:
     mont_one = _mont_constant(1, "1: from_montgomery multiplies by it.")
     mont_r = _mont_constant(2, "b^q mod p, the Montgomery form of 1.")
 
-    def prove_prime(self, rounds: int = DEFAULT_PRIME_ROUNDS,
-                    rng: random.Random | None = None) -> None:
+    def prove_prime(self, rng: random.Random | None = None) -> None:
         """Set prime_checked, or raise NotPrimeError if p is composite."""
-        if not is_probable_prime(self.p, rounds, rng):
+        if not is_probable_prime(self.p, rng=rng):
             raise NotPrimeError(
-                f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) failed "
-                f"{rounds}-round Miller-Rabin")
+                f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
         self.prime_checked = True
 
     @property

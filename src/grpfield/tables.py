@@ -5,7 +5,9 @@ smallest reduction shift; the density estimator predicts how many fields
 of a requested bitlength exist; the searches enumerate actual prime
 fields, including the fast ones whose cofactor has Hamming weight 2.
 The stability inequalities come from the params module (k_max, l_min
-and the GrpParams checks); nothing here restates them.
+and the GrpParams checks); nothing here restates them.  Primality is
+oracle.is_probable_prime, whose bases come from each candidate, so the
+scans take no seed.
 """
 
 from __future__ import annotations
@@ -13,38 +15,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import is_probable_prime, miller_rabin, trial_division
+from .oracle import is_probable_prime
 from .params import GrpParams, ceil_log2, k_max, l_min, params_new
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-
-
-def _seeded_prime_test(rng_seed: int,
-                       rounds: int = 64) -> Callable[[int], bool]:
-    """is_probable_prime with one Random(rng_seed) shared by all calls.
-
-    The Random is seeded when the first candidate passes trial division,
-    so a scan that rejects by trial division never pays for seeding; the
-    bases drawn are those of a Random seeded up front.
-    """
-    rng = None
-
-    def test(n: int) -> bool:
-        nonlocal rng
-        verdict = trial_division(n)
-        if verdict is not None:
-            return verdict
-        if rng is None:
-            rng = random.Random(rng_seed)
-        return miller_rabin(n, rounds, rng)
-    return test
 
 
 def _degree_for_bits(bits: int, w: int) -> tuple[int, int]:
@@ -129,15 +108,15 @@ class DensityEstimate:
 
 
 def estimate_density(bits: int, w: int = 64, q: int = 2,
-                     sample_primes: int = 100,
-                     rng_seed: int = 0) -> DensityEstimate:
+                     sample_primes: int = 100) -> DensityEstimate:
     """Estimate how many fields of the given bitlength are representable.
 
     The degree is the smallest odd prime whose word-stable t range covers
     the bitlength; the cofactor interval I(c) spans the c values putting
     the characteristic at exactly that bitlength.  The prime probability
     is sampled by scanning c upward from the bottom of the interval until
-    `sample_primes` prime characteristics are found.
+    `sample_primes` prime characteristics are found; 24 Miller-Rabin
+    rounds suffice, since these primes are only counted.
     """
     if bits < 2 or sample_primes < 1:
         raise ParameterError(
@@ -155,14 +134,13 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
     c_lo = _floor_pow2(Fraction(bits - 1, m) - l_lo)
     interval = c_hi - c_lo
 
-    is_prime = _seeded_prime_test(rng_seed, 24)
     found = scanned = 0
     c = c_lo + 1
     while found < sample_primes:
         t = (1 << l_lo) * c
         p = (t ** m_plus_1 - 1) // (t - 1)
         scanned += 1
-        if is_prime(p):
+        if is_probable_prime(p, 24):
             found += 1
         c += 1
     p_prime = found / scanned
@@ -171,8 +149,8 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
 
 
 def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
-                max_results: int = 10, rng_seed: int = 0,
-                w: int = 64, q: int = 2) -> list[GrpParams]:
+                max_results: int = 10, w: int = 64,
+                q: int = 2) -> list[GrpParams]:
     """Linear scan over cofactors for prime fields, in ascending c order.
 
     Rejects the whole range up front if the largest candidate t already
@@ -190,7 +168,6 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
         raise StabilityError(f"l = {l} below the stability minimum {l_lo} "
                              f"for k = {k_hi}, q = {q}")
 
-    is_prime = _seeded_prime_test(rng_seed)
     out = []
     for c in range(c_min, c_max + 1):
         try:
@@ -199,7 +176,7 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
             continue  # e.g. c a power of two, which folds into l
         if not params.io_stable:
             continue
-        if is_prime(params.p):
+        if is_probable_prime(params.p):
             params.prime_checked = True
             out.append(params)
             if len(out) >= max_results:
@@ -207,8 +184,7 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
     return out
 
 
-def pure_power_scan(l_max: int,
-                    rng_seed: int = 0) -> list[tuple[int, int]]:
+def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     """Prime l <= l_max whose degree-l field over t = 2**l has prime p.
 
     These are the only fields where the cofactor disappears entirely;
@@ -217,19 +193,17 @@ def pure_power_scan(l_max: int,
     if l_max > 400:
         raise ParameterError(
             f"l_max capped at 400 for practical primality, got {l_max}")
-    is_prime = _seeded_prime_test(rng_seed)
     out = []
     for l in range(2, l_max + 1):
         if not is_probable_prime(l):  # exact: l is below the sieve bound
             continue
         p = ((1 << (l * l)) - 1) // ((1 << l) - 1)
-        if is_prime(p):
+        if is_probable_prime(p):
             out.append((l, l))
     return out
 
 
-def hw2_search(bits_target: int, w: int = 64, q: int = 2,
-               rng_seed: int = 0) -> list[GrpParams]:
+def hw2_search(bits_target: int, w: int = 64, q: int = 2) -> list[GrpParams]:
     """Prime fields of exactly bits_target bits with c = 2**e +/- 1.
 
     Searches the smallest adequate degree only; results are sorted by
@@ -237,7 +211,6 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2,
     between its l and the stability minimum.
     """
     m_plus_1, k_hi = _degree_for_bits(bits_target, w)
-    is_prime = _seeded_prime_test(rng_seed)
     out = []
     seen = set()
     for l in range(1, k_hi + 1):
@@ -253,7 +226,7 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2,
                     continue
                 if not params.io_stable or params.bits != bits_target:
                     continue
-                if is_prime(params.p):
+                if is_probable_prime(params.p):
                     params.prime_checked = True
                     out.append(params)
     out.sort(key=lambda p: (p.l, p.c))

@@ -152,7 +152,7 @@ def test_4_table_reproduction(capsys):
         else:
             ok &= abs(est.interval_size - interval) / interval < 0.005
 
-    est = estimate_density(244, 64, 2, sample_primes=100, rng_seed=0)
+    est = estimate_density(244, 64, 2, sample_primes=100)
     ok &= abs(est.p_prime - 1.68e-2) / 1.68e-2 < 0.20
     _report(capsys, 4, "table reproduction", ok)
 

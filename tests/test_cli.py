@@ -50,6 +50,18 @@ class TestDispatch:
         assert main(["params", "hw2", "--bits", "243"]) == 0
         assert "phi(5,2^59*3)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--m", "5", "--l", "59", "--c-min", "2", "--c-max", "3"],
+        ["estimate", "--bits", "244"],
+        ["hw2", "--bits", "243"],
+    ])
+    def test_params_take_no_seed(self, command, capsys):
+        # The searches' primality bases come from each candidate.
+        with pytest.raises(SystemExit) as exc:
+            main(["params", *command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         assert "ok" in capsys.readouterr().out
@@ -82,5 +94,7 @@ class TestDispatch:
 
     def test_env_seed_not_an_integer_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("GRP_SEED", "abc")
-        assert main(["params", "hw2", "--bits", "243"]) == 2
+        assert main(["selftest"]) == 2
         assert capsys.readouterr().err.startswith("error: GRP_SEED")
+        # The params searches take no seed, so they never read GRP_SEED.
+        assert main(["params", "hw2", "--bits", "243"]) == 0

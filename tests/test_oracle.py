@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from grpfield import (CanonicalElement, ParameterError, congruent,
                       is_probable_prime, lattice_basis, modular_inverse,
-                      oracle_modmul, psi_inverse)
+                      oracle, oracle_modmul, psi_inverse)
 
 M3 = 12 ** 3 - 1
 
@@ -128,6 +128,29 @@ class TestIsProbablePrime:
                 assert not is_probable_prime(d * p * p, 1, _NoBases())
         # 1009 is the first prime past trial division: Miller-Rabin decides.
         assert not is_probable_prime(1009 * large[1], 8, random.Random(0))
+
+
+    def test_default_bases_depend_only_on_n(self, monkeypatch):
+        # Without an rng the bases come from a Random seeded with n, so
+        # two calls on one candidate draw the same bases.
+        states = []
+        real = oracle.miller_rabin
+
+        def recording(n, rounds, rng):
+            states.append(rng.getstate())
+            return real(n, rounds, rng)
+        monkeypatch.setattr(oracle, "miller_rabin", recording)
+        t = (1 << 59) * 3
+        prime = (t ** 5 - 1) // (t - 1)  # phi(5,2^59*3), a Table 4 field
+        composite = 1009 * ((1 << 127) - 1)  # passes trial division
+        seen = []
+        for n, verdict in ((prime, True), (composite, False)):
+            states.clear()
+            assert is_probable_prime(n) is verdict
+            assert is_probable_prime(n) is verdict
+            assert len(states) == 2 and states[0] == states[1]
+            seen.append(states[0])
+        assert seen[0] != seen[1]
 
 
 class _NoBases(random.Random):

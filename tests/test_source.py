@@ -28,3 +28,18 @@ def test_no_branch_on_counter(path):
              and any(isinstance(name, ast.Name) and name.id == "counter"
                      for name in ast.walk(node.test))]
     assert lines == [], f"branches on counter at {path.name} lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unseeded_random(path):
+    # An argument-free Random() seeds from the OS, so its results cannot
+    # be reproduced; seed it from the caller's seed or from the input.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and not node.args and not node.keywords
+             and (isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "Random"
+                  or isinstance(node.func, ast.Name)
+                  and node.func.id == "Random")]
+    assert lines == [], f"unseeded Random() at {path.name} lines {lines}"

@@ -60,9 +60,11 @@ class TestEstimateDensity:
         assert est.interval_size == 4494080  # printed 4.49e6
 
     def test_sampled_probability(self):
-        est = estimate_density(244, 64, 2, sample_primes=100, rng_seed=0)
+        est = estimate_density(244, 64, 2, sample_primes=100)
         assert abs(est.p_prime - 1.68e-2) / 1.68e-2 < 0.2
         assert est.est_count == est.interval_size * est.p_prime
+        # 100 primes in the first 5802 cofactors, as the seeded scan found.
+        assert est.p_prime == 100 / 5802
 
     def test_unrepresentable(self):
         with pytest.raises(RangeError):
@@ -134,6 +136,19 @@ class TestHw2Search:
     def test_511(self):
         found = hw2_search(511)
         assert [p.label() for p in found] == ["phi(11,2^42*513)"]
+
+    @pytest.mark.parametrize("bits,labels", [
+        (122, ["phi(3,2^59*3)"]),
+        (180, ["phi(5,2^31*16383)", "phi(5,2^41*15)"]),
+        (228, ["phi(5,2^54*7)"]),
+        (244, ["phi(5,2^49*4095)"]),
+        (300, ["phi(7,2^32*262143)"]),
+        (360, []),
+    ])
+    def test_pinned_labels(self, bits, labels):
+        # Every field the scan finds, as computed when it drew its
+        # Miller-Rabin bases from a seeded Random.
+        assert [p.label() for p in hw2_search(bits)] == labels
 
     def test_empty_when_no_prime(self):
         # exhaustive scan at 230 bits finds no weight-2 prime
