@@ -10,7 +10,8 @@ happens in the Montgomery domain, where the factor cancels.
 Every operation executes the same sequence of primitive operations
 regardless of the input values.  ``modmul`` and ``invert`` run a
 straight-line kernel generated for each field on its first use (see
-:func:`kernel_source`), tested against the cvma_mul and red3 loops; an
+:func:`kernel_source`), tested against cvma_mul and the plain red3 (the
+kernel alone runs red3's cofactor product as shift-and-add); an
 OpCounter passed in only receives the closed-form tally of that
 sequence (:func:`modmul_trace`) and never changes the code that runs.
 """
@@ -93,37 +94,19 @@ def cvma_mul(x: Residue, y: Residue,
     return WideResidue(tuple(out), params)
 
 
-def red3(z: WideResidue, use_shift_add: bool | None = None) -> WideResidue:
+def red3(z: WideResidue) -> WideResidue:
     """Divide components by b via arithmetic shift plus a cofactor term.
 
     Component i becomes z_i/b + c*(z_{i+1} mod b), cyclically; floor
     semantics on the shift keep the division exact in the telescoped sum.
-    When c = 2**e +/- 1 the cofactor multiply can run as shift-and-add,
-    with bit-identical output.
+    This is the definition the generated kernel is tested against; only
+    the kernel runs the cofactor product as shift-and-add.
     """
     params = z.params
-    if use_shift_add is None:
-        use_shift_add = params.c_shift_add is not None
-    elif use_shift_add and params.c_shift_add is None:
-        raise ParameterError(
-            f"c = {params.c} is not 2^e +/- 1: no shift-and-add form")
-    l = params.l
-    mask = params.b - 1
-    c = params.c
-    zc = z.comps
-    n = params.m_plus_1
-    out = []
-    if use_shift_add:
-        e, sign = params.c_shift_add
-        for s in range(n):
-            low = zc[s - 1] & mask  # s-1 wraps to the constant term
-            cm = (low << e) + low if sign > 0 else (low << e) - low
-            out.append((zc[s] >> l) + cm)
-    else:
-        for s in range(n):
-            low = zc[s - 1] & mask
-            out.append((zc[s] >> l) + c * low)
-    return WideResidue(tuple(out), params)
+    l, c, mask = params.l, params.c, params.b - 1
+    zc = z.comps  # zc[s - 1] wraps to the constant term at s = 0
+    return WideResidue(tuple((zc[s] >> l) + c * (zc[s - 1] & mask)
+                             for s in range(params.m_plus_1)), params)
 
 
 def red2(z: WideResidue) -> WideResidue:
@@ -158,8 +141,7 @@ def v_vector(params: GrpParams, slice_bits: int | None = None) -> tuple[int, ...
     return tuple((pow(t0, m - s, b) * inv) % b for s in range(params.m_plus_1))
 
 
-def red1(z: WideResidue, v: tuple[int, ...] | None = None,
-         slice_bits: int | None = None) -> WideResidue:
+def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
     """General-t reduction: divide components by b = 2**slice_bits.
 
     Only needs t even; one pass per word slice, applied q times for a
@@ -168,8 +150,7 @@ def red1(z: WideResidue, v: tuple[int, ...] | None = None,
     params = z.params
     if slice_bits is None:
         slice_bits = params.w
-    if v is None:
-        v = v_vector(params, slice_bits)
+    v = v_vector(params, slice_bits)
     b = 1 << slice_bits
     mask = b - 1
     t = params.t
@@ -196,7 +177,8 @@ def kernel_source(params: GrpParams) -> str:
 
     The kernel maps two component tuples to the components of
     modmul(x, y): the cvma_mul products over ``params.cvma_pairs``, then
-    q passes of red3 in the form red3 picks by default, all unrolled.
+    q passes of red3, all unrolled, with the cofactor product written as
+    shift-and-add when ``params.c_shift_add`` gives c = 2**e +/- 1.
     Only storage indices are written into the text; the field constants
     are the names L, MASK, C and E, bound where the kernel is built.
     """
@@ -346,8 +328,8 @@ def equals(x: Residue, y: Residue) -> bool:
 def randomize(x: Residue, r: int) -> Residue:
     """Add r times the all-ones vector: same field element, fresh encoding."""
     params = x.params
-    if not 0 <= r < params.t - 1:
-        raise ParameterError(f"scaling factor {r} outside [0, t-2]")
+    if type(r) is not int or not 0 <= r < params.t - 1:
+        raise ParameterError(f"scaling factor {r!r} is not an int in [0, t-2]")
     comps = tuple(comp + r for comp in x.comps)
     return check_slack(Residue(comps, params))
 

@@ -34,19 +34,13 @@ class MontCtx:
         self.mod_words = self._split(modulus)
         # -modulus^-1 mod 2^w, the per-column quotient constant.
         self.n0_inv = (-pow(modulus, -1, 1 << w)) & self.word_mask
-        self.r = 1 << (w * self.n_words)
-        self.r_mod = self.r % modulus
-        self.r2_mod = self.r * self.r % modulus
-        self.r_inv = pow(self.r, -1, modulus)
+        r = 1 << (w * self.n_words)
+        self.r_mod = r % modulus
+        self.r_inv = pow(r, -1, modulus)
 
     def _split(self, x: int) -> list[int]:
         return [(x >> (self.w * i)) & self.word_mask
                 for i in range(self.n_words)]
-
-    def to_words(self, x: int) -> list[int]:
-        if not 0 <= x < self.modulus:
-            raise ParameterError(f"value {x} outside [0, {self.modulus})")
-        return self._split(x)
 
     def from_words(self, words: list[int]) -> int:
         acc = 0

@@ -2,9 +2,10 @@
 
 Subcommands: `params` (tables, search, estimate, hw2), `selftest` and
 `bench`.  Field specs use the grammar phi(M,2^L*C), e.g. phi(5,2^59*3).
-Exit codes: 0 success, 1 test failure, 2 usage error.  Only `selftest`
-and `bench` take --seed, and the GRP_SEED environment variable overrides
-it there; the `params` searches draw no seed, since their primality test
+Every subcommand takes --w (default 64) and --q (default 2).  Exit
+codes: 0 success, 1 test failure, 2 usage error.  Only `selftest` and
+`bench` take --seed, and the GRP_SEED environment variable overrides it
+there; the `params` searches draw no seed, since their primality test
 takes its bases from each candidate.
 """
 
@@ -50,10 +51,9 @@ def _seed(args: argparse.Namespace) -> int:
             f"GRP_SEED must be an integer, got {env!r}") from None
 
 
-def _params_from_spec(text: str, w: int, q: int,
-                      require_prime: bool = False) -> GrpParams:
+def _params_from_spec(text: str, w: int, q: int) -> GrpParams:
     m_plus_1, l, c = parse_spec(text)
-    return params_new(m_plus_1, l, c, w, q, require_prime=require_prime)
+    return params_new(m_plus_1, l, c, w, q, require_prime=False)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -158,59 +158,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Repunit-prime field arithmetic, parameter search "
                     "and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Word size and reductions per modmul, taken by every subcommand.
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--w", type=int, default=64)
+    field.add_argument("--q", type=int, default=2)
 
     params_p = sub.add_parser("params", help="parameter tables and searches")
     psub = params_p.add_subparsers(dest="params_command", required=True)
 
-    tables_p = psub.add_parser("tables", help="stable-parameter table")
-    tables_p.add_argument("--w", type=int, default=64)
-    tables_p.add_argument("--q", type=int, default=2)
+    tables_p = psub.add_parser("tables", parents=[field],
+                               help="stable-parameter table")
     tables_p.add_argument("--max-degree", type=int, default=17)
     fmt = tables_p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     tables_p.set_defaults(func=_cmd_tables)
 
-    search_p = psub.add_parser("search", help="scan cofactors for primes")
+    search_p = psub.add_parser("search", parents=[field],
+                               help="scan cofactors for primes")
     search_p.add_argument("--m", type=int, required=True,
                           help="field degree m+1 (odd prime)")
     search_p.add_argument("--l", type=int, required=True)
     search_p.add_argument("--c-min", type=int, required=True)
     search_p.add_argument("--c-max", type=int, required=True)
     search_p.add_argument("--limit", type=int, default=10)
-    search_p.add_argument("--w", type=int, default=64)
-    search_p.add_argument("--q", type=int, default=2)
     search_p.set_defaults(func=_cmd_search)
 
-    est_p = psub.add_parser("estimate", help="field-count estimate")
+    est_p = psub.add_parser("estimate", parents=[field],
+                            help="field-count estimate")
     est_p.add_argument("--bits", type=int, required=True)
-    est_p.add_argument("--w", type=int, default=64)
-    est_p.add_argument("--q", type=int, default=2)
     est_p.add_argument("--sample-primes", type=int, default=100)
     est_p.set_defaults(func=_cmd_estimate)
 
-    hw2_p = psub.add_parser("hw2", help="weight-2 cofactor search")
+    hw2_p = psub.add_parser("hw2", parents=[field],
+                            help="weight-2 cofactor search")
     hw2_p.add_argument("--bits", type=int, required=True)
-    hw2_p.add_argument("--w", type=int, default=64)
-    hw2_p.add_argument("--q", type=int, default=2)
     hw2_p.set_defaults(func=_cmd_hw2)
 
-    self_p = sub.add_parser("selftest", help="oracle-equivalence checks")
+    self_p = sub.add_parser("selftest", parents=[field],
+                            help="oracle-equivalence checks")
     self_p.add_argument("--param", help="field spec phi(M,2^L*C)")
     self_p.add_argument("--exhaustive-toy", action="store_true")
     self_p.add_argument("--seed", type=int, default=0)
-    self_p.add_argument("--w", type=int, default=64)
-    self_p.add_argument("--q", type=int, default=2)
     self_p.set_defaults(func=_cmd_selftest)
 
-    bench_p = sub.add_parser("bench", help="time modmul vs baseline")
+    bench_p = sub.add_parser("bench", parents=[field],
+                             help="time modmul vs baseline")
     bench_p.add_argument("--param", required=True,
                          help="field spec phi(M,2^L*C)")
     bench_p.add_argument("--iters", type=int, default=10_000)
     bench_p.add_argument("--runs", type=int, default=5)
     bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--w", type=int, default=64)
-    bench_p.add_argument("--q", type=int, default=2)
     bench_p.set_defaults(func=_cmd_bench)
     return parser
 

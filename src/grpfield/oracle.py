@@ -154,18 +154,9 @@ def is_probable_prime(n: int, rounds: int = 64,
 
 
 def modular_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo `modulus` (extended Euclid oracle)."""
-    g, inv = _egcd(a % modulus, modulus)
-    if g != 1:
-        raise ParameterError(f"{a} is not invertible modulo {modulus}")
-    return inv % modulus
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s
+    """Inverse of a modulo `modulus`, by the built-in pow."""
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise ParameterError(
+            f"{a} is not invertible modulo {modulus}") from None

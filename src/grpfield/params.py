@@ -39,15 +39,15 @@ def k_max(m_plus_1: int, w: int) -> int:
     return (2 * w - 5 - ceil_log2((m_plus_1 - 1) // 2)) // 2
 
 
-def l_min(m_plus_1: int, log_t: int, q: int, den: int = 1) -> int:
-    """Smallest l with q*(l-1) >= ceil(log2(m/2)) + log_t/den + 3.
+def l_min(m_plus_1: int, log_t: int, q: int) -> int:
+    """Smallest l with q*(l-1) >= ceil(log2(m/2)) + log_t + 3.
 
     This is I/O stability: q reductions by b = 2**l shrink a product back
     to reduced size.  log_t is normally k; the density estimator passes
-    the exact rational bits/m as log_t/den.
+    ceil(bits/m), which gives the same l as the exact bits/m.
     """
-    need = (ceil_log2((m_plus_1 - 1) // 2) + 3) * den + log_t
-    return 1 + -(-need // (den * q))
+    need = ceil_log2((m_plus_1 - 1) // 2) + 3 + log_t
+    return 1 + -(-need // q)
 
 
 def mods(x: int, t: int) -> int:
@@ -272,9 +272,9 @@ def to_residue(params: GrpParams, x: int) -> Residue:
     Every component ends up in [-t/2, t/2]; only the constant-term digit
     can reach the upper bound, via the final wrap of the t**(m+1) carry.
     """
-    if not 0 <= x < params.ring_modulus:
+    if type(x) is not int or not 0 <= x < params.ring_modulus:
         raise ParameterError(
-            f"value {x} outside [0, t^(m+1) - 1)")
+            f"value {x!r} is not an int in [0, t^(m+1) - 1)")
     t = params.t
     digits = []  # ascending
     for _ in range(params.m_plus_1):
@@ -305,9 +305,17 @@ def residue_to_json(r: Residue) -> str:
 
 
 def residue_from_json(text: str) -> Residue:
-    obj = json.loads(text)
+    """Load a residue_to_json document; ParameterError if it is malformed."""
+    obj = _json_object(text)
     params = _params_from_obj(obj)
-    comps = tuple(int(s) for s in obj["comps"])
+    comps = obj.get("comps")
+    if type(comps) is not list or any(type(s) is not str for s in comps):
+        raise ParameterError("comps must be a list of decimal strings")
+    try:
+        comps = tuple(int(s) for s in comps)
+    except ValueError:
+        raise ParameterError("comps must be a list of decimal strings") \
+            from None
     return check_slack(Residue(comps, params))
 
 
@@ -316,7 +324,18 @@ def params_to_json(params: GrpParams) -> str:
 
 
 def params_from_json(text: str) -> GrpParams:
-    return _params_from_obj(json.loads(text))
+    """Load a params_to_json document; ParameterError if it is malformed."""
+    return _params_from_obj(_json_object(text))
+
+
+def _json_object(text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"not a JSON document: {exc}") from None
+    if type(obj) is not dict:
+        raise ParameterError("expected a JSON object")
+    return obj
 
 
 def _params_obj(params: GrpParams) -> dict:
@@ -330,8 +349,11 @@ _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
 
 
 def _params_from_obj(obj: dict) -> GrpParams:
-    params = params_new(obj["m_plus_1"], obj["l"], obj["c"], obj["w"],
-                        obj["q"], require_prime=False)
+    missing = [name for name in _FIELD_NAMES if name not in obj]
+    if missing:
+        raise ParameterError(f"missing field(s) {', '.join(missing)}")
+    params = params_new(*(obj[name] for name in _FIELD_NAMES),
+                        require_prime=False)
     key = (params.m_plus_1, params.l, params.c)
     if key in _PROVEN_PRIMES:
         params.prime_checked = True
@@ -342,8 +364,9 @@ def _params_from_obj(obj: dict) -> GrpParams:
 
 
 def psi(params: GrpParams, x: int) -> Residue:
-    """Residue of a canonical field element (x taken modulo p)."""
-    return to_residue(params, x % params.p)
+    """Residue of a canonical field element (x taken modulo p if it is an
+    int; to_residue refuses any other type)."""
+    return to_residue(params, x % params.p if type(x) is int else x)
 
 
 def ring_value(r: Residue | WideResidue) -> int:

@@ -7,7 +7,8 @@ fields, including the fast ones whose cofactor has Hamming weight 2.
 The stability inequalities come from the params module (k_max, l_min
 and the GrpParams checks); nothing here restates them.  Primality is
 oracle.is_probable_prime, whose bases come from each candidate, so the
-scans take no seed.
+scans take no seed.  The estimator's cofactor interval is exact integer
+roots of powers of two.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParameterError, RangeError, StabilityError
 from .oracle import is_probable_prime
@@ -69,13 +69,13 @@ def stability_table(w: int, q: int,
     return rows
 
 
-def _iroot(x: int, n: int) -> int:
-    """Integer floor of the n-th root of x >= 0."""
-    if x < 0:
-        raise ParameterError("negative radicand")
-    if x == 0:
+def _floor_pow2(e: int, n: int) -> int:
+    """Exact floor of 2**(e/n), 0 when e < 0: the integer n-th root of
+    2**e, by Newton's method from above."""
+    if e < 0:
         return 0
-    r = 1 << -(-x.bit_length() // n)
+    x = 1 << e
+    r = 1 << -(-(e + 1) // n)
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
         if nr >= r:
@@ -84,13 +84,6 @@ def _iroot(x: int, n: int) -> int:
     while r ** n > x:
         r -= 1
     return r
-
-
-def _floor_pow2(e: Fraction) -> int:
-    """Exact floor of 2**e for a non-negative rational exponent."""
-    if e < 0:
-        return 0
-    return _iroot(1 << e.numerator, e.denominator)
 
 
 @dataclass(frozen=True)
@@ -124,14 +117,14 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
             f"{sample_primes}")
     m_plus_1, k_hi = _degree_for_bits(bits, w)
     m = m_plus_1 - 1
-    log_t = Fraction(bits, m)
-    l_lo = l_min(m_plus_1, bits, q, m)
+    l_lo = l_min(m_plus_1, -(-bits // m), q)
     if l_lo > k_hi:
         raise RangeError(
             f"{bits}-bit fields need l >= {l_lo} > k_max = {k_hi} "
             f"at w={w}, q={q}")
-    c_hi = _floor_pow2(log_t - l_lo)
-    c_lo = _floor_pow2(Fraction(bits - 1, m) - l_lo)
+    # c runs over (2**((bits-1)/m - l), 2**(bits/m - l)].
+    c_hi = _floor_pow2(bits - m * l_lo, m)
+    c_lo = _floor_pow2(bits - 1 - m * l_lo, m)
     interval = c_hi - c_lo
 
     found = scanned = 0
@@ -144,7 +137,7 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
             found += 1
         c += 1
     p_prime = found / scanned
-    return DensityEstimate(bits, m_plus_1, k_hi, float(log_t), l_lo,
+    return DensityEstimate(bits, m_plus_1, k_hi, bits / m, l_lo,
                            interval, p_prime, interval * p_prime)
 
 
@@ -211,25 +204,20 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2) -> list[GrpParams]:
     between its l and the stability minimum.
     """
     m_plus_1, k_hi = _degree_for_bits(bits_target, w)
+    candidates = sorted({(l, c) for l in range(1, k_hi + 1)
+                         for e in range(1, k_hi - l + 1)
+                         for c in ((1 << e) - 1, (1 << e) + 1) if c >= 3})
     out = []
-    seen = set()
-    for l in range(1, k_hi + 1):
-        for e in range(1, k_hi - l + 1):
-            for c in ((1 << e) - 1, (1 << e) + 1):
-                if c < 3 or (l, c) in seen:
-                    continue
-                seen.add((l, c))
-                try:
-                    params = params_new(m_plus_1, l, c, w, q,
-                                        require_prime=False)
-                except StabilityError:
-                    continue
-                if not params.io_stable or params.bits != bits_target:
-                    continue
-                if is_probable_prime(params.p):
-                    params.prime_checked = True
-                    out.append(params)
-    out.sort(key=lambda p: (p.l, p.c))
+    for l, c in candidates:
+        try:
+            params = params_new(m_plus_1, l, c, w, q, require_prime=False)
+        except StabilityError:
+            continue
+        if not params.io_stable or params.bits != bits_target:
+            continue
+        if is_probable_prime(params.p):
+            params.prime_checked = True
+            out.append(params)
     return out
 
 

@@ -126,25 +126,6 @@ class TestRed3:
             w = red3(z)
             assert ring_value(w) == ring_value(z) * inv_b % f243.ring_modulus
 
-    def test_shift_add_path_bit_identical(self, f243):
-        # c = 3 = 2^2 - 1 has a shift-and-add path
-        assert f243.c_shift_add == (2, -1)
-        rng = random.Random(6)
-        for _ in range(300):
-            z = WideResidue(tuple(rng.randrange(-2 ** 127, 2 ** 127)
-                                  for _ in range(5)), f243)
-            assert red3(z, use_shift_add=True).comps == \
-                red3(z, use_shift_add=False).comps
-
-    def test_shift_add_refused_without_form(self):
-        # c = 13 is not 2^e +/- 1, so there is no shift-and-add path.
-        params = params_new(5, 50, 13, 64, 2, require_prime=False)
-        assert params.c_shift_add is None
-        z = WideResidue((1, 2, 3, 4, 5), params)
-        with pytest.raises(ParameterError, match="shift-and-add"):
-            red3(z, use_shift_add=True)
-        assert red3(z).comps == red3(z, use_shift_add=False).comps
-
 
 class TestRed2:
     def test_zero_and_example(self, toy):
@@ -171,11 +152,10 @@ class TestRed1:
         rng = random.Random(8)
         ring = f228.ring_modulus
         inv_b = pow(1 << 64, -1, ring)
-        v = v_vector(f228)
         for _ in range(300):
             z = WideResidue(tuple(rng.randrange(-2 ** 127, 2 ** 127)
                                   for _ in range(5)), f228)
-            w = red1(z, v)
+            w = red1(z)
             assert ring_value(w) == ring_value(z) * inv_b % ring
 
     def test_congruence_small_slice(self, toy):
@@ -389,6 +369,13 @@ class TestAuxiliaryOps:
                 assert equals(x, y)
         with pytest.raises(ParameterError):
             randomize(psi(toy, 1), toy.t - 1)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, True, "3"])
+    def test_randomize_needs_int(self, f243, r):
+        # A float factor would give float components, which the next
+        # modmul's mask cannot take.
+        with pytest.raises(ParameterError, match="not an int in"):
+            randomize(psi(f243, 5), r)
 
     def test_montgomery_chain_matches_oracle(self, f243):
         rng = random.Random(16)

@@ -67,6 +67,12 @@ class TestOracleModmul:
                                  CanonicalElement(inv, p))
             assert prod.value == 1
 
+    def test_inverse_not_invertible(self):
+        for a, modulus in ((6, 9), (0, 157), (157, 157), (4, 8)):
+            with pytest.raises(ParameterError, match="not invertible"):
+                modular_inverse(a, modulus)
+        assert modular_inverse(-2, 9) == 4
+
     def test_modulus_mismatch(self):
         with pytest.raises(ParameterError):
             oracle_modmul(CanonicalElement(1, 157),

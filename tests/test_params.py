@@ -8,13 +8,37 @@ from hypothesis import given, settings, strategies as st
 
 import grpfield.oracle
 import grpfield.params
-from grpfield import (NotPrimeError, ParameterError, StabilityError,
-                      canonical_value, mods, params_from_json, params_new,
-                      params_to_json, psi, residue_from_json,
+from grpfield import (GrpError, NotPrimeError, ParameterError,
+                      StabilityError, canonical_value, mods, params_from_json,
+                      params_new, params_to_json, psi, residue_from_json,
                       residue_to_json, ring_value, stability_table,
                       to_canonical, to_montgomery, to_residue, zero)
 from grpfield.arith import from_montgomery
 from test_acceptance import TABLE4_FIELDS
+
+
+# Arbitrary JSON values.  Integers stay within 2**20: GrpParams builds
+# t = 2**l * c before its word-size check, so a huge l would allocate
+# memory rather than raise.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 20, 2 ** 20)
+    | st.floats() | st.text() | st.integers().map(str),
+    lambda children: (st.lists(children, max_size=6)
+                      | st.dictionaries(st.text(), children, max_size=6)),
+    max_leaves=12)
+_RESIDUE_KEYS = ("m_plus_1", "l", "c", "w", "q", "comps")
+
+
+def _edit_residue_document(edit):
+    """A valid f243 residue document with one key dropped or replaced."""
+    key, drop, value = edit
+    f243 = params_new(5, 59, 3, 64, 2, require_prime=False)
+    obj = json.loads(residue_to_json(psi(f243, 12345)))
+    if drop:
+        del obj[key]
+    else:
+        obj[key] = value
+    return json.dumps(obj)
 
 
 class TestMods:
@@ -154,6 +178,15 @@ class TestToResidue:
         with pytest.raises(ParameterError):
             to_residue(toy, -1)
 
+    @pytest.mark.parametrize("value", [7.0, 2.5, True, "7", None])
+    def test_value_must_be_int(self, f243, value):
+        # A float would give float components, which the next modmul's
+        # mask cannot take.
+        with pytest.raises(ParameterError, match="not an int in"):
+            to_residue(f243, value)
+        with pytest.raises(ParameterError, match="not an int in"):
+            psi(f243, value)
+
     def test_digit_bound_toy_exhaustive(self, toy):
         # |comp| <= t/2 with the upper bound only at the constant term.
         half = toy.t // 2
@@ -267,6 +300,41 @@ class TestJson:
             with pytest.raises(NotPrimeError):
                 residue_from_json(text)
         assert runs == [f511.p, composite.p, composite.p]
+
+    @pytest.mark.parametrize("text", [
+        "{", "[1,2]", "5", "null", '"x"', '{"m_plus_1": 5, "l": 59}',
+        "[" * 100_000], ids=lambda text: text[:20])
+    def test_malformed_params_document(self, text):
+        with pytest.raises(ParameterError):
+            params_from_json(text)
+        with pytest.raises(ParameterError):
+            residue_from_json(text)
+
+    @pytest.mark.parametrize("comps", [
+        ["1.5", "0", "0", "0", "0"], [1, 0, 0, 0, 0], 5, None, "12345",
+        {"0": "1"}, ["0"] * 4, ["9" * 5000] + ["0"] * 4],
+        ids=lambda comps: str(comps)[:20])
+    def test_malformed_comps(self, f243, comps):
+        obj = json.loads(residue_to_json(psi(f243, 12345)))
+        obj["comps"] = comps
+        with pytest.raises(ParameterError):
+            residue_from_json(json.dumps(obj))
+        del obj["comps"]
+        with pytest.raises(ParameterError):
+            residue_from_json(json.dumps(obj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        _JSON.map(json.dumps),
+        st.tuples(st.sampled_from(_RESIDUE_KEYS), st.booleans(),
+                  _JSON).map(_edit_residue_document)))
+    def test_loaders_raise_only_grp_errors(self, text):
+        for load in (params_from_json, residue_from_json):
+            try:
+                load(text)
+            except GrpError:
+                pass
 
     def test_residue_components_range_checked(self, f243):
         obj = json.loads(residue_to_json(psi(f243, 12345)))

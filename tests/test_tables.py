@@ -59,6 +59,30 @@ class TestEstimateDensity:
         assert est.l_min == 34
         assert est.interval_size == 4494080  # printed 4.49e6
 
+    # (w, q, bits): (m+1, k_max, l_min, interval_size, log_t_max), computed
+    # with exact rational exponents (fractions.Fraction); integral and
+    # fractional bits/m at three more (w, q) settings.
+    PINNED = {
+        (64, 3, 122): (3, 61, 23, 80509874946, 61.0),
+        (64, 3, 245): (7, 60, 17, 1630715, 245 / 6),
+        (64, 3, 601): (13, 60, 20, 63848011, 601 / 12),
+        (64, 3, 960): (17, 60, 23, 5826960732, 60.0),
+        (32, 2, 61): (5, 29, 11, 3, 15.25),
+        (32, 2, 101): (5, 29, 16, 96, 25.25),
+        (32, 2, 151): (7, 28, 17, 31, 151 / 6),
+        (32, 2, 199): (11, 28, 14, 4, 19.9),
+        (128, 2, 245): (3, 125, 64, 119388930889937700, 122.5),
+        (128, 2, 501): (7, 124, 46, 21205801444, 83.5),
+        (128, 2, 1001): (11, 124, 55, 2525304211980, 100.1),
+        (128, 2, 1500): (17, 124, 51, 313591705016, 93.75),
+    }
+
+    @pytest.mark.parametrize("w, q, bits", sorted(PINNED))
+    def test_pinned_columns(self, w, q, bits):
+        est = estimate_density(bits, w, q, sample_primes=1)
+        assert (est.m_plus_1, est.k_max, est.l_min, est.interval_size,
+                est.log_t_max) == self.PINNED[w, q, bits]
+
     def test_sampled_probability(self):
         est = estimate_density(244, 64, 2, sample_primes=100)
         assert abs(est.p_prime - 1.68e-2) / 1.68e-2 < 0.2
