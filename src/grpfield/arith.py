@@ -14,6 +14,8 @@ straight-line kernel generated for each field on its first use (see
 kernel alone runs red3's cofactor product as shift-and-add); an
 OpCounter passed in only receives the closed-form tally of that
 sequence (:func:`modmul_trace`) and never changes the code that runs.
+The kernel, its trace and the Montgomery constants are built together
+and kept in ``params.modmul_kernel``, the field's one cache.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, canonical_value,
-                     check_slack, montgomery_constants)
+                     check_slack, to_residue)
 
 # A field's generated modmul: component tuples in, reduced tuple out.
 Kernel = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
@@ -211,15 +213,17 @@ def kernel_source(params: GrpParams) -> str:
 
 def _kernel(params: GrpParams
             ) -> tuple[Kernel, dict[str, int], tuple[Comps, Comps, Comps]]:
-    """The field's modmul kernel, its trace and the components of
-    (mont_in, mont_one, mont_r): built once, kept on params."""
+    """The field's modmul kernel, its trace and the components of the
+    residues of b^(2q) mod p, 1 and b^q mod p: built once, kept on params."""
     built = params.modmul_kernel
     if built is None:
         namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
         if params.c_shift_add is not None:
             namespace["E"] = params.c_shift_add[0]
         exec(kernel_source(params), namespace)
-        mont = tuple(r.comps for r in montgomery_constants(params))
+        b, q, p = params.b, params.q, params.p
+        mont = tuple(to_residue(params, x).comps
+                     for x in (pow(b, 2 * q, p), 1, pow(b, q, p)))
         built = params.modmul_kernel = (namespace["kernel"],
                                         modmul_trace(params), mont)
     return built
@@ -284,14 +288,14 @@ def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
 
 
 def to_montgomery(r: Residue) -> Residue:
-    """Scale by b**q: modmul by mont_in, the b**2q residue."""
+    """Scale by b**q: modmul by the residue of b**2q."""
     params = r.params
     kernel, _, mont = _kernel(params)
     return Residue(kernel(r.comps, mont[0]), params)
 
 
 def from_montgomery(r: Residue) -> Residue:
-    """Scale by b**-q: modmul by mont_one."""
+    """Scale by b**-q: modmul by the residue of 1."""
     params = r.params
     kernel, _, mont = _kernel(params)
     return Residue(kernel(r.comps, mont[1]), params)
@@ -311,7 +315,7 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     e = params.p - 2
     counter.tally(trace, e.bit_length() + e.bit_count())
     xc = x.comps
-    acc = mont[2]  # mont_r, the Montgomery form of 1
+    acc = mont[2]  # b^q mod p, the Montgomery form of 1
     for i in range(e.bit_length() - 1, -1, -1):
         acc = mul(acc, acc)
         if (e >> i) & 1:

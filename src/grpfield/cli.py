@@ -21,8 +21,8 @@ from . import arith
 from .bench import run_bench
 from .errors import GrpError, ParameterError
 from .oracle import oracle_modmul
-from .params import (GrpParams, canonical_value, params_new, psi,
-                     to_canonical)
+from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams,
+                     canonical_value, psi, to_canonical)
 from .tables import (estimate_density, hw2_search, search_grps,
                      stability_rows_to_csv, stability_rows_to_json,
                      stability_table)
@@ -53,7 +53,7 @@ def _seed(args: argparse.Namespace) -> int:
 
 def _params_from_spec(text: str, w: int, q: int) -> GrpParams:
     m_plus_1, l, c = parse_spec(text)
-    return params_new(m_plus_1, l, c, w, q, require_prime=False)
+    return GrpParams(m_plus_1, l, c, w, q, require_prime=False)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -78,7 +78,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                            sample_primes=args.sample_primes)
     print(f"bits={est.bits} m_plus_1={est.m_plus_1} k_max={est.k_max} "
           f"log_t_max={est.log_t_max:.4g} l_min={est.l_min} "
-          f"interval={est.interval_size} p_prime={est.p_prime:.3g} "
+          f"interval={est.interval_size} scanned={est.scanned} "
+          f"p_prime={est.p_prime:.3g} "
           f"est_count={est.est_count:.3g}")
     return 0
 
@@ -114,7 +115,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     rng = random.Random(_seed(args))
     failures = 0
 
-    toy = params_new(3, 2, 3, 64, 2)
+    toy = GrpParams(3, 2, 3)
     if args.exhaustive_toy:
         ok = True
         for a in range(toy.p):
@@ -160,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # Word size and reductions per modmul, taken by every subcommand.
     field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--w", type=int, default=64)
-    field.add_argument("--q", type=int, default=2)
+    field.add_argument("--w", type=int, default=DEFAULT_WORD_BITS)
+    field.add_argument("--q", type=int, default=DEFAULT_Q)
 
     params_p = sub.add_parser("params", help="parameter tables and searches")
     psub = params_p.add_subparsers(dest="params_command", required=True)

@@ -4,14 +4,15 @@ A field is described by (m+1, l, c, w, q) with t = 2**l * c and
 p = t**m + ... + t + 1.  Residue vectors are stored in descending-power
 order, matching the oracle module: ``comps[0]`` multiplies t**m.
 
-The stability inequalities live here only: GrpParams checks t <= 2**k - 2
-and c < 2**(k-l), and k_max and l_min give the word-size and I/O bounds
-that GrpParams, the tables and the searches all use.
+The stability inequalities live here only: GrpParams checks that c is
+not a power of two (t <= 2**k - 2) and that k <= k_max, and k_max and
+l_min give the word-size and I/O bounds that GrpParams, the tables and
+the searches all use.  MAX_FIELD_BITS caps m*k before t is built.
 
-Constructing a GrpParams validates the field and nothing more, so a
-search can reject a candidate cheaply: the Montgomery constants
-(``mont_in``, ``mont_one``, ``mont_r``) and arith's modmul kernel are
-built on first use and then kept on the GrpParams.
+Constructing a GrpParams validates the field in word-size integers and
+builds t and p, nothing more, so a search can reject a candidate
+cheaply: arith builds the modmul kernel and the Montgomery constants on
+first use and keeps them in ``modmul_kernel``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,15 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotPrimeError, ParameterError, StabilityError
+from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
 from .oracle import CanonicalElement, horner, is_probable_prime
 
 DEFAULT_WORD_BITS = 64
+DEFAULT_Q = 2
+# Cap on m*k, the bitlength of t**m, checked before t is built so that a
+# document from an adversary cannot make the loaders allocate without
+# bound.  It admits every tables._DEGREES field at w <= 128.
+MAX_FIELD_BITS = 1 << 13
 _FIELD_NAMES = ("m_plus_1", "l", "c", "w", "q")
 
 
@@ -93,25 +99,20 @@ def _shift_add_form(c: int) -> tuple[int, int] | None:
     return None
 
 
-def _mont_constant(index: int, doc: str) -> property:
-    """Read-only view of one entry of montgomery_constants."""
-    return property(lambda self: montgomery_constants(self)[index], doc=doc)
-
-
 class GrpParams:
-    """Validated description of one field.
+    """Validated description of one field; ``params_new`` is this class.
 
-    The field values and everything derived from them are fixed at
-    construction.  The Montgomery constants and the modmul kernel are
-    built on first use (see :func:`montgomery_constants` and
-    ``arith.kernel_source``) and cached in the ``montgomery`` and
-    ``modmul_kernel`` attributes, which start as None: a search that
-    rejects the field never builds them.  Use :func:`params_new` rather
-    than calling the constructor directly.
+    Raises ParameterError for a malformed value, RangeError above
+    MAX_FIELD_BITS, StabilityError naming the violated inequality, and
+    NotPrimeError if require_prime is set and p is composite.  Every
+    check but the primality of p runs on word-size integers, before t is
+    built.  The modmul kernel and Montgomery constants start as None in
+    ``modmul_kernel``: a search that rejects the field never builds them.
     """
 
-    def __init__(self, m_plus_1: int, l: int, c: int, w: int, q: int, *,
-                 require_prime: bool,
+    def __init__(self, m_plus_1: int, l: int, c: int,
+                 w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
+                 require_prime: bool = True,
                  rng: random.Random | None = None) -> None:
         # Exact type: bool is an int subclass, and these values
         # drive the generated modmul kernel.
@@ -119,42 +120,44 @@ class GrpParams:
             if type(value) is not int:
                 raise ParameterError(
                     f"{name} must be an integer, got {value!r}")
-        if m_plus_1 < 3 or not is_probable_prime(m_plus_1):
-            raise ParameterError(f"m+1 must be an odd prime >= 3, got {m_plus_1}")
-        if l < 1 or c < 1 or w < 8 or q < 1:
+        if m_plus_1 < 3 or l < 1 or c < 1 or w < 8 or q < 1:
             raise ParameterError(
-                f"l, c, q must be positive and w >= 8: l={l} c={c} w={w} q={q}")
+                "need m+1 >= 3, l, c, q positive and w >= 8: "
+                f"m+1={m_plus_1} l={l} c={c} w={w} q={q}")
+        k = l + ceil_log2(c)  # ceil_log2(t)
+        if (m_plus_1 - 1) * k > MAX_FIELD_BITS:
+            raise RangeError(f"m*k = {m_plus_1 - 1}*{k} exceeds "
+                             f"MAX_FIELD_BITS = {MAX_FIELD_BITS}")
+        if not is_probable_prime(m_plus_1):
+            raise ParameterError(f"m+1 must be an odd prime, got {m_plus_1}")
+        # t <= 2^k - 2 fails exactly for c = 2^j, where t = 2^k; otherwise
+        # c < 2^(k-l) holds by the choice of k.
+        if c & (c - 1) == 0:
+            raise StabilityError(
+                f"t = 2^{l}*{c} exceeds 2^k - 2: c is a power of two")
+        if k > k_max(m_plus_1, w):
+            raise StabilityError(
+                f"word-size constraint violated: k = {k} > "
+                f"k_max = {k_max(m_plus_1, w)} at w = {w}")
 
         self.m_plus_1 = m_plus_1
         self.l = l
         self.c = c
         self.w = w
         self.q = q
-
-        self.t = (1 << l) * c
-        self.k = ceil_log2(self.t)
+        self.k = k
         self.b = 1 << l
-        self.log_half_m = ceil_log2((m_plus_1 - 1) // 2)
-
-        if self.t > (1 << self.k) - 2:
-            raise StabilityError(
-                f"t = {self.t} exceeds 2^k - 2 = {(1 << self.k) - 2}")
-        if self.k > k_max(m_plus_1, w):
-            raise StabilityError(
-                "word-size constraint violated: "
-                f"ceil(log2(m/2)) + 2k + 5 = {self.log_half_m + 2 * self.k + 5}"
-                f" > 2w = {2 * w}")
-        if self.k <= l or c >= (1 << (self.k - l)):
-            raise StabilityError(
-                f"cofactor too large: c = {c} must be < 2^(k-l) = 2^{self.k - l}")
-
-        # I/O stability of repeated modmul: q reductions must shrink the
-        # product back to reduced size.  Not enforced as an error so toy
-        # fields stay constructible; search paths reject unstable triples.
-        self.io_stable = l >= l_min(m_plus_1, self.k, q)
-
+        self.t = self.b * c
         self.ring_modulus = self.t ** m_plus_1 - 1
         self.p = self.ring_modulus // (self.t - 1)
+
+        # I/O stability of repeated modmul: q reductions must shrink the
+        # product back to reduced size.  slack_bits is how far l sits
+        # above that minimum (negative if below).  Not enforced as an
+        # error so toy fields stay constructible; search paths reject
+        # unstable triples.
+        self.slack_bits = l - l_min(m_plus_1, k, q)
+        self.io_stable = self.slack_bits >= 0
 
         self.prime_checked = False
         if require_prime:
@@ -165,14 +168,9 @@ class GrpParams:
         # c = 2^e + 1 or 2^e - 1 enables a shift-and-add reduction path.
         self.c_shift_add = _shift_add_form(c)
 
-        # Built on first use: the straight-line modmul kernel and its
-        # trace (by arith), and the Montgomery constants.
+        # Built on first use by arith: the straight-line modmul kernel,
+        # its trace and the Montgomery constants.
         self.modmul_kernel = None
-        self.montgomery: tuple[Residue, Residue, Residue] | None = None
-
-    mont_in = _mont_constant(0, "b^(2q) mod p: to_montgomery multiplies by it.")
-    mont_one = _mont_constant(1, "1: from_montgomery multiplies by it.")
-    mont_r = _mont_constant(2, "b^q mod p, the Montgomery form of 1.")
 
     def prove_prime(self, rng: random.Random | None = None) -> None:
         """Set prime_checked, or raise NotPrimeError if p is composite."""
@@ -185,11 +183,6 @@ class GrpParams:
     def bits(self) -> int:
         """Bitlength of the field characteristic."""
         return self.p.bit_length()
-
-    @property
-    def slack_bits(self) -> int:
-        """How far l sits above the stability minimum (negative if below)."""
-        return self.l - l_min(self.m_plus_1, self.k, self.q)
 
     def label(self) -> str:
         return f"phi({self.m_plus_1},2^{self.l}*{self.c})"
@@ -207,16 +200,7 @@ class GrpParams:
         return hash(self._key())
 
 
-def params_new(m_plus_1: int, l: int, c: int, w: int = DEFAULT_WORD_BITS,
-               q: int = 2, require_prime: bool = True,
-               rng: random.Random | None = None) -> GrpParams:
-    """Build and validate a field description.
-
-    Raises StabilityError naming the violated inequality, NotPrimeError if
-    require_prime is set and the characteristic is composite.
-    """
-    return GrpParams(m_plus_1, l, c, w, q, require_prime=require_prime,
-                     rng=rng)
+params_new = GrpParams
 
 
 @dataclass(frozen=True)
@@ -231,21 +215,6 @@ class Residue:
             raise ParameterError(
                 f"expected {self.params.m_plus_1} components, "
                 f"got {len(self.comps)}")
-
-
-def montgomery_constants(params: GrpParams
-                         ) -> tuple[Residue, Residue, Residue]:
-    """(mont_in, mont_one, mont_r) of the field, built once, kept on params.
-
-    They are the residues of b^(2q) mod p, 1 and b^q mod p.
-    """
-    built = params.montgomery
-    if built is None:
-        b, q, p = params.b, params.q, params.p
-        built = params.montgomery = (to_residue(params, pow(b, 2 * q, p)),
-                                     to_residue(params, 1),
-                                     to_residue(params, pow(b, q, p)))
-    return built
 
 
 def check_slack(r: Residue) -> Residue:
@@ -352,8 +321,8 @@ def _params_from_obj(obj: dict) -> GrpParams:
     missing = [name for name in _FIELD_NAMES if name not in obj]
     if missing:
         raise ParameterError(f"missing field(s) {', '.join(missing)}")
-    params = params_new(*(obj[name] for name in _FIELD_NAMES),
-                        require_prime=False)
+    params = GrpParams(*(obj[name] for name in _FIELD_NAMES),
+                       require_prime=False)
     key = (params.m_plus_1, params.l, params.c)
     if key in _PROVEN_PRIMES:
         params.prime_checked = True

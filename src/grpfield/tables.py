@@ -4,11 +4,11 @@ Stability rows give, per field degree, the largest word-stable t and the
 smallest reduction shift; the density estimator predicts how many fields
 of a requested bitlength exist; the searches enumerate actual prime
 fields, including the fast ones whose cofactor has Hamming weight 2.
-The stability inequalities come from the params module (k_max, l_min
-and the GrpParams checks); nothing here restates them.  Primality is
-oracle.is_probable_prime, whose bases come from each candidate, so the
-scans take no seed.  The estimator's cofactor interval is exact integer
-roots of powers of two.
+The stability inequalities and the default w and q come from the params
+module (k_max, l_min and the GrpParams checks); nothing here restates
+them.  Primality is oracle.is_probable_prime, whose bases come from each
+candidate, so the scans take no seed.  The estimator's cofactor interval
+is exact integer roots of powers of two.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, RangeError, StabilityError
 from .oracle import is_probable_prime
-from .params import GrpParams, ceil_log2, k_max, l_min, params_new
+from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, ceil_log2,
+                     k_max, l_min)
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
@@ -96,11 +97,12 @@ class DensityEstimate:
     log_t_max: float
     l_min: int
     interval_size: int
+    scanned: int  # cofactors sampled for p_prime, at most interval_size
     p_prime: float
     est_count: float
 
 
-def estimate_density(bits: int, w: int = 64, q: int = 2,
+def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
                      sample_primes: int = 100) -> DensityEstimate:
     """Estimate how many fields of the given bitlength are representable.
 
@@ -108,8 +110,9 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
     the bitlength; the cofactor interval I(c) spans the c values putting
     the characteristic at exactly that bitlength.  The prime probability
     is sampled by scanning c upward from the bottom of the interval until
-    `sample_primes` prime characteristics are found; 24 Miller-Rabin
-    rounds suffice, since these primes are only counted.
+    `sample_primes` prime characteristics are found or the interval ends;
+    an empty interval gives p_prime 0.  24 Miller-Rabin rounds suffice,
+    since these primes are only counted.
     """
     if bits < 2 or sample_primes < 1:
         raise ParameterError(
@@ -128,22 +131,18 @@ def estimate_density(bits: int, w: int = 64, q: int = 2,
     interval = c_hi - c_lo
 
     found = scanned = 0
-    c = c_lo + 1
-    while found < sample_primes:
-        t = (1 << l_lo) * c
-        p = (t ** m_plus_1 - 1) // (t - 1)
+    while found < sample_primes and scanned < interval:
         scanned += 1
-        if is_probable_prime(p, 24):
-            found += 1
-        c += 1
-    p_prime = found / scanned
-    return DensityEstimate(bits, m_plus_1, k_hi, bits / m, l_lo,
-                           interval, p_prime, interval * p_prime)
+        t = (1 << l_lo) * (c_lo + scanned)
+        found += is_probable_prime((t ** m_plus_1 - 1) // (t - 1), 24)
+    p_prime = found / scanned if scanned else 0.0
+    return DensityEstimate(bits, m_plus_1, k_hi, bits / m, l_lo, interval,
+                           scanned, p_prime, interval * p_prime)
 
 
 def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
-                max_results: int = 10, w: int = 64,
-                q: int = 2) -> list[GrpParams]:
+                max_results: int = 10, w: int = DEFAULT_WORD_BITS,
+                q: int = DEFAULT_Q) -> list[GrpParams]:
     """Linear scan over cofactors for prime fields, in ascending c order.
 
     Rejects the whole range up front if the largest candidate t already
@@ -164,7 +163,7 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
     out = []
     for c in range(c_min, c_max + 1):
         try:
-            params = params_new(m_plus_1, l, c, w, q, require_prime=False)
+            params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
         except StabilityError:
             continue  # e.g. c a power of two, which folds into l
         if not params.io_stable:
@@ -196,7 +195,8 @@ def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def hw2_search(bits_target: int, w: int = 64, q: int = 2) -> list[GrpParams]:
+def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
+               q: int = DEFAULT_Q) -> list[GrpParams]:
     """Prime fields of exactly bits_target bits with c = 2**e +/- 1.
 
     Searches the smallest adequate degree only; results are sorted by
@@ -210,7 +210,7 @@ def hw2_search(bits_target: int, w: int = 64, q: int = 2) -> list[GrpParams]:
     out = []
     for l, c in candidates:
         try:
-            params = params_new(m_plus_1, l, c, w, q, require_prime=False)
+            params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
         except StabilityError:
             continue
         if not params.io_stable or params.bits != bits_target:

@@ -46,6 +46,11 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "m_plus_1=5" in out and "interval=21354522" in out
 
+    def test_estimate_prints_scanned(self, capsys):
+        assert main(["params", "estimate", "--bits", "60", "--w", "32",
+                     "--sample-primes", "10"]) == 0
+        assert "interval=3 scanned=3 p_prime=0.333" in capsys.readouterr().out
+
     def test_hw2(self, capsys):
         assert main(["params", "hw2", "--bits", "243"]) == 0
         assert "phi(5,2^59*3)" in capsys.readouterr().out

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grpfield.arith
 import grpfield.oracle
 import grpfield.params
-from grpfield import (GrpError, NotPrimeError, ParameterError,
+from grpfield import (GrpError, NotPrimeError, ParameterError, RangeError,
                       StabilityError, canonical_value, mods, params_from_json,
                       params_new, params_to_json, psi, residue_from_json,
                       residue_to_json, ring_value, stability_table,
@@ -17,11 +18,8 @@ from grpfield.arith import from_montgomery
 from test_acceptance import TABLE4_FIELDS
 
 
-# Arbitrary JSON values.  Integers stay within 2**20: GrpParams builds
-# t = 2**l * c before its word-size check, so a huge l would allocate
-# memory rather than raise.
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 20, 2 ** 20)
+    st.none() | st.booleans() | st.integers()
     | st.floats() | st.text() | st.integers().map(str),
     lambda children: (st.lists(children, max_size=6)
                       | st.dictionaries(st.text(), children, max_size=6)),
@@ -133,6 +131,37 @@ class TestParamsNew:
             assert grpfield.params._shift_add_form(c) == want, c
         assert params_new(5, 59, 3, require_prime=False).c_shift_add == (2, -1)
 
+    def test_single_cofactor_inequality(self):
+        # StabilityError exactly when the written-out inequalities fail,
+        # with k = ceil(log2 t): t <= 2^k - 2, c < 2^(k-l) and the word
+        # size, ceil(log2(m/2)) + 2k + 5 <= 2w.
+        wrong = []
+        for m_plus_1 in (5, 11):
+            log_half_m = ((m_plus_1 - 1) // 2 - 1).bit_length()
+            for w in (12, 64):
+                for l in range(1, 41):
+                    for c in range(1, 4097):
+                        t = c << l
+                        k = (t - 1).bit_length()
+                        unstable = (t > (1 << k) - 2 or c >= 1 << (k - l)
+                                    or log_half_m + 2 * k + 5 > 2 * w)
+                        try:
+                            params_new(m_plus_1, l, c, w, require_prime=False)
+                            raised = False
+                        except StabilityError:
+                            raised = True
+                        if raised != unstable:
+                            wrong.append((m_plus_1, w, l, c))
+        assert wrong == []
+
+    def test_size_cap_admits_table_degrees(self):
+        # The largest tables field at w = 128: degree 59, k = 123.
+        assert 58 * 123 <= grpfield.params.MAX_FIELD_BITS
+        params = params_new(59, 1, (1 << 122) - 1, 128, require_prime=False)
+        assert params.k == 123
+        with pytest.raises(RangeError):
+            params_new(59, 1, 1 << 200, 128, require_prime=False)
+
     def test_repunit_identity(self):
         for args in [(3, 2, 3), (5, 59, 3), (11, 42, 513)]:
             params = params_new(*args, 64, 2, require_prime=False)
@@ -149,18 +178,20 @@ class TestLazyConstants:
         def counting(params, x):
             calls.append(x)
             return real(params, x)
-        monkeypatch.setattr(grpfield.params, "to_residue", counting)
+        monkeypatch.setattr(grpfield.arith, "to_residue", counting)
         fields = [params_new(*spec, 64, q, require_prime=False)
                   for spec in self.SPECS for q in (2, 3)]
         assert calls == []  # a rejected search candidate pays for none
         for params in fields:
-            assert params.montgomery is None
+            assert params.modmul_kernel is None
+            from_montgomery(zero(params))  # first use
             b, q, p = params.b, params.q, params.p
-            assert params.mont_in == real(params, pow(b, 2 * q, p))
-            assert params.mont_one == real(params, 1)
-            assert params.mont_r == real(params, pow(b, q, p))
-            assert params.montgomery == (params.mont_in, params.mont_one,
-                                         params.mont_r)
+            mont = params.modmul_kernel[2]
+            assert mont[0] == real(params, pow(b, 2 * q, p)).comps
+            assert mont[1] == real(params, 1).comps
+            assert mont[2] == real(params, pow(b, q, p)).comps
+            from_montgomery(zero(params))
+            assert params.modmul_kernel[2] is mont
         assert len(calls) == 3 * len(fields)  # built once per field
 
 
@@ -335,6 +366,17 @@ class TestJson:
                 load(text)
             except GrpError:
                 pass
+
+    @pytest.mark.parametrize("edit", [
+        {"l": 2 ** 33}, {"w": 2 ** 40, "l": 2 ** 39},
+        {"m_plus_1": 2 ** 61 - 1}], ids=lambda edit: ",".join(edit))
+    def test_oversized_field_refused(self, f243, edit):
+        # Refused before t is built: none of these may allocate.
+        obj = json.loads(residue_to_json(psi(f243, 12345)))
+        obj.update(edit)
+        for load in (params_from_json, residue_from_json):
+            with pytest.raises(RangeError):
+                load(json.dumps(obj))
 
     def test_residue_components_range_checked(self, f243):
         obj = json.loads(residue_to_json(psi(f243, 12345)))

@@ -90,6 +90,19 @@ class TestEstimateDensity:
         # 100 primes in the first 5802 cofactors, as the seeded scan found.
         assert est.p_prime == 100 / 5802
 
+    def test_scan_stays_in_interval(self):
+        # c in (13, 16] at l = 11: c = 15 is the one prime of the three.
+        est = estimate_density(60, 32, 2, sample_primes=10)
+        assert (est.interval_size, est.scanned) == (3, 3)
+        assert est.p_prime == 1 / 3
+        assert est.est_count == 1.0
+        assert estimate_density(244, 64, 2, sample_primes=100).scanned == 5802
+
+    def test_empty_interval(self):
+        est = estimate_density(9, 64, 2, sample_primes=10)
+        assert (est.interval_size, est.scanned) == (0, 0)
+        assert (est.p_prime, est.est_count) == (0.0, 0.0)
+
     def test_unrepresentable(self):
         with pytest.raises(RangeError):
             estimate_density(1000, 8, 2, sample_primes=1)
