@@ -4,15 +4,19 @@ A field is described by (m+1, l, c, w, q) with t = 2**l * c and
 p = t**m + ... + t + 1.  Residue vectors are stored in descending-power
 order, matching the oracle module: ``comps[0]`` multiplies t**m.
 
-The stability inequalities live here only: GrpParams checks that c is
-not a power of two (t <= 2**k - 2) and that k <= k_max, and k_max and
-l_min give the word-size and I/O bounds that GrpParams, the tables and
-the searches all use.  MAX_FIELD_BITS caps m*k before t is built.
+The stability inequalities live here only.  check_field runs the
+word-size checks that GrpParams and the range check of
+tables.search_grps share: types, positivity, the caps MAX_WORD_BITS and
+MAX_Q (check_word, which the tables also call) and MAX_FIELD_BITS, m+1
+prime and k <= k_max.  GrpParams adds the
+one per-cofactor inequality, c not a power of two (t <= 2**k - 2).
+k_max and l_min give the word-size and I/O bounds that GrpParams, the
+tables and the searches all use, and repunit is the one home of
+p = (t**(m+1) - 1)/(t - 1).
 
 Constructing a GrpParams validates the field in word-size integers and
-builds t and p, nothing more, so a search can reject a candidate
-cheaply: arith builds the modmul kernel and the Montgomery constants on
-first use and keeps them in ``modmul_kernel``.
+builds t and p, nothing more: arith builds the modmul kernel and the
+Montgomery constants on first use and keeps them in ``modmul_kernel``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,14 @@ from .oracle import CanonicalElement, horner, is_probable_prime
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_Q = 2
-# Cap on m*k, the bitlength of t**m, checked before t is built so that a
-# document from an adversary cannot make the loaders allocate without
-# bound.  It admits every tables._DEGREES field at w <= 128.
+# Caps checked before t is built, so that a document from an adversary
+# cannot make the loaders allocate or compute without bound.  m*k, the
+# bitlength of t**m, admits every tables._DEGREES field at w <= 128.  w
+# sizes the slices of red1 and v_vector, and q the length of the
+# generated modmul kernel; the tables and tests use w <= 128, q <= 4.
 MAX_FIELD_BITS = 1 << 13
+MAX_WORD_BITS = 256
+MAX_Q = 8
 _FIELD_NAMES = ("m_plus_1", "l", "c", "w", "q")
 
 
@@ -54,6 +62,58 @@ def l_min(m_plus_1: int, log_t: int, q: int) -> int:
     """
     need = ceil_log2((m_plus_1 - 1) // 2) + 3 + log_t
     return 1 + -(-need // q)
+
+
+def repunit(t: int, m_plus_1: int) -> int:
+    """t**m + ... + t + 1, the field characteristic over t."""
+    return (t ** m_plus_1 - 1) // (t - 1)
+
+
+def _check_ints(names: Sequence[str], values: Sequence[int]) -> None:
+    # Exact type: bool is an int subclass, and these values
+    # drive the generated modmul kernel.
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise ParameterError(
+                f"{name} must be an integer, got {value!r}")
+
+
+def check_word(w: int, q: int) -> None:
+    """ParameterError unless w >= 8 and q >= 1 are ints, RangeError above
+    MAX_WORD_BITS or MAX_Q."""
+    _check_ints(_FIELD_NAMES[3:], (w, q))
+    if w < 8 or q < 1:
+        raise ParameterError(f"need w >= 8 and q >= 1, got w={w} q={q}")
+    if w > MAX_WORD_BITS or q > MAX_Q:
+        raise RangeError(f"need w <= MAX_WORD_BITS = {MAX_WORD_BITS} and "
+                         f"q <= MAX_Q = {MAX_Q}, got w={w} q={q}")
+
+
+def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
+    """Run the word-size checks of a field and return k = ceil(log2 t).
+
+    Raises ParameterError for a malformed value or a composite m+1,
+    RangeError above MAX_WORD_BITS, MAX_Q or MAX_FIELD_BITS, and
+    StabilityError for k > k_max.  k and the size cap grow with c, so
+    the checks at the largest c of a range cover every smaller one.
+    Whether c is a power of two is left to the caller.
+    """
+    _check_ints(_FIELD_NAMES[:3], (m_plus_1, l, c))
+    if m_plus_1 < 3 or l < 1 or c < 1:
+        raise ParameterError("need m+1 >= 3 and l, c positive: "
+                             f"m+1={m_plus_1} l={l} c={c}")
+    check_word(w, q)
+    k = l + ceil_log2(c)  # ceil_log2(t)
+    if (m_plus_1 - 1) * k > MAX_FIELD_BITS:
+        raise RangeError(f"m*k = {m_plus_1 - 1}*{k} exceeds "
+                         f"MAX_FIELD_BITS = {MAX_FIELD_BITS}")
+    if not is_probable_prime(m_plus_1):
+        raise ParameterError(f"m+1 must be an odd prime, got {m_plus_1}")
+    if k > k_max(m_plus_1, w):
+        raise StabilityError(
+            f"word-size constraint violated: k = {k} > "
+            f"k_max = {k_max(m_plus_1, w)} at w = {w}")
+    return k
 
 
 def mods(x: int, t: int) -> int:
@@ -102,43 +162,23 @@ def _shift_add_form(c: int) -> tuple[int, int] | None:
 class GrpParams:
     """Validated description of one field; ``params_new`` is this class.
 
-    Raises ParameterError for a malformed value, RangeError above
-    MAX_FIELD_BITS, StabilityError naming the violated inequality, and
-    NotPrimeError if require_prime is set and p is composite.  Every
-    check but the primality of p runs on word-size integers, before t is
-    built.  The modmul kernel and Montgomery constants start as None in
-    ``modmul_kernel``: a search that rejects the field never builds them.
+    Raises what check_field raises, StabilityError if c is a power of
+    two, and NotPrimeError if require_prime is set and p is composite.
+    Every check but the primality of p runs on word-size integers, before
+    t is built.  The modmul kernel and Montgomery constants start as None
+    in ``modmul_kernel``: a field that is never used never builds them.
     """
 
     def __init__(self, m_plus_1: int, l: int, c: int,
                  w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
                  require_prime: bool = True,
                  rng: random.Random | None = None) -> None:
-        # Exact type: bool is an int subclass, and these values
-        # drive the generated modmul kernel.
-        for name, value in zip(_FIELD_NAMES, (m_plus_1, l, c, w, q)):
-            if type(value) is not int:
-                raise ParameterError(
-                    f"{name} must be an integer, got {value!r}")
-        if m_plus_1 < 3 or l < 1 or c < 1 or w < 8 or q < 1:
-            raise ParameterError(
-                "need m+1 >= 3, l, c, q positive and w >= 8: "
-                f"m+1={m_plus_1} l={l} c={c} w={w} q={q}")
-        k = l + ceil_log2(c)  # ceil_log2(t)
-        if (m_plus_1 - 1) * k > MAX_FIELD_BITS:
-            raise RangeError(f"m*k = {m_plus_1 - 1}*{k} exceeds "
-                             f"MAX_FIELD_BITS = {MAX_FIELD_BITS}")
-        if not is_probable_prime(m_plus_1):
-            raise ParameterError(f"m+1 must be an odd prime, got {m_plus_1}")
+        k = check_field(m_plus_1, l, c, w, q)
         # t <= 2^k - 2 fails exactly for c = 2^j, where t = 2^k; otherwise
         # c < 2^(k-l) holds by the choice of k.
         if c & (c - 1) == 0:
             raise StabilityError(
                 f"t = 2^{l}*{c} exceeds 2^k - 2: c is a power of two")
-        if k > k_max(m_plus_1, w):
-            raise StabilityError(
-                f"word-size constraint violated: k = {k} > "
-                f"k_max = {k_max(m_plus_1, w)} at w = {w}")
 
         self.m_plus_1 = m_plus_1
         self.l = l
@@ -148,8 +188,8 @@ class GrpParams:
         self.k = k
         self.b = 1 << l
         self.t = self.b * c
-        self.ring_modulus = self.t ** m_plus_1 - 1
-        self.p = self.ring_modulus // (self.t - 1)
+        self.p = repunit(self.t, m_plus_1)
+        self.ring_modulus = self.p * (self.t - 1)
 
         # I/O stability of repeated modmul: q reductions must shrink the
         # product back to reduced size.  slack_bits is how far l sits

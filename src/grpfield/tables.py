@@ -5,26 +5,38 @@ smallest reduction shift; the density estimator predicts how many fields
 of a requested bitlength exist; the searches enumerate actual prime
 fields, including the fast ones whose cofactor has Hamming weight 2.
 The stability inequalities and the default w and q come from the params
-module (k_max, l_min and the GrpParams checks); nothing here restates
-them.  Primality is oracle.is_probable_prime, whose bases come from each
-candidate, so the scans take no seed.  The estimator's cofactor interval
-is exact integer roots of powers of two.
+module (check_field, k_max, l_min and GrpParams); nothing here restates
+them.  search_grps validates its range once, at the largest cofactor,
+and builds a GrpParams only for the primes it finds.
+
+Every prime factor of a candidate Phi_{m+1}(t) is m+1 or 1 mod m+1, so
+the scans first take gcds with the product of those primes below
+_SIEVE_BOUND, built once per degree on first use.  The sieve only
+rejects: oracle.is_probable_prime, whose bases come from each
+candidate, is the one test that accepts a prime, so the scans take no
+seed.  The estimator's cofactor interval is exact integer roots of
+powers of two.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import is_probable_prime
-from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, ceil_log2,
-                     k_max, l_min)
+from .oracle import is_probable_prime, trial_division
+from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, check_field,
+                     check_word, k_max, l_min, repunit)
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+# The scans' sieve holds the possible prime factors below this bound.
+_SIEVE_BOUND = 10 ** 4
 
 
 def _degree_for_bits(bits: int, w: int) -> tuple[int, int]:
@@ -55,8 +67,7 @@ def stability_table(w: int, q: int,
     A row is listed only if some field satisfies it, which needs k - l >= 2:
     below that the bound cofactor c_bound - 1 is 1 (t a power of two) or 0.
     """
-    if w < 8 or q < 1:
-        raise ParameterError(f"need w >= 8 and q >= 1, got w={w} q={q}")
+    check_word(w, q)
     rows = []
     for m_plus_1 in _DEGREES:
         if m_plus_1 > m_plus_1_max:
@@ -68,6 +79,54 @@ def stability_table(w: int, q: int,
         rows.append(StabilityRow(m_plus_1, k, l, 1 << (k - l),
                                  (m_plus_1 - 1) * k))
     return rows
+
+
+@functools.cache
+def _cyclotomic_sieve(m_plus_1: int) -> tuple[int, int]:
+    """(word, rest): the primes that can divide Phi_{m+1}(t) below
+    _SIEVE_BOUND, m+1 and those 1 mod m+1, as two products.
+
+    word takes m+1 and the smallest of the others while it fits in 60
+    bits, so most factors are found by a one-word gcd; rest is the
+    product of the remaining ones.  trial_division decides the odd
+    r = 1 mod m+1 exactly, since _SIEVE_BOUND is below 1000**2.
+    """
+    word, rest = m_plus_1, 1
+    for r in range(2 * m_plus_1 + 1, _SIEVE_BOUND, 2 * m_plus_1):
+        if trial_division(r) is False:
+            continue
+        if rest == 1 and (word * r).bit_length() <= 60:
+            word *= r
+        else:
+            rest *= r
+    return word, rest
+
+
+def _sieve_rejects(p: int, m_plus_1: int) -> bool:
+    """True when p = Phi_{m+1}(t) has a proper factor in the sieve.
+
+    Only a gcd strictly between 1 and p proves p composite; a p that is
+    itself a sieve prime is left to is_probable_prime.
+    """
+    word, rest = _cyclotomic_sieve(m_plus_1)
+    g = math.gcd(p, word)
+    if g == 1:
+        g = math.gcd(p, rest)
+    return 1 < g < p
+
+
+def _scan(m_plus_1: int, l: int, c_lo: int, c_hi: int,
+          rounds: int = 64) -> Iterator[tuple[int, bool]]:
+    """(c, whether Phi_{m+1}(t) is prime) for each cofactor in
+    [c_lo, c_hi] that is not a power of two, in ascending order, with
+    t = 2**l * c."""
+    b = 1 << l
+    for c in range(c_lo, c_hi + 1):
+        if c & (c - 1) == 0:
+            continue  # t a power of two: the field of a larger l
+        p = repunit(b * c, m_plus_1)
+        yield c, (not _sieve_rejects(p, m_plus_1)
+                  and is_probable_prime(p, rounds))
 
 
 def _floor_pow2(e: int, n: int) -> int:
@@ -111,13 +170,16 @@ def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
     the characteristic at exactly that bitlength.  The prime probability
     is sampled by scanning c upward from the bottom of the interval until
     `sample_primes` prime characteristics are found or the interval ends;
-    an empty interval gives p_prime 0.  24 Miller-Rabin rounds suffice,
-    since these primes are only counted.
+    `scanned` counts the cofactors tested, which leaves out a power of two
+    (the top of the interval when m divides bits, where p has bits + 1
+    bits).  An interval with nothing to test gives p_prime 0.  24
+    Miller-Rabin rounds suffice, since these primes are only counted.
     """
     if bits < 2 or sample_primes < 1:
         raise ParameterError(
             f"need bits >= 2 and sample_primes >= 1, got {bits}, "
             f"{sample_primes}")
+    check_word(w, q)
     m_plus_1, k_hi = _degree_for_bits(bits, w)
     m = m_plus_1 - 1
     l_lo = l_min(m_plus_1, -(-bits // m), q)
@@ -131,10 +193,11 @@ def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
     interval = c_hi - c_lo
 
     found = scanned = 0
-    while found < sample_primes and scanned < interval:
+    for _, prime in _scan(m_plus_1, l_lo, c_lo + 1, c_hi, 24):
         scanned += 1
-        t = (1 << l_lo) * (c_lo + scanned)
-        found += is_probable_prime((t ** m_plus_1 - 1) // (t - 1), 24)
+        found += prime
+        if found >= sample_primes:
+            break
     p_prime = found / scanned if scanned else 0.0
     return DensityEstimate(bits, m_plus_1, k_hi, bits / m, l_lo, interval,
                            scanned, p_prime, interval * p_prime)
@@ -145,30 +208,25 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
                 q: int = DEFAULT_Q) -> list[GrpParams]:
     """Linear scan over cofactors for prime fields, in ascending c order.
 
-    Rejects the whole range up front if the largest candidate t already
-    violates a stability inequality.
+    The range is validated once, by check_field and l_min at the largest
+    cofactor: k, the size cap and l_min all grow with c, so that covers
+    every c in the range.  Power-of-two cofactors are skipped, and a
+    GrpParams is built only for each prime found.
     """
-    if c_min < 1 or c_max < c_min:
+    if (type(c_min) is not int or type(c_max) is not int
+            or not 1 <= c_min <= c_max):
         raise ParameterError(
-            f"need 1 <= c_min <= c_max, got {c_min}, {c_max}")
-    k_hi = ceil_log2((1 << l) * c_max)
-    if k_hi > k_max(m_plus_1, w):
-        raise StabilityError(
-            f"t up to 2^{k_hi} violates the word-size constraint at w={w}")
+            f"need 1 <= c_min <= c_max, got {c_min!r}, {c_max!r}")
+    k_hi = check_field(m_plus_1, l, c_max, w, q)
     l_lo = l_min(m_plus_1, k_hi, q)
     if l < l_lo:
         raise StabilityError(f"l = {l} below the stability minimum {l_lo} "
                              f"for k = {k_hi}, q = {q}")
 
     out = []
-    for c in range(c_min, c_max + 1):
-        try:
+    for c, prime in _scan(m_plus_1, l, c_min, c_max):
+        if prime:
             params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
-        except StabilityError:
-            continue  # e.g. c a power of two, which folds into l
-        if not params.io_stable:
-            continue
-        if is_probable_prime(params.p):
             params.prime_checked = True
             out.append(params)
             if len(out) >= max_results:
@@ -189,8 +247,7 @@ def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     for l in range(2, l_max + 1):
         if not is_probable_prime(l):  # exact: l is below the sieve bound
             continue
-        p = ((1 << (l * l)) - 1) // ((1 << l) - 1)
-        if is_probable_prime(p):
+        if is_probable_prime(repunit(1 << l, l)):
             out.append((l, l))
     return out
 
@@ -215,7 +272,8 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
             continue
         if not params.io_stable or params.bits != bits_target:
             continue
-        if is_probable_prime(params.p):
+        if (not _sieve_rejects(params.p, m_plus_1)
+                and is_probable_prime(params.p)):
             params.prime_checked = True
             out.append(params)
     return out

@@ -100,8 +100,8 @@ class TestParamsNew:
 
     def test_table_rows_construct_at_bounds(self):
         # Small words push l_min up to k, where c_bound - 1 is no cofactor.
-        for w in (12, 16, 24, 32, 64):
-            for q in (2, 3):
+        for w in (12, 16, 24, 32, 64, 128):
+            for q in (1, 2, 3, 4):
                 for row in stability_table(w, q):
                     params = params_new(row.m_plus_1, row.l_min,
                                         row.c_bound - 1, w, q,
@@ -162,10 +162,21 @@ class TestParamsNew:
         with pytest.raises(RangeError):
             params_new(59, 1, 1 << 200, 128, require_prime=False)
 
+    def test_word_and_q_caps(self):
+        cap_w, cap_q = grpfield.params.MAX_WORD_BITS, grpfield.params.MAX_Q
+        params = params_new(5, 59, 3, cap_w, cap_q, require_prime=False)
+        assert (params.w, params.q) == (cap_w, cap_q)
+        for w, q in ((cap_w + 1, 2), (64, cap_q + 1)):
+            with pytest.raises(RangeError):
+                params_new(5, 59, 3, w, q, require_prime=False)
+            with pytest.raises(RangeError):  # rows no field could satisfy
+                stability_table(w, q)
+
     def test_repunit_identity(self):
         for args in [(3, 2, 3), (5, 59, 3), (11, 42, 513)]:
             params = params_new(*args, 64, 2, require_prime=False)
             assert (params.t - 1) * params.p == params.ring_modulus
+            assert params.ring_modulus == params.t ** params.m_plus_1 - 1
 
 
 class TestLazyConstants:
@@ -369,9 +380,12 @@ class TestJson:
 
     @pytest.mark.parametrize("edit", [
         {"l": 2 ** 33}, {"w": 2 ** 40, "l": 2 ** 39},
-        {"m_plus_1": 2 ** 61 - 1}], ids=lambda edit: ",".join(edit))
+        {"m_plus_1": 2 ** 61 - 1}, {"q": 4000}, {"w": 2 ** 16}],
+        ids=lambda edit: ",".join(edit))
     def test_oversized_field_refused(self, f243, edit):
-        # Refused before t is built: none of these may allocate.
+        # Refused before t is built: none of these may allocate.  The
+        # last two are small fields whose first modmul or red1 would
+        # build a 1.7 MB kernel or work modulo 2^65536.
         obj = json.loads(residue_to_json(psi(f243, 12345)))
         obj.update(edit)
         for load in (params_from_json, residue_from_json):

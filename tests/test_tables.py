@@ -1,14 +1,20 @@
 """Tests for the parameter tables and searches."""
 
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
-from grpfield import (ParameterError, RangeError, StabilityError,
+import grpfield.tables
+from grpfield import (GrpError, ParameterError, RangeError, StabilityError,
                       canonical_value, estimate_density, from_montgomery,
                       hw2_search, modmul, psi, pure_power_scan, search_grps,
                       stability_rows_to_csv, stability_rows_to_json,
                       stability_table, to_montgomery)
+from grpfield.oracle import _sieve
+from grpfield.params import repunit
+from grpfield.tables import _DEGREES, _SIEVE_BOUND, _sieve_rejects
 
 # Printed stable-parameter rows for w=64: (m+1, k, l, log2 c bound, bits).
 PRINTED_Q2 = [(3, 61, 33, 28, 122), (5, 61, 34, 27, 244),
@@ -91,11 +97,13 @@ class TestEstimateDensity:
         assert est.p_prime == 100 / 5802
 
     def test_scan_stays_in_interval(self):
-        # c in (13, 16] at l = 11: c = 15 is the one prime of the three.
+        # c in (13, 16] at l = 11: c = 15 is the one prime of the two
+        # tested; c = 16 makes t a power of two and p 61 bits, so it is
+        # counted in the interval but never sampled.
         est = estimate_density(60, 32, 2, sample_primes=10)
-        assert (est.interval_size, est.scanned) == (3, 3)
-        assert est.p_prime == 1 / 3
-        assert est.est_count == 1.0
+        assert (est.interval_size, est.scanned) == (3, 2)
+        assert est.p_prime == 1 / 2
+        assert est.est_count == 1.5
         assert estimate_density(244, 64, 2, sample_primes=100).scanned == 5802
 
     def test_empty_interval(self):
@@ -106,6 +114,8 @@ class TestEstimateDensity:
     def test_unrepresentable(self):
         with pytest.raises(RangeError):
             estimate_density(1000, 8, 2, sample_primes=1)
+        with pytest.raises(RangeError):  # w above MAX_WORD_BITS
+            estimate_density(1000, 512, 2, sample_primes=1)
 
 
 class TestSearchGrps:
@@ -146,6 +156,64 @@ class TestSearchGrps:
     def test_bad_range(self):
         with pytest.raises(ParameterError):
             search_grps(5, 59, 3, 2)
+
+    def test_power_of_two_top_accepted(self):
+        # c_max = 4 puts k at 61 = k_max; c = 4 itself is skipped.
+        assert [p.c for p in search_grps(5, 59, 3, 4)] == [3]
+        assert search_grps(5, 59, 4, 4) == []
+
+    def test_range_checked_before_t_is_built(self):
+        # l = 2^26 would make t an 8 MB integer.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GrpError):
+                search_grps(5, 2 ** 26, 3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_params_built_only_for_primes(self, monkeypatch):
+        built = []
+        real = grpfield.tables.GrpParams
+
+        def counting(*args, **kwargs):
+            built.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grpfield.tables, "GrpParams", counting)
+        found = search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500)
+        assert len(found) == 8
+        assert built == [p.c for p in found]
+
+
+class TestCyclotomicSieve:
+    PRIMES = _sieve(1000)
+
+    @given(st.sampled_from(_DEGREES), st.integers(2, 1 << 80))
+    def test_prime_factors_are_n_or_1_mod_n(self, n, t):
+        # The fact the sieve relies on: a prime factor r of Phi_n(t), n
+        # prime, is n or 1 mod n.
+        value = repunit(t, n)
+        for r in self.PRIMES:
+            if value % r == 0:
+                assert r == n or r % n == 1, (n, t, r)
+
+    def test_sieve_prime_itself_not_rejected(self):
+        # 11 and 31 = Phi_5(2) are factors of the degree-5 word product.
+        for p in (5, 11, 31, 9901):
+            assert not _sieve_rejects(p, 5)
+        # 31 is in the degree-3 sieve and 11 is not: a proper factor.
+        assert _sieve_rejects(11 * 31, 3)
+
+    def test_rejects_exactly_small_factors(self):
+        # Naive division by every prime below the bound, of any class.
+        primes = _sieve(_SIEVE_BOUND)
+        t0 = 1 << 40
+        for c in range(2 ** 20 + 1, 2 ** 20 + 20001):
+            p = repunit(t0 * c, 5)
+            small = any(p % r == 0 for r in primes)
+            assert _sieve_rejects(p, 5) == small, c
 
 
 class TestPurePowerScan:
