@@ -4,10 +4,17 @@ Everything here works on plain Python integers, so it is exact and
 independent of the vector arithmetic it is used to check.  Vectors are
 sequences in descending-power order: ``vec[0]`` is the coefficient of
 ``t**m`` and ``vec[-1]`` the constant term.
+
+Primality is decided here alone.  miller_rabin, with bases drawn from
+the candidate, accepts what trial division by the primes below 1000
+leaves of any n (is_probable_prime), or what a gcd with its possible
+factors below 10^4, m+1 and those 1 mod m+1, leaves of a characteristic
+Phi_{m+1}(t) (is_prime_characteristic).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -15,8 +22,10 @@ from typing import Sequence
 
 from .errors import ParameterError
 
-# Trial division covers the primes below this bound.
+# Trial division tries the primes below _TRIAL_BOUND, the test of a
+# characteristic its possible factors below _CYCLOTOMIC_BOUND < 1000**2.
 _TRIAL_BOUND = 1000
+_CYCLOTOMIC_BOUND = 10 ** 4
 
 
 def _sieve(bound: int) -> list[int]:
@@ -29,10 +38,27 @@ def _sieve(bound: int) -> list[int]:
 
 
 _SMALL_PRIMES = frozenset(_sieve(_TRIAL_BOUND))
-# The primes up to 47 multiply to a 60-bit number, so most small factors
-# are found by a one-word gcd before the long one with the rest.
-_WORD_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p <= 47)
-_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p > 47)
+
+
+@functools.cache
+def _products(m_plus_1: int, bound: int) -> tuple[int, int]:
+    """The primes below bound that can divide Phi_{m+1}(t), m+1 and those
+    1 mod m+1 (every prime for m+1 = 2), as a product of the smallest that
+    fits in 60 bits, for a one-word gcd, and the product of the rest."""
+    word = rest = 1
+    for r in _sieve(bound):
+        if r == m_plus_1 or r % m_plus_1 == 1:
+            if rest == 1 and (word * r).bit_length() <= 60:
+                word *= r
+            else:
+                rest *= r
+    return word, rest
+
+
+def _has_factor(n: int, m_plus_1: int, bound: int) -> bool:
+    """True when n shares a prime with _products(m_plus_1, bound)."""
+    word, rest = _products(m_plus_1, bound)
+    return math.gcd(n, word) != 1 or math.gcd(n, rest) != 1
 
 
 @dataclass(frozen=True)
@@ -108,9 +134,16 @@ def trial_division(n: int) -> bool | None:
     """
     if n < _TRIAL_BOUND:
         return n in _SMALL_PRIMES
-    if math.gcd(n, _WORD_PRIMORIAL) != 1 or math.gcd(n, _PRIMORIAL) != 1:
-        return False
-    return None
+    # Degree 2 admits every prime.
+    return False if _has_factor(n, 2, _TRIAL_BOUND) else None
+
+
+def cyclotomic_composite(p: int, m_plus_1: int) -> bool:
+    """True when p = Phi_{m+1}(t) is composite by trial_division below
+    _CYCLOTOMIC_BOUND, or above it has one of its possible factors."""
+    if p < _CYCLOTOMIC_BOUND:
+        return trial_division(p) is False
+    return _has_factor(p, m_plus_1, _CYCLOTOMIC_BOUND)
 
 
 def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
@@ -134,6 +167,12 @@ def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
     return True
 
 
+def _bases(n: int, rng: random.Random | None) -> random.Random:
+    """rng, or without one a Random seeded with the bytes of n."""
+    return rng if rng is not None else random.Random(
+        n.to_bytes((n.bit_length() + 7) // 8, "big"))
+
+
 def is_probable_prime(n: int, rounds: int = 64,
                       rng: random.Random | None = None) -> bool:
     """Miller-Rabin with pseudo-random bases, after trial division.
@@ -148,9 +187,17 @@ def is_probable_prime(n: int, rounds: int = 64,
     verdict = trial_division(n)
     if verdict is not None:
         return verdict
-    if rng is None:
-        rng = random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
-    return miller_rabin(n, rounds, rng)
+    return miller_rabin(n, rounds, _bases(n, rng))
+
+
+def is_prime_characteristic(p: int, m_plus_1: int, rounds: int = 64,
+                            rng: random.Random | None = None) -> bool:
+    """is_probable_prime for p = Phi_{m+1}(t), with cyclotomic_composite
+    for trial division: it tries every prime below 1000 that can divide
+    p, so Miller-Rabin draws the bases is_probable_prime would."""
+    if cyclotomic_composite(p, m_plus_1):
+        return False
+    return p < _CYCLOTOMIC_BOUND or miller_rabin(p, rounds, _bases(p, rng))
 
 
 def modular_inverse(a: int, modulus: int) -> int:

@@ -8,15 +8,16 @@ The stability inequalities live here only.  check_field runs the
 word-size checks that GrpParams and the range check of
 tables.search_grps share: types, positivity, the caps MAX_WORD_BITS and
 MAX_Q (check_word, which the tables also call) and MAX_FIELD_BITS, m+1
-prime and k <= k_max.  GrpParams adds the
-one per-cofactor inequality, c not a power of two (t <= 2**k - 2).
-k_max and l_min give the word-size and I/O bounds that GrpParams, the
-tables and the searches all use, and repunit is the one home of
-p = (t**(m+1) - 1)/(t - 1).
+prime and k <= k_max.  GrpParams adds the one per-cofactor inequality,
+c not a power of two (t <= 2**k - 2).  k_max and l_min give the
+word-size and I/O bounds that GrpParams, the tables and the searches
+all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 
 Constructing a GrpParams validates the field in word-size integers and
 builds t and p, nothing more: arith builds the modmul kernel and the
 Montgomery constants on first use and keeps them in ``modmul_kernel``.
+prove_prime, and so require_prime and the JSON loaders, leave the
+primality of p to oracle.is_prime_characteristic.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import functools
 import json
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
-from .oracle import CanonicalElement, horner, is_probable_prime
+from .oracle import (CanonicalElement, horner, is_prime_characteristic,
+                     is_probable_prime)
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_Q = 2
@@ -69,21 +70,19 @@ def repunit(t: int, m_plus_1: int) -> int:
     return (t ** m_plus_1 - 1) // (t - 1)
 
 
-def _check_ints(names: Sequence[str], values: Sequence[int]) -> None:
-    # Exact type: bool is an int subclass, and these values
-    # drive the generated modmul kernel.
-    for name, value in zip(names, values):
-        if type(value) is not int:
-            raise ParameterError(
-                f"{name} must be an integer, got {value!r}")
+def check_int(name: str, value: int, least: int) -> None:
+    """ParameterError unless value is an int >= least, of exact type:
+    bool is an int subclass, and these values drive generated code."""
+    if type(value) is not int or value < least:
+        raise ParameterError(
+            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_word(w: int, q: int) -> None:
     """ParameterError unless w >= 8 and q >= 1 are ints, RangeError above
     MAX_WORD_BITS or MAX_Q."""
-    _check_ints(_FIELD_NAMES[3:], (w, q))
-    if w < 8 or q < 1:
-        raise ParameterError(f"need w >= 8 and q >= 1, got w={w} q={q}")
+    check_int("w", w, 8)
+    check_int("q", q, 1)
     if w > MAX_WORD_BITS or q > MAX_Q:
         raise RangeError(f"need w <= MAX_WORD_BITS = {MAX_WORD_BITS} and "
                          f"q <= MAX_Q = {MAX_Q}, got w={w} q={q}")
@@ -98,10 +97,9 @@ def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
     the checks at the largest c of a range cover every smaller one.
     Whether c is a power of two is left to the caller.
     """
-    _check_ints(_FIELD_NAMES[:3], (m_plus_1, l, c))
-    if m_plus_1 < 3 or l < 1 or c < 1:
-        raise ParameterError("need m+1 >= 3 and l, c positive: "
-                             f"m+1={m_plus_1} l={l} c={c}")
+    check_int("m_plus_1", m_plus_1, 3)
+    check_int("l", l, 1)
+    check_int("c", c, 1)
     check_word(w, q)
     k = l + ceil_log2(c)  # ceil_log2(t)
     if (m_plus_1 - 1) * k > MAX_FIELD_BITS:
@@ -214,7 +212,7 @@ class GrpParams:
 
     def prove_prime(self, rng: random.Random | None = None) -> None:
         """Set prime_checked, or raise NotPrimeError if p is composite."""
-        if not is_probable_prime(self.p, rng=rng):
+        if not is_prime_characteristic(self.p, self.m_plus_1, rng=rng):
             raise NotPrimeError(
                 f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
         self.prime_checked = True

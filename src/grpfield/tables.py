@@ -9,34 +9,28 @@ module (check_field, k_max, l_min and GrpParams); nothing here restates
 them.  search_grps validates its range once, at the largest cofactor,
 and builds a GrpParams only for the primes it finds.
 
-Every prime factor of a candidate Phi_{m+1}(t) is m+1 or 1 mod m+1, so
-the scans first take gcds with the product of those primes below
-_SIEVE_BOUND, built once per degree on first use.  The sieve only
-rejects: oracle.is_probable_prime, whose bases come from each
-candidate, is the one test that accepts a prime, so the scans take no
-seed.  The estimator's cofactor interval is exact integer roots of
-powers of two.
+Every candidate is a characteristic Phi_{m+1}(t), and the scans test
+each with oracle.is_prime_characteristic, whose bases come from the
+candidate, so they take no seed; nothing here decides primality.  The
+scans take only exact ints for bits and counts.  The estimator's
+cofactor interval is exact integer roots of powers of two.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import is_probable_prime, trial_division
+from .oracle import is_prime_characteristic, is_probable_prime
 from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, check_field,
-                     check_word, k_max, l_min, repunit)
+                     check_int, check_word, k_max, l_min, repunit)
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-# The scans' sieve holds the possible prime factors below this bound.
-_SIEVE_BOUND = 10 ** 4
 
 
 def _degree_for_bits(bits: int, w: int) -> tuple[int, int]:
@@ -81,40 +75,6 @@ def stability_table(w: int, q: int,
     return rows
 
 
-@functools.cache
-def _cyclotomic_sieve(m_plus_1: int) -> tuple[int, int]:
-    """(word, rest): the primes that can divide Phi_{m+1}(t) below
-    _SIEVE_BOUND, m+1 and those 1 mod m+1, as two products.
-
-    word takes m+1 and the smallest of the others while it fits in 60
-    bits, so most factors are found by a one-word gcd; rest is the
-    product of the remaining ones.  trial_division decides the odd
-    r = 1 mod m+1 exactly, since _SIEVE_BOUND is below 1000**2.
-    """
-    word, rest = m_plus_1, 1
-    for r in range(2 * m_plus_1 + 1, _SIEVE_BOUND, 2 * m_plus_1):
-        if trial_division(r) is False:
-            continue
-        if rest == 1 and (word * r).bit_length() <= 60:
-            word *= r
-        else:
-            rest *= r
-    return word, rest
-
-
-def _sieve_rejects(p: int, m_plus_1: int) -> bool:
-    """True when p = Phi_{m+1}(t) has a proper factor in the sieve.
-
-    Only a gcd strictly between 1 and p proves p composite; a p that is
-    itself a sieve prime is left to is_probable_prime.
-    """
-    word, rest = _cyclotomic_sieve(m_plus_1)
-    g = math.gcd(p, word)
-    if g == 1:
-        g = math.gcd(p, rest)
-    return 1 < g < p
-
-
 def _scan(m_plus_1: int, l: int, c_lo: int, c_hi: int,
           rounds: int = 64) -> Iterator[tuple[int, bool]]:
     """(c, whether Phi_{m+1}(t) is prime) for each cofactor in
@@ -124,9 +84,8 @@ def _scan(m_plus_1: int, l: int, c_lo: int, c_hi: int,
     for c in range(c_lo, c_hi + 1):
         if c & (c - 1) == 0:
             continue  # t a power of two: the field of a larger l
-        p = repunit(b * c, m_plus_1)
-        yield c, (not _sieve_rejects(p, m_plus_1)
-                  and is_probable_prime(p, rounds))
+        yield c, is_prime_characteristic(repunit(b * c, m_plus_1),
+                                         m_plus_1, rounds)
 
 
 def _floor_pow2(e: int, n: int) -> int:
@@ -175,10 +134,8 @@ def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
     bits).  An interval with nothing to test gives p_prime 0.  24
     Miller-Rabin rounds suffice, since these primes are only counted.
     """
-    if bits < 2 or sample_primes < 1:
-        raise ParameterError(
-            f"need bits >= 2 and sample_primes >= 1, got {bits}, "
-            f"{sample_primes}")
+    check_int("bits", bits, 2)
+    check_int("sample_primes", sample_primes, 1)
     check_word(w, q)
     m_plus_1, k_hi = _degree_for_bits(bits, w)
     m = m_plus_1 - 1
@@ -213,10 +170,9 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
     every c in the range.  Power-of-two cofactors are skipped, and a
     GrpParams is built only for each prime found.
     """
-    if (type(c_min) is not int or type(c_max) is not int
-            or not 1 <= c_min <= c_max):
-        raise ParameterError(
-            f"need 1 <= c_min <= c_max, got {c_min!r}, {c_max!r}")
+    check_int("c_min", c_min, 1)
+    check_int("c_max", c_max, c_min)
+    check_int("max_results", max_results, 1)
     k_hi = check_field(m_plus_1, l, c_max, w, q)
     l_lo = l_min(m_plus_1, k_hi, q)
     if l < l_lo:
@@ -243,13 +199,9 @@ def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     if l_max > 400:
         raise ParameterError(
             f"l_max capped at 400 for practical primality, got {l_max}")
-    out = []
-    for l in range(2, l_max + 1):
-        if not is_probable_prime(l):  # exact: l is below the sieve bound
-            continue
-        if is_probable_prime(repunit(1 << l, l)):
-            out.append((l, l))
-    return out
+    # is_probable_prime is exact for l below 1000.
+    return [(l, l) for l in range(2, l_max + 1) if is_probable_prime(l)
+            and is_prime_characteristic(repunit(1 << l, l), l)]
 
 
 def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
@@ -260,6 +212,8 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
     (l, c).  Each result carries the slack_bits diagnostic, the distance
     between its l and the stability minimum.
     """
+    check_int("bits_target", bits_target, 2)
+    check_word(w, q)
     m_plus_1, k_hi = _degree_for_bits(bits_target, w)
     candidates = sorted({(l, c) for l in range(1, k_hi + 1)
                          for e in range(1, k_hi - l + 1)
@@ -270,10 +224,8 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
             params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
         except StabilityError:
             continue
-        if not params.io_stable or params.bits != bits_target:
-            continue
-        if (not _sieve_rejects(params.p, m_plus_1)
-                and is_probable_prime(params.p)):
+        if (params.io_stable and params.bits == bits_target
+                and is_prime_characteristic(params.p, m_plus_1)):
             params.prime_checked = True
             out.append(params)
     return out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from grpfield import params_new
+from grpfield import params_new, pure_power_scan
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,10 @@ def f228():
 def f511():
     """511-bit field over t = 2^42 * (2^9 + 1), degree 11."""
     return params_new(11, 42, 513, 64, 2)
+
+
+@pytest.fixture(scope="session")
+def pure_powers_59():
+    """pure_power_scan(59), run once: most of its time is the 64-round
+    proof of the 3423-bit Phi_59(2^59)."""
+    return pure_power_scan(59)

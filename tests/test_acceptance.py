@@ -13,10 +13,9 @@ import time
 from grpfield import (OpCounter, Residue, add, canonical_value, cvma_mul,
                       estimate_density, from_montgomery, invert,
                       is_probable_prime, modmul, modmul_interleaved,
-                      modmul_trace, modular_inverse, params_new,
-                      pure_power_scan, psi, red2, red3, ring_value,
-                      run_bench, square, stability_table, sub,
-                      to_montgomery, WideResidue)
+                      modmul_trace, modular_inverse, params_new, psi,
+                      red2, red3, ring_value, run_bench, square,
+                      stability_table, sub, to_montgomery, WideResidue)
 
 
 def _report(capsys, num, name, ok):
@@ -238,9 +237,9 @@ TABLE4_FIELDS = [
 PRINTED_BITLENGTHS = [511, 381, 380, 270, 253, 253, 243, 228, 224, 220]
 
 
-def test_8_parameter_facts(capsys):
+def test_8_parameter_facts(capsys, pure_powers_59):
     ok = True
-    scan = pure_power_scan(59)
+    scan = pure_powers_59
     ok &= sorted(l for l, _ in scan if l % 2 == 1) == [3, 7, 59]
     rng = random.Random(8)
     got_bits = []

@@ -86,6 +86,12 @@ class TestDispatch:
     def test_bad_spec_exit_2(self, capsys):
         assert main(["bench", "--param", "nonsense"]) == 2
 
+    def test_search_limit_0_exit_2(self, capsys):
+        assert main(["params", "search", "--m", "5", "--l", "40",
+                     "--c-min", "1048577", "--c-max", "1048976",
+                     "--limit", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["params", "tables", "--frobnicate"])

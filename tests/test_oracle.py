@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from grpfield import (CanonicalElement, ParameterError, congruent,
                       is_probable_prime, lattice_basis, modular_inverse,
                       oracle, oracle_modmul, psi_inverse)
+from grpfield.oracle import is_prime_characteristic
+from grpfield.params import repunit
 
 M3 = 12 ** 3 - 1
 
@@ -157,6 +159,25 @@ class TestIsProbablePrime:
             assert len(states) == 2 and states[0] == states[1]
             seen.append(states[0])
         assert seen[0] != seen[1]
+
+
+class TestIsPrimeCharacteristic:
+    def test_matches_sieve(self):
+        # Every Phi_n(t) below 2*10^6 with t even, t >= 4.  The gcd and
+        # trial division decide p below 10^4; above it, a composite below
+        # 10^8 has a possible factor below 10^4, so Miller-Rabin sees only
+        # primes and one round does not change a verdict.
+        bound = 2 * 10 ** 6
+        flags = bytearray([1]) * bound
+        flags[0:2] = b"\x00\x00"
+        for i in range(2, int(bound ** 0.5) + 1):
+            if flags[i]:
+                flags[i * i::i] = bytes(len(flags[i * i::i]))
+        for n in (2, 3, 5, 7, 11, 13):
+            t = 4
+            while (p := repunit(t, n)) < bound:
+                assert is_prime_characteristic(p, n, 1) == flags[p], (n, t)
+                t += 2
 
 
 class _NoBases(random.Random):

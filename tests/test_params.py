@@ -62,6 +62,15 @@ class TestParamsNew:
         assert params.k == 61
         assert params.io_stable
 
+    def test_small_factor_refused_without_miller_rabin(self, monkeypatch):
+        # 8951 = 1 mod 5 divides phi(5,2^31*(2^25-1)), so the gcd with the
+        # degree's possible factors refuses it before any base is drawn.
+        def refuse(*args):
+            raise AssertionError("Miller-Rabin ran")
+        monkeypatch.setattr(grpfield.oracle, "miller_rabin", refuse)
+        with pytest.raises(NotPrimeError, match="is composite"):
+            params_new(5, 31, (1 << 25) - 1)
+
     def test_cofactor_boundary_excluded(self):
         with pytest.raises(StabilityError):
             params_new(5, 34, 1 << 27, 64, 2, require_prime=False)
@@ -321,12 +330,13 @@ class TestJson:
     def test_field_proved_once(self, monkeypatch):
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
         runs = []
-        real = grpfield.oracle.miller_rabin
+        real = grpfield.params.is_prime_characteristic
 
-        def counting(n, rounds, rng):
-            runs.append(n)
-            return real(n, rounds, rng)
-        monkeypatch.setattr(grpfield.oracle, "miller_rabin", counting)
+        def counting(p, m_plus_1, *args, **kwargs):
+            runs.append(p)
+            return real(p, m_plus_1, *args, **kwargs)
+        monkeypatch.setattr(grpfield.params, "is_prime_characteristic",
+                            counting)
         f511 = params_new(11, 42, 513, 64, 2, require_prime=False)
         text = residue_to_json(psi(f511, 12345))
         for _ in range(2):

@@ -12,9 +12,10 @@ from grpfield import (GrpError, ParameterError, RangeError, StabilityError,
                       hw2_search, modmul, psi, pure_power_scan, search_grps,
                       stability_rows_to_csv, stability_rows_to_json,
                       stability_table, to_montgomery)
-from grpfield.oracle import _sieve
+from grpfield.oracle import _CYCLOTOMIC_BOUND as _SIEVE_BOUND
+from grpfield.oracle import _sieve, cyclotomic_composite as _sieve_rejects
 from grpfield.params import repunit
-from grpfield.tables import _DEGREES, _SIEVE_BOUND, _sieve_rejects
+from grpfield.tables import _DEGREES
 
 # Printed stable-parameter rows for w=64: (m+1, k, l, log2 c bound, bits).
 PRINTED_Q2 = [(3, 61, 33, 28, 122), (5, 61, 34, 27, 244),
@@ -186,6 +187,36 @@ class TestSearchGrps:
         assert len(found) == 8
         assert built == [p.c for p in found]
 
+    @pytest.mark.parametrize("limit", [0, -1, True, 1.0])
+    def test_max_results_checked(self, limit):
+        with pytest.raises(ParameterError):
+            search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500, max_results=limit)
+
+    def test_candidates_not_trial_divided(self, monkeypatch):
+        # The gcd with the degree's possible factors covers every prime
+        # below 1000 that can divide a candidate; only m+1 is checked by
+        # trial division, by check_field.
+        calls = []
+        real = grpfield.oracle.trial_division
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+        monkeypatch.setattr(grpfield.oracle, "trial_division", counting)
+        assert len(search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500)) == 8
+        assert set(calls) == {5}
+
+
+class TestScanArguments:
+    @pytest.mark.parametrize("scan, args", [
+        (estimate_density, (244.0,)), (estimate_density, (True,)),
+        (estimate_density, (244, 64, 2, 1.0)),
+        (hw2_search, (2, 4)), (hw2_search, (0,)), (hw2_search, (-5,)),
+        (hw2_search, (243.0,))])
+    def test_refused(self, scan, args):
+        with pytest.raises(ParameterError):
+            scan(*args)
+
 
 class TestCyclotomicSieve:
     PRIMES = _sieve(1000)
@@ -217,8 +248,8 @@ class TestCyclotomicSieve:
 
 
 class TestPurePowerScan:
-    def test_printed_list(self):
-        found = pure_power_scan(59)
+    def test_printed_list(self, pure_powers_59):
+        found = pure_powers_59
         assert found == [(2, 2), (3, 3), (7, 7), (59, 59)]
 
     def test_l5_excluded(self):
