@@ -179,6 +179,14 @@ class TestIsPrimeCharacteristic:
                 assert is_prime_characteristic(p, n, 1) == flags[p], (n, t)
                 t += 2
 
+    def test_small_p_decided_exactly(self):
+        # Below 10^4 no base is drawn: 3 = Phi_2(2) is below Miller-Rabin's
+        # n > 3, and 11 and 9901 are themselves factors of the degree-5
+        # products, while 11 * 31 = Phi_5(4) is composite.
+        assert is_prime_characteristic(3, 2, 1, _NoBases())
+        for p, verdict in ((11, True), (9901, True), (341, False)):
+            assert is_prime_characteristic(p, 5, 1, _NoBases()) is verdict
+
 
 class _NoBases(random.Random):
     """An rng that fails the test if Miller-Rabin draws from it."""
