@@ -16,6 +16,10 @@ OpCounter passed in only receives the closed-form tally of that
 sequence (:func:`modmul_trace`) and never changes the code that runs.
 The kernel, its trace and the Montgomery constants are built together
 and kept in ``params.modmul_kernel``, the field's one cache.
+
+add, sub, randomize and modmul_interleaved return checked Residues.
+The kernel's outputs skip the check (params._unchecked_residue): they
+stay in the slack range, as the tests check on slack-edge inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Callable
 
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
-from .params import (GrpParams, Residue, WideResidue, canonical_value,
-                     check_slack, to_residue)
+from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
+                     canonical_value, to_residue)
 
 # A field's generated modmul: component tuples in, reduced tuple out.
 Kernel = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
@@ -114,11 +118,8 @@ def red3(z: WideResidue) -> WideResidue:
 def red2(z: WideResidue) -> WideResidue:
     """Variant of red3 rounding the shifted term up instead of down."""
     params = z.params
-    l = params.l
-    mask = params.b - 1
-    c = params.c
-    zc = z.comps
-    n = params.m_plus_1
+    l, c, mask = params.l, params.c, params.b - 1
+    zc, n = z.comps, params.m_plus_1
     out = []
     for s in range(n):
         up = (zc[s] + ((-zc[s]) & mask)) >> l
@@ -153,11 +154,8 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
     if slice_bits is None:
         slice_bits = params.w
     v = v_vector(params, slice_bits)
-    b = 1 << slice_bits
-    mask = b - 1
-    t = params.t
-    zc = z.comps
-    n = params.m_plus_1
+    mask = (1 << slice_bits) - 1
+    t, zc, n = params.t, z.comps, params.m_plus_1
 
     u_prev = 0
     for s in range(n):
@@ -238,7 +236,7 @@ def modmul(x: Residue, y: Residue,
     params = _same_field(x, y)
     kernel, trace, _ = _kernel(params)
     counter.tally(trace)
-    return Residue(kernel(x.comps, y.comps), params)
+    return _unchecked_residue(kernel(x.comps, y.comps), params)
 
 
 def modmul_interleaved(x: Residue, y: Residue) -> Residue:
@@ -248,10 +246,7 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
     least significant first, with a reduction after each digit pass.
     """
     params = x.params
-    n = params.m_plus_1
-    l = params.l
-    mask = params.b - 1
-    q = params.q
+    n, l, q, mask = params.m_plus_1, params.l, params.q, params.b - 1
     digits = []
     for comp in x.comps:
         row = [(comp >> (l * j)) & mask for j in range(q - 1)]
@@ -273,13 +268,13 @@ def add(x: Residue, y: Residue) -> Residue:
     """Componentwise sum; no reduction, the next modmul absorbs the growth."""
     params = _same_field(x, y)
     comps = tuple(a + b for a, b in zip(x.comps, y.comps))
-    return check_slack(Residue(comps, params))
+    return Residue(comps, params)
 
 
 def sub(x: Residue, y: Residue) -> Residue:
     params = _same_field(x, y)
     comps = tuple(a - b for a, b in zip(x.comps, y.comps))
-    return check_slack(Residue(comps, params))
+    return Residue(comps, params)
 
 
 def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
@@ -291,14 +286,14 @@ def to_montgomery(r: Residue) -> Residue:
     """Scale by b**q: modmul by the residue of b**2q."""
     params = r.params
     kernel, _, mont = _kernel(params)
-    return Residue(kernel(r.comps, mont[0]), params)
+    return _unchecked_residue(kernel(r.comps, mont[0]), params)
 
 
 def from_montgomery(r: Residue) -> Residue:
     """Scale by b**-q: modmul by the residue of 1."""
     params = r.params
     kernel, _, mont = _kernel(params)
-    return Residue(kernel(r.comps, mont[1]), params)
+    return _unchecked_residue(kernel(r.comps, mont[1]), params)
 
 
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
@@ -320,7 +315,7 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
         acc = mul(acc, acc)
         if (e >> i) & 1:
             acc = mul(acc, xc)
-    return Residue(acc, params)
+    return _unchecked_residue(acc, params)
 
 
 def equals(x: Residue, y: Residue) -> bool:
@@ -335,7 +330,7 @@ def randomize(x: Residue, r: int) -> Residue:
     if type(r) is not int or not 0 <= r < params.t - 1:
         raise ParameterError(f"scaling factor {r!r} is not an int in [0, t-2]")
     comps = tuple(comp + r for comp in x.comps)
-    return check_slack(Residue(comps, params))
+    return Residue(comps, params)
 
 
 def modmul_trace(params: GrpParams) -> dict[str, int]:

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: `params` (tables, search, estimate, hw2), `selftest` and
-`bench`.  Field specs use the grammar phi(M,2^L*C), e.g. phi(5,2^59*3).
-Every subcommand takes --w (default 64) and --q (default 2).  Exit
-codes: 0 success, 1 test failure, 2 usage error.  Only `selftest` and
-`bench` take --seed, and the GRP_SEED environment variable overrides it
-there; the `params` searches draw no seed, since their primality test
-takes its bases from each candidate.
+`bench`.  Field specs use the grammar phi(M,2^L*C), e.g. phi(5,2^59*3);
+the --param field of `selftest` and `bench` is a default GrpParams, so
+it is proven prime.  Every subcommand takes --w (default 64) and --q
+(default 2).  Exit codes: 0 success, 1 test failure, 2 usage error or a
+composite --param.  Only `selftest` and `bench` take --seed, and the
+GRP_SEED environment variable overrides it there; the `params` searches
+draw no seed, since their primality test takes its bases from each
+candidate.
 """
 
 from __future__ import annotations
@@ -49,11 +51,6 @@ def _seed(args: argparse.Namespace) -> int:
     except ValueError:
         raise ParameterError(
             f"GRP_SEED must be an integer, got {env!r}") from None
-
-
-def _params_from_spec(text: str, w: int, q: int) -> GrpParams:
-    m_plus_1, l, c = parse_spec(text)
-    return GrpParams(m_plus_1, l, c, w, q, require_prime=False)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -133,7 +130,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         failures += not ok
 
     if args.param:
-        params = _params_from_spec(args.param, args.w, args.q)
+        params = GrpParams(*parse_spec(args.param), args.w, args.q)
         ok = _selftest_field(params, rng, 100)
         print(f"{params.label()} sample: {'ok' if ok else 'FAIL'}")
         failures += not ok
@@ -146,7 +143,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     The ratio compares the field's unrolled modmul kernel with a CIOS
     baseline that runs as loops.
     """
-    params = _params_from_spec(args.param, args.w, args.q)
+    params = GrpParams(*parse_spec(args.param), args.w, args.q)
     report = run_bench(params, iters=args.iters, runs=args.runs,
                        seed=_seed(args))
     print(report.to_json())

@@ -13,11 +13,14 @@ c not a power of two (t <= 2**k - 2).  k_max and l_min give the
 word-size and I/O bounds that GrpParams, the tables and the searches
 all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 
-Constructing a GrpParams validates the field in word-size integers and
-builds t and p, nothing more: arith builds the modmul kernel and the
-Montgomery constants on first use and keeps them in ``modmul_kernel``.
-prove_prime, and so require_prime and the JSON loaders, leave the
-primality of p to oracle.is_prime_characteristic.
+Constructing a GrpParams validates the field in word-size integers,
+builds t and p and, unless require_prime=False (only the scans, which
+prove p themselves), runs prove_prime: oracle.is_prime_characteristic
+decides, and a record of proven (m+1, l, c) makes each proof run once.
+arith builds the modmul kernel and the Montgomery constants on first
+use and keeps them in ``modmul_kernel``.  A Residue checks its own
+components; only to_residue, zero and arith's kernel outputs, in range
+by construction, skip that through _unchecked_residue.
 """
 
 from __future__ import annotations
@@ -196,6 +199,9 @@ class GrpParams:
         # unstable triples.
         self.slack_bits = l - l_min(m_plus_1, k, q)
         self.io_stable = self.slack_bits >= 0
+        # Inclusive bounds of a stable field's Residue components: the
+        # additive slack that the next modmul absorbs.
+        self.slack_range = (-4 << k, (4 << k) - 2) if self.io_stable else None
 
         self.prime_checked = False
         if require_prime:
@@ -211,10 +217,14 @@ class GrpParams:
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:
-        """Set prime_checked, or raise NotPrimeError if p is composite."""
-        if not is_prime_characteristic(self.p, self.m_plus_1, rng=rng):
-            raise NotPrimeError(
-                f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
+        """Set prime_checked, or raise NotPrimeError if p is composite;
+        a proven (m+1, l, c) is recorded, and not proven again."""
+        key = (self.m_plus_1, self.l, self.c)
+        if key not in _PROVEN_PRIMES:
+            if not is_prime_characteristic(self.p, self.m_plus_1, rng=rng):
+                raise NotPrimeError(
+                    f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
+            _PROVEN_PRIMES.add(key)
         self.prime_checked = True
 
     @property
@@ -240,28 +250,38 @@ class GrpParams:
 
 params_new = GrpParams
 
+# (m+1, l, c) of every characteristic GrpParams.prove_prime has proven.
+_PROVEN_PRIMES: set[tuple[int, int, int]] = set()
+
 
 @dataclass(frozen=True)
 class Residue:
-    """Length-(m+1) vector of signed components, descending powers of t."""
+    """Length-(m+1) vector of signed components, descending powers of t.
+
+    ParameterError unless comps is a tuple of m+1 exact ints (no bool or
+    float), inside params.slack_range when the field is io_stable."""
 
     comps: tuple[int, ...]
     params: GrpParams
 
     def __post_init__(self) -> None:
-        if len(self.comps) != self.params.m_plus_1:
+        comps, params = self.comps, self.params
+        if type(comps) is not tuple or len(comps) != params.m_plus_1:
             raise ParameterError(
-                f"expected {self.params.m_plus_1} components, "
-                f"got {len(self.comps)}")
-
-
-def check_slack(r: Residue) -> Residue:
-    """Return r; raise if its components leave the additive slack range."""
-    p = r.params
-    if p.io_stable:
-        bound = 1 << (p.k + 2)
-        if not all(-bound <= comp <= bound - 2 for comp in r.comps):
+                f"expected a tuple of {params.m_plus_1} components")
+        if set(map(type, comps)) != {int}:
+            raise ParameterError("components must be ints")
+        bounds = params.slack_range
+        if bounds is not None and not (bounds[0] <= min(comps)
+                                       and max(comps) <= bounds[1]):
             raise ParameterError("component outside additive slack range")
+
+
+def _unchecked_residue(comps: tuple[int, ...], params: GrpParams) -> Residue:
+    """Residue without the checks, for comps in range by construction."""
+    r = object.__new__(Residue)
+    r.__dict__["comps"] = comps
+    r.__dict__["params"] = params
     return r
 
 
@@ -289,7 +309,7 @@ def to_residue(params: GrpParams, x: int) -> Residue:
         digits.append(d)
         x = (x - d) // t
     digits[0] += x  # x in {0, 1}: fold the t^(m+1) carry back onto t^0
-    return Residue(tuple(reversed(digits)), params)
+    return _unchecked_residue(tuple(reversed(digits)), params)
 
 
 def canonical_value(r: Residue | WideResidue) -> int:
@@ -302,7 +322,7 @@ def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
 
 
 def zero(params: GrpParams) -> Residue:
-    return Residue((0,) * params.m_plus_1, params)
+    return _unchecked_residue((0,) * params.m_plus_1, params)
 
 
 def residue_to_json(r: Residue) -> str:
@@ -323,7 +343,7 @@ def residue_from_json(text: str) -> Residue:
     except ValueError:
         raise ParameterError("comps must be a list of decimal strings") \
             from None
-    return check_slack(Residue(comps, params))
+    return Residue(comps, params)
 
 
 def params_to_json(params: GrpParams) -> str:
@@ -350,24 +370,11 @@ def _params_obj(params: GrpParams) -> dict:
             "w": params.w, "q": params.q}
 
 
-# (m+1, l, c) of every characteristic the JSON loaders have proved prime,
-# so that loading many residues of one field proves it once.
-_PROVEN_PRIMES: set[tuple[int, int, int]] = set()
-
-
 def _params_from_obj(obj: dict) -> GrpParams:
     missing = [name for name in _FIELD_NAMES if name not in obj]
     if missing:
         raise ParameterError(f"missing field(s) {', '.join(missing)}")
-    params = GrpParams(*(obj[name] for name in _FIELD_NAMES),
-                       require_prime=False)
-    key = (params.m_plus_1, params.l, params.c)
-    if key in _PROVEN_PRIMES:
-        params.prime_checked = True
-    else:
-        params.prove_prime()
-        _PROVEN_PRIMES.add(key)
-    return params
+    return GrpParams(*(obj[name] for name in _FIELD_NAMES))
 
 
 def psi(params: GrpParams, x: int) -> Residue:

@@ -196,6 +196,7 @@ def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     These are the only fields where the cofactor disappears entirely;
     they are rare, which is why the cofactor search exists.
     """
+    check_int("l_max", l_max, 2)
     if l_max > 400:
         raise ParameterError(
             f"l_max capped at 400 for practical primality, got {l_max}")

@@ -237,8 +237,11 @@ class TestModmul:
 
 
 # The Table 4 fields, plus phi(5,2^50*13): c = 13 is not 2^e +/- 1, so its
-# kernel takes the multiply form of red3.
-KERNEL_SPECS = [(m1, l, c) for _, m1, l, c in TABLE4_FIELDS] + [(5, 50, 13)]
+# kernel takes the multiply form of red3; and phi(3,2^33*268435056), a
+# prime on the printed degree-3 row, whose slack-edge products come closest
+# to the slack range: 62 bits at k = 61.
+KERNEL_SPECS = ([(m1, l, c) for _, m1, l, c in TABLE4_FIELDS]
+                + [(5, 50, 13), (3, 33, 268435056)])
 
 
 def _spec_id(spec):
@@ -283,14 +286,22 @@ class TestKernel:
         rng = random.Random(17)
         edges = _slack_edges(params)
         xs = [_random_reduced(params, rng) for _ in range(40)] + edges
+        # The kernel's outputs skip the Residue checks, so each must pass
+        # them: Residue(out.comps, params) raises nothing.
         for x in xs:
             for y in [rng.choice(xs)] + edges:
-                assert modmul(x, y).comps == _loop_modmul(x, y)
+                out = modmul(x, y)
+                assert out.comps == _loop_modmul(x, y)
+                Residue(out.comps, params)
+        for x in edges:
+            Residue(to_montgomery(x).comps, params)
+            Residue(from_montgomery(x).comps, params)
         assert params.modmul_kernel is not None
         for x in (to_montgomery(psi(params, rng.randrange(1, params.p))),
                   edges[0]):
             counted, reference = OpCounter(), OpCounter()
             inverse = invert(x)
+            Residue(inverse.comps, params)
             assert inverse.comps == invert(x, counted).comps
             assert inverse.comps == _ladder_invert(x, reference)
             assert counted.as_dict() == reference.as_dict()

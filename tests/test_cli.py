@@ -86,6 +86,14 @@ class TestDispatch:
     def test_bad_spec_exit_2(self, capsys):
         assert main(["bench", "--param", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("command", ["selftest", "bench"])
+    def test_composite_param_exit_2(self, command, capsys):
+        # 8951 divides p: the --param field is proven like any other.
+        assert main([command, "--param", "phi(5,2^31*33554431)"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: phi_5(2^31*33554431) is composite\n"
+        assert "phi(5,2^31*33554431)" not in out
+
     def test_search_limit_0_exit_2(self, capsys):
         assert main(["params", "search", "--m", "5", "--l", "40",
                      "--c-min", "1048577", "--c-max", "1048976",

@@ -10,10 +10,11 @@ import grpfield.arith
 import grpfield.oracle
 import grpfield.params
 from grpfield import (GrpError, NotPrimeError, ParameterError, RangeError,
-                      StabilityError, canonical_value, mods, params_from_json,
-                      params_new, params_to_json, psi, residue_from_json,
-                      residue_to_json, ring_value, stability_table,
-                      to_canonical, to_montgomery, to_residue, zero)
+                      Residue, StabilityError, canonical_value, mods,
+                      params_from_json, params_new, params_to_json, psi,
+                      residue_from_json, residue_to_json, ring_value,
+                      stability_table, to_canonical, to_montgomery,
+                      to_residue, zero)
 from grpfield.arith import from_montgomery
 from test_acceptance import TABLE4_FIELDS
 
@@ -343,6 +344,8 @@ class TestJson:
             loaded = residue_from_json(text)
             assert loaded.params.prime_checked
         assert params_from_json(params_to_json(f511)).prime_checked
+        for _ in range(2):
+            assert params_new(11, 42, 513).prime_checked
         assert runs == [f511.p]
         # A composite is never remembered: every load proves it again.
         composite = params_new(5, 31, (1 << 25) - 1, 64, 2,
@@ -402,8 +405,15 @@ class TestJson:
             with pytest.raises(RangeError):
                 load(json.dumps(obj))
 
-    def test_residue_components_range_checked(self, f243):
+    def test_residue_components_range_checked(self, f243, toy):
         obj = json.loads(residue_to_json(psi(f243, 12345)))
         obj["comps"][0] = str(1 << 400)
         with pytest.raises(ParameterError, match="slack range"):
             residue_from_json(json.dumps(obj))
+        # A direct Residue runs the same checks; type holds on any field.
+        for comp in (1 << 400, 1.5, True):
+            with pytest.raises(ParameterError):
+                Residue((comp, 0, 0, 0, 0), f243)
+        for comps in ((1.5, 0, 0), (True, 0, 0), [0, 0, 0]):
+            with pytest.raises(ParameterError):
+                Residue(comps, toy)

@@ -43,3 +43,24 @@ def test_no_unseeded_random(path):
                   or isinstance(node.func, ast.Name)
                   and node.func.id == "Random")]
     assert lines == [], f"unseeded Random() at {path.name} lines {lines}"
+
+
+def test_unproven_fields_and_unchecked_residues_confined():
+    # require_prime=False skips the proof of p: only the scans, which
+    # prove p themselves, may pass it.  _unchecked_residue skips the
+    # Residue checks: only params and arith may use it, for outputs that
+    # are in range by construction.
+    unproven, unchecked = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.keyword) and node.arg == "require_prime":
+                if not (isinstance(node.value, ast.Constant)
+                        and node.value.value is True):
+                    unproven.add(path.name)
+            # A Name or Attribute use, an import (alias) or the def itself.
+            if "_unchecked_residue" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None)):
+                unchecked.add(path.name)
+    assert unproven <= {"tables.py"}, unproven
+    assert unchecked <= {"arith.py", "params.py"}, unchecked

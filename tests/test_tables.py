@@ -212,7 +212,8 @@ class TestScanArguments:
         (estimate_density, (244.0,)), (estimate_density, (True,)),
         (estimate_density, (244, 64, 2, 1.0)),
         (hw2_search, (2, 4)), (hw2_search, (0,)), (hw2_search, (-5,)),
-        (hw2_search, (243.0,))])
+        (hw2_search, (243.0,)), (pure_power_scan, (2.5,)),
+        (pure_power_scan, (True,)), (pure_power_scan, (-1,))])
     def test_refused(self, scan, args):
         with pytest.raises(ParameterError):
             scan(*args)
