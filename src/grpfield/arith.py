@@ -20,10 +20,12 @@ and kept in ``params.modmul_kernel``, the field's one cache.
 add, sub, randomize and modmul_interleaved return checked Residues.
 The kernel's outputs skip the check (params._unchecked_residue): they
 stay in the slack range, as the tests check on slack-edge inputs.
+Every operation on two residues refuses operands from two fields.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -245,7 +247,7 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
     The x components are split into q base-b digits (signed top digit),
     least significant first, with a reduction after each digit pass.
     """
-    params = x.params
+    params = _same_field(x, y)
     n, l, q, mask = params.m_plus_1, params.l, params.q, params.b - 1
     digits = []
     for comp in x.comps:
@@ -267,14 +269,12 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
 def add(x: Residue, y: Residue) -> Residue:
     """Componentwise sum; no reduction, the next modmul absorbs the growth."""
     params = _same_field(x, y)
-    comps = tuple(a + b for a, b in zip(x.comps, y.comps))
-    return Residue(comps, params)
+    return Residue(tuple(map(operator.add, x.comps, y.comps)), params)
 
 
 def sub(x: Residue, y: Residue) -> Residue:
     params = _same_field(x, y)
-    comps = tuple(a - b for a, b in zip(x.comps, y.comps))
-    return Residue(comps, params)
+    return Residue(tuple(map(operator.sub, x.comps, y.comps)), params)
 
 
 def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:

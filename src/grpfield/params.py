@@ -18,9 +18,12 @@ builds t and p and, unless require_prime=False (only the scans, which
 prove p themselves), runs prove_prime: oracle.is_prime_characteristic
 decides, and a record of proven (m+1, l, c) makes each proof run once.
 arith builds the modmul kernel and the Montgomery constants on first
-use and keeps them in ``modmul_kernel``.  A Residue checks its own
-components; only to_residue, zero and arith's kernel outputs, in range
-by construction, skip that through _unchecked_residue.
+use and keeps them in ``modmul_kernel``.  A Residue is an immutable
+``__slots__`` value that checks its own field and components; only
+to_residue, zero and arith's kernel outputs, in range by construction,
+skip that through _unchecked_residue.  A pickled or copied Residue is
+rebuilt by the checked constructor.  to_residue takes one divmod per
+digit, with no branch on the value.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
 from .oracle import (CanonicalElement, horner, is_prime_characteristic,
@@ -119,8 +122,8 @@ def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
 
 def mods(x: int, t: int) -> int:
     """Least absolute residue of x modulo even t, in [-t/2, t/2 - 1]."""
-    r = x % t
-    return r - t if r >= t // 2 else r
+    h = t >> 1
+    return (x + h) % t - h
 
 
 @functools.cache
@@ -241,6 +244,11 @@ class GrpParams:
     def _key(self):
         return (self.m_plus_1, self.l, self.c, self.w, self.q)
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, which proves p again if it was
+        # proven; the per-field kernel cache is not carried.
+        return GrpParams, (*self._key(), self.prime_checked)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, GrpParams) and self._key() == other._key()
 
@@ -254,34 +262,64 @@ params_new = GrpParams
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
 
 
-@dataclass(frozen=True)
 class Residue:
     """Length-(m+1) vector of signed components, descending powers of t.
 
-    ParameterError unless comps is a tuple of m+1 exact ints (no bool or
-    float), inside params.slack_range when the field is io_stable."""
+    An immutable value: ParameterError unless params is a GrpParams and
+    comps a tuple of m+1 exact ints (no bool or float), inside
+    params.slack_range when the field is io_stable.  A pickle or copy is
+    rebuilt by this checked constructor.
+    """
 
-    comps: tuple[int, ...]
-    params: GrpParams
+    __slots__ = ("comps", "params")
 
-    def __post_init__(self) -> None:
-        comps, params = self.comps, self.params
+    def __init__(self, comps: tuple[int, ...], params: GrpParams) -> None:
+        if not isinstance(params, GrpParams):
+            raise ParameterError(
+                f"params must be a GrpParams, got {params!r}")
         if type(comps) is not tuple or len(comps) != params.m_plus_1:
             raise ParameterError(
                 f"expected a tuple of {params.m_plus_1} components")
-        if set(map(type, comps)) != {int}:
-            raise ParameterError("components must be ints")
+        for comp in comps:
+            if type(comp) is not int:
+                raise ParameterError("components must be ints")
         bounds = params.slack_range
         if bounds is not None and not (bounds[0] <= min(comps)
                                        and max(comps) <= bounds[1]):
             raise ParameterError("component outside additive slack range")
+        _set_comps(self, comps)
+        _set_params(self, params)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Residue, (self.comps, self.params)
+
+    def __eq__(self, other):
+        if other.__class__ is not Residue:
+            return NotImplemented
+        return (self.comps, self.params) == (other.comps, other.params)
+
+    def __hash__(self) -> int:
+        return hash((self.comps, self.params))
+
+    def __repr__(self) -> str:
+        return f"Residue(comps={self.comps!r}, params={self.params!r})"
+
+
+_set_comps = Residue.comps.__set__
+_set_params = Residue.params.__set__
 
 
 def _unchecked_residue(comps: tuple[int, ...], params: GrpParams) -> Residue:
     """Residue without the checks, for comps in range by construction."""
     r = object.__new__(Residue)
-    r.__dict__["comps"] = comps
-    r.__dict__["params"] = params
+    _set_comps(r, comps)
+    _set_params(r, params)
     return r
 
 
@@ -298,16 +336,18 @@ def to_residue(params: GrpParams, x: int) -> Residue:
 
     Every component ends up in [-t/2, t/2]; only the constant-term digit
     can reach the upper bound, via the final wrap of the t**(m+1) carry.
+    One divmod per digit, with no branch on the value: the digits are
+    mods(x, t) and the quotient is (x - digit) / t.
     """
     if type(x) is not int or not 0 <= x < params.ring_modulus:
         raise ParameterError(
             f"value {x!r} is not an int in [0, t^(m+1) - 1)")
     t = params.t
+    h = t >> 1
     digits = []  # ascending
     for _ in range(params.m_plus_1):
-        d = mods(x, t)
-        digits.append(d)
-        x = (x - d) // t
+        x, d = divmod(x + h, t)
+        digits.append(d - h)
     digits[0] += x  # x in {0, 1}: fold the t^(m+1) carry back onto t^0
     return _unchecked_residue(tuple(reversed(digits)), params)
 

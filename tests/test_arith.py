@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grpfield
 from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       ZeroInverseError, add, canonical_value, congruent,
                       cvma_mul, equals, from_montgomery, invert, modmul,
@@ -214,7 +215,7 @@ class TestModmul:
 
     def test_rejects_mixed_fields(self, f243, f228, toy):
         x = psi(f243, 5)
-        for op in (modmul, add, sub, equals):
+        for op in (modmul, modmul_interleaved, add, sub, equals):
             for other in (f228, toy):  # same and different component count
                 with pytest.raises(ParameterError, match="different fields"):
                     op(x, psi(other, 7))
@@ -222,7 +223,7 @@ class TestModmul:
                     op(psi(other, 7), x)
         # equal descriptions built separately are the same field
         twin = params_new(5, 59, 3, 64, 2)
-        for op in (modmul, add, sub):
+        for op in (modmul, modmul_interleaved, add, sub):
             assert op(x, psi(twin, 7)).comps == op(x, psi(f243, 7)).comps
         assert equals(x, psi(twin, 5))
 
@@ -397,6 +398,71 @@ class TestAuxiliaryOps:
             ym = to_montgomery(psi(f243, b))
             prod = from_montgomery(modmul(xm, ym))
             assert canonical_value(prod) == a * b % f243.p
+
+
+_PACKAGE_DIR = str(Path(grpfield.__file__).resolve().parent) + os.sep
+
+
+def _opcode_trace(op, args, kernel_code):
+    """(code name, offset) of every opcode that op(*args) executes in a
+    grpfield frame.  Frames are picked by code object: a code compiled
+    from the package's files, or the field's exec'd kernel, whose globals
+    carry no module name."""
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            seen.append((frame.f_code.co_name, frame.f_lasti))
+        return local
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code is kernel_code or code.co_filename.startswith(_PACKAGE_DIR):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    sys.settrace(on_call)
+    try:
+        op(*args)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+class TestOpcodeTrace:
+    """Each operation on field elements executes the same opcodes,
+    whatever the values: no branch, loop count or early exit depends on
+    them.  CPython's big-int timing still does, which this cannot see."""
+
+    def test_same_opcodes_for_every_input(self, f243):
+        p, t = f243.p, f243.t
+        rng = random.Random(18)
+        values = [0, 1, p - 1, 2, p // 2, (p + 1) // 2, p - 2, 12345,
+                  t - 1, t // 2] + [rng.randrange(p) for _ in range(6)]
+        elems = [psi(f243, v) for v in values]
+        monts = [to_montgomery(x) for x in elems]
+        pairs = list(zip(monts, monts[3:] + monts[:3]))
+        modmul(*pairs[0])  # build the kernel before tracing
+        kernel_code = f243.modmul_kernel[0].__code__
+        cases = [
+            (psi, [(f243, v) for v in values]),
+            (add, pairs), (sub, pairs), (modmul, pairs),
+            (to_montgomery, [(x,) for x in elems]),
+            (from_montgomery, [(x,) for x in monts]),
+            (randomize, [(x, v % (t - 1)) for x, v in zip(elems, values)]),
+            (canonical_value, [(x,) for x in elems]),
+            (equals, pairs), (modmul_interleaved, pairs),
+            (invert, [(x,) for x in monts[1:]]),  # zero has no inverse
+        ]
+        for op, arg_lists in cases:
+            traces = [_opcode_trace(op, args, kernel_code)
+                      for args in arg_lists]
+            assert len(traces) >= 8 and traces[0], op.__name__
+            assert all(trace == traces[0] for trace in traces), op.__name__
+        names = {name for name, _ in
+                 _opcode_trace(modmul, pairs[0], kernel_code)}
+        assert {"modmul", "kernel"} <= names  # the kernel frame is traced
 
 
 _SLACK_SCRIPT = """

@@ -1,6 +1,8 @@
 """Tests for parameter validation and the residue representation."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from grpfield import (GrpError, NotPrimeError, ParameterError, RangeError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, zero)
-from grpfield.arith import from_montgomery
+from grpfield.arith import from_montgomery, modmul
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -40,6 +42,35 @@ def _edit_residue_document(edit):
     return json.dumps(obj)
 
 
+def _parent_digits(x, t, n):
+    """to_residue's digits as first written: a branch on each least
+    absolute residue, then an exact division."""
+    digits = []
+    for _ in range(n):
+        r = x % t
+        d = r - t if r >= t // 2 else r
+        digits.append(d)
+        x = (x - d) // t
+    digits[0] += x
+    return tuple(reversed(digits))
+
+
+@st.composite
+def _conversion_inputs(draw):
+    """(field, x): x anywhere in [0, t^(m+1) - 1), its top value, or one
+    off either side of a digit's rounding edge, k*t + t/2."""
+    spec = draw(st.sampled_from([(3, 2, 3), (5, 59, 3), (11, 42, 513)]))
+    params = params_new(*spec)
+    ring, t = params.ring_modulus, params.t
+    kind = draw(st.sampled_from(["any", "top", "edge"]))
+    if kind == "any":
+        return params, draw(st.integers(0, ring - 1))
+    if kind == "top":
+        return params, ring - 1
+    k = draw(st.integers(0, ring // t - 1))
+    return params, k * t + t // 2 + draw(st.sampled_from([-1, 0, 1]))
+
+
 class TestMods:
     def test_examples(self):
         assert mods(7, 10) == -3
@@ -52,6 +83,16 @@ class TestMods:
         r = mods(x, t)
         assert (x - r) % t == 0
         assert -t // 2 <= r < t // 2
+
+    @settings(max_examples=500)
+    @given(_conversion_inputs())
+    def test_digits_pinned(self, case):
+        params, x = case
+        got = to_residue(params, x).comps
+        assert got == _parent_digits(x, params.t, params.m_plus_1)
+        r = x % params.t
+        assert mods(x, params.t) == (r - params.t if r >= params.t // 2
+                                     else r)
 
 
 class TestParamsNew:
@@ -417,3 +458,55 @@ class TestJson:
         for comps in ((1.5, 0, 0), (True, 0, 0), [0, 0, 0]):
             with pytest.raises(ParameterError):
                 Residue(comps, toy)
+
+
+class TestResidueValue:
+    def test_pickle_and_copy(self, f243, toy):
+        # f243's kernel is built: the cache is not carried, the field is.
+        modmul(psi(f243, 2), psi(f243, 3))
+        for x in (psi(f243, 12345), to_montgomery(psi(f243, 7)),
+                  psi(toy, 100)):
+            for again in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                          copy.deepcopy(x)):
+                assert type(again) is Residue
+                assert again == x and hash(again) == hash(x)
+                assert again.comps == x.comps and again.params == x.params
+
+    def test_unpickling_runs_the_checks(self, f243):
+        # A pickle names the checked constructor and its arguments, so
+        # one carrying an out-of-range component is refused on loading.
+        x = psi(f243, 5)
+        assert x.__reduce__() == (Residue, (x.comps, f243))
+
+        class Tampered:
+            def __reduce__(self):
+                return Residue, ((1 << 70,) + x.comps[1:], f243)
+        with pytest.raises(ParameterError, match="slack range"):
+            pickle.loads(pickle.dumps(Tampered()))
+
+    def test_immutable(self, f243):
+        x = psi(f243, 5)
+        for name in ("comps", "params", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, (0,) * 5)
+        for name in ("comps", "params"):
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x == psi(f243, 5)
+
+    def test_equality_and_hash(self, f243, f228):
+        x = psi(f243, 5)
+        unchecked = grpfield.params._unchecked_residue(x.comps, f243)
+        assert x == unchecked and hash(x) == hash(unchecked)
+        twin = params_new(5, 59, 3)
+        assert x == Residue(x.comps, twin)
+        assert x != Residue(x.comps, f228)  # same components, other field
+        assert x != x.comps and x.comps != x
+        assert x.__eq__(x.comps) is NotImplemented
+        assert repr(x) == ("Residue(comps=(0, 0, 0, 0, 5), "
+                           "params=GrpParams(phi(5,2^59*3), w=64, q=2))")
+
+    @pytest.mark.parametrize("params", ["x", None, (5, 59, 3), 5])
+    def test_params_must_be_grp_params(self, params):
+        with pytest.raises(ParameterError, match="must be a GrpParams"):
+            Residue((0, 0, 0, 0, 0), params)
