@@ -14,29 +14,41 @@ straight-line kernel generated for each field on its first use (see
 kernel alone runs red3's cofactor product as shift-and-add); an
 OpCounter passed in only receives the closed-form tally of that
 sequence (:func:`modmul_trace`) and never changes the code that runs.
-The kernel, its trace and the Montgomery constants are built together
-and kept in ``params.modmul_kernel``, the field's one cache.
+The Montgomery conversions run the same generator's scaled kernels,
+whose second operand is fixed: ``to_montgomery`` multiplies by the
+precomputed differences of the residue of b^(2q) mod p, and
+``from_montgomery`` (the residue of 1, whose differences are 0 and
++/-1) is m subtractions and the q reductions, with no multiply.
+``params.modmul_kernel``, the field's one cache, holds the three
+kernels, the trace and the residue of b^q mod p that invert starts
+from (:class:`FieldKernels`).
 
 add, sub, randomize and modmul_interleaved return checked Residues.
-The kernel's outputs skip the check (params._unchecked_residue): they
+The kernels' outputs skip the check (params._unchecked_residue): they
 stay in the slack range, as the tests check on slack-edge inputs.
-Every operation on two residues refuses operands from two fields.
+Every operation on field elements refuses operands that are not
+Residues, and every operation on two refuses operands from two fields.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
                      canonical_value, to_residue)
 
-# A field's generated modmul: component tuples in, reduced tuple out.
-Kernel = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
 Comps = tuple[int, ...]
+# A field's generated modmul: component tuples in, reduced tuple out; a
+# scaled kernel has the second operand fixed.
+Kernel = Callable[[Comps, Comps], Comps]
+ScaledKernel = Callable[[Comps], Comps]
+# Every generated kernel is compiled under this filename, so a tracer or
+# traceback can tell its frames apart.
+KERNEL_FILENAME = "<grpfield kernel>"
 
 
 @dataclass
@@ -73,8 +85,20 @@ def _cvma_counts(m_plus_1: int) -> dict[str, int]:
     return {"mul": m_plus_1 * h, "add": m_plus_1 * (3 * h - 1)}
 
 
+def _field(x: Residue) -> GrpParams:
+    """The field of x; raises unless x is a Residue (a WideResidue's
+    components are outside the slack range the kernels are proven for)."""
+    if type(x) is not Residue:
+        raise ParameterError(f"expected a Residue, got {type(x).__name__}")
+    return x.params
+
+
 def _same_field(x: Residue, y: Residue) -> GrpParams:
-    """The field of both operands; raises if they come from two fields."""
+    """The field of both Residues; raises as _field does, or if they come
+    from two fields."""
+    if type(x) is not Residue or type(y) is not Residue:
+        _field(x)  # raises for the one that is not; no call when both are
+        _field(y)
     params = x.params
     if y.params is not params and y.params != params:
         raise ParameterError("residues from different fields")
@@ -174,24 +198,56 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
     return WideResidue(tuple(out), params)
 
 
-def kernel_source(params: GrpParams) -> str:
+def _differences(params: GrpParams, y: Comps) -> dict[str, int]:
+    """The name D<sa>_<sb> and value y_sb - y_sa of every cvma pair of a
+    fixed second operand: the m(m+1)/2 differences a scaled kernel binds."""
+    return {f"D{sa}_{sb}": y[sb] - y[sa]
+            for pairs in params.cvma_pairs for sa, sb in pairs}
+
+
+def _product(sa: int, sb: int, fixed: dict[str, int] | None) -> str | None:
+    """One cvma term, (x_sa - x_sb) * (y_sb - y_sa); with y fixed, None
+    for a difference of 0 and the bare difference of x for one of +/-1."""
+    if fixed is None:
+        return f"(x{sa} - x{sb}) * (y{sb} - y{sa})"
+    name = f"D{sa}_{sb}"
+    d = fixed[name]
+    if d == 0:
+        return None
+    if d == 1:
+        return f"(x{sa} - x{sb})"
+    if d == -1:
+        return f"(x{sb} - x{sa})"
+    return f"(x{sa} - x{sb}) * {name}"
+
+
+def kernel_source(params: GrpParams, y: Comps | None = None) -> str:
     """Python source of the field's modmul kernel, ``kernel(x, y)``.
 
     The kernel maps two component tuples to the components of
     modmul(x, y): the cvma_mul products over ``params.cvma_pairs``, then
     q passes of red3, all unrolled, with the cofactor product written as
     shift-and-add when ``params.c_shift_add`` gives c = 2**e +/- 1.
-    Only storage indices are written into the text; the field constants
-    are the names L, MASK, C and E, bound where the kernel is built.
+    Given the components y of a fixed second operand, it is the scaled
+    kernel ``kernel(x)`` instead: y's differences are the names D<sa>_<sb>
+    (see _differences), a difference of 0 drops its product, one of +/-1
+    its multiply, and a component left with no product is 0.  Only
+    storage indices are written into the text; the field constants are
+    the names L, MASK, C and E, bound where the kernel is built.
     """
     n = params.m_plus_1
     xs = ", ".join(f"x{s}" for s in range(n))
-    ys = ", ".join(f"y{s}" for s in range(n))
-    lines = ["def kernel(x, y):", f"    {xs} = x", f"    {ys} = y"]
+    if y is None:
+        fixed = None
+        ys = ", ".join(f"y{s}" for s in range(n))
+        lines = ["def kernel(x, y):", f"    {xs} = x", f"    {ys} = y"]
+    else:
+        fixed = _differences(params, y)
+        lines = ["def kernel(x):", f"    {xs} = x"]
     for s, pairs in enumerate(params.cvma_pairs):
-        terms = " + ".join(f"(x{sa} - x{sb}) * (y{sb} - y{sa})"
-                           for sa, sb in pairs)
-        lines.append(f"    z0_{s} = {terms}")
+        terms = [_product(sa, sb, fixed) for sa, sb in pairs]
+        lines.append(f"    z0_{s} = "
+                     + (" + ".join(t for t in terms if t) or "0"))
     sign = None if params.c_shift_add is None else params.c_shift_add[1]
     for r in range(1, params.q + 1):
         outs = []
@@ -211,21 +267,41 @@ def kernel_source(params: GrpParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kernel(params: GrpParams
-            ) -> tuple[Kernel, dict[str, int], tuple[Comps, Comps, Comps]]:
-    """The field's modmul kernel, its trace and the components of the
-    residues of b^(2q) mod p, 1 and b^q mod p: built once, kept on params."""
+def _compile(params: GrpParams, y: Comps | None = None) -> Callable:
+    """kernel_source(params, y), compiled under KERNEL_FILENAME with its
+    names bound."""
+    namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
+    if params.c_shift_add is not None:
+        namespace["E"] = params.c_shift_add[0]
+    if y is not None:
+        namespace.update(_differences(params, y))
+    exec(compile(kernel_source(params, y), KERNEL_FILENAME, "exec"),
+         namespace)
+    return namespace["kernel"]
+
+
+class FieldKernels(NamedTuple):
+    """A field's one cache, ``params.modmul_kernel``."""
+
+    modmul: Kernel
+    trace: dict[str, int]        # modmul_trace(params)
+    to_montgomery: ScaledKernel  # kernel(x, residue of b^(2q) mod p)
+    from_montgomery: ScaledKernel  # kernel(x, residue of 1)
+    one: Comps                   # residue of b^q mod p: 1 in the domain
+
+
+def _kernel(params: GrpParams) -> FieldKernels:
+    """The field's kernels, trace and Montgomery one: built once, kept on
+    params.  The per-op paths read ``params.modmul_kernel`` first and call
+    this only to build it, which saves a call on every op."""
     built = params.modmul_kernel
     if built is None:
-        namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
-        if params.c_shift_add is not None:
-            namespace["E"] = params.c_shift_add[0]
-        exec(kernel_source(params), namespace)
         b, q, p = params.b, params.q, params.p
-        mont = tuple(to_residue(params, x).comps
-                     for x in (pow(b, 2 * q, p), 1, pow(b, q, p)))
-        built = params.modmul_kernel = (namespace["kernel"],
-                                        modmul_trace(params), mont)
+        r2, one, mont_one = (to_residue(params, x).comps
+                             for x in (pow(b, 2 * q, p), 1, pow(b, q, p)))
+        built = params.modmul_kernel = FieldKernels(
+            _compile(params), modmul_trace(params), _compile(params, r2),
+            _compile(params, one), mont_one)
     return built
 
 
@@ -236,9 +312,9 @@ def modmul(x: Residue, y: Residue,
     Runs the field's generated kernel; a counter receives modmul_trace.
     """
     params = _same_field(x, y)
-    kernel, trace, _ = _kernel(params)
-    counter.tally(trace)
-    return _unchecked_residue(kernel(x.comps, y.comps), params)
+    built = params.modmul_kernel or _kernel(params)
+    counter.tally(built.trace)
+    return _unchecked_residue(built.modmul(x.comps, y.comps), params)
 
 
 def modmul_interleaved(x: Residue, y: Residue) -> Residue:
@@ -283,17 +359,19 @@ def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
 
 
 def to_montgomery(r: Residue) -> Residue:
-    """Scale by b**q: modmul by the residue of b**2q."""
-    params = r.params
-    kernel, _, mont = _kernel(params)
-    return _unchecked_residue(kernel(r.comps, mont[0]), params)
+    """Scale by b**q: modmul by the residue of b**2q, whose differences
+    the field's to-Montgomery kernel holds."""
+    params = _field(r)
+    built = params.modmul_kernel or _kernel(params)
+    return _unchecked_residue(built.to_montgomery(r.comps), params)
 
 
 def from_montgomery(r: Residue) -> Residue:
-    """Scale by b**-q: modmul by the residue of 1."""
-    params = r.params
-    kernel, _, mont = _kernel(params)
-    return _unchecked_residue(kernel(r.comps, mont[1]), params)
+    """Scale by b**-q: modmul by the residue of 1, whose differences are
+    0 and +/-1, so its kernel is m subtractions and the q reductions."""
+    params = _field(r)
+    built = params.modmul_kernel or _kernel(params)
+    return _unchecked_residue(built.from_montgomery(r.comps), params)
 
 
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
@@ -303,14 +381,13 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     operation sequence depends only on the field, not on x, and a
     counter receives modmul_trace once per square and per multiply.
     """
-    params = x.params
+    params = _field(x)
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
-    mul, trace, mont = _kernel(params)
+    mul, trace, _, _, acc = _kernel(params)  # acc: the Montgomery one
     e = params.p - 2
     counter.tally(trace, e.bit_length() + e.bit_count())
     xc = x.comps
-    acc = mont[2]  # b^q mod p, the Montgomery form of 1
     for i in range(e.bit_length() - 1, -1, -1):
         acc = mul(acc, acc)
         if (e >> i) & 1:

@@ -17,8 +17,9 @@ Constructing a GrpParams validates the field in word-size integers,
 builds t and p and, unless require_prime=False (only the scans, which
 prove p themselves), runs prove_prime: oracle.is_prime_characteristic
 decides, and a record of proven (m+1, l, c) makes each proof run once.
-arith builds the modmul kernel and the Montgomery constants on first
-use and keeps them in ``modmul_kernel``.  A Residue is an immutable
+arith builds the modmul kernel, the two Montgomery conversion kernels
+and the Montgomery one on first use and keeps them in ``modmul_kernel``
+(arith.FieldKernels).  A Residue is an immutable
 ``__slots__`` value that checks its own field and components; only
 to_residue, zero and arith's kernel outputs, in range by construction,
 skip that through _unchecked_residue.  A pickled or copied Residue is
@@ -169,7 +170,7 @@ class GrpParams:
     Raises what check_field raises, StabilityError if c is a power of
     two, and NotPrimeError if require_prime is set and p is composite.
     Every check but the primality of p runs on word-size integers, before
-    t is built.  The modmul kernel and Montgomery constants start as None
+    t is built.  The kernels arith generates for the field start as None
     in ``modmul_kernel``: a field that is never used never builds them.
     """
 
@@ -215,8 +216,9 @@ class GrpParams:
         # c = 2^e + 1 or 2^e - 1 enables a shift-and-add reduction path.
         self.c_shift_add = _shift_add_form(c)
 
-        # Built on first use by arith: the straight-line modmul kernel,
-        # its trace and the Montgomery constants.
+        # Built on first use by arith: the straight-line modmul and
+        # Montgomery conversion kernels, the modmul trace and the
+        # Montgomery one.
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:

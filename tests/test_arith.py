@@ -17,7 +17,7 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       modmul_interleaved, modmul_trace, params_new, psi,
                       randomize, red1, red2, red3, ring_value, square, sub,
                       to_montgomery, to_residue, v_vector, zero)
-from grpfield.arith import kernel_source
+from grpfield.arith import KERNEL_FILENAME, _kernel, kernel_source
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -227,6 +227,29 @@ class TestModmul:
             assert op(x, psi(twin, 7)).comps == op(x, psi(f243, 7)).comps
         assert equals(x, psi(twin, 5))
 
+    def test_rejects_non_residues(self, f243):
+        # A WideResidue has .comps and .params, but its components are
+        # outside the slack range: the kernels then return components
+        # outside it too, which a Residue must never hold.
+        rng = random.Random(20)
+        wides = [cvma_mul(_random_reduced(f243, rng),
+                          _random_reduced(f243, rng)) for _ in range(300)]
+        low, high = f243.slack_range
+        kernel = _kernel(f243).modmul
+        assert any(not low <= comp <= high
+                   for w in wides for comp in kernel(w.comps, w.comps))
+        x = psi(f243, 5)
+        unary = (to_montgomery, from_montgomery, invert, square)
+        for bad in wides + [5, x.comps]:
+            for op in unary:
+                with pytest.raises(ParameterError, match="expected a Resid"):
+                    op(bad)
+            for op in (modmul, modmul_interleaved, add, sub, equals):
+                for args in ((bad, x), (x, bad)):
+                    with pytest.raises(ParameterError,
+                                       match="expected a Resid"):
+                        op(*args)
+
     def test_trace_is_input_independent(self, f243):
         trace = modmul_trace(f243)
         rng = random.Random(13)
@@ -328,6 +351,65 @@ class TestKernel:
                 tally[classes[type(node.op)]] += 1
         assert tally == modmul_trace(params)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
+    def test_conversions_equal_modmul_kernel(self, spec, q):
+        # to_montgomery and from_montgomery run kernels with the second
+        # operand fixed; each equals the two-operand kernel by that operand.
+        params = params_new(*spec, 64, q, require_prime=False)
+        b, p = params.b, params.p
+        r2 = to_residue(params, pow(b, 2 * q, p)).comps
+        one = to_residue(params, 1).comps
+        rng = random.Random(19)
+        xs = ([_random_reduced(params, rng) for _ in range(100)]
+              + _slack_edges(params))
+        kernel = _kernel(params).modmul
+        for x in xs:
+            for op, y in ((to_montgomery, r2), (from_montgomery, one)):
+                out = op(x)
+                assert out.comps == kernel(x.comps, y), op.__name__
+                Residue(out.comps, params)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    def test_scaled_kernel_syntax(self, spec, q):
+        # Straight-line code like the modmul kernel: the fixed operand
+        # only removes products, one multiply for each of its differences
+        # outside {0, 1, -1}.  That is all m(m+1)/2 of them for most
+        # fields; where b^(2q) < p its residue can be sparse and have
+        # fewer (34 of 55 on the 511-bit phi(11,2^42*513) at q = 2).
+        # Leaving the domain multiplies by differences of 0 and +/-1, so
+        # it is reductions only.
+        params = params_new(*spec, 64, q, require_prime=False)
+        b, p, n = params.b, params.p, params.m_plus_1
+        banned = (ast.If, ast.IfExp, ast.For, ast.While, ast.BoolOp,
+                  ast.Compare, ast.comprehension, ast.ListComp,
+                  ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                  ast.Attribute, ast.Call, ast.UnaryOp)
+        trace = modmul_trace(params)
+        mults, want = {}, {}
+        for name, value in (("to", pow(b, 2 * q, p)), ("from", 1)):
+            y = to_residue(params, value).comps
+            want[name] = sum(abs(y[sb] - y[sa]) > 1
+                             for pairs in params.cvma_pairs
+                             for sa, sb in pairs)
+            tree = ast.parse(kernel_source(params, y))
+            ops = []
+            for node in ast.walk(tree):
+                assert not isinstance(node, banned), ast.dump(node)
+                if isinstance(node, ast.Constant):
+                    assert node.value == 0  # a component with no product
+                if isinstance(node, ast.BinOp):
+                    ops.append(type(node.op))
+            assert ops.count(ast.BitAnd) == trace["mask"]
+            assert (ops.count(ast.RShift) + ops.count(ast.LShift)
+                    == trace["shift"])  # the q red3 passes, unchanged
+            mults[name] = ops.count(ast.Mult) - (
+                0 if params.c_shift_add else q * n)
+        assert mults == want
+        assert want["from"] == 0 and 0 < want["to"] <= n * (n - 1) // 2
+
 
 class TestAuxiliaryOps:
     def test_add_sub(self, f243):
@@ -403,11 +485,10 @@ class TestAuxiliaryOps:
 _PACKAGE_DIR = str(Path(grpfield.__file__).resolve().parent) + os.sep
 
 
-def _opcode_trace(op, args, kernel_code):
+def _opcode_trace(op, args):
     """(code name, offset) of every opcode that op(*args) executes in a
-    grpfield frame.  Frames are picked by code object: a code compiled
-    from the package's files, or the field's exec'd kernel, whose globals
-    carry no module name."""
+    grpfield frame.  Frames are picked by filename: the package's files,
+    or KERNEL_FILENAME, under which every generated kernel is compiled."""
     seen = []
 
     def local(frame, event, arg):
@@ -416,8 +497,8 @@ def _opcode_trace(op, args, kernel_code):
         return local
 
     def on_call(frame, event, arg):
-        code = frame.f_code
-        if code is kernel_code or code.co_filename.startswith(_PACKAGE_DIR):
+        filename = frame.f_code.co_filename
+        if filename == KERNEL_FILENAME or filename.startswith(_PACKAGE_DIR):
             frame.f_trace_opcodes = True
             return local
         return None
@@ -443,8 +524,7 @@ class TestOpcodeTrace:
         elems = [psi(f243, v) for v in values]
         monts = [to_montgomery(x) for x in elems]
         pairs = list(zip(monts, monts[3:] + monts[:3]))
-        modmul(*pairs[0])  # build the kernel before tracing
-        kernel_code = f243.modmul_kernel[0].__code__
+        modmul(*pairs[0])  # build the kernels before tracing
         cases = [
             (psi, [(f243, v) for v in values]),
             (add, pairs), (sub, pairs), (modmul, pairs),
@@ -456,13 +536,14 @@ class TestOpcodeTrace:
             (invert, [(x,) for x in monts[1:]]),  # zero has no inverse
         ]
         for op, arg_lists in cases:
-            traces = [_opcode_trace(op, args, kernel_code)
-                      for args in arg_lists]
+            traces = [_opcode_trace(op, args) for args in arg_lists]
             assert len(traces) >= 8 and traces[0], op.__name__
             assert all(trace == traces[0] for trace in traces), op.__name__
-        names = {name for name, _ in
-                 _opcode_trace(modmul, pairs[0], kernel_code)}
-        assert {"modmul", "kernel"} <= names  # the kernel frame is traced
+        for op, args in ((modmul, pairs[0]), (to_montgomery, (elems[0],)),
+                         (from_montgomery, (monts[0],))):
+            names = {name for name, _ in _opcode_trace(op, args)}
+            # the kernel frame is traced
+            assert {op.__name__, "kernel"} <= names, op.__name__
 
 
 _SLACK_SCRIPT = """

@@ -248,12 +248,18 @@ class TestLazyConstants:
             assert params.modmul_kernel is None
             from_montgomery(zero(params))  # first use
             b, q, p = params.b, params.q, params.p
-            mont = params.modmul_kernel[2]
-            assert mont[0] == real(params, pow(b, 2 * q, p)).comps
-            assert mont[1] == real(params, 1).comps
-            assert mont[2] == real(params, pow(b, q, p)).comps
+            built = params.modmul_kernel
+            # The scaled kernels are the modmul kernel with the residues
+            # of b^(2q) mod p and 1 fixed; invert starts from b^q mod p.
+            x = psi(params, 7).comps
+            assert built.to_montgomery(x) == built.modmul(
+                x, real(params, pow(b, 2 * q, p)).comps)
+            assert built.from_montgomery(x) == built.modmul(
+                x, real(params, 1).comps)
+            assert built.one == real(params, pow(b, q, p)).comps
+            to_montgomery(zero(params))
             from_montgomery(zero(params))
-            assert params.modmul_kernel[2] is mont
+            assert params.modmul_kernel is built
         assert len(calls) == 3 * len(fields)  # built once per field
 
 
