@@ -6,9 +6,9 @@ reduction, with every result checkable against an exact big-int oracle.
 """
 
 from .arith import (OpCounter, add, cvma_mul, equals, from_montgomery,
-                    invert, modmul, modmul_interleaved, modmul_trace,
+                    invert, modmul, modmul_interleaved, modmul_trace, psi,
                     randomize, red1, red2, red3, square, sub,
-                    to_montgomery, v_vector)
+                    to_montgomery, to_residue, v_vector)
 from .bench import BenchReport, MontCtx, montgomery_modmul, run_bench
 from .errors import (GrpError, NotPrimeError, ParameterError, RangeError,
                      StabilityError, ZeroInverseError)
@@ -17,8 +17,8 @@ from .oracle import (CanonicalElement, congruent, is_probable_prime,
                      psi_inverse)
 from .params import (GrpParams, Residue, WideResidue, canonical_value,
                      mods, params_from_json, params_new, params_to_json,
-                     psi, residue_from_json, residue_to_json, ring_value,
-                     to_canonical, to_residue, zero)
+                     residue_from_json, residue_to_json, ring_value,
+                     to_canonical, zero)
 from .tables import (DensityEstimate, StabilityRow, estimate_density,
                      hw2_search, pure_power_scan, search_grps,
                      stability_rows_to_csv, stability_rows_to_json,

@@ -19,33 +19,38 @@ whose second operand is fixed: ``to_montgomery`` multiplies by the
 precomputed differences of the residue of b^(2q) mod p, and
 ``from_montgomery`` (the residue of 1, whose differences are 0 and
 +/-1) is m subtractions and the q reductions, with no multiply.
-``params.modmul_kernel``, the field's one cache, holds the three
-kernels, the trace and the residue of b^q mod p that invert starts
-from (:class:`FieldKernels`).
+The base-t conversions to_residue and psi live here, not in params,
+because they run the field's straight-line digit kernel
+(:func:`digits_source`); add and sub run unrolled componentwise
+kernels.  ``params.modmul_kernel``, the field's one cache, holds these
+six kernels, the trace and the residue of b^q mod p that invert starts
+from (:class:`FieldKernels`); the first conversion or operation on a
+field builds them all.
 
 add, sub, randomize and modmul_interleaved return checked Residues.
 The kernels' outputs skip the check (params._unchecked_residue): they
 stay in the slack range, as the tests check on slack-edge inputs.
 Every operation on field elements refuses operands that are not
-Residues, and every operation on two refuses operands from two fields.
+Residues, and every operation on two (cvma_mul too) refuses operands
+from two fields.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
-                     canonical_value, to_residue)
+                     canonical_value)
 
 Comps = tuple[int, ...]
-# A field's generated modmul: component tuples in, reduced tuple out; a
-# scaled kernel has the second operand fixed.
+# A field's generated kernels: component tuples in, a tuple out (a scaled
+# kernel has the second operand fixed; the digit kernel takes an int).
 Kernel = Callable[[Comps, Comps], Comps]
 ScaledKernel = Callable[[Comps], Comps]
+DigitKernel = Callable[[int], Comps]
 # Every generated kernel is compiled under this filename, so a tracer or
 # traceback can tell its frames apart.
 KERNEL_FILENAME = "<grpfield kernel>"
@@ -113,7 +118,7 @@ def cvma_mul(x: Residue, y: Residue,
     modulo t**(m+1) - 1: the dropped dot-product term is a multiple of
     the all-ones vector, which vanishes only modulo p).
     """
-    params = x.params
+    params = _same_field(x, y)
     xc = x.comps
     yc = y.comps
     out = []
@@ -267,17 +272,41 @@ def kernel_source(params: GrpParams, y: Comps | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile(params: GrpParams, y: Comps | None = None) -> Callable:
-    """kernel_source(params, y), compiled under KERNEL_FILENAME with its
-    names bound."""
-    namespace = {"L": params.l, "MASK": params.b - 1, "C": params.c}
-    if params.c_shift_add is not None:
-        namespace["E"] = params.c_shift_add[0]
-    if y is not None:
-        namespace.update(_differences(params, y))
-    exec(compile(kernel_source(params, y), KERNEL_FILENAME, "exec"),
-         namespace)
-    return namespace["kernel"]
+def digits_source(params: GrpParams) -> str:
+    """Python source of the field's base-t digit kernel, ``kernel(x)``.
+
+    The kernel maps an int x in [0, t^(m+1) - 1) to its least-absolute-
+    residue digits, highest power first: the m+1 steps
+    ``x, d = divmod(x + H, T)`` of the digit loop, unrolled, with the
+    carry left in x folded onto the t^0 digit.  The m+1 additions of
+    H = t/2 are made as one addition of HP = H*p up front (p is
+    1 + t + ... + t^m), which leaves every quotient and remainder as it
+    was.  The constants are the names T, H and HP, bound where the
+    kernel is built.
+    """
+    n = params.m_plus_1
+    lines = ["def kernel(x):", "    x += HP"]
+    lines += [f"    x, d{i} = divmod(x, T)" for i in range(n)]
+    digits = [f"d{i} - H" for i in range(n - 1, 0, -1)] + ["d0 - H + x"]
+    lines.append("    return (" + ", ".join(digits) + ")")
+    return "\n".join(lines) + "\n"
+
+
+def componentwise_source(m_plus_1: int, op: str) -> str:
+    """Python source of ``kernel(x, y)``: the tuple of x_s op y_s over
+    the m+1 components, unrolled (op is "+" or "-")."""
+    xs = ", ".join(f"x{s}" for s in range(m_plus_1))
+    ys = ", ".join(f"y{s}" for s in range(m_plus_1))
+    outs = ", ".join(f"x{s} {op} y{s}" for s in range(m_plus_1))
+    return f"def kernel(x, y):\n    {xs} = x\n    {ys} = y\n" \
+           f"    return ({outs})\n"
+
+
+def _compile(source: str, **names: int) -> Callable:
+    """The function ``kernel`` that source defines, compiled under
+    KERNEL_FILENAME with the constants names bound."""
+    exec(compile(source, KERNEL_FILENAME, "exec"), names)
+    return names["kernel"]
 
 
 class FieldKernels(NamedTuple):
@@ -288,21 +317,60 @@ class FieldKernels(NamedTuple):
     to_montgomery: ScaledKernel  # kernel(x, residue of b^(2q) mod p)
     from_montgomery: ScaledKernel  # kernel(x, residue of 1)
     one: Comps                   # residue of b^q mod p: 1 in the domain
+    digits: DigitKernel          # to_residue's base-t digits
+    add: Kernel                  # componentwise x + y
+    sub: Kernel                  # componentwise x - y
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
     """The field's kernels, trace and Montgomery one: built once, kept on
     params.  The per-op paths read ``params.modmul_kernel`` first and call
-    this only to build it, which saves a call on every op."""
+    this only to build it, which saves a call on every op.  The digit
+    kernel is built first, for the residues of b^(2q), 1 and b^q."""
     built = params.modmul_kernel
     if built is None:
-        b, q, p = params.b, params.q, params.p
-        r2, one, mont_one = (to_residue(params, x).comps
+        b, q, p, t = params.b, params.q, params.p, params.t
+        digits = _compile(digits_source(params),
+                          T=t, H=t >> 1, HP=(t >> 1) * p)
+        r2, one, mont_one = (digits(x)
                              for x in (pow(b, 2 * q, p), 1, pow(b, q, p)))
+        names = {"L": params.l, "MASK": b - 1, "C": params.c}
+        if params.c_shift_add is not None:
+            names["E"] = params.c_shift_add[0]
+        to_mont, from_mont = (
+            _compile(kernel_source(params, y), **names,
+                     **_differences(params, y)) for y in (r2, one))
+        n = params.m_plus_1
         built = params.modmul_kernel = FieldKernels(
-            _compile(params), modmul_trace(params), _compile(params, r2),
-            _compile(params, one), mont_one)
+            _compile(kernel_source(params), **names), modmul_trace(params),
+            to_mont, from_mont, mont_one, digits,
+            _compile(componentwise_source(n, "+")),
+            _compile(componentwise_source(n, "-")))
     return built
+
+
+def to_residue(params: GrpParams, x: int) -> Residue:
+    """Base-t conversion with least-absolute-residue digits.
+
+    Every component ends up in [-t/2, t/2]; only the constant-term digit
+    can reach the upper bound, via the final wrap of the t**(m+1) carry.
+    Runs the field's digit kernel (see digits_source): one divmod per
+    digit, with no branch on the value.
+    """
+    if type(x) is not int or not 0 <= x < params.ring_modulus:
+        raise ParameterError(
+            f"value {x!r} is not an int in [0, t^(m+1) - 1)")
+    built = params.modmul_kernel or _kernel(params)
+    return _unchecked_residue(built.digits(x), params)
+
+
+def psi(params: GrpParams, x: int) -> Residue:
+    """Residue of a canonical field element (x taken modulo p if it is an
+    int; to_residue refuses any other type)."""
+    if type(x) is not int:
+        return to_residue(params, x)  # raises its ParameterError
+    built = params.modmul_kernel or _kernel(params)
+    return _unchecked_residue(built.digits(x % params.p), params)
 
 
 def modmul(x: Residue, y: Residue,
@@ -343,18 +411,24 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
 
 
 def add(x: Residue, y: Residue) -> Residue:
-    """Componentwise sum; no reduction, the next modmul absorbs the growth."""
+    """Componentwise sum; no reduction, the next modmul absorbs the growth.
+    Runs the field's add kernel; the checked constructor bounds the sum."""
     params = _same_field(x, y)
-    return Residue(tuple(map(operator.add, x.comps, y.comps)), params)
+    built = params.modmul_kernel or _kernel(params)
+    return Residue(built.add(x.comps, y.comps), params)
 
 
 def sub(x: Residue, y: Residue) -> Residue:
+    """Componentwise difference, as add."""
     params = _same_field(x, y)
-    return Residue(tuple(map(operator.sub, x.comps, y.comps)), params)
+    built = params.modmul_kernel or _kernel(params)
+    return Residue(built.sub(x.comps, y.comps), params)
 
 
 def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
-    """Same code path as modmul: no common subexpressions to share."""
+    """modmul(x, x), through the same kernel.  A squaring could share
+    each difference x_a - x_b between its two factors, but it runs the
+    modmul kernel so that its op counts stay modmul_trace's."""
     return modmul(x, x, counter)
 
 
@@ -384,9 +458,10 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     params = _field(x)
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
-    mul, trace, _, _, acc = _kernel(params)  # acc: the Montgomery one
+    built = _kernel(params)
+    mul, acc = built.modmul, built.one  # acc: the Montgomery one
     e = params.p - 2
-    counter.tally(trace, e.bit_length() + e.bit_count())
+    counter.tally(built.trace, e.bit_length() + e.bit_count())
     xc = x.comps
     for i in range(e.bit_length() - 1, -1, -1):
         acc = mul(acc, acc)

@@ -15,9 +15,9 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .arith import UNCOUNTED, OpCounter, modmul
+from .arith import UNCOUNTED, OpCounter, modmul, psi
 from .errors import ParameterError
-from .params import DEFAULT_WORD_BITS, GrpParams, psi
+from .params import DEFAULT_WORD_BITS, GrpParams
 
 
 class MontCtx:

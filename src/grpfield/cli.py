@@ -24,7 +24,7 @@ from .bench import run_bench
 from .errors import GrpError, ParameterError
 from .oracle import oracle_modmul
 from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams,
-                     canonical_value, psi, to_canonical)
+                     canonical_value, to_canonical)
 from .tables import (estimate_density, hw2_search, search_grps,
                      stability_rows_to_csv, stability_rows_to_json,
                      stability_table)
@@ -95,14 +95,14 @@ def _selftest_field(params: GrpParams, rng: random.Random,
     for _ in range(samples):
         a = rng.randrange(p)
         b = rng.randrange(p)
-        xm = arith.to_montgomery(psi(params, a))
-        ym = arith.to_montgomery(psi(params, b))
+        xm = arith.to_montgomery(arith.psi(params, a))
+        ym = arith.to_montgomery(arith.psi(params, b))
         prod = arith.from_montgomery(arith.modmul(xm, ym))
-        want = oracle_modmul(to_canonical(psi(params, a)),
-                             to_canonical(psi(params, b))).value
+        want = oracle_modmul(to_canonical(arith.psi(params, a)),
+                             to_canonical(arith.psi(params, b))).value
         if canonical_value(prod) != want:
             return False
-        s = arith.add(psi(params, a), psi(params, b))
+        s = arith.add(arith.psi(params, a), arith.psi(params, b))
         if canonical_value(s) != (a + b) % p:
             return False
     return True
@@ -116,9 +116,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     if args.exhaustive_toy:
         ok = True
         for a in range(toy.p):
-            xm = arith.to_montgomery(psi(toy, a))
+            xm = arith.to_montgomery(arith.psi(toy, a))
             for b in range(a, toy.p):
-                ym = arith.to_montgomery(psi(toy, b))
+                ym = arith.to_montgomery(arith.psi(toy, b))
                 prod = arith.from_montgomery(arith.modmul(xm, ym))
                 if canonical_value(prod) != a * b % toy.p:
                     ok = False

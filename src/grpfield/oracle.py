@@ -195,6 +195,8 @@ def is_prime_characteristic(p: int, m_plus_1: int, rounds: int = 64,
     """is_probable_prime for p = Phi_{m+1}(t), with cyclotomic_composite
     for trial division: it tries every prime below 1000 that can divide
     p, so Miller-Rabin draws the bases is_probable_prime would."""
+    if rounds < 1:
+        raise ParameterError(f"rounds must be >= 1, got {rounds}")
     if cyclotomic_composite(p, m_plus_1):
         return False
     return p < _CYCLOTOMIC_BOUND or miller_rabin(p, rounds, _bases(p, rng))

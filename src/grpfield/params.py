@@ -17,14 +17,14 @@ Constructing a GrpParams validates the field in word-size integers,
 builds t and p and, unless require_prime=False (only the scans, which
 prove p themselves), runs prove_prime: oracle.is_prime_characteristic
 decides, and a record of proven (m+1, l, c) makes each proof run once.
-arith builds the modmul kernel, the two Montgomery conversion kernels
-and the Montgomery one on first use and keeps them in ``modmul_kernel``
-(arith.FieldKernels).  A Residue is an immutable
-``__slots__`` value that checks its own field and components; only
-to_residue, zero and arith's kernel outputs, in range by construction,
-skip that through _unchecked_residue.  A pickled or copied Residue is
-rebuilt by the checked constructor.  to_residue takes one divmod per
-digit, with no branch on the value.
+arith builds the field's kernels (modmul, the two Montgomery
+conversions, base-t digits, add and sub) and the Montgomery one on first
+use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
+conversions to_residue and psi run the digit kernel, so they live in
+arith too.  A Residue is an immutable ``__slots__`` value that checks its
+own field and components; only zero and arith's kernel outputs, in range
+by construction, skip that through _unchecked_residue.  A pickled or
+copied Residue is rebuilt by the checked constructor.
 """
 
 from __future__ import annotations
@@ -216,9 +216,8 @@ class GrpParams:
         # c = 2^e + 1 or 2^e - 1 enables a shift-and-add reduction path.
         self.c_shift_add = _shift_add_form(c)
 
-        # Built on first use by arith: the straight-line modmul and
-        # Montgomery conversion kernels, the modmul trace and the
-        # Montgomery one.
+        # Built on first use by arith (arith.FieldKernels): the
+        # straight-line kernels, the modmul trace and the Montgomery one.
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:
@@ -333,27 +332,6 @@ class WideResidue:
     params: GrpParams
 
 
-def to_residue(params: GrpParams, x: int) -> Residue:
-    """Base-t conversion with least-absolute-residue digits.
-
-    Every component ends up in [-t/2, t/2]; only the constant-term digit
-    can reach the upper bound, via the final wrap of the t**(m+1) carry.
-    One divmod per digit, with no branch on the value: the digits are
-    mods(x, t) and the quotient is (x - digit) / t.
-    """
-    if type(x) is not int or not 0 <= x < params.ring_modulus:
-        raise ParameterError(
-            f"value {x!r} is not an int in [0, t^(m+1) - 1)")
-    t = params.t
-    h = t >> 1
-    digits = []  # ascending
-    for _ in range(params.m_plus_1):
-        x, d = divmod(x + h, t)
-        digits.append(d - h)
-    digits[0] += x  # x in {0, 1}: fold the t^(m+1) carry back onto t^0
-    return _unchecked_residue(tuple(reversed(digits)), params)
-
-
 def canonical_value(r: Residue | WideResidue) -> int:
     """Evaluate a vector at t and reduce modulo the field characteristic."""
     return horner(r.comps, r.params.t) % r.params.p
@@ -417,12 +395,6 @@ def _params_from_obj(obj: dict) -> GrpParams:
     if missing:
         raise ParameterError(f"missing field(s) {', '.join(missing)}")
     return GrpParams(*(obj[name] for name in _FIELD_NAMES))
-
-
-def psi(params: GrpParams, x: int) -> Residue:
-    """Residue of a canonical field element (x taken modulo p if it is an
-    int; to_residue refuses any other type)."""
-    return to_residue(params, x % params.p if type(x) is int else x)
 
 
 def ring_value(r: Residue | WideResidue) -> int:

@@ -1,6 +1,7 @@
 """Tests for multiplication, reduction and the auxiliary field operations."""
 
 import ast
+import operator
 import os
 import random
 import subprocess
@@ -17,7 +18,8 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       modmul_interleaved, modmul_trace, params_new, psi,
                       randomize, red1, red2, red3, ring_value, square, sub,
                       to_montgomery, to_residue, v_vector, zero)
-from grpfield.arith import KERNEL_FILENAME, _kernel, kernel_source
+from grpfield.arith import (KERNEL_FILENAME, _kernel, componentwise_source,
+                            digits_source, kernel_source)
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -215,7 +217,7 @@ class TestModmul:
 
     def test_rejects_mixed_fields(self, f243, f228, toy):
         x = psi(f243, 5)
-        for op in (modmul, modmul_interleaved, add, sub, equals):
+        for op in (modmul, modmul_interleaved, add, sub, equals, cvma_mul):
             for other in (f228, toy):  # same and different component count
                 with pytest.raises(ParameterError, match="different fields"):
                     op(x, psi(other, 7))
@@ -223,7 +225,7 @@ class TestModmul:
                     op(psi(other, 7), x)
         # equal descriptions built separately are the same field
         twin = params_new(5, 59, 3, 64, 2)
-        for op in (modmul, modmul_interleaved, add, sub):
+        for op in (modmul, modmul_interleaved, add, sub, cvma_mul):
             assert op(x, psi(twin, 7)).comps == op(x, psi(f243, 7)).comps
         assert equals(x, psi(twin, 5))
 
@@ -244,7 +246,8 @@ class TestModmul:
             for op in unary:
                 with pytest.raises(ParameterError, match="expected a Resid"):
                     op(bad)
-            for op in (modmul, modmul_interleaved, add, sub, equals):
+            for op in (modmul, modmul_interleaved, add, sub, equals,
+                       cvma_mul):
                 for args in ((bad, x), (x, bad)):
                     with pytest.raises(ParameterError,
                                        match="expected a Resid"):
@@ -287,6 +290,32 @@ def _loop_modmul(x, y):
     for _ in range(x.params.q):
         z = red3(z)
     return z.comps
+
+
+def _loop_to_residue(params, x):
+    """Reference to_residue: one divmod(x + t/2, t) per digit in a loop,
+    the t^(m+1) carry folded onto the constant term."""
+    t = params.t
+    h = t >> 1
+    digits = []  # ascending
+    for _ in range(params.m_plus_1):
+        x, d = divmod(x + h, t)
+        digits.append(d - h)
+    digits[0] += x
+    return tuple(reversed(digits))
+
+
+def _digit_edges(params):
+    """0, 1, p - 1, p, t^(m+1) - 2 and the values around k*t^i +/- t/2,
+    where a least-absolute-residue digit changes sign."""
+    t, p, ring = params.t, params.p, params.ring_modulus
+    values = {0, 1, p - 1, p, p + 1, ring - 2, ring - 1}
+    for i in range(params.m_plus_1):
+        for k in (1, 2, t - 1):
+            for half in (-(t >> 1), t >> 1):
+                for d in (-1, 0, 1):
+                    values.add(k * t ** i + half + d)
+    return sorted(v for v in values if 0 <= v < ring)
 
 
 def _ladder_invert(x, counter):
@@ -409,6 +438,65 @@ class TestKernel:
                 0 if params.c_shift_add else q * n)
         assert mults == want
         assert want["from"] == 0 and 0 < want["to"] <= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
+    def test_digit_kernel_equals_loop(self, spec):
+        # to_residue and psi run the digit kernel; it must give the loop's
+        # digits, at the values where a digit changes sign and at random.
+        params = params_new(*spec, 64, 2, require_prime=False)
+        rng = random.Random(21)
+        ring, p = params.ring_modulus, params.p
+        values = (_digit_edges(params)
+                  + [rng.randrange(ring) for _ in range(300)]
+                  + [rng.randrange(p) for _ in range(300)])
+        digits = _kernel(params).digits
+        for x in values:
+            want = _loop_to_residue(params, x)
+            assert digits(x) == want, x
+            assert to_residue(params, x).comps == want, x
+            assert psi(params, x).comps == _loop_to_residue(params, x % p)
+        # psi reduces any int modulo p first
+        for x in (-1, ring, -p - 5, ring * p + 3):
+            assert psi(params, x).comps == _loop_to_residue(params, x % p)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    def test_digit_and_componentwise_kernel_syntax(self, spec):
+        # Straight-line code: the digit kernel is one addition, m+1
+        # divmod calls and m+2 digit adjustments; add and sub one
+        # operation per component.
+        params = params_new(*spec, 64, 2, require_prime=False)
+        n = params.m_plus_1
+        banned = (ast.If, ast.IfExp, ast.For, ast.While, ast.BoolOp,
+                  ast.Compare, ast.comprehension, ast.ListComp,
+                  ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                  ast.Attribute, ast.Constant, ast.UnaryOp)
+        sources = [(digits_source(params), {ast.Add: 2, ast.Sub: n}, n)]
+        sources += [(componentwise_source(n, op), {kind: n}, 0)
+                    for op, kind in (("+", ast.Add), ("-", ast.Sub))]
+        for source, want, divmods in sources:
+            ops, calls = {}, 0
+            for node in ast.walk(ast.parse(source)):
+                assert not isinstance(node, banned), ast.dump(node)
+                if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                    ops[type(node.op)] = ops.get(type(node.op), 0) + 1
+                if isinstance(node, ast.Call):
+                    assert node.func.id == "divmod"
+                    calls += 1
+            assert ops == want and calls == divmods, source
+
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
+    def test_componentwise_kernels_equal_map(self, spec):
+        params = params_new(*spec, 64, 2, require_prime=False)
+        rng = random.Random(22)
+        built = _kernel(params)
+        xs = ([_random_reduced(params, rng).comps for _ in range(100)]
+              + [x.comps for x in _slack_edges(params)])
+        for x in xs:
+            for y in (rng.choice(xs), xs[-1]):
+                assert built.add(x, y) == tuple(map(operator.add, x, y))
+                assert built.sub(x, y) == tuple(map(operator.sub, x, y))
 
 
 class TestAuxiliaryOps:
@@ -540,7 +628,8 @@ class TestOpcodeTrace:
             assert len(traces) >= 8 and traces[0], op.__name__
             assert all(trace == traces[0] for trace in traces), op.__name__
         for op, args in ((modmul, pairs[0]), (to_montgomery, (elems[0],)),
-                         (from_montgomery, (monts[0],))):
+                         (from_montgomery, (monts[0],)), (psi, (f243, 5)),
+                         (add, pairs[0]), (sub, pairs[0])):
             names = {name for name, _ in _opcode_trace(op, args)}
             # the kernel frame is traced
             assert {op.__name__, "kernel"} <= names, op.__name__

@@ -187,6 +187,16 @@ class TestIsPrimeCharacteristic:
         for p, verdict in ((11, True), (9901, True), (341, False)):
             assert is_prime_characteristic(p, 5, 1, _NoBases()) is verdict
 
+    def test_rounds_validated(self):
+        # Phi_5(2^40*1048582) is composite with no factor below 10^4, so
+        # only Miller-Rabin rejects it: with no round it would pass.
+        p = repunit((1 << 40) * 1048582, 5)
+        assert not oracle.cyclotomic_composite(p, 5)
+        assert not is_prime_characteristic(p, 5, 1)
+        for rounds in (0, -3):
+            with pytest.raises(ParameterError, match="rounds"):
+                is_prime_characteristic(p, 5, rounds, _NoBases())
+
 
 class _NoBases(random.Random):
     """An rng that fails the test if Miller-Rabin draws from it."""

@@ -234,16 +234,16 @@ class TestLazyConstants:
     SPECS = [(3, 2, 3)] + [(m1, l, c) for _, m1, l, c in TABLE4_FIELDS]
 
     def test_built_on_first_use(self, monkeypatch):
-        calls = []
-        real = grpfield.params.to_residue
+        compiled = []
+        real = grpfield.arith._compile
 
-        def counting(params, x):
-            calls.append(x)
-            return real(params, x)
-        monkeypatch.setattr(grpfield.arith, "to_residue", counting)
+        def counting(source, **names):
+            compiled.append(source)
+            return real(source, **names)
+        monkeypatch.setattr(grpfield.arith, "_compile", counting)
         fields = [params_new(*spec, 64, q, require_prime=False)
                   for spec in self.SPECS for q in (2, 3)]
-        assert calls == []  # a rejected search candidate pays for none
+        assert compiled == []  # a rejected search candidate pays for none
         for params in fields:
             assert params.modmul_kernel is None
             from_montgomery(zero(params))  # first use
@@ -253,14 +253,16 @@ class TestLazyConstants:
             # of b^(2q) mod p and 1 fixed; invert starts from b^q mod p.
             x = psi(params, 7).comps
             assert built.to_montgomery(x) == built.modmul(
-                x, real(params, pow(b, 2 * q, p)).comps)
+                x, to_residue(params, pow(b, 2 * q, p)).comps)
             assert built.from_montgomery(x) == built.modmul(
-                x, real(params, 1).comps)
-            assert built.one == real(params, pow(b, q, p)).comps
+                x, to_residue(params, 1).comps)
+            assert built.one == to_residue(params, pow(b, q, p)).comps
             to_montgomery(zero(params))
             from_montgomery(zero(params))
             assert params.modmul_kernel is built
-        assert len(calls) == 3 * len(fields)  # built once per field
+        # built once per field: modmul, the two conversions, the digits,
+        # add and sub
+        assert len(compiled) == 6 * len(fields)
 
 
 class TestToResidue:

@@ -64,3 +64,30 @@ def test_unproven_fields_and_unchecked_residues_confined():
                 unchecked.add(path.name)
     assert unproven <= {"tables.py"}, unproven
     assert unchecked <= {"arith.py", "params.py"}, unchecked
+
+
+def test_generated_code_compiled_under_kernel_filename():
+    # The opcode trace follows generated code by its filename, so every
+    # compile must be in arith.py and name KERNEL_FILENAME, and every
+    # exec or eval must run such a compile's code, never a bare string.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("compile", "exec", "eval")):
+                continue
+            found.append((path.name, node.lineno))
+            assert path.name == "arith.py", (path.name, node.lineno)
+            if node.func.id == "compile":
+                filename = (node.args[1] if len(node.args) > 1 else
+                            next(k.value for k in node.keywords
+                                 if k.arg == "filename"))
+                assert (isinstance(filename, ast.Name)
+                        and filename.id == "KERNEL_FILENAME"), node.lineno
+            else:
+                code = node.args[0]
+                assert (isinstance(code, ast.Call)
+                        and isinstance(code.func, ast.Name)
+                        and code.func.id == "compile"), node.lineno
+    assert found, "no generated code found: is the check still looking?"
