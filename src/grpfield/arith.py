@@ -14,6 +14,12 @@ straight-line kernel generated for each field on its first use (see
 kernel alone runs red3's cofactor product as shift-and-add); an
 OpCounter passed in only receives the closed-form tally of that
 sequence (:func:`modmul_trace`) and never changes the code that runs.
+``invert`` powers to the public exponent p - 2 by the field's
+sliding-window chain (:func:`power_chain`): a table of odd powers, then
+fixed windows of squarings and table multiplies, every step one modmul
+kernel call, with the width (1..6) chosen for the fewest steps on this
+p.  Its results are the same field elements as a binary ladder's, in
+another redundant encoding.
 The Montgomery conversions run the same generator's scaled kernels,
 whose second operand is fixed: ``to_montgomery`` multiplies by the
 precomputed differences of the residue of b^(2q) mod p, and
@@ -23,9 +29,9 @@ The base-t conversions to_residue and psi live here, not in params,
 because they run the field's straight-line digit kernel
 (:func:`digits_source`); add and sub run unrolled componentwise
 kernels.  ``params.modmul_kernel``, the field's one cache, holds these
-six kernels, the trace and the residue of b^q mod p that invert starts
-from (:class:`FieldKernels`); the first conversion or operation on a
-field builds them all.
+six kernels, the trace and invert's sliding-window chain for p - 2
+(:class:`FieldKernels`, :func:`power_chain`); the first conversion or
+operation on a field builds them all.
 
 add, sub, randomize and modmul_interleaved return checked Residues.
 The kernels' outputs skip the check (params._unchecked_residue): they
@@ -309,6 +315,52 @@ def _compile(source: str, **names: int) -> Callable:
     return names["kernel"]
 
 
+class PowerChain(NamedTuple):
+    """A fixed left-to-right sliding-window chain for x -> x^e.
+
+    The table holds the odd powers x, x^3, ..., x^(2^width - 1).  The
+    first window starts from the table entry of its digit (its
+    squarings are 0); each later one squares ``squarings`` times, then
+    multiplies by the entry of its odd digit, or by nothing for 0.
+    """
+
+    width: int
+    windows: tuple[tuple[int, int], ...]  # (squarings, odd digit or 0)
+    modmuls: int                 # table products, squarings and multiplies
+
+
+def _sliding_windows(e: int, width: int) -> tuple[tuple[int, int], ...]:
+    """The windows of e >= 1 at this width (HAC Alg. 14.85): from the top
+    bit down, each the longest run of at most width bits that starts and
+    ends with a 1, its squarings the bits from the previous window's end
+    to its own."""
+    bits = format(e, "b")
+    windows, done = [], 0
+    start = bits.find("1")
+    while start >= 0:
+        end = bits.rfind("1", start, start + width) + 1
+        windows.append((end - done, int(bits[start:end], 2)))
+        done, start = end, bits.find("1", end)
+    if done < len(bits):
+        windows.append((len(bits) - done, 0))
+    windows[0] = (0, windows[0][1])  # x^d0 is a table entry: no squaring
+    return tuple(windows)
+
+
+def power_chain(e: int) -> PowerChain:
+    """The sliding-window chain for x^e with the fewest modmuls over
+    widths 1..6 (the smaller width on a tie).  Width 1 is the binary
+    ladder started from x; a wider table costs x*x and 2^(width-1) - 1
+    products."""
+    chains = []
+    for width in range(1, 7):
+        windows = _sliding_windows(e, width)
+        table = 0 if width == 1 else 1 << (width - 1)
+        chains.append(PowerChain(width, windows, table + sum(
+            squarings + (digit != 0) for squarings, digit in windows[1:])))
+    return min(chains, key=lambda chain: chain.modmuls)
+
+
 class FieldKernels(NamedTuple):
     """A field's one cache, ``params.modmul_kernel``."""
 
@@ -316,24 +368,23 @@ class FieldKernels(NamedTuple):
     trace: dict[str, int]        # modmul_trace(params)
     to_montgomery: ScaledKernel  # kernel(x, residue of b^(2q) mod p)
     from_montgomery: ScaledKernel  # kernel(x, residue of 1)
-    one: Comps                   # residue of b^q mod p: 1 in the domain
+    chain: PowerChain            # invert's power_chain(p - 2)
     digits: DigitKernel          # to_residue's base-t digits
     add: Kernel                  # componentwise x + y
     sub: Kernel                  # componentwise x - y
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
-    """The field's kernels, trace and Montgomery one: built once, kept on
-    params.  The per-op paths read ``params.modmul_kernel`` first and call
-    this only to build it, which saves a call on every op.  The digit
-    kernel is built first, for the residues of b^(2q), 1 and b^q."""
+    """The field's kernels, trace and inversion chain: built once, kept
+    on params.  The per-op paths read ``params.modmul_kernel`` first and
+    call this only to build it, which saves a call on every op.  The
+    digit kernel is built first, for the residues of b^(2q) and 1."""
     built = params.modmul_kernel
     if built is None:
         b, q, p, t = params.b, params.q, params.p, params.t
         digits = _compile(digits_source(params),
                           T=t, H=t >> 1, HP=(t >> 1) * p)
-        r2, one, mont_one = (digits(x)
-                             for x in (pow(b, 2 * q, p), 1, pow(b, q, p)))
+        r2, one = digits(pow(b, 2 * q, p)), digits(1)
         names = {"L": params.l, "MASK": b - 1, "C": params.c}
         if params.c_shift_add is not None:
             names["E"] = params.c_shift_add[0]
@@ -343,7 +394,7 @@ def _kernel(params: GrpParams) -> FieldKernels:
         n = params.m_plus_1
         built = params.modmul_kernel = FieldKernels(
             _compile(kernel_source(params), **names), modmul_trace(params),
-            to_mont, from_mont, mont_one, digits,
+            to_mont, from_mont, power_chain(p - 2), digits,
             _compile(componentwise_source(n, "+")),
             _compile(componentwise_source(n, "-")))
     return built
@@ -357,6 +408,8 @@ def to_residue(params: GrpParams, x: int) -> Residue:
     Runs the field's digit kernel (see digits_source): one divmod per
     digit, with no branch on the value.
     """
+    if type(params) is not GrpParams:
+        raise ParameterError(f"params must be a GrpParams, got {params!r}")
     if type(x) is not int or not 0 <= x < params.ring_modulus:
         raise ParameterError(
             f"value {x!r} is not an int in [0, t^(m+1) - 1)")
@@ -366,8 +419,9 @@ def to_residue(params: GrpParams, x: int) -> Residue:
 
 def psi(params: GrpParams, x: int) -> Residue:
     """Residue of a canonical field element (x taken modulo p if it is an
-    int; to_residue refuses any other type)."""
-    if type(x) is not int:
+    int; to_residue refuses any other type, and a params that is not a
+    GrpParams)."""
+    if type(params) is not GrpParams or type(x) is not int:
         return to_residue(params, x)  # raises its ParameterError
     built = params.modmul_kernel or _kernel(params)
     return _unchecked_residue(built.digits(x % params.p), params)
@@ -451,22 +505,31 @@ def from_montgomery(r: Residue) -> Residue:
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     """Montgomery-domain inverse by powering to p - 2.
 
-    Fixed square-and-multiply ladder over the bits of p - 2: the
-    operation sequence depends only on the field, not on x, and a
-    counter receives modmul_trace once per square and per multiply.
+    Runs the field's sliding-window chain for p - 2 (see power_chain):
+    the odd powers of x up to x^(2^width - 1), then the fixed windows of
+    squarings and table multiplies, every step the modmul kernel.  The
+    width, the windows and every table index come from p alone, so the
+    operation sequence depends only on the field, not on x; a counter
+    receives modmul_trace once per step (chain.modmuls times).
     """
     params = _field(x)
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
-    built = _kernel(params)
-    mul, acc = built.modmul, built.one  # acc: the Montgomery one
-    e = params.p - 2
-    counter.tally(built.trace, e.bit_length() + e.bit_count())
-    xc = x.comps
-    for i in range(e.bit_length() - 1, -1, -1):
-        acc = mul(acc, acc)
-        if (e >> i) & 1:
-            acc = mul(acc, xc)
+    built = params.modmul_kernel or _kernel(params)
+    mul, chain = built.modmul, built.chain
+    counter.tally(built.trace, chain.modmuls)
+    table = [x.comps]  # table[j] = x^(2j + 1)
+    if chain.width > 1:
+        x2 = mul(table[0], table[0])
+        for _ in range((1 << (chain.width - 1)) - 1):
+            table.append(mul(table[-1], x2))
+    windows = chain.windows
+    acc = table[windows[0][1] >> 1]
+    for squarings, digit in windows[1:]:
+        for _ in range(squarings):
+            acc = mul(acc, acc)
+        if digit:
+            acc = mul(acc, table[digit >> 1])
     return _unchecked_residue(acc, params)
 
 
@@ -478,7 +541,7 @@ def equals(x: Residue, y: Residue) -> bool:
 
 def randomize(x: Residue, r: int) -> Residue:
     """Add r times the all-ones vector: same field element, fresh encoding."""
-    params = x.params
+    params = _field(x)
     if type(r) is not int or not 0 <= r < params.t - 1:
         raise ParameterError(f"scaling factor {r!r} is not an int in [0, t-2]")
     comps = tuple(comp + r for comp in x.comps)

@@ -18,8 +18,8 @@ builds t and p and, unless require_prime=False (only the scans, which
 prove p themselves), runs prove_prime: oracle.is_prime_characteristic
 decides, and a record of proven (m+1, l, c) makes each proof run once.
 arith builds the field's kernels (modmul, the two Montgomery
-conversions, base-t digits, add and sub) and the Montgomery one on first
-use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
+conversions, base-t digits, add and sub) and invert's power chain on
+first use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
 conversions to_residue and psi run the digit kernel, so they live in
 arith too.  A Residue is an immutable ``__slots__`` value that checks its
 own field and components; only zero and arith's kernel outputs, in range
@@ -217,7 +217,7 @@ class GrpParams:
         self.c_shift_add = _shift_add_form(c)
 
         # Built on first use by arith (arith.FieldKernels): the
-        # straight-line kernels, the modmul trace and the Montgomery one.
+        # straight-line kernels, the modmul trace and invert's chain.
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:

@@ -1,6 +1,7 @@
 """Tests for multiplication, reduction and the auxiliary field operations."""
 
 import ast
+import json
 import operator
 import os
 import random
@@ -16,10 +17,11 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       ZeroInverseError, add, canonical_value, congruent,
                       cvma_mul, equals, from_montgomery, invert, modmul,
                       modmul_interleaved, modmul_trace, params_new, psi,
-                      randomize, red1, red2, red3, ring_value, square, sub,
-                      to_montgomery, to_residue, v_vector, zero)
+                      randomize, red1, red2, red3, residue_from_json,
+                      ring_value, square, sub, to_montgomery, to_residue,
+                      v_vector, zero)
 from grpfield.arith import (KERNEL_FILENAME, _kernel, componentwise_source,
-                            digits_source, kernel_source)
+                            digits_source, kernel_source, power_chain)
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -241,8 +243,9 @@ class TestModmul:
         assert any(not low <= comp <= high
                    for w in wides for comp in kernel(w.comps, w.comps))
         x = psi(f243, 5)
-        unary = (to_montgomery, from_montgomery, invert, square)
-        for bad in wides + [5, x.comps]:
+        unary = (to_montgomery, from_montgomery, invert, square,
+                 lambda bad: randomize(bad, 1))
+        for bad in wides + [5, x.comps, "x"]:
             for op in unary:
                 with pytest.raises(ParameterError, match="expected a Resid"):
                     op(bad)
@@ -318,16 +321,66 @@ def _digit_edges(params):
     return sorted(v for v in values if 0 <= v < ring)
 
 
-def _ladder_invert(x, counter):
-    """Reference invert: square-and-multiply over p - 2 with counted modmul."""
+def _window_invert(x, width, counter):
+    """Reference invert: left-to-right sliding windows of at most width
+    bits over p - 2 (HAC Alg. 14.85) with counted modmul, the first
+    window read from the table of odd powers.  Every product passes the
+    checked Residue constructor."""
+    params = x.params
+
+    def mul(a, b):
+        return Residue(modmul(a, b, counter).comps, params)
+
+    table = {1: x}
+    if width > 1:
+        x2 = mul(x, x)
+        for d in range(3, 1 << width, 2):
+            table[d] = mul(table[d - 2], x2)
+    e = params.p - 2
+    acc, i = None, e.bit_length() - 1
+    while i >= 0:
+        if not (e >> i) & 1:
+            acc, i = mul(acc, acc), i - 1
+            continue
+        low = max(i - width + 1, 0)
+        while not (e >> low) & 1:
+            low += 1
+        entry = table[(e >> low) % (1 << (i - low + 1))]
+        if acc is None:
+            acc = entry
+        else:
+            for _ in range(i - low + 1):
+                acc = mul(acc, acc)
+            acc = mul(acc, entry)
+        i = low - 1
+    return acc.comps
+
+
+def _ladder_invert(x):
+    """Second reference: square-and-multiply over p - 2 from the
+    Montgomery one; a different encoding of the same field element."""
     params = x.params
     e = params.p - 2
     acc = to_residue(params, pow(params.b, params.q, params.p))
     for i in reversed(range(e.bit_length())):
-        acc = modmul(acc, acc, counter)
+        acc = modmul(acc, acc)
         if (e >> i) & 1:
-            acc = modmul(acc, x, counter)
-    return acc.comps
+            acc = modmul(acc, x)
+    return acc
+
+
+def _replay(chain):
+    """The exponent a chain computes: a squaring doubles it, a multiply
+    by a table entry adds the entry's odd digit."""
+    value = 0
+    for squarings, digit in chain.windows:
+        value = (value << squarings) + digit
+    return value
+
+
+# Modmuls per invert on the benchmark's fields, against the binary
+# ladder's bit_length + bit_count (685 and 312) from the Montgomery one.
+_CHAIN_MODMULS = {(11, 42, 513): 591, (5, 59, 3): 268}
 
 
 class TestKernel:
@@ -350,16 +403,61 @@ class TestKernel:
             Residue(to_montgomery(x).comps, params)
             Residue(from_montgomery(x).comps, params)
         assert params.modmul_kernel is not None
+        width = params.modmul_kernel.chain.width
         for x in (to_montgomery(psi(params, rng.randrange(1, params.p))),
                   edges[0]):
             counted, reference = OpCounter(), OpCounter()
             inverse = invert(x)
             Residue(inverse.comps, params)
             assert inverse.comps == invert(x, counted).comps
-            assert inverse.comps == _ladder_invert(x, reference)
+            assert inverse.comps == _window_invert(x, width, reference)
             assert counted.as_dict() == reference.as_dict()
+            assert canonical_value(inverse) == \
+                canonical_value(_ladder_invert(x))
             assert canonical_value(modmul(x, inverse)) == \
                 pow(params.b, params.q, params.p)
+
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
+    def test_inversion_chain_builds_p_minus_2(self, spec):
+        params = params_new(*spec, 64, 2, require_prime=False)
+        e = params.p - 2
+        chain = _kernel(params).chain
+        assert chain == power_chain(e) and 1 <= chain.width <= 6
+        (first_squarings, first), *rest = chain.windows
+        assert first_squarings == 0 and first % 2 == 1
+        for squarings, digit in rest:
+            assert digit == 0 or digit % 2 == 1
+            assert digit < 1 << min(chain.width, squarings)
+        assert _replay(chain) == e
+        table = 0 if chain.width == 1 else 1 << (chain.width - 1)
+        assert chain.modmuls == table + sum(
+            squarings + (digit != 0) for squarings, digit in rest)
+        ladder = e.bit_length() + e.bit_count() - 2
+        assert chain.modmuls <= ladder
+        if params.p.bit_length() >= 128:
+            assert chain.modmuls < ladder
+        assert chain.modmuls == _CHAIN_MODMULS.get(spec, chain.modmuls)
+        counter = OpCounter()
+        invert(to_montgomery(psi(params, 3)), counter)
+        assert counter.as_dict() == {
+            name: chain.modmuls * count
+            for name, count in modmul_trace(params).items()}
+
+    def test_invert_slack_edge_witness(self):
+        # The slack-edge residues of ROADMAP item 1 on a proven prime:
+        # invert's first step is modmul(x, x) on them.
+        params = params_new(3, 33, 268435056, 64, 2)
+        top = 1 << (params.k + 2)
+        p, mont = params.p, pow(params.b, params.q, params.p)
+        for comps in ((-top, -top, top - 2), (-top, top - 2, top - 2)):
+            x = residue_from_json(json.dumps(
+                {"m_plus_1": 3, "l": 33, "c": 268435056, "w": 64, "q": 2,
+                 "comps": [str(comp) for comp in comps]}))
+            inverse = invert(x)
+            Residue(inverse.comps, params)
+            assert canonical_value(inverse) == \
+                mont * mont * pow(canonical_value(x), -1, p) % p
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
     def test_op_tally_is_modmul_trace(self, spec):

@@ -17,7 +17,7 @@ from grpfield import (GrpError, NotPrimeError, ParameterError, RangeError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, zero)
-from grpfield.arith import from_montgomery, modmul
+from grpfield.arith import from_montgomery, modmul, power_chain
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -250,13 +250,13 @@ class TestLazyConstants:
             b, q, p = params.b, params.q, params.p
             built = params.modmul_kernel
             # The scaled kernels are the modmul kernel with the residues
-            # of b^(2q) mod p and 1 fixed; invert starts from b^q mod p.
+            # of b^(2q) mod p and 1 fixed; invert's chain powers to p - 2.
             x = psi(params, 7).comps
             assert built.to_montgomery(x) == built.modmul(
                 x, to_residue(params, pow(b, 2 * q, p)).comps)
             assert built.from_montgomery(x) == built.modmul(
                 x, to_residue(params, 1).comps)
-            assert built.one == to_residue(params, pow(b, q, p)).comps
+            assert built.chain == power_chain(p - 2)
             to_montgomery(zero(params))
             from_montgomery(zero(params))
             assert params.modmul_kernel is built
@@ -287,6 +287,12 @@ class TestToResidue:
             to_residue(f243, value)
         with pytest.raises(ParameterError, match="not an int in"):
             psi(f243, value)
+
+    @pytest.mark.parametrize("params", ["x", None, (5, 59, 3), 5])
+    def test_params_must_be_grp_params(self, params):
+        for convert in (to_residue, psi):
+            with pytest.raises(ParameterError, match="must be a GrpParams"):
+                convert(params, 5)
 
     def test_digit_bound_toy_exhaustive(self, toy):
         # |comp| <= t/2 with the upper bound only at the constant term.
