@@ -14,12 +14,13 @@ straight-line kernel generated for each field on its first use (see
 kernel alone runs red3's cofactor product as shift-and-add); an
 OpCounter passed in only receives the closed-form tally of that
 sequence (:func:`modmul_trace`) and never changes the code that runs.
-``invert`` powers to the public exponent p - 2 by the field's
-sliding-window chain (:func:`power_chain`): a table of odd powers, then
-fixed windows of squarings and table multiplies, every step one modmul
-kernel call, with the width (1..6) chosen for the fewest steps on this
-p.  Its results are the same field elements as a binary ladder's, in
-another redundant encoding.
+``invert`` powers to the public exponent p - 2 by the field's power
+chain (:mod:`grpfield.chain`): a straight-line program over a few
+slots, built from p alone, that follows the repunit form of p where
+that takes fewer modmuls than a sliding window over the bits of p - 2,
+every squaring or product one modmul kernel call.  Its results are the
+same field elements as a binary ladder's, in another redundant
+encoding.
 The Montgomery conversions run the same generator's scaled kernels,
 whose second operand is fixed: ``to_montgomery`` multiplies by the
 precomputed differences of the residue of b^(2q) mod p, and
@@ -29,9 +30,9 @@ The base-t conversions to_residue and psi live here, not in params,
 because they run the field's straight-line digit kernel
 (:func:`digits_source`); add and sub run unrolled componentwise
 kernels.  ``params.modmul_kernel``, the field's one cache, holds these
-six kernels, the trace and invert's sliding-window chain for p - 2
-(:class:`FieldKernels`, :func:`power_chain`); the first conversion or
-operation on a field builds them all.
+six kernels, the trace and invert's chain for p - 2
+(:class:`FieldKernels`, ``chain.power_chain``); the first conversion
+or operation on a field builds them all.
 
 add, sub, randomize and modmul_interleaved return checked Residues.
 The kernels' outputs skip the check (params._unchecked_residue): they
@@ -46,6 +47,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
+from .chain import PowerChain, power_chain
 from .errors import ParameterError, ZeroInverseError
 from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
@@ -315,52 +317,6 @@ def _compile(source: str, **names: int) -> Callable:
     return names["kernel"]
 
 
-class PowerChain(NamedTuple):
-    """A fixed left-to-right sliding-window chain for x -> x^e.
-
-    The table holds the odd powers x, x^3, ..., x^(2^width - 1).  The
-    first window starts from the table entry of its digit (its
-    squarings are 0); each later one squares ``squarings`` times, then
-    multiplies by the entry of its odd digit, or by nothing for 0.
-    """
-
-    width: int
-    windows: tuple[tuple[int, int], ...]  # (squarings, odd digit or 0)
-    modmuls: int                 # table products, squarings and multiplies
-
-
-def _sliding_windows(e: int, width: int) -> tuple[tuple[int, int], ...]:
-    """The windows of e >= 1 at this width (HAC Alg. 14.85): from the top
-    bit down, each the longest run of at most width bits that starts and
-    ends with a 1, its squarings the bits from the previous window's end
-    to its own."""
-    bits = format(e, "b")
-    windows, done = [], 0
-    start = bits.find("1")
-    while start >= 0:
-        end = bits.rfind("1", start, start + width) + 1
-        windows.append((end - done, int(bits[start:end], 2)))
-        done, start = end, bits.find("1", end)
-    if done < len(bits):
-        windows.append((len(bits) - done, 0))
-    windows[0] = (0, windows[0][1])  # x^d0 is a table entry: no squaring
-    return tuple(windows)
-
-
-def power_chain(e: int) -> PowerChain:
-    """The sliding-window chain for x^e with the fewest modmuls over
-    widths 1..6 (the smaller width on a tie).  Width 1 is the binary
-    ladder started from x; a wider table costs x*x and 2^(width-1) - 1
-    products."""
-    chains = []
-    for width in range(1, 7):
-        windows = _sliding_windows(e, width)
-        table = 0 if width == 1 else 1 << (width - 1)
-        chains.append(PowerChain(width, windows, table + sum(
-            squarings + (digit != 0) for squarings, digit in windows[1:])))
-    return min(chains, key=lambda chain: chain.modmuls)
-
-
 class FieldKernels(NamedTuple):
     """A field's one cache, ``params.modmul_kernel``."""
 
@@ -368,7 +324,7 @@ class FieldKernels(NamedTuple):
     trace: dict[str, int]        # modmul_trace(params)
     to_montgomery: ScaledKernel  # kernel(x, residue of b^(2q) mod p)
     from_montgomery: ScaledKernel  # kernel(x, residue of 1)
-    chain: PowerChain            # invert's power_chain(p - 2)
+    chain: PowerChain            # invert's power_chain(params)
     digits: DigitKernel          # to_residue's base-t digits
     add: Kernel                  # componentwise x + y
     sub: Kernel                  # componentwise x - y
@@ -394,7 +350,7 @@ def _kernel(params: GrpParams) -> FieldKernels:
         n = params.m_plus_1
         built = params.modmul_kernel = FieldKernels(
             _compile(kernel_source(params), **names), modmul_trace(params),
-            to_mont, from_mont, power_chain(p - 2), digits,
+            to_mont, from_mont, power_chain(params), digits,
             _compile(componentwise_source(n, "+")),
             _compile(componentwise_source(n, "-")))
     return built
@@ -505,12 +461,13 @@ def from_montgomery(r: Residue) -> Residue:
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     """Montgomery-domain inverse by powering to p - 2.
 
-    Runs the field's sliding-window chain for p - 2 (see power_chain):
-    the odd powers of x up to x^(2^width - 1), then the fixed windows of
-    squarings and table multiplies, every step the modmul kernel.  The
-    width, the windows and every table index come from p alone, so the
-    operation sequence depends only on the field, not on x; a counter
-    receives modmul_trace once per step (chain.modmuls times).
+    Runs the field's power chain for p - 2 (see chain.power_chain):
+    every slot starts as x, and each step squares one slot some times
+    in the modmul kernel, optionally multiplies by a second, and stores
+    the result in a slot.  The steps and every slot index come from p
+    alone, so the operation sequence
+    depends only on the field, not on x; a counter receives
+    modmul_trace once per squaring or product (chain.modmuls times).
     """
     params = _field(x)
     if canonical_value(x) == 0:
@@ -518,18 +475,14 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     built = params.modmul_kernel or _kernel(params)
     mul, chain = built.modmul, built.chain
     counter.tally(built.trace, chain.modmuls)
-    table = [x.comps]  # table[j] = x^(2j + 1)
-    if chain.width > 1:
-        x2 = mul(table[0], table[0])
-        for _ in range((1 << (chain.width - 1)) - 1):
-            table.append(mul(table[-1], x2))
-    windows = chain.windows
-    acc = table[windows[0][1] >> 1]
-    for squarings, digit in windows[1:]:
+    slots = [x.comps] * chain.slots
+    for squarings, dst, src, factor in chain.steps:
+        acc = slots[src]
         for _ in range(squarings):
             acc = mul(acc, acc)
-        if digit:
-            acc = mul(acc, table[digit >> 1])
+        if factor is not None:
+            acc = mul(acc, slots[factor])
+        slots[dst] = acc
     return _unchecked_residue(acc, params)
 
 

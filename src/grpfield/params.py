@@ -16,10 +16,12 @@ all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 Constructing a GrpParams validates the field in word-size integers,
 builds t and p and, unless require_prime=False (only the scans, which
 prove p themselves), runs prove_prime: oracle.is_prime_characteristic
-decides, and a record of proven (m+1, l, c) makes each proof run once.
-arith builds the field's kernels (modmul, the two Montgomery
-conversions, base-t digits, add and sub) and invert's power chain on
-first use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
+decides, and a record of proven (m+1, l, c) makes each proof run once;
+only proofs made with the library's own bases (no caller's rng) enter
+the record.  arith builds the field's kernels (modmul, the two
+Montgomery conversions, base-t digits, add and sub) and invert's power
+chain (chain.power_chain, from p's parameters alone) on first use and
+keeps them in ``modmul_kernel`` (arith.FieldKernels); the
 conversions to_residue and psi run the digit kernel, so they live in
 arith too.  A Residue is an immutable ``__slots__`` value that checks its
 own field and components; only zero and arith's kernel outputs, in range
@@ -221,14 +223,17 @@ class GrpParams:
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:
-        """Set prime_checked, or raise NotPrimeError if p is composite;
-        a proven (m+1, l, c) is recorded, and not proven again."""
+        """Set prime_checked, or raise NotPrimeError if p is composite.
+        A (m+1, l, c) proven without an rng is recorded, and not proven
+        again; a caller's rng chooses the Miller-Rabin bases, so its
+        proof holds for this object only."""
         key = (self.m_plus_1, self.l, self.c)
         if key not in _PROVEN_PRIMES:
             if not is_prime_characteristic(self.p, self.m_plus_1, rng=rng):
                 raise NotPrimeError(
                     f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
-            _PROVEN_PRIMES.add(key)
+            if rng is None:
+                _PROVEN_PRIMES.add(key)
         self.prime_checked = True
 
     @property
@@ -259,7 +264,8 @@ class GrpParams:
 
 params_new = GrpParams
 
-# (m+1, l, c) of every characteristic GrpParams.prove_prime has proven.
+# (m+1, l, c) of every characteristic GrpParams.prove_prime has proven
+# with the library's own bases.
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
 
 

@@ -21,8 +21,10 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       ring_value, square, sub, to_montgomery, to_residue,
                       v_vector, zero)
 from grpfield.arith import (KERNEL_FILENAME, _kernel, componentwise_source,
-                            digits_source, kernel_source, power_chain)
+                            digits_source, kernel_source)
+from grpfield.chain import chain_exponent, power_chain, window_chain
 from test_acceptance import TABLE4_FIELDS
+from test_chain import replay_exponent
 
 
 def _random_reduced(params, rng):
@@ -321,39 +323,22 @@ def _digit_edges(params):
     return sorted(v for v in values if 0 <= v < ring)
 
 
-def _window_invert(x, width, counter):
-    """Reference invert: left-to-right sliding windows of at most width
-    bits over p - 2 (HAC Alg. 14.85) with counted modmul, the first
-    window read from the table of odd powers.  Every product passes the
-    checked Residue constructor."""
+def _replay_invert(x, chain, counter):
+    """Reference invert: the chain's steps one by one with counted
+    modmul, every slot starting as x and every product passed through
+    the checked Residue constructor."""
     params = x.params
 
     def mul(a, b):
         return Residue(modmul(a, b, counter).comps, params)
 
-    table = {1: x}
-    if width > 1:
-        x2 = mul(x, x)
-        for d in range(3, 1 << width, 2):
-            table[d] = mul(table[d - 2], x2)
-    e = params.p - 2
-    acc, i = None, e.bit_length() - 1
-    while i >= 0:
-        if not (e >> i) & 1:
-            acc, i = mul(acc, acc), i - 1
-            continue
-        low = max(i - width + 1, 0)
-        while not (e >> low) & 1:
-            low += 1
-        entry = table[(e >> low) % (1 << (i - low + 1))]
-        if acc is None:
-            acc = entry
-        else:
-            for _ in range(i - low + 1):
-                acc = mul(acc, acc)
-            acc = mul(acc, entry)
-        i = low - 1
-    return acc.comps
+    slots = [x] * chain.slots
+    for squarings, dst, src, factor in chain.steps:
+        acc = slots[src]
+        for _ in range(squarings):
+            acc = mul(acc, acc)
+        slots[dst] = acc if factor is None else mul(acc, slots[factor])
+    return slots[dst].comps
 
 
 def _ladder_invert(x):
@@ -369,18 +354,13 @@ def _ladder_invert(x):
     return acc
 
 
-def _replay(chain):
-    """The exponent a chain computes: a squaring doubles it, a multiply
-    by a table entry adds the entry's odd digit."""
-    value = 0
-    for squarings, digit in chain.windows:
-        value = (value << squarings) + digit
-    return value
-
-
-# Modmuls per invert on the benchmark's fields, against the binary
+# Modmuls per invert on the benchmark's fields and the degree-3 witness
+# field, against the window chain's 591, 268 and 149 and the binary
 # ladder's bit_length + bit_count (685 and 312) from the Montgomery one.
-_CHAIN_MODMULS = {(11, 42, 513): 591, (5, 59, 3): 268}
+# On phi(3,2^33*268435056) the repunit chain takes 150, so the window
+# chain is kept.
+_CHAIN_MODMULS = {(11, 42, 513): 543, (5, 59, 3): 267,
+                  (3, 33, 268435056): 149}
 
 
 class TestKernel:
@@ -403,14 +383,14 @@ class TestKernel:
             Residue(to_montgomery(x).comps, params)
             Residue(from_montgomery(x).comps, params)
         assert params.modmul_kernel is not None
-        width = params.modmul_kernel.chain.width
+        chain = params.modmul_kernel.chain
         for x in (to_montgomery(psi(params, rng.randrange(1, params.p))),
                   edges[0]):
             counted, reference = OpCounter(), OpCounter()
             inverse = invert(x)
             Residue(inverse.comps, params)
             assert inverse.comps == invert(x, counted).comps
-            assert inverse.comps == _window_invert(x, width, reference)
+            assert inverse.comps == _replay_invert(x, chain, reference)
             assert counted.as_dict() == reference.as_dict()
             assert canonical_value(inverse) == \
                 canonical_value(_ladder_invert(x))
@@ -423,20 +403,16 @@ class TestKernel:
         params = params_new(*spec, 64, 2, require_prime=False)
         e = params.p - 2
         chain = _kernel(params).chain
-        assert chain == power_chain(e) and 1 <= chain.width <= 6
-        (first_squarings, first), *rest = chain.windows
-        assert first_squarings == 0 and first % 2 == 1
-        for squarings, digit in rest:
-            assert digit == 0 or digit % 2 == 1
-            assert digit < 1 << min(chain.width, squarings)
-        assert _replay(chain) == e
-        table = 0 if chain.width == 1 else 1 << (chain.width - 1)
-        assert chain.modmuls == table + sum(
-            squarings + (digit != 0) for squarings, digit in rest)
+        assert chain == power_chain(params)
+        assert replay_exponent(chain) == e == chain_exponent(chain)
+        assert chain.modmuls == sum(squarings + (factor is not None)
+                                    for squarings, _, _, factor in chain.steps)
+        window = window_chain(e)
+        assert chain.modmuls <= window.modmuls
         ladder = e.bit_length() + e.bit_count() - 2
-        assert chain.modmuls <= ladder
+        assert window.modmuls <= ladder
         if params.p.bit_length() >= 128:
-            assert chain.modmuls < ladder
+            assert window.modmuls < ladder
         assert chain.modmuls == _CHAIN_MODMULS.get(spec, chain.modmuls)
         counter = OpCounter()
         invert(to_montgomery(psi(params, 3)), counter)

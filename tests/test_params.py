@@ -17,7 +17,8 @@ from grpfield import (GrpError, NotPrimeError, ParameterError, RangeError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, zero)
-from grpfield.arith import from_montgomery, modmul, power_chain
+from grpfield.arith import from_montgomery, modmul
+from grpfield.chain import power_chain
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -256,7 +257,7 @@ class TestLazyConstants:
                 x, to_residue(params, pow(b, 2 * q, p)).comps)
             assert built.from_montgomery(x) == built.modmul(
                 x, to_residue(params, 1).comps)
-            assert built.chain == power_chain(p - 2)
+            assert built.chain == power_chain(params)
             to_montgomery(zero(params))
             from_montgomery(zero(params))
             assert params.modmul_kernel is built
@@ -410,6 +411,32 @@ class TestJson:
             with pytest.raises(NotPrimeError):
                 residue_from_json(text)
         assert runs == [f511.p, composite.p, composite.p]
+
+    def test_proof_with_callers_rng_not_remembered(self, monkeypatch):
+        # A caller's rng picks the Miller-Rabin bases: one that always
+        # returns its upper bound gives base n - 1, which every odd n
+        # passes, so its "proof" of a composite must not reach other
+        # callers through the record of proven fields.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+
+        class Liar(random.Random):
+            def randrange(self, start, stop=None, step=1):
+                return stop
+
+        fooled = params_new(5, 40, 1048582, rng=Liar(0))
+        assert fooled.prime_checked  # the rng parameter stays open
+        assert grpfield.params._PROVEN_PRIMES == set()
+        with pytest.raises(NotPrimeError):
+            params_from_json(params_to_json(fooled))
+        with pytest.raises(NotPrimeError):
+            residue_from_json(residue_to_json(zero(fooled)))
+        with pytest.raises(NotPrimeError):
+            params_new(5, 40, 1048582)
+        # A proof with the library's own bases is remembered as before,
+        # and a later caller's rng is then not consulted.
+        params_new(5, 59, 3)
+        assert params_new(5, 59, 3, rng=Liar(0)).prime_checked
+        assert grpfield.params._PROVEN_PRIMES == {(5, 59, 3)}
 
     @pytest.mark.parametrize("text", [
         "{", "[1,2]", "5", "null", '"x"', '{"m_plus_1": 5, "l": 59}',
