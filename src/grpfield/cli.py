@@ -71,12 +71,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    est = estimate_density(args.bits, args.w, args.q,
-                           sample_primes=args.sample_primes)
+    est = estimate_density(args.bits, args.w, args.q)
     print(f"bits={est.bits} m_plus_1={est.m_plus_1} k_max={est.k_max} "
           f"log_t_max={est.log_t_max:.4g} l_min={est.l_min} "
-          f"interval={est.interval_size} scanned={est.scanned} "
-          f"p_prime={est.p_prime:.3g} "
+          f"interval={est.interval_size} p_prime={est.p_prime:.3g} "
           f"est_count={est.est_count:.3g}")
     return 0
 
@@ -185,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     est_p = psub.add_parser("estimate", parents=[field],
                             help="field-count estimate")
     est_p.add_argument("--bits", type=int, required=True)
-    est_p.add_argument("--sample-primes", type=int, default=100)
     est_p.set_defaults(func=_cmd_estimate)
 
     hw2_p = psub.add_parser("hw2", parents=[field],

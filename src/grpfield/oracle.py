@@ -9,7 +9,8 @@ Primality is decided here alone.  miller_rabin, with bases drawn from
 the candidate, accepts what trial division by the primes below 1000
 leaves of any n (is_probable_prime), or what a gcd with its possible
 factors below 10^4, m+1 and those 1 mod m+1, leaves of a characteristic
-Phi_{m+1}(t) (is_prime_characteristic).
+Phi_{m+1}(t) (is_prime_characteristic, 64 rounds).  That list of
+possible factors also gives bateman_horn, the density of such primes.
 """
 
 from __future__ import annotations
@@ -41,18 +42,40 @@ _SMALL_PRIMES = frozenset(_sieve(_TRIAL_BOUND))
 
 
 @functools.cache
+def _possible_factors(m_plus_1: int) -> tuple[int, ...]:
+    """The primes below _CYCLOTOMIC_BOUND that can divide Phi_{m+1}(t):
+    m+1 and those 1 mod m+1 (every prime for m+1 = 2)."""
+    return tuple(r for r in _sieve(_CYCLOTOMIC_BOUND)
+                 if r == m_plus_1 or r % m_plus_1 == 1)
+
+
+@functools.cache
 def _products(m_plus_1: int, bound: int) -> tuple[int, int]:
-    """The primes below bound that can divide Phi_{m+1}(t), m+1 and those
-    1 mod m+1 (every prime for m+1 = 2), as a product of the smallest that
-    fits in 60 bits, for a one-word gcd, and the product of the rest."""
+    """_possible_factors(m_plus_1) below bound, as a product of the
+    smallest that fits in 60 bits, for a one-word gcd, and the product of
+    the rest."""
     word = rest = 1
-    for r in _sieve(bound):
-        if r == m_plus_1 or r % m_plus_1 == 1:
-            if rest == 1 and (word * r).bit_length() <= 60:
-                word *= r
-            else:
-                rest *= r
+    for r in _possible_factors(m_plus_1):
+        if r >= bound:
+            break
+        if rest == 1 and (word * r).bit_length() <= 60:
+            word *= r
+        else:
+            rest *= r
     return word, rest
+
+
+@functools.cache
+def bateman_horn(m_plus_1: int) -> float:
+    """Bateman-Horn constant C of f(c) = Phi_{m+1}(2**l * c), m+1 an odd
+    prime, so that about C / ln f(c) of the cofactors near c give primes:
+    prod (1 - omega(r)/r) / (1 - 1/r) over the primes r below 10^4, where
+    f has omega(r) = m roots mod r for r = 1 mod m+1, 1 for r = m+1 and 0
+    otherwise (Bateman and Horn, Math. Comp. 16, 1962)."""
+    m = m_plus_1 - 1
+    return (math.prod(r / (r - 1) for r in _possible_factors(2))  # all primes
+            * math.prod(1 - (1 if r == m_plus_1 else m) / r
+                        for r in _possible_factors(m_plus_1)))
 
 
 def _has_factor(n: int, m_plus_1: int, bound: int) -> bool:
@@ -148,19 +171,17 @@ def cyclotomic_composite(p: int, m_plus_1: int) -> bool:
 
 def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
     """`rounds` Miller-Rabin rounds on odd n > 3, bases drawn from rng."""
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    n1 = n - 1
+    r = (n1 & -n1).bit_length() - 1  # n - 1 = 2**r * d, d odd
+    d = n1 >> r
     for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
+        a = rng.randrange(2, n1)
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == n1:
             continue
         for _ in range(r - 1):
             x = (x * x) % n
-            if x == n - 1:
+            if x == n1:
                 break
         else:
             return False
@@ -190,16 +211,14 @@ def is_probable_prime(n: int, rounds: int = 64,
     return miller_rabin(n, rounds, _bases(n, rng))
 
 
-def is_prime_characteristic(p: int, m_plus_1: int, rounds: int = 64,
+def is_prime_characteristic(p: int, m_plus_1: int, *,
                             rng: random.Random | None = None) -> bool:
-    """is_probable_prime for p = Phi_{m+1}(t), with cyclotomic_composite
-    for trial division: it tries every prime below 1000 that can divide
-    p, so Miller-Rabin draws the bases is_probable_prime would."""
-    if rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, trial dividing
+    by cyclotomic_composite: it tries every prime below 1000 that can
+    divide p, so Miller-Rabin draws the bases is_probable_prime would."""
     if cyclotomic_composite(p, m_plus_1):
         return False
-    return p < _CYCLOTOMIC_BOUND or miller_rabin(p, rounds, _bases(p, rng))
+    return p < _CYCLOTOMIC_BOUND or miller_rabin(p, 64, _bases(p, rng))
 
 
 def modular_inverse(a: int, modulus: int) -> int:

@@ -1,16 +1,17 @@
 """Parameter tables and field searches.
 
 Stability rows give, per field degree, the largest word-stable t and the
-smallest reduction shift; the density estimator predicts how many fields
-of a requested bitlength exist; the searches enumerate actual prime
-fields, including the fast ones whose cofactor has Hamming weight 2.
+smallest reduction shift; the density estimator predicts by Bateman-Horn,
+testing no candidate, how many fields of a requested bitlength exist;
+the searches enumerate actual prime fields, including the fast ones
+whose cofactor has Hamming weight 2.
 The stability inequalities and the default w and q come from the params
 module (check_field, k_max, l_min and GrpParams); nothing here restates
 them.  search_grps validates its range once, at the largest cofactor,
 and builds a GrpParams only for the primes it finds.
 
 Every candidate is a characteristic Phi_{m+1}(t), and the scans test
-each with oracle.is_prime_characteristic, whose bases come from the
+each with oracle.is_prime_characteristic, 64 rounds with bases from the
 candidate, so they take no seed; nothing here decides primality.  The
 scans take only exact ints for bits and counts.  The estimator's
 cofactor interval is exact integer roots of powers of two.
@@ -21,11 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import is_prime_characteristic, is_probable_prime
+from .oracle import bateman_horn, is_prime_characteristic, is_probable_prime
 from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, check_field,
                      check_int, check_word, k_max, l_min, repunit)
 
@@ -75,19 +76,6 @@ def stability_table(w: int, q: int,
     return rows
 
 
-def _scan(m_plus_1: int, l: int, c_lo: int, c_hi: int,
-          rounds: int = 64) -> Iterator[tuple[int, bool]]:
-    """(c, whether Phi_{m+1}(t) is prime) for each cofactor in
-    [c_lo, c_hi] that is not a power of two, in ascending order, with
-    t = 2**l * c."""
-    b = 1 << l
-    for c in range(c_lo, c_hi + 1):
-        if c & (c - 1) == 0:
-            continue  # t a power of two: the field of a larger l
-        yield c, is_prime_characteristic(repunit(b * c, m_plus_1),
-                                         m_plus_1, rounds)
-
-
 def _floor_pow2(e: int, n: int) -> int:
     """Exact floor of 2**(e/n), 0 when e < 0: the integer n-th root of
     2**e, by Newton's method from above."""
@@ -115,27 +103,22 @@ class DensityEstimate:
     log_t_max: float
     l_min: int
     interval_size: int
-    scanned: int  # cofactors sampled for p_prime, at most interval_size
     p_prime: float
     est_count: float
 
 
-def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
-                     sample_primes: int = 100) -> DensityEstimate:
-    """Estimate how many fields of the given bitlength are representable.
+def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS,
+                     q: int = DEFAULT_Q) -> DensityEstimate:
+    """Predict how many fields of the given bitlength are representable.
 
     The degree is the smallest odd prime whose word-stable t range covers
     the bitlength; the cofactor interval I(c) spans the c values putting
     the characteristic at exactly that bitlength.  The prime probability
-    is sampled by scanning c upward from the bottom of the interval until
-    `sample_primes` prime characteristics are found or the interval ends;
-    `scanned` counts the cofactors tested, which leaves out a power of two
-    (the top of the interval when m divides bits, where p has bits + 1
-    bits).  An interval with nothing to test gives p_prime 0.  24
-    Miller-Rabin rounds suffice, since these primes are only counted.
+    of a cofactor is the Bateman-Horn prediction
+    p_prime = bateman_horn(m+1) / (bits * ln 2), and est_count is
+    interval_size * p_prime; no candidate is tested.
     """
     check_int("bits", bits, 2)
-    check_int("sample_primes", sample_primes, 1)
     check_word(w, q)
     m_plus_1, k_hi = _degree_for_bits(bits, w)
     m = m_plus_1 - 1
@@ -148,16 +131,9 @@ def estimate_density(bits: int, w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
     c_hi = _floor_pow2(bits - m * l_lo, m)
     c_lo = _floor_pow2(bits - 1 - m * l_lo, m)
     interval = c_hi - c_lo
-
-    found = scanned = 0
-    for _, prime in _scan(m_plus_1, l_lo, c_lo + 1, c_hi, 24):
-        scanned += 1
-        found += prime
-        if found >= sample_primes:
-            break
-    p_prime = found / scanned if scanned else 0.0
+    p_prime = bateman_horn(m_plus_1) / (bits * math.log(2))
     return DensityEstimate(bits, m_plus_1, k_hi, bits / m, l_lo, interval,
-                           scanned, p_prime, interval * p_prime)
+                           p_prime, interval * p_prime)
 
 
 def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
@@ -180,8 +156,11 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
                              f"for k = {k_hi}, q = {q}")
 
     out = []
-    for c, prime in _scan(m_plus_1, l, c_min, c_max):
-        if prime:
+    b = 1 << l
+    for c in range(c_min, c_max + 1):
+        if c & (c - 1) == 0:
+            continue  # t a power of two: the field of a larger l
+        if is_prime_characteristic(repunit(b * c, m_plus_1), m_plus_1):
             params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
             params.prime_checked = True
             out.append(params)

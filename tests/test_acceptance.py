@@ -143,7 +143,7 @@ def test_4_table_reproduction(capsys):
         ok &= rows == printed
 
     for bits, m1, k, l, interval, exact in DENSITY_ROWS:
-        est = estimate_density(bits, 64, 2, sample_primes=1)
+        est = estimate_density(bits, 64, 2)
         ok &= est.m_plus_1 == m1 and est.k_max == k and est.l_min == l
         ok &= abs(est.log_t_max - bits / (m1 - 1)) < 1e-9
         if exact:
@@ -151,7 +151,7 @@ def test_4_table_reproduction(capsys):
         else:
             ok &= abs(est.interval_size - interval) / interval < 0.005
 
-    est = estimate_density(244, 64, 2, sample_primes=100)
+    est = estimate_density(244, 64, 2)
     ok &= abs(est.p_prime - 1.68e-2) / 1.68e-2 < 0.20
     _report(capsys, 4, "table reproduction", ok)
 

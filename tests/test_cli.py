@@ -40,17 +40,22 @@ class TestDispatch:
         assert "phi(5,2^59*3) bits=243" in capsys.readouterr().out
 
     def test_estimate(self, capsys):
-        rc = main(["params", "estimate", "--bits", "244",
-                   "--sample-primes", "5"])
-        assert rc == 0
+        assert main(["params", "estimate", "--bits", "244"]) == 0
         out = capsys.readouterr().out
         assert "m_plus_1=5" in out and "interval=21354522" in out
 
-    def test_estimate_prints_scanned(self, capsys):
-        assert main(["params", "estimate", "--bits", "60", "--w", "32",
-                     "--sample-primes", "10"]) == 0
-        # c = 16, a power of two, is counted in the interval, not tested.
-        assert "interval=3 scanned=2 p_prime=0.5" in capsys.readouterr().out
+    def test_estimate_prints_prediction(self, capsys):
+        assert main(["params", "estimate", "--bits", "60", "--w", "32"]) == 0
+        # bateman_horn(5) / (60 ln 2) = 0.0706 over 3 cofactors.
+        assert ("interval=3 p_prime=0.0706 est_count=0.212"
+                in capsys.readouterr().out)
+
+    def test_estimate_takes_no_sample_size(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "estimate", "--bits", "244",
+                  "--sample-primes", "100"])
+        assert exc.value.code == 2
+        assert "--sample-primes" in capsys.readouterr().err
 
     def test_hw2(self, capsys):
         assert main(["params", "hw2", "--bits", "243"]) == 0

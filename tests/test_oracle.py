@@ -1,5 +1,6 @@
 """Tests for the big-int ground-truth module."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from grpfield import (CanonicalElement, ParameterError, congruent,
                       is_probable_prime, lattice_basis, modular_inverse,
                       oracle, oracle_modmul, psi_inverse)
-from grpfield.oracle import is_prime_characteristic
+from grpfield.oracle import (_sieve, bateman_horn, is_prime_characteristic,
+                             miller_rabin)
 from grpfield.params import repunit
 
 M3 = 12 ** 3 - 1
@@ -162,40 +164,149 @@ class TestIsProbablePrime:
 
 
 class TestIsPrimeCharacteristic:
-    def test_matches_sieve(self):
+    def test_matches_sieve(self, monkeypatch):
         # Every Phi_n(t) below 2*10^6 with t even, t >= 4.  The gcd and
         # trial division decide p below 10^4; above it, a composite below
         # 10^8 has a possible factor below 10^4, so Miller-Rabin sees only
-        # primes and one round does not change a verdict.
+        # primes, which it never rejects: a stand-in that checks that
+        # keeps this sweep of 10^6 candidates fast.
         bound = 2 * 10 ** 6
         flags = bytearray([1]) * bound
         flags[0:2] = b"\x00\x00"
         for i in range(2, int(bound ** 0.5) + 1):
             if flags[i]:
                 flags[i * i::i] = bytes(len(flags[i * i::i]))
+
+        def primes_only(n, rounds, rng):
+            assert flags[n] and rounds == 64, n
+            return True
+        monkeypatch.setattr(oracle, "miller_rabin", primes_only)
         for n in (2, 3, 5, 7, 11, 13):
             t = 4
             while (p := repunit(t, n)) < bound:
-                assert is_prime_characteristic(p, n, 1) == flags[p], (n, t)
+                assert is_prime_characteristic(p, n) == flags[p], (n, t)
                 t += 2
 
     def test_small_p_decided_exactly(self):
         # Below 10^4 no base is drawn: 3 = Phi_2(2) is below Miller-Rabin's
         # n > 3, and 11 and 9901 are themselves factors of the degree-5
         # products, while 11 * 31 = Phi_5(4) is composite.
-        assert is_prime_characteristic(3, 2, 1, _NoBases())
+        assert is_prime_characteristic(3, 2, rng=_NoBases())
         for p, verdict in ((11, True), (9901, True), (341, False)):
-            assert is_prime_characteristic(p, 5, 1, _NoBases()) is verdict
+            assert is_prime_characteristic(p, 5, rng=_NoBases()) is verdict
 
-    def test_rounds_validated(self):
+    def test_takes_no_round_count(self):
         # Phi_5(2^40*1048582) is composite with no factor below 10^4, so
-        # only Miller-Rabin rejects it: with no round it would pass.
+        # only Miller-Rabin rejects it.  is_prime_characteristic always
+        # runs 64 rounds: a third positional argument is refused.
         p = repunit((1 << 40) * 1048582, 5)
         assert not oracle.cyclotomic_composite(p, 5)
-        assert not is_prime_characteristic(p, 5, 1)
-        for rounds in (0, -3):
-            with pytest.raises(ParameterError, match="rounds"):
-                is_prime_characteristic(p, 5, rounds, _NoBases())
+        assert not is_prime_characteristic(p, 5)
+        with pytest.raises(TypeError):
+            is_prime_characteristic(p, 5, 1)
+
+
+# Miller-Rabin with r and d found by halving n - 1: the reference for
+# miller_rabin's bases and verdicts.
+def _halving_miller_rabin(n, rounds, rng):
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _Base(random.Random):
+    """An rng whose every base is a."""
+
+    def __init__(self, a):
+        super().__init__(0)
+        self.a = a
+
+    def randrange(self, *args):
+        return self.a
+
+
+class TestMillerRabin:
+    CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911)
+    STRONG_BASE_2 = (2047, 3277, 4033, 4681, 8321)
+
+    def _same(self, n, rounds, seed):
+        new, old = random.Random(seed), random.Random(seed)
+        verdict = miller_rabin(n, rounds, new)
+        assert verdict == _halving_miller_rabin(n, rounds, old), n
+        assert new.getstate() == old.getstate(), n  # the same bases
+        return verdict
+
+    def test_matches_halving_loop(self):
+        for n in self.CARMICHAEL + self.STRONG_BASE_2:
+            assert not self._same(n, 64, n)
+            # Base 2 passes exactly the strong base-2 pseudoprimes.
+            assert (miller_rabin(n, 1, _Base(2))
+                    == _halving_miller_rabin(n, 1, _Base(2))
+                    == (n in self.STRONG_BASE_2)), n
+
+    def test_matches_halving_loop_on_search_window(self):
+        # The benchmark's search window: n - 1 = 2**40 * d, so r >= 40.
+        found = [c for c in range(2 ** 20 + 1, 2 ** 20 + 501)
+                 if not oracle.cyclotomic_composite(
+                     p := repunit((1 << 40) * c, 5), 5)
+                 and self._same(p, 64, c)]
+        assert found == [1048592, 1048658, 1048698, 1048939, 1048948,
+                         1049004, 1049005, 1049060]
+
+
+class TestBatemanHorn:
+    # C per degree, with the primes below 10^4.
+    PINNED = {3: 2.2378, 5: 2.9369, 7: 4.4775, 11: 3.6277, 13: 5.2261}
+
+    @pytest.mark.parametrize("m_plus_1", sorted(PINNED))
+    def test_pinned(self, m_plus_1):
+        assert bateman_horn(m_plus_1) == pytest.approx(
+            self.PINNED[m_plus_1], rel=1e-3)
+
+    @pytest.mark.parametrize("m_plus_1", sorted(PINNED))
+    def test_product_converged(self, m_plus_1):
+        # The same product over the primes below 10^5, within 1%.  Below
+        # 100, omega(r) is counted: the c mod r with Phi_{m+1}(2c) = 0.
+        const = 1.0
+        for r in _sieve(10 ** 5):
+            if r < 100:
+                roots = sum(repunit(2 * c, m_plus_1) % r == 0
+                            for c in range(1, r + 1))
+            else:
+                roots = m_plus_1 - 1 if r % m_plus_1 == 1 else 0
+            const *= (1 - roots / r) / (1 - 1 / r)
+        assert bateman_horn(m_plus_1) == pytest.approx(const, rel=0.01)
+
+    # (m+1, l, first c, cofactors): every c in the window is tested.
+    WINDOWS = [(3, 20, 2 ** 12, 4000), (5, 11, 2 ** 10, 4000),
+               (7, 8, 2 ** 9, 3000), (11, 6, 2 ** 6, 2000),
+               (13, 5, 2 ** 5, 1500)]
+
+    @pytest.mark.parametrize("m_plus_1, l, c0, size", WINDOWS)
+    def test_exhaustive_count(self, m_plus_1, l, c0, size):
+        # The prediction sum_c C / ln p(c) against the primes found, to
+        # three standard deviations of a Poisson count.
+        const = bateman_horn(m_plus_1)
+        count, expected = 0, 0.0
+        for c in range(c0, c0 + size):
+            p = repunit((1 << l) * c, m_plus_1)
+            count += is_prime_characteristic(p, m_plus_1)
+            expected += const / math.log(p)
+        assert abs(count - expected) <= 3 * math.sqrt(expected)
 
 
 class _NoBases(random.Random):

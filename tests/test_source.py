@@ -91,3 +91,40 @@ def test_generated_code_compiled_under_kernel_filename():
                         and isinstance(code.func, ast.Name)
                         and code.func.id == "compile"), node.lineno
     assert found, "no generated code found: is the check still looking?"
+
+
+def _calls(node, owner=None):
+    """(name of the innermost enclosing def, Call) for every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls(child, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+
+def test_primality_runs_sixty_four_rounds():
+    # Standing rule: every primality test the package runs has 64 rounds.
+    # Only is_probable_prime takes a count, for callers outside the
+    # package, and it hands that count to miller_rabin unchanged.
+    bad, tested = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, call in _calls(tree):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {k.arg for k in call.keywords}
+            if name in ("is_probable_prime", "is_prime_characteristic"):
+                most = 1 if name == "is_probable_prime" else 2
+                ok = (len(call.args) <= most and "rounds" not in keywords
+                      and None not in keywords)
+            elif name == "miller_rabin":
+                tested += 1
+                rounds = call.args[1]
+                ok = (isinstance(rounds, ast.Constant) and rounds.value == 64
+                      or isinstance(rounds, ast.Name) and rounds.id == "rounds"
+                      and owner == "is_probable_prime")
+            else:
+                continue
+            if not ok:
+                bad.append((path.name, owner, call.lineno))
+    assert bad == [], f"round counts passed at {bad}"
+    assert tested == 2, "no miller_rabin call found: is the check looking?"

@@ -1,6 +1,7 @@
 """Tests for the parameter tables and searches."""
 
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -13,7 +14,8 @@ from grpfield import (GrpError, ParameterError, RangeError, StabilityError,
                       stability_rows_to_csv, stability_rows_to_json,
                       stability_table, to_montgomery)
 from grpfield.oracle import _CYCLOTOMIC_BOUND as _SIEVE_BOUND
-from grpfield.oracle import _sieve, cyclotomic_composite as _sieve_rejects
+from grpfield.oracle import _sieve, bateman_horn
+from grpfield.oracle import cyclotomic_composite as _sieve_rejects
 from grpfield.params import repunit
 from grpfield.tables import _DEGREES
 
@@ -53,7 +55,7 @@ class TestStabilityTable:
 
 class TestEstimateDensity:
     def test_deterministic_columns_244(self):
-        est = estimate_density(244, 64, 2, sample_primes=1)
+        est = estimate_density(244, 64, 2)
         assert est.m_plus_1 == 5
         assert est.k_max == 61
         assert est.l_min == 34
@@ -61,7 +63,7 @@ class TestEstimateDensity:
         assert est.interval_size == 21354522  # printed 2.14e7
 
     def test_deterministic_columns_600(self):
-        est = estimate_density(600, 64, 2, sample_primes=1)
+        est = estimate_density(600, 64, 2)
         assert est.m_plus_1 == 11
         assert est.l_min == 34
         assert est.interval_size == 4494080  # printed 4.49e6
@@ -86,37 +88,36 @@ class TestEstimateDensity:
 
     @pytest.mark.parametrize("w, q, bits", sorted(PINNED))
     def test_pinned_columns(self, w, q, bits):
-        est = estimate_density(bits, w, q, sample_primes=1)
+        est = estimate_density(bits, w, q)
         assert (est.m_plus_1, est.k_max, est.l_min, est.interval_size,
                 est.log_t_max) == self.PINNED[w, q, bits]
 
-    def test_sampled_probability(self):
-        est = estimate_density(244, 64, 2, sample_primes=100)
-        assert abs(est.p_prime - 1.68e-2) / 1.68e-2 < 0.2
+    @pytest.mark.parametrize("w, q, bits", [
+        (64, 2, 244), (64, 2, 256), (64, 2, 521), (32, 2, 60),
+        (128, 3, 1500)])
+    def test_predicted_probability(self, w, q, bits):
+        est = estimate_density(bits, w, q)
+        assert est.p_prime == bateman_horn(est.m_plus_1) / (bits * math.log(2))
         assert est.est_count == est.interval_size * est.p_prime
-        # 100 primes in the first 5802 cofactors, as the seeded scan found.
-        assert est.p_prime == 100 / 5802
-
-    def test_scan_stays_in_interval(self):
-        # c in (13, 16] at l = 11: c = 15 is the one prime of the two
-        # tested; c = 16 makes t a power of two and p 61 bits, so it is
-        # counted in the interval but never sampled.
-        est = estimate_density(60, 32, 2, sample_primes=10)
-        assert (est.interval_size, est.scanned) == (3, 2)
-        assert est.p_prime == 1 / 2
-        assert est.est_count == 1.5
-        assert estimate_density(244, 64, 2, sample_primes=100).scanned == 5802
 
     def test_empty_interval(self):
-        est = estimate_density(9, 64, 2, sample_primes=10)
-        assert (est.interval_size, est.scanned) == (0, 0)
-        assert (est.p_prime, est.est_count) == (0.0, 0.0)
+        est = estimate_density(9, 64, 2)
+        assert est.interval_size == 0
+        assert est.p_prime == bateman_horn(3) / (9 * math.log(2))
+        assert est.est_count == 0.0
+
+    def test_runs_no_primality_test(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("estimate_density ran Miller-Rabin")
+        monkeypatch.setattr(grpfield.oracle, "miller_rabin", refuse)
+        for bits in (60, 244, 521, 1024):
+            assert estimate_density(bits).est_count > 0
 
     def test_unrepresentable(self):
         with pytest.raises(RangeError):
-            estimate_density(1000, 8, 2, sample_primes=1)
+            estimate_density(1000, 8, 2)
         with pytest.raises(RangeError):  # w above MAX_WORD_BITS
-            estimate_density(1000, 512, 2, sample_primes=1)
+            estimate_density(1000, 512, 2)
 
 
 class TestSearchGrps:
@@ -210,7 +211,7 @@ class TestSearchGrps:
 class TestScanArguments:
     @pytest.mark.parametrize("scan, args", [
         (estimate_density, (244.0,)), (estimate_density, (True,)),
-        (estimate_density, (244, 64, 2, 1.0)),
+        (estimate_density, (244, 64, 2.0)),
         (hw2_search, (2, 4)), (hw2_search, (0,)), (hw2_search, (-5,)),
         (hw2_search, (243.0,)), (pure_power_scan, (2.5,)),
         (pure_power_scan, (True,)), (pure_power_scan, (-1,))])
