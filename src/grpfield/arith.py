@@ -29,17 +29,22 @@ precomputed differences of the residue of b^(2q) mod p, and
 The base-t conversions to_residue and psi live here, not in params,
 because they run the field's straight-line digit kernel
 (:func:`digits_source`); add and sub run unrolled componentwise
-kernels.  ``params.modmul_kernel``, the field's one cache, holds these
-six kernels, the trace and invert's chain for p - 2
+kernels, and a stable field has one more, its slack check
+(:func:`slack_check_source`).  ``params.modmul_kernel``, the field's
+one cache, holds these kernels, the trace and invert's chain for p - 2
 (:class:`FieldKernels`, ``chain.power_chain``); the first conversion
 or operation on a field builds them all.
 
-add, sub, randomize and modmul_interleaved return checked Residues.
-The kernels' outputs skip the check (params._unchecked_residue): they
-stay in the slack range, as the tests check on slack-edge inputs.
-Every operation on field elements refuses operands that are not
-Residues, and every operation on two (cvma_mul too) refuses operands
-from two fields.
+Only modmul_interleaved returns through the checked Residue
+constructor.  The other results skip it (params._unchecked_residue).
+The multiplying kernels' outputs stay in the slack range, as the tests
+check on slack-edge inputs.  add, sub and randomize can leave it, so
+their results pass the field's slack check, which raises the
+constructor's ParameterError; the constructor's type and length checks
+hold there by construction (m+1 exact ints combined by + and -).  An
+unstable field has no range to check.  Every operation on field
+elements refuses operands that are not Residues, and every operation
+on two (cvma_mul too) refuses operands from two fields.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ Comps = tuple[int, ...]
 # kernel has the second operand fixed; the digit kernel takes an int).
 Kernel = Callable[[Comps, Comps], Comps]
 ScaledKernel = Callable[[Comps], Comps]
+SlackCheck = Callable[[Comps], bool]
 DigitKernel = Callable[[int], Comps]
 # Every generated kernel is compiled under this filename, so a tracer or
 # traceback can tell its frames apart.
@@ -108,7 +114,8 @@ def _field(x: Residue) -> GrpParams:
 
 def _same_field(x: Residue, y: Residue) -> GrpParams:
     """The field of both Residues; raises as _field does, or if they come
-    from two fields."""
+    from two fields.  The per-op paths test two Residues of one params
+    object inline and call this (or _field) only when that fails."""
     if type(x) is not Residue or type(y) is not Residue:
         _field(x)  # raises for the one that is not; no call when both are
         _field(y)
@@ -300,6 +307,21 @@ def digits_source(params: GrpParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def slack_check_source(m_plus_1: int) -> str:
+    """Python source of ``kernel(x)``: whether LO <= x_s <= HI holds for
+    every one of the m+1 components, unrolled.  The bounds are the names
+    LO and HI, bound to ``params.slack_range`` where the kernel is built;
+    an in-range x runs every comparison."""
+    xs = ", ".join(f"x{s}" for s in range(m_plus_1))
+    tests = " and ".join(f"LO <= x{s} <= HI" for s in range(m_plus_1))
+    return f"def kernel(x):\n    {xs} = x\n    return {tests}\n"
+
+
+def _no_slack_range(x: Comps) -> bool:
+    """An unstable field's slack check: it has no range to hold."""
+    return True
+
+
 def componentwise_source(m_plus_1: int, op: str) -> str:
     """Python source of ``kernel(x, y)``: the tuple of x_s op y_s over
     the m+1 components, unrolled (op is "+" or "-")."""
@@ -328,6 +350,7 @@ class FieldKernels(NamedTuple):
     digits: DigitKernel          # to_residue's base-t digits
     add: Kernel                  # componentwise x + y
     sub: Kernel                  # componentwise x - y
+    in_slack: SlackCheck         # every x_s in params.slack_range
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
@@ -348,12 +371,25 @@ def _kernel(params: GrpParams) -> FieldKernels:
             _compile(kernel_source(params, y), **names,
                      **_differences(params, y)) for y in (r2, one))
         n = params.m_plus_1
+        bounds = params.slack_range
+        in_slack = _no_slack_range if bounds is None else _compile(
+            slack_check_source(n), LO=bounds[0], HI=bounds[1])
         built = params.modmul_kernel = FieldKernels(
             _compile(kernel_source(params), **names), modmul_trace(params),
             to_mont, from_mont, power_chain(params), digits,
             _compile(componentwise_source(n, "+")),
-            _compile(componentwise_source(n, "-")))
+            _compile(componentwise_source(n, "-")), in_slack)
     return built
+
+
+def _slack_checked(built: FieldKernels, comps: Comps,
+                   params: GrpParams) -> Residue:
+    """The Residue of an add, sub or randomize result, after the field's
+    slack check: ParameterError, as the checked constructor raises, if
+    a component left the range."""
+    if not built.in_slack(comps):
+        raise ParameterError("component outside additive slack range")
+    return _unchecked_residue(comps, params)
 
 
 def to_residue(params: GrpParams, x: int) -> Residue:
@@ -389,7 +425,8 @@ def modmul(x: Residue, y: Residue,
 
     Runs the field's generated kernel; a counter receives modmul_trace.
     """
-    params = _same_field(x, y)
+    params = (x.params if type(x) is Residue and type(y) is Residue
+              and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
     counter.tally(built.trace)
     return _unchecked_residue(built.modmul(x.comps, y.comps), params)
@@ -422,17 +459,19 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
 
 def add(x: Residue, y: Residue) -> Residue:
     """Componentwise sum; no reduction, the next modmul absorbs the growth.
-    Runs the field's add kernel; the checked constructor bounds the sum."""
-    params = _same_field(x, y)
+    Runs the field's add kernel; its slack check bounds the sum."""
+    params = (x.params if type(x) is Residue and type(y) is Residue
+              and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
-    return Residue(built.add(x.comps, y.comps), params)
+    return _slack_checked(built, built.add(x.comps, y.comps), params)
 
 
 def sub(x: Residue, y: Residue) -> Residue:
     """Componentwise difference, as add."""
-    params = _same_field(x, y)
+    params = (x.params if type(x) is Residue and type(y) is Residue
+              and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
-    return Residue(built.sub(x.comps, y.comps), params)
+    return _slack_checked(built, built.sub(x.comps, y.comps), params)
 
 
 def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
@@ -445,7 +484,7 @@ def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
 def to_montgomery(r: Residue) -> Residue:
     """Scale by b**q: modmul by the residue of b**2q, whose differences
     the field's to-Montgomery kernel holds."""
-    params = _field(r)
+    params = r.params if type(r) is Residue else _field(r)
     built = params.modmul_kernel or _kernel(params)
     return _unchecked_residue(built.to_montgomery(r.comps), params)
 
@@ -453,7 +492,7 @@ def to_montgomery(r: Residue) -> Residue:
 def from_montgomery(r: Residue) -> Residue:
     """Scale by b**-q: modmul by the residue of 1, whose differences are
     0 and +/-1, so its kernel is m subtractions and the q reductions."""
-    params = _field(r)
+    params = r.params if type(r) is Residue else _field(r)
     built = params.modmul_kernel or _kernel(params)
     return _unchecked_residue(built.from_montgomery(r.comps), params)
 
@@ -493,12 +532,13 @@ def equals(x: Residue, y: Residue) -> bool:
 
 
 def randomize(x: Residue, r: int) -> Residue:
-    """Add r times the all-ones vector: same field element, fresh encoding."""
+    """Add r times the all-ones vector: same field element, fresh encoding.
+    The field's slack check bounds the result, as add's."""
     params = _field(x)
     if type(r) is not int or not 0 <= r < params.t - 1:
         raise ParameterError(f"scaling factor {r!r} is not an int in [0, t-2]")
-    comps = tuple(comp + r for comp in x.comps)
-    return Residue(comps, params)
+    built = params.modmul_kernel or _kernel(params)
+    return _slack_checked(built, tuple(comp + r for comp in x.comps), params)
 
 
 def modmul_trace(params: GrpParams) -> dict[str, int]:

@@ -24,9 +24,12 @@ chain (chain.power_chain, from p's parameters alone) on first use and
 keeps them in ``modmul_kernel`` (arith.FieldKernels); the
 conversions to_residue and psi run the digit kernel, so they live in
 arith too.  A Residue is an immutable ``__slots__`` value that checks its
-own field and components; only zero and arith's kernel outputs, in range
-by construction, skip that through _unchecked_residue.  A pickled or
-copied Residue is rebuilt by the checked constructor.
+own field and components.  zero and arith's kernel outputs skip that
+through _unchecked_residue: the multiplying kernels' outputs are in range
+by construction, and add, sub and randomize test their results with the
+field's generated slack check instead, which raises the constructor's
+range error.  A pickled or copied Residue is rebuilt by the checked
+constructor.
 """
 
 from __future__ import annotations
@@ -272,8 +275,9 @@ _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
 class Residue:
     """Length-(m+1) vector of signed components, descending powers of t.
 
-    An immutable value: ParameterError unless params is a GrpParams and
-    comps a tuple of m+1 exact ints (no bool or float), inside
+    An immutable value: ParameterError unless params is a GrpParams (of
+    exact type, as to_residue and psi require) and comps a tuple of m+1
+    exact ints (no bool or float), inside
     params.slack_range when the field is io_stable.  A pickle or copy is
     rebuilt by this checked constructor.
     """
@@ -281,7 +285,7 @@ class Residue:
     __slots__ = ("comps", "params")
 
     def __init__(self, comps: tuple[int, ...], params: GrpParams) -> None:
-        if not isinstance(params, GrpParams):
+        if type(params) is not GrpParams:
             raise ParameterError(
                 f"params must be a GrpParams, got {params!r}")
         if type(comps) is not tuple or len(comps) != params.m_plus_1:
@@ -348,10 +352,14 @@ def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
 
 
 def zero(params: GrpParams) -> Residue:
+    if type(params) is not GrpParams:
+        raise ParameterError(f"params must be a GrpParams, got {params!r}")
     return _unchecked_residue((0,) * params.m_plus_1, params)
 
 
 def residue_to_json(r: Residue) -> str:
+    if type(r) is not Residue:
+        raise ParameterError(f"expected a Residue, got {type(r).__name__}")
     obj = _params_obj(r.params)
     obj["comps"] = [str(comp) for comp in r.comps]
     return json.dumps(obj)

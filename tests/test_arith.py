@@ -18,10 +18,10 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       cvma_mul, equals, from_montgomery, invert, modmul,
                       modmul_interleaved, modmul_trace, params_new, psi,
                       randomize, red1, red2, red3, residue_from_json,
-                      ring_value, square, sub, to_montgomery, to_residue,
-                      v_vector, zero)
+                      residue_to_json, ring_value, square, sub,
+                      to_montgomery, to_residue, v_vector, zero)
 from grpfield.arith import (KERNEL_FILENAME, _kernel, componentwise_source,
-                            digits_source, kernel_source)
+                            digits_source, kernel_source, slack_check_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
 from test_acceptance import TABLE4_FIELDS
 from test_chain import replay_exponent
@@ -246,7 +246,7 @@ class TestModmul:
                    for w in wides for comp in kernel(w.comps, w.comps))
         x = psi(f243, 5)
         unary = (to_montgomery, from_montgomery, invert, square,
-                 lambda bad: randomize(bad, 1))
+                 residue_to_json, lambda bad: randomize(bad, 1))
         for bad in wides + [5, x.comps, "x"]:
             for op in unary:
                 with pytest.raises(ParameterError, match="expected a Resid"):
@@ -573,6 +573,107 @@ class TestKernel:
                 assert built.sub(x, y) == tuple(map(operator.sub, x, y))
 
 
+def _slack_cases(params):
+    """(op, args, result components, in range) of add, sub and randomize
+    at each slack bound and one step beyond it, with the edge in one
+    component and 0 in the others.  randomize adds r >= 0 to an operand
+    that is in range, so it can step over the upper bound only."""
+    lo, hi = params.slack_range
+
+    def vec(s, value):
+        return tuple(value if i == s else 0 for i in range(params.m_plus_1))
+
+    def res(s, value):
+        return Residue(vec(s, value), params)
+
+    cases = []
+    for s in range(params.m_plus_1):
+        for beyond in (0, 1):
+            for edge, step in ((hi, 1), (lo, -1)):
+                a = edge - step + beyond * step  # a + step: edge or beyond
+                out = vec(s, a + step)
+                cases += [(add, (res(s, a), res(s, step)), out, not beyond),
+                          (sub, (res(s, a), res(s, -step)), out, not beyond)]
+            for r in (1, params.t - 2):
+                a = hi - r + beyond
+                cases.append((randomize, (res(s, a), r),
+                              tuple(comp + r for comp in vec(s, a)),
+                              not beyond))
+        cases.append((randomize, (res(s, lo), 0), vec(s, lo), True))
+    return cases
+
+
+# Fields with a slack range (every KERNEL_SPECS field) and without (toy).
+_SLACK_FIELDS = [params_new(*spec, 64, q, require_prime=False)
+                 for spec in [(3, 2, 3)] + KERNEL_SPECS for q in (2, 3)]
+
+
+class TestSlackCheck:
+    """add, sub and randomize test their results with the field's
+    generated slack check (slack_check_source), not the constructor."""
+
+    @pytest.mark.parametrize("params", _SLACK_FIELDS, ids=repr)
+    def test_exact_edges(self, params):
+        if params.slack_range is None:
+            # no range to hold: results far outside any bound are kept
+            big = (1 << (params.k + 8),) * params.m_plus_1
+            x = Residue(big, params)
+            assert add(x, x).comps == tuple(2 * comp for comp in big)
+            assert sub(Residue((-big[0],) * params.m_plus_1, params),
+                       x).comps == tuple(-2 * comp for comp in big)
+            assert randomize(x, params.t - 2).comps == tuple(
+                comp + params.t - 2 for comp in big)
+            return
+        for op, args, comps, inside in _slack_cases(params):
+            if inside:
+                assert op(*args).comps == comps
+                Residue(comps, params)  # the constructor agrees
+            else:
+                with pytest.raises(ParameterError, match="slack range"):
+                    op(*args)
+                with pytest.raises(ParameterError, match="slack range"):
+                    Residue(comps, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_constructor(self, data):
+        # Tuples straddling the bounds: each component is a bound plus a
+        # small offset, or a value well inside.
+        params = data.draw(st.sampled_from(
+            [params for params in _SLACK_FIELDS if params.slack_range]))
+        lo, hi = params.slack_range
+        comp = st.one_of(st.sampled_from((lo, hi)).flatmap(
+            lambda edge: st.integers(edge - 2, edge + 2)),
+            st.integers(lo, hi))
+        comps = tuple(data.draw(comp) for _ in range(params.m_plus_1))
+        try:
+            Residue(comps, params)
+            accepted = True
+        except ParameterError:
+            accepted = False
+        assert _kernel(params).in_slack(comps) is accepted
+
+    @pytest.mark.parametrize("m_plus_1", sorted({spec[0] for spec in
+                                                 KERNEL_SPECS}))
+    def test_syntax(self, m_plus_1):
+        # Tuple unpacking, names, <= and `and` only: no call, attribute,
+        # constant, loop or other operator.
+        allowed = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg,
+                   ast.Assign, ast.Tuple, ast.Name, ast.Load, ast.Store,
+                   ast.Return, ast.BoolOp, ast.And, ast.Compare, ast.LtE)
+        tree = ast.parse(slack_check_source(m_plus_1))
+        comps = [f"x{s}" for s in range(m_plus_1)]
+        compares = []
+        for node in ast.walk(tree):
+            assert isinstance(node, allowed), ast.dump(node)
+            if isinstance(node, ast.Name):
+                assert node.id in {"x", "LO", "HI", *comps}, node.id
+            if isinstance(node, ast.Compare):
+                compares.append([node.left.id]
+                                + [right.id for right in node.comparators])
+        assert compares == [["LO", name, "HI"] for name in comps]
+
+
 class TestAuxiliaryOps:
     def test_add_sub(self, f243):
         rng = random.Random(14)
@@ -711,14 +812,19 @@ class TestOpcodeTrace:
 
 _SLACK_SCRIPT = """
 import sys
-from grpfield import ParameterError, Residue, add, params_new, zero
+from grpfield import ParameterError, Residue, add, params_new, randomize, sub
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 params = params_new(5, 59, 3, require_prime=False)
-try:
-    add(Residue((1 << 70, 0, 0, 0, 0), params), zero(params))
-except ParameterError as exc:
-    print(exc)
+lo, hi = params.slack_range
+top, bottom, one = (Residue((v, 0, 0, 0, 0), params) for v in (hi, lo, 1))
+# in-range operands whose result is one step outside the range
+for op, args in ((add, (top, one)), (sub, (bottom, one)),
+                 (randomize, (top, 1)), (Residue, ((hi + 1,) * 5, params))):
+    try:
+        op(*args)
+    except ParameterError as exc:
+        print(op.__name__, exc)
 """
 
 
@@ -728,4 +834,6 @@ def test_slack_check_survives_optimize():
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "component outside additive slack range"
+    assert proc.stdout.splitlines() == [
+        f"{name} component outside additive slack range"
+        for name in ("add", "sub", "randomize", "Residue")]

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 import grpfield.arith
 import grpfield.oracle
 import grpfield.params
-from grpfield import (GrpError, NotPrimeError, ParameterError, RangeError,
-                      Residue, StabilityError, canonical_value, mods,
-                      params_from_json, params_new, params_to_json, psi,
+from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
+                      RangeError, Residue, StabilityError, canonical_value,
+                      mods, params_from_json, params_new, params_to_json, psi,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, zero)
@@ -28,6 +28,17 @@ _JSON = st.recursive(
     lambda children: (st.lists(children, max_size=6)
                       | st.dictionaries(st.text(), children, max_size=6)),
     max_leaves=12)
+
+
+class _DerivedParams(GrpParams):
+    """A GrpParams subclass: the kernels and checks are built for
+    GrpParams itself, so every constructor of a residue refuses it."""
+
+
+# Values that are not a GrpParams of exact type.
+_NOT_PARAMS = ["x", None, (5, 59, 3), 5,
+               _DerivedParams(5, 59, 3, require_prime=False)]
+
 _RESIDUE_KEYS = ("m_plus_1", "l", "c", "w", "q", "comps")
 
 
@@ -261,9 +272,13 @@ class TestLazyConstants:
             to_montgomery(zero(params))
             from_montgomery(zero(params))
             assert params.modmul_kernel is built
+            # the toy field is not io_stable: it has no slack range
+            assert (built.in_slack is grpfield.arith._no_slack_range) \
+                == (params.slack_range is None)
         # built once per field: modmul, the two conversions, the digits,
-        # add and sub
-        assert len(compiled) == 6 * len(fields)
+        # add and sub, and the slack check on every field but the toy
+        # field at q = 2 and 3, which has no slack range
+        assert len(compiled) == 7 * len(fields) - 2
 
 
 class TestToResidue:
@@ -289,11 +304,13 @@ class TestToResidue:
         with pytest.raises(ParameterError, match="not an int in"):
             psi(f243, value)
 
-    @pytest.mark.parametrize("params", ["x", None, (5, 59, 3), 5])
+    @pytest.mark.parametrize("params", _NOT_PARAMS)
     def test_params_must_be_grp_params(self, params):
         for convert in (to_residue, psi):
             with pytest.raises(ParameterError, match="must be a GrpParams"):
                 convert(params, 5)
+        with pytest.raises(ParameterError, match="must be a GrpParams"):
+            zero(params)
 
     def test_digit_bound_toy_exhaustive(self, toy):
         # |comp| <= t/2 with the upper bound only at the constant term.
@@ -547,7 +564,7 @@ class TestResidueValue:
         assert repr(x) == ("Residue(comps=(0, 0, 0, 0, 5), "
                            "params=GrpParams(phi(5,2^59*3), w=64, q=2))")
 
-    @pytest.mark.parametrize("params", ["x", None, (5, 59, 3), 5])
+    @pytest.mark.parametrize("params", _NOT_PARAMS)
     def test_params_must_be_grp_params(self, params):
         with pytest.raises(ParameterError, match="must be a GrpParams"):
             Residue((0, 0, 0, 0, 0), params)

@@ -49,7 +49,7 @@ def test_unproven_fields_and_unchecked_residues_confined():
     # require_prime=False skips the proof of p: only the scans, which
     # prove p themselves, may pass it.  _unchecked_residue skips the
     # Residue checks: only params and arith may use it, for outputs that
-    # are in range by construction.
+    # are in range by construction or have passed the field's slack check.
     unproven, unchecked = set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
