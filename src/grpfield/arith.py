@@ -12,8 +12,10 @@ regardless of the input values.  ``modmul`` and ``invert`` run a
 straight-line kernel generated for each field on its first use (see
 :func:`kernel_source`), tested against cvma_mul and the plain red3 (the
 kernel alone runs red3's cofactor product as shift-and-add); an
-OpCounter passed in only receives the closed-form tally of that
-sequence (:func:`modmul_trace`) and never changes the code that runs.
+OpCounter passed in only receives the tally of that kernel's syntax
+tree (:func:`kernel_ops`, :func:`modmul_trace`), taken from the tree
+that is compiled, and never changes the code that runs.  Only the loop
+reference cvma_mul keeps a closed-form tally.
 ``invert`` powers to the public exponent p - 2 by the field's power
 chain (:mod:`grpfield.chain`): a straight-line program over a few
 slots, built from p alone, that follows the repunit form of p where
@@ -49,6 +51,7 @@ on two (cvma_mul too) refuses operands from two fields.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -99,7 +102,8 @@ UNCOUNTED = _Uncounted()
 
 
 def _cvma_counts(m_plus_1: int) -> dict[str, int]:
-    """Per component, m/2 products of two differences and m/2 - 1 adds."""
+    """cvma_mul's tally, a closed form because cvma_mul is a loop: per
+    component, m/2 products of two differences and m/2 - 1 adds."""
     h = (m_plus_1 - 1) // 2
     return {"mul": m_plus_1 * h, "add": m_plus_1 * (3 * h - 1)}
 
@@ -332,9 +336,75 @@ def componentwise_source(m_plus_1: int, op: str) -> str:
            f"    return ({outs})\n"
 
 
-def _compile(source: str, **names: int) -> Callable:
-    """The function ``kernel`` that source defines, compiled under
-    KERNEL_FILENAME with the constants names bound."""
+# The kernel grammar, the union of what the generators above emit: each
+# operator with its op class (mul, add, shift and mask are OpCounter's),
+# and the other nodes allowed.  Beyond these, a Name is a leaf, and so
+# is a Constant, which must be 0; a Call must be to divmod.
+_OP_CLASS = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
+             ast.RShift: "shift", ast.LShift: "shift", ast.BitAnd: "mask",
+             ast.LtE: "compare"}
+_PLAIN_NODES = frozenset((
+    ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign,
+    ast.AugAssign, ast.Return, ast.Tuple, ast.Load, ast.Store, ast.BinOp,
+    ast.Compare, ast.BoolOp, ast.And))
+
+
+def kernel_ops(tree: ast.AST) -> dict[str, int]:
+    """Op counts of a generated kernel's syntax tree, walked once: mul,
+    add (+ and -), shift (>> and <<), mask (&), divmod and compare (<=).
+
+    The kernels are straight-line code, so these are the operations
+    every call executes.  ParameterError for any node outside the
+    kernel grammar (the comment on _OP_CLASS): a branch, loop,
+    attribute, other call, constant or operator could make the count
+    depend on the data.
+    """
+    ops = dict.fromkeys(("mul", "add", "shift", "mask", "divmod",
+                         "compare"), 0)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.Name or (kind is ast.Constant
+                                and type(node.value) is int
+                                and node.value == 0):
+            continue
+        if kind is ast.Call and type(node.func) is ast.Name \
+                and node.func.id == "divmod" and not node.keywords:
+            ops["divmod"] += 1
+            stack += node.args
+            continue
+        if kind in _OP_CLASS:
+            ops[_OP_CLASS[kind]] += 1
+        elif kind not in _PLAIN_NODES:
+            raise ParameterError(
+                f"{kind.__name__} is outside the kernel grammar")
+        for field in kind._fields:
+            child = getattr(node, field)
+            if type(child) is list:
+                stack += child
+            elif child is not None and type(child) is not str:
+                stack.append(child)
+    return ops
+
+
+def _modmul_ops(tree: ast.Module, m_plus_1: int) -> dict[str, int]:
+    """The trace of a modmul kernel's tree: its kernel_ops in OpCounter's
+    four classes.  ParameterError if it holds a divmod or a compare, or
+    fewer than the paper's m(m+1)/2 multiplies."""
+    ops = kernel_ops(tree)
+    if ops["divmod"] or ops["compare"]:
+        raise ParameterError("modmul kernel holds a divmod or a compare")
+    if ops["mul"] < (m_plus_1 - 1) * m_plus_1 // 2:
+        raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
+    return OpCounter(ops["mul"], ops["add"], ops["shift"],
+                     ops["mask"]).as_dict()
+
+
+def _compile(source: str | ast.Module, **names: int) -> Callable:
+    """The function ``kernel`` that source (text or a parsed tree)
+    defines, compiled under KERNEL_FILENAME with the constants names
+    bound."""
     exec(compile(source, KERNEL_FILENAME, "exec"), names)
     return names["kernel"]
 
@@ -343,7 +413,7 @@ class FieldKernels(NamedTuple):
     """A field's one cache, ``params.modmul_kernel``."""
 
     modmul: Kernel
-    trace: dict[str, int]        # modmul_trace(params)
+    trace: dict[str, int]        # kernel_ops of modmul's compiled tree
     to_montgomery: ScaledKernel  # kernel(x, residue of b^(2q) mod p)
     from_montgomery: ScaledKernel  # kernel(x, residue of 1)
     chain: PowerChain            # invert's power_chain(params)
@@ -357,7 +427,9 @@ def _kernel(params: GrpParams) -> FieldKernels:
     """The field's kernels, trace and inversion chain: built once, kept
     on params.  The per-op paths read ``params.modmul_kernel`` first and
     call this only to build it, which saves a call on every op.  The
-    digit kernel is built first, for the residues of b^(2q) and 1."""
+    digit kernel is built first, for the residues of b^(2q) and 1.  The
+    modmul kernel's source is parsed once: its trace is the tally of
+    that tree, which is then compiled."""
     built = params.modmul_kernel
     if built is None:
         b, q, p, t = params.b, params.q, params.p, params.t
@@ -374,8 +446,9 @@ def _kernel(params: GrpParams) -> FieldKernels:
         bounds = params.slack_range
         in_slack = _no_slack_range if bounds is None else _compile(
             slack_check_source(n), LO=bounds[0], HI=bounds[1])
+        tree = ast.parse(kernel_source(params))
         built = params.modmul_kernel = FieldKernels(
-            _compile(kernel_source(params), **names), modmul_trace(params),
+            _compile(tree, **names), _modmul_ops(tree, n),
             to_mont, from_mont, power_chain(params), digits,
             _compile(componentwise_source(n, "+")),
             _compile(componentwise_source(n, "-")), in_slack)
@@ -542,18 +615,10 @@ def randomize(x: Residue, r: int) -> Residue:
 
 
 def modmul_trace(params: GrpParams) -> dict[str, int]:
-    """Operation-class counts of one modmul, a function of params only.
-
-    cvma_mul, then q red3 passes.  Per component a pass takes a mask, a
-    shift and an add, plus the cofactor product c * low: one multiply,
-    or a shift and an add when c = 2**e +/- 1.
-    """
-    n = params.m_plus_1
-    trace = OpCounter(**_cvma_counts(n))
-    cofactor = ({"mul": 1} if params.c_shift_add is None
-                else {"shift": 1, "add": 1})
-    trace.tally({"mask": 1, "shift": 1, "add": 1}, params.q * n)
-    trace.tally(cofactor, params.q * n)
-    if trace.mul < (n - 1) * n // 2:
-        raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
-    return trace.as_dict()
+    """Operation-class counts of one modmul, a function of params only:
+    a copy of the field's trace, the kernel_ops tally of the modmul
+    kernel's syntax tree, taken where that tree is compiled (_kernel).
+    ParameterError unless params is a GrpParams."""
+    if type(params) is not GrpParams:
+        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    return dict((params.modmul_kernel or _kernel(params)).trace)

@@ -17,16 +17,19 @@ from dataclasses import dataclass
 
 from .arith import UNCOUNTED, OpCounter, modmul, psi
 from .errors import ParameterError
-from .params import DEFAULT_WORD_BITS, GrpParams
+from .params import DEFAULT_WORD_BITS, GrpParams, check_int
 
 
 class MontCtx:
-    """Precomputed constants for Montgomery arithmetic modulo an odd n."""
+    """Precomputed constants for Montgomery arithmetic modulo an odd n.
+    ParameterError unless the modulus is an odd int >= 3 and the word
+    size w an int >= 1 (neither a bool)."""
 
     def __init__(self, modulus: int, w: int = DEFAULT_WORD_BITS) -> None:
-        if modulus < 3 or modulus % 2 == 0:
+        if type(modulus) is not int or modulus < 3 or modulus % 2 == 0:
             raise ParameterError(
-                f"modulus must be odd and >= 3, got {modulus}")
+                f"modulus must be an odd int >= 3, got {modulus!r}")
+        check_int("w", w, 1)
         self.modulus = modulus
         self.w = w
         self.n_words = -(-modulus.bit_length() // w)
@@ -152,10 +155,13 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
     multiplication so no iteration can be skipped.  The ratio sets the
     field's unrolled modmul kernel against a CIOS baseline that still
     runs as loops, so part of the gap is the unrolling, not the
-    representation.
+    representation.  ParameterError unless params is a GrpParams and
+    iters and runs are ints >= 1.
     """
-    if iters < 1 or runs < 1:
-        raise ParameterError(f"need iters, runs >= 1, got {iters}, {runs}")
+    if type(params) is not GrpParams:
+        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    check_int("iters", iters, 1)
+    check_int("runs", runs, 1)
     rng = random.Random(seed)
     p = params.p
 

@@ -343,7 +343,11 @@ class WideResidue:
 
 
 def canonical_value(r: Residue | WideResidue) -> int:
-    """Evaluate a vector at t and reduce modulo the field characteristic."""
+    """Evaluate a vector at t and reduce modulo the field characteristic.
+    ParameterError unless r is a Residue or a WideResidue."""
+    if type(r) is not Residue and type(r) is not WideResidue:
+        raise ParameterError(
+            f"expected a Residue, got {type(r).__name__}")
     return horner(r.comps, r.params.t) % r.params.p
 
 
@@ -412,5 +416,9 @@ def _params_from_obj(obj: dict) -> GrpParams:
 
 
 def ring_value(r: Residue | WideResidue) -> int:
-    """Evaluate a vector modulo t^(m+1) - 1, the embedding ring."""
+    """Evaluate a vector modulo t^(m+1) - 1, the embedding ring; raises
+    as canonical_value."""
+    if type(r) is not Residue and type(r) is not WideResidue:
+        raise ParameterError(
+            f"expected a Residue, got {type(r).__name__}")
     return horner(r.comps, r.params.t) % r.params.ring_modulus

@@ -63,6 +63,7 @@ def stability_table(w: int, q: int,
     below that the bound cofactor c_bound - 1 is 1 (t a power of two) or 0.
     """
     check_word(w, q)
+    check_int("m_plus_1_max", m_plus_1_max, 3)
     rows = []
     for m_plus_1 in _DEGREES:
         if m_plus_1 > m_plus_1_max:

@@ -13,18 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grpfield
+import grpfield.arith
 from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       ZeroInverseError, add, canonical_value, congruent,
                       cvma_mul, equals, from_montgomery, invert, modmul,
                       modmul_interleaved, modmul_trace, params_new, psi,
                       randomize, red1, red2, red3, residue_from_json,
                       residue_to_json, ring_value, square, sub,
-                      to_montgomery, to_residue, v_vector, zero)
+                      to_canonical, to_montgomery, to_residue, v_vector,
+                      zero)
 from grpfield.arith import (KERNEL_FILENAME, _kernel, componentwise_source,
-                            digits_source, kernel_source, slack_check_source)
+                            digits_source, kernel_ops, kernel_source,
+                            slack_check_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
 from test_acceptance import TABLE4_FIELDS
-from test_chain import replay_exponent
+from test_chain import _BOUND_ROWS, replay_exponent
 
 
 def _random_reduced(params, rng):
@@ -251,6 +254,13 @@ class TestModmul:
             for op in unary:
                 with pytest.raises(ParameterError, match="expected a Resid"):
                     op(bad)
+            # The evaluations take a cvma_mul output too.
+            for op in (canonical_value, to_canonical, ring_value):
+                if type(bad) is WideResidue:
+                    op(bad)
+                    continue
+                with pytest.raises(ParameterError, match="expected a Resid"):
+                    op(bad)
             for op in (modmul, modmul_interleaved, add, sub, equals,
                        cvma_mul):
                 for args in ((bad, x), (x, bad)):
@@ -278,6 +288,35 @@ KERNEL_SPECS = ([(m1, l, c) for _, m1, l, c in TABLE4_FIELDS]
 
 def _spec_id(spec):
     return "phi({},2^{}*{})".format(*spec)
+
+
+def _closed_form_trace(params):
+    """Reference op counts of one modmul: cvma_mul's m/2 products of two
+    differences and m/2 - 1 adds per component, then q red3 passes that
+    take a mask, a shift and an add per component, plus the cofactor
+    product c * low: one multiply, or a shift and an add when
+    c = 2**e +/- 1."""
+    n, q = params.m_plus_1, params.q
+    h = (n - 1) // 2
+    shift_add = params.c_shift_add is not None
+    return {"mul": n * h + (0 if shift_add else q * n),
+            "add": n * (3 * h - 1) + q * n * (2 if shift_add else 1),
+            "shift": q * n * (2 if shift_add else 1), "mask": q * n}
+
+
+# Every op class at 0: the base of a tally that holds only some of them.
+_NO_OPS = dict.fromkeys(("mul", "add", "shift", "mask", "divmod",
+                         "compare"), 0)
+
+
+def _check_trace(params):
+    """kernel_ops of the modmul kernel's tree, modmul_trace (a copy) and
+    the built trace each equal the closed form."""
+    want = _closed_form_trace(params)
+    ops = kernel_ops(ast.parse(kernel_source(params)))
+    assert ops == {**_NO_OPS, **want}, params
+    assert modmul_trace(params) == want == params.modmul_kernel.trace
+    assert modmul_trace(params) is not params.modmul_kernel.trace
 
 
 def _slack_edges(params):
@@ -435,24 +474,21 @@ class TestKernel:
             assert canonical_value(inverse) == \
                 mont * mont * pow(canonical_value(x), -1, p) % p
 
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
     def test_op_tally_is_modmul_trace(self, spec):
-        # The kernel is the code that runs, so its data-independent
-        # operation sequence is checked on its syntax tree.
-        params = params_new(*spec, 64, 2, require_prime=False)
-        classes = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
-                   ast.RShift: "shift", ast.LShift: "shift",
-                   ast.BitAnd: "mask"}
-        banned = (ast.If, ast.IfExp, ast.For, ast.While, ast.BoolOp,
-                  ast.Compare, ast.comprehension, ast.ListComp,
-                  ast.SetComp, ast.DictComp, ast.GeneratorExp,
-                  ast.Attribute, ast.Call, ast.Constant, ast.UnaryOp)
-        tally = dict.fromkeys(("mul", "add", "shift", "mask"), 0)
-        for node in ast.walk(ast.parse(kernel_source(params))):
-            assert not isinstance(node, banned), ast.dump(node)
-            if isinstance(node, ast.BinOp):
-                tally[classes[type(node.op)]] += 1
-        assert tally == modmul_trace(params)
+        # The kernel is the code that runs: modmul_trace is the tally of
+        # its syntax tree, checked here against the closed form.
+        for q in range(1, 5):
+            _check_trace(params_new(*spec, 64, q, require_prime=False))
+
+    @pytest.mark.parametrize("w", [32, 64, 128])
+    def test_op_tally_on_bound_rows(self, w):
+        # Every stability_table bound row at l = l_min, c = c_bound - 1.
+        rows = [row for row in _BOUND_ROWS if row[3] == w]
+        assert rows
+        for spec in rows:
+            _check_trace(params_new(*spec, require_prime=False))
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
@@ -484,12 +520,10 @@ class TestKernel:
         # fewer (34 of 55 on the 511-bit phi(11,2^42*513) at q = 2).
         # Leaving the domain multiplies by differences of 0 and +/-1, so
         # it is reductions only.
+        # kernel_ops refuses any constant but 0, a component with no
+        # product.
         params = params_new(*spec, 64, q, require_prime=False)
         b, p, n = params.b, params.p, params.m_plus_1
-        banned = (ast.If, ast.IfExp, ast.For, ast.While, ast.BoolOp,
-                  ast.Compare, ast.comprehension, ast.ListComp,
-                  ast.SetComp, ast.DictComp, ast.GeneratorExp,
-                  ast.Attribute, ast.Call, ast.UnaryOp)
         trace = modmul_trace(params)
         mults, want = {}, {}
         for name, value in (("to", pow(b, 2 * q, p)), ("from", 1)):
@@ -497,19 +531,12 @@ class TestKernel:
             want[name] = sum(abs(y[sb] - y[sa]) > 1
                              for pairs in params.cvma_pairs
                              for sa, sb in pairs)
-            tree = ast.parse(kernel_source(params, y))
-            ops = []
-            for node in ast.walk(tree):
-                assert not isinstance(node, banned), ast.dump(node)
-                if isinstance(node, ast.Constant):
-                    assert node.value == 0  # a component with no product
-                if isinstance(node, ast.BinOp):
-                    ops.append(type(node.op))
-            assert ops.count(ast.BitAnd) == trace["mask"]
-            assert (ops.count(ast.RShift) + ops.count(ast.LShift)
-                    == trace["shift"])  # the q red3 passes, unchanged
-            mults[name] = ops.count(ast.Mult) - (
-                0 if params.c_shift_add else q * n)
+            ops = kernel_ops(ast.parse(kernel_source(params, y)))
+            # the q red3 passes, unchanged
+            assert (ops["mask"], ops["shift"]) == (trace["mask"],
+                                                   trace["shift"])
+            assert ops["divmod"] == ops["compare"] == 0
+            mults[name] = ops["mul"] - (0 if params.c_shift_add else q * n)
         assert mults == want
         assert want["from"] == 0 and 0 < want["to"] <= n * (n - 1) // 2
 
@@ -541,23 +568,11 @@ class TestKernel:
         # operation per component.
         params = params_new(*spec, 64, 2, require_prime=False)
         n = params.m_plus_1
-        banned = (ast.If, ast.IfExp, ast.For, ast.While, ast.BoolOp,
-                  ast.Compare, ast.comprehension, ast.ListComp,
-                  ast.SetComp, ast.DictComp, ast.GeneratorExp,
-                  ast.Attribute, ast.Constant, ast.UnaryOp)
-        sources = [(digits_source(params), {ast.Add: 2, ast.Sub: n}, n)]
-        sources += [(componentwise_source(n, op), {kind: n}, 0)
-                    for op, kind in (("+", ast.Add), ("-", ast.Sub))]
-        for source, want, divmods in sources:
-            ops, calls = {}, 0
-            for node in ast.walk(ast.parse(source)):
-                assert not isinstance(node, banned), ast.dump(node)
-                if isinstance(node, (ast.BinOp, ast.AugAssign)):
-                    ops[type(node.op)] = ops.get(type(node.op), 0) + 1
-                if isinstance(node, ast.Call):
-                    assert node.func.id == "divmod"
-                    calls += 1
-            assert ops == want and calls == divmods, source
+        assert kernel_ops(ast.parse(digits_source(params))) == {
+            **_NO_OPS, "add": n + 2, "divmod": n}
+        for op in "+-":
+            assert kernel_ops(ast.parse(componentwise_source(n, op))) == {
+                **_NO_OPS, "add": n}
 
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
@@ -571,6 +586,67 @@ class TestKernel:
             for y in (rng.choice(xs), xs[-1]):
                 assert built.add(x, y) == tuple(map(operator.add, x, y))
                 assert built.sub(x, y) == tuple(map(operator.sub, x, y))
+
+
+# Kernel bodies outside the grammar, each behind `def kernel(x, y):`.
+_OUTSIDE_GRAMMAR = {
+    "If": "if x:\n        x = y",
+    "IfExp": "x = y if x else x",
+    "For": "for z in x:\n        y = z",
+    "While": "while x:\n        x = y",
+    "Attribute": "x = y.comps",
+    "other call": "x = abs(y)",
+    "divmod with a keyword": "x = divmod(x, y=y)",
+    "non-zero constant": "x = y + 1",
+    "bool constant": "x = y + False",
+    "comprehension": "x = tuple(z for z in y)",
+    "UnaryOp": "x = -y",
+    "< compare": "x = x < y",
+    "or": "x = x or y",
+    "Subscript": "x = y[0]",
+    "division": "x = x // y",
+}
+
+
+class TestKernelOps:
+    """kernel_ops, the one walker over generated kernels' syntax trees."""
+
+    def test_counts_every_class(self):
+        # Every node of the grammar, each operator once or more.
+        tree = ast.parse("def kernel(x, y):\n"
+                         "    a, b = divmod(x, y)\n"
+                         "    a += b\n"
+                         "    c = (a * b - x + y) >> a << b & 0\n"
+                         "    return (c, LO <= a <= HI and a <= b)\n")
+        assert kernel_ops(tree) == {"mul": 1, "add": 3, "shift": 2,
+                                    "mask": 1, "divmod": 1, "compare": 3}
+
+    @pytest.mark.parametrize("body", _OUTSIDE_GRAMMAR.values(),
+                             ids=_OUTSIDE_GRAMMAR.keys())
+    def test_refuses_nodes_outside_grammar(self, body):
+        tree = ast.parse(f"def kernel(x, y):\n    {body}\n    return x\n")
+        with pytest.raises(ParameterError, match="outside the kernel gram"):
+            kernel_ops(tree)
+
+    @pytest.mark.parametrize("edit", [
+        ("    return (", "    x0 = divmod(x0, x0)\n    return ("),
+        ("    return (", "    x0 = x0 <= x0\n    return ("),
+        (" * (y", " + (y"),  # one product fewer than m(m+1)/2
+    ], ids=["divmod", "compare", "fewer mults"])
+    def test_build_refuses_modmul_kernel(self, monkeypatch, edit):
+        # The modmul kernel's own tree is checked where it is built; the
+        # scaled kernels are left as generated.
+        generate = kernel_source
+
+        def edited(params, y=None):
+            source = generate(params, y)
+            return source if y is not None else source.replace(*edit, 1)
+
+        monkeypatch.setattr(grpfield.arith, "kernel_source", edited)
+        params = params_new(5, 59, 3, 64, 2, require_prime=False)
+        with pytest.raises(ParameterError, match="modmul"):
+            psi(params, 5)
+        assert params.modmul_kernel is None
 
 
 def _slack_cases(params):
@@ -656,16 +732,13 @@ class TestSlackCheck:
     @pytest.mark.parametrize("m_plus_1", sorted({spec[0] for spec in
                                                  KERNEL_SPECS}))
     def test_syntax(self, m_plus_1):
-        # Tuple unpacking, names, <= and `and` only: no call, attribute,
-        # constant, loop or other operator.
-        allowed = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg,
-                   ast.Assign, ast.Tuple, ast.Name, ast.Load, ast.Store,
-                   ast.Return, ast.BoolOp, ast.And, ast.Compare, ast.LtE)
+        # Tuple unpacking, names, <= and `and` only: kernel_ops refuses a
+        # call, attribute, constant or loop, and counts any other operator.
         tree = ast.parse(slack_check_source(m_plus_1))
+        assert kernel_ops(tree) == {**_NO_OPS, "compare": 2 * m_plus_1}
         comps = [f"x{s}" for s in range(m_plus_1)]
         compares = []
         for node in ast.walk(tree):
-            assert isinstance(node, allowed), ast.dump(node)
             if isinstance(node, ast.Name):
                 assert node.id in {"x", "LO", "HI", *comps}, node.id
             if isinstance(node, ast.Compare):

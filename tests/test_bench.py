@@ -58,6 +58,16 @@ class TestMontgomeryBaseline:
         assert ctr.as_dict() == {"mul": 2 * n * n + n, "add": 4 * n * n - n,
                                  "shift": 2 * n * n, "mask": 2 * n * n}
 
+    @pytest.mark.parametrize("modulus", ["7", 7.0, True, None, 1, -7])
+    def test_modulus_must_be_odd_int(self, modulus):
+        with pytest.raises(ParameterError, match="modulus"):
+            MontCtx(modulus)
+
+    @pytest.mark.parametrize("w", [0, -1, 1.5, True, "64", None])
+    def test_word_size_must_be_positive_int(self, w):
+        with pytest.raises(ParameterError, match="w must be"):
+            MontCtx(21, w)
+
     def test_odd_composite_allowed(self):
         # Montgomery arithmetic needs an odd modulus, not a prime one
         ctx = MontCtx(21)
@@ -91,3 +101,14 @@ class TestRunBench:
     def test_bad_args(self, toy):
         with pytest.raises(ParameterError):
             run_bench(toy, iters=0)
+
+    @pytest.mark.parametrize("params", ["x", None, (5, 59, 3)])
+    def test_params_must_be_grp_params(self, params):
+        with pytest.raises(ParameterError, match="must be a GrpParams"):
+            run_bench(params, iters=10)
+
+    @pytest.mark.parametrize("name", ["iters", "runs"])
+    @pytest.mark.parametrize("value", [True, 2.0, "5", 0])
+    def test_counts_must_be_positive_ints(self, toy, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be"):
+            run_bench(toy, **{name: value})

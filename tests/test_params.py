@@ -17,7 +17,7 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, zero)
-from grpfield.arith import from_montgomery, modmul
+from grpfield.arith import from_montgomery, modmul, modmul_trace
 from grpfield.chain import power_chain
 from test_acceptance import TABLE4_FIELDS
 
@@ -309,8 +309,9 @@ class TestToResidue:
         for convert in (to_residue, psi):
             with pytest.raises(ParameterError, match="must be a GrpParams"):
                 convert(params, 5)
-        with pytest.raises(ParameterError, match="must be a GrpParams"):
-            zero(params)
+        for make in (zero, modmul_trace):
+            with pytest.raises(ParameterError, match="must be a GrpParams"):
+                make(params)
 
     def test_digit_bound_toy_exhaustive(self, toy):
         # |comp| <= t/2 with the upper bound only at the constant term.

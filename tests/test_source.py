@@ -20,8 +20,9 @@ def test_no_assert_statements(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_branch_on_counter(path):
-    # Op counts are closed-form tallies: a counter never picks the code
-    # that runs, so no branch may test it.
+    # Op counts are tallies of the generated kernels' syntax trees (and
+    # closed forms for the loops cvma_mul and montgomery_modmul): a
+    # counter never picks the code that runs, so no branch may test it.
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.If, ast.IfExp, ast.While))

@@ -52,6 +52,12 @@ class TestStabilityTable:
         with pytest.raises(ParameterError):
             stability_table(4, 2)
 
+    @pytest.mark.parametrize("most", [2.5, True, "a", 2, None])
+    def test_degree_limit_must_be_int(self, most):
+        with pytest.raises(ParameterError, match="m_plus_1_max"):
+            stability_table(64, 2, most)
+        assert [row.m_plus_1 for row in stability_table(64, 2, 3)] == [3]
+
 
 class TestEstimateDensity:
     def test_deterministic_columns_244(self):
