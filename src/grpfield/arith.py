@@ -23,25 +23,26 @@ that takes fewer modmuls than a sliding window over the bits of p - 2,
 every squaring or product one modmul kernel call.  Its results are the
 same field elements as a binary ladder's, in another redundant
 encoding.
-The Montgomery conversions run the same generator's scaled kernels,
-whose second operand is fixed: ``to_montgomery`` multiplies by the
-precomputed differences of the residue of b^(2q) mod p, and
-``from_montgomery`` (the residue of 1, whose differences are 0 and
-+/-1) is m subtractions and the q reductions, with no multiply.
-The base-t conversions to_residue and psi live here, not in params,
-because they run the field's straight-line digit kernel
+The Montgomery conversions are one native mulmod each (HAC 14.3.2,
+Alg. 14.36): the residue's value at t times b^q mod p
+(``to_montgomery``) or b^-q mod p (``from_montgomery``), reduced by p,
+back through the digit kernel.  So both return psi's digit encoding of
+their result, whatever the input's encoding; randomize draws a fresh
+one.  The base-t conversions to_residue and psi live here, not in
+params, because they run the field's straight-line digit kernel
 (:func:`digits_source`); add and sub run unrolled componentwise
 kernels, and a stable field has one more, its slack check
 (:func:`slack_check_source`).  ``params.modmul_kernel``, the field's
-one cache, holds these kernels, the trace and invert's chain for p - 2
-(:class:`FieldKernels`, ``chain.power_chain``); the first conversion
-or operation on a field builds them all.
+one cache, holds these kernels, the trace, the two Montgomery factors
+and invert's chain for p - 2 (:class:`FieldKernels`,
+``chain.power_chain``); the first conversion or operation on a field
+builds them all.
 
 Only modmul_interleaved returns through the checked Residue
 constructor.  The other results skip it (params._unchecked_residue).
-The multiplying kernels' outputs stay in the slack range, as the tests
-check on slack-edge inputs.  add, sub and randomize can leave it, so
-their results pass the field's slack check, which raises the
+The multiplying and digit kernels' outputs stay in the slack range, as
+the tests check on slack-edge inputs.  add, sub and randomize can leave
+it, so their results pass the field's slack check, which raises the
 constructor's ParameterError; the constructor's type and length checks
 hold there by construction (m+1 exact ints combined by + and -).  An
 unstable field has no range to check.  Every operation on field
@@ -57,15 +58,14 @@ from typing import Callable, NamedTuple
 
 from .chain import PowerChain, power_chain
 from .errors import ParameterError, ZeroInverseError
-from .oracle import modular_inverse
+from .oracle import horner, modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
-                     canonical_value)
+                     _vector_field, canonical_value, check_int)
 
 Comps = tuple[int, ...]
-# A field's generated kernels: component tuples in, a tuple out (a scaled
-# kernel has the second operand fixed; the digit kernel takes an int).
+# A field's generated kernels: component tuples in, a tuple out (the
+# digit kernel takes an int).
 Kernel = Callable[[Comps, Comps], Comps]
-ScaledKernel = Callable[[Comps], Comps]
 SlackCheck = Callable[[Comps], bool]
 DigitKernel = Callable[[int], Comps]
 # Every generated kernel is compiled under this filename, so a tracer or
@@ -157,8 +157,10 @@ def red3(z: WideResidue) -> WideResidue:
     semantics on the shift keep the division exact in the telescoped sum.
     This is the definition the generated kernel is tested against; only
     the kernel runs the cofactor product as shift-and-add.
+    ParameterError unless z is a Residue or a WideResidue, as red2 and
+    red1.
     """
-    params = z.params
+    params = _vector_field(z)
     l, c, mask = params.l, params.c, params.b - 1
     zc = z.comps  # zc[s - 1] wraps to the constant term at s = 0
     return WideResidue(tuple((zc[s] >> l) + c * (zc[s - 1] & mask)
@@ -167,7 +169,7 @@ def red3(z: WideResidue) -> WideResidue:
 
 def red2(z: WideResidue) -> WideResidue:
     """Variant of red3 rounding the shifted term up instead of down."""
-    params = z.params
+    params = _vector_field(z)
     l, c, mask = params.l, params.c, params.b - 1
     zc, n = z.comps, params.m_plus_1
     out = []
@@ -183,9 +185,14 @@ def v_vector(params: GrpParams, slice_bits: int | None = None) -> tuple[int, ...
     Entry s (descending storage, pairing component s) is
     t0**(m-s) / (t0**(m+1) - 1) mod b, with t0 the least significant
     base-b digit of t.  b defaults to the full word, 2**w.
+    ParameterError unless params is a GrpParams and slice_bits an int
+    >= 1.
     """
+    if type(params) is not GrpParams:
+        raise ParameterError(f"params must be a GrpParams, got {params!r}")
     if slice_bits is None:
         slice_bits = params.w
+    check_int("slice_bits", slice_bits, 1)
     b = 1 << slice_bits
     t0 = params.t % b
     denom = t0 ** params.m_plus_1 - 1
@@ -198,9 +205,9 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
     """General-t reduction: divide components by b = 2**slice_bits.
 
     Only needs t even; one pass per word slice, applied q times for a
-    full reduction.
+    full reduction.  Refuses z and slice_bits as red3 and v_vector.
     """
-    params = z.params
+    params = _vector_field(z)
     if slice_bits is None:
         slice_bits = params.w
     v = v_vector(params, slice_bits)
@@ -222,56 +229,23 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
     return WideResidue(tuple(out), params)
 
 
-def _differences(params: GrpParams, y: Comps) -> dict[str, int]:
-    """The name D<sa>_<sb> and value y_sb - y_sa of every cvma pair of a
-    fixed second operand: the m(m+1)/2 differences a scaled kernel binds."""
-    return {f"D{sa}_{sb}": y[sb] - y[sa]
-            for pairs in params.cvma_pairs for sa, sb in pairs}
-
-
-def _product(sa: int, sb: int, fixed: dict[str, int] | None) -> str | None:
-    """One cvma term, (x_sa - x_sb) * (y_sb - y_sa); with y fixed, None
-    for a difference of 0 and the bare difference of x for one of +/-1."""
-    if fixed is None:
-        return f"(x{sa} - x{sb}) * (y{sb} - y{sa})"
-    name = f"D{sa}_{sb}"
-    d = fixed[name]
-    if d == 0:
-        return None
-    if d == 1:
-        return f"(x{sa} - x{sb})"
-    if d == -1:
-        return f"(x{sb} - x{sa})"
-    return f"(x{sa} - x{sb}) * {name}"
-
-
-def kernel_source(params: GrpParams, y: Comps | None = None) -> str:
+def kernel_source(params: GrpParams) -> str:
     """Python source of the field's modmul kernel, ``kernel(x, y)``.
 
     The kernel maps two component tuples to the components of
     modmul(x, y): the cvma_mul products over ``params.cvma_pairs``, then
     q passes of red3, all unrolled, with the cofactor product written as
     shift-and-add when ``params.c_shift_add`` gives c = 2**e +/- 1.
-    Given the components y of a fixed second operand, it is the scaled
-    kernel ``kernel(x)`` instead: y's differences are the names D<sa>_<sb>
-    (see _differences), a difference of 0 drops its product, one of +/-1
-    its multiply, and a component left with no product is 0.  Only
-    storage indices are written into the text; the field constants are
-    the names L, MASK, C and E, bound where the kernel is built.
+    Only storage indices are written into the text; the field constants
+    are the names L, MASK, C and E, bound where the kernel is built.
     """
     n = params.m_plus_1
     xs = ", ".join(f"x{s}" for s in range(n))
-    if y is None:
-        fixed = None
-        ys = ", ".join(f"y{s}" for s in range(n))
-        lines = ["def kernel(x, y):", f"    {xs} = x", f"    {ys} = y"]
-    else:
-        fixed = _differences(params, y)
-        lines = ["def kernel(x):", f"    {xs} = x"]
+    ys = ", ".join(f"y{s}" for s in range(n))
+    lines = ["def kernel(x, y):", f"    {xs} = x", f"    {ys} = y"]
     for s, pairs in enumerate(params.cvma_pairs):
-        terms = [_product(sa, sb, fixed) for sa, sb in pairs]
-        lines.append(f"    z0_{s} = "
-                     + (" + ".join(t for t in terms if t) or "0"))
+        lines.append(f"    z0_{s} = " + " + ".join(
+            f"(x{sa} - x{sb}) * (y{sb} - y{sa})" for sa, sb in pairs))
     sign = None if params.c_shift_add is None else params.c_shift_add[1]
     for r in range(1, params.q + 1):
         outs = []
@@ -338,8 +312,8 @@ def componentwise_source(m_plus_1: int, op: str) -> str:
 
 # The kernel grammar, the union of what the generators above emit: each
 # operator with its op class (mul, add, shift and mask are OpCounter's),
-# and the other nodes allowed.  Beyond these, a Name is a leaf, and so
-# is a Constant, which must be 0; a Call must be to divmod.
+# and the other nodes allowed.  Beyond these, a Name is a leaf and a
+# Call must be to divmod.
 _OP_CLASS = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
              ast.RShift: "shift", ast.LShift: "shift", ast.BitAnd: "mask",
              ast.LtE: "compare"}
@@ -365,9 +339,7 @@ def kernel_ops(tree: ast.AST) -> dict[str, int]:
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is ast.Name or (kind is ast.Constant
-                                and type(node.value) is int
-                                and node.value == 0):
+        if kind is ast.Name:
             continue
         if kind is ast.Call and type(node.func) is ast.Name \
                 and node.func.id == "divmod" and not node.keywords:
@@ -414,8 +386,8 @@ class FieldKernels(NamedTuple):
 
     modmul: Kernel
     trace: dict[str, int]        # kernel_ops of modmul's compiled tree
-    to_montgomery: ScaledKernel  # kernel(x, residue of b^(2q) mod p)
-    from_montgomery: ScaledKernel  # kernel(x, residue of 1)
+    to_montgomery: int           # b^q mod p, the Montgomery factor
+    from_montgomery: int         # b^-q mod p, its inverse
     chain: PowerChain            # invert's power_chain(params)
     digits: DigitKernel          # to_residue's base-t digits
     add: Kernel                  # componentwise x + y
@@ -424,24 +396,18 @@ class FieldKernels(NamedTuple):
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
-    """The field's kernels, trace and inversion chain: built once, kept
-    on params.  The per-op paths read ``params.modmul_kernel`` first and
-    call this only to build it, which saves a call on every op.  The
-    digit kernel is built first, for the residues of b^(2q) and 1.  The
-    modmul kernel's source is parsed once: its trace is the tally of
-    that tree, which is then compiled."""
+    """The field's kernels, trace, Montgomery factors and inversion
+    chain: built once, kept on params.  The per-op paths read
+    ``params.modmul_kernel`` first and call this only to build it, which
+    saves a call on every op.  Five kernels are compiled, four on a field
+    with no slack range.  The modmul kernel's source is parsed once: its
+    trace is the tally of that tree, which is then compiled."""
     built = params.modmul_kernel
     if built is None:
-        b, q, p, t = params.b, params.q, params.p, params.t
-        digits = _compile(digits_source(params),
-                          T=t, H=t >> 1, HP=(t >> 1) * p)
-        r2, one = digits(pow(b, 2 * q, p)), digits(1)
+        b, p, t = params.b, params.p, params.t
         names = {"L": params.l, "MASK": b - 1, "C": params.c}
         if params.c_shift_add is not None:
             names["E"] = params.c_shift_add[0]
-        to_mont, from_mont = (
-            _compile(kernel_source(params, y), **names,
-                     **_differences(params, y)) for y in (r2, one))
         n = params.m_plus_1
         bounds = params.slack_range
         in_slack = _no_slack_range if bounds is None else _compile(
@@ -449,7 +415,8 @@ def _kernel(params: GrpParams) -> FieldKernels:
         tree = ast.parse(kernel_source(params))
         built = params.modmul_kernel = FieldKernels(
             _compile(tree, **names), _modmul_ops(tree, n),
-            to_mont, from_mont, power_chain(params), digits,
+            pow(b, params.q, p), pow(b, -params.q, p), power_chain(params),
+            _compile(digits_source(params), T=t, H=t >> 1, HP=(t >> 1) * p),
             _compile(componentwise_source(n, "+")),
             _compile(componentwise_source(n, "-")), in_slack)
     return built
@@ -555,19 +522,20 @@ def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
 
 
 def to_montgomery(r: Residue) -> Residue:
-    """Scale by b**q: modmul by the residue of b**2q, whose differences
-    the field's to-Montgomery kernel holds."""
+    """Scale by b**q: psi of r's value times b**q mod p, one native
+    mulmod.  The result has psi's digit encoding, whatever r's is."""
     params = r.params if type(r) is Residue else _field(r)
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.to_montgomery(r.comps), params)
+    return _unchecked_residue(built.digits(
+        horner(r.comps, params.t) * built.to_montgomery % params.p), params)
 
 
 def from_montgomery(r: Residue) -> Residue:
-    """Scale by b**-q: modmul by the residue of 1, whose differences are
-    0 and +/-1, so its kernel is m subtractions and the q reductions."""
+    """Scale by b**-q, as to_montgomery with b**-q mod p."""
     params = r.params if type(r) is Residue else _field(r)
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.from_montgomery(r.comps), params)
+    return _unchecked_residue(built.digits(
+        horner(r.comps, params.t) * built.from_montgomery % params.p), params)
 
 
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:

@@ -15,7 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .arith import UNCOUNTED, OpCounter, modmul, psi
+from .arith import UNCOUNTED, OpCounter, modmul, modmul_trace, psi
 from .errors import ParameterError
 from .params import DEFAULT_WORD_BITS, GrpParams, check_int
 
@@ -113,12 +113,13 @@ class BenchReport:
     bits: int
     ns_per_modmul: float
     baseline_ns_per_modmul: float
-    mul_count_per_modmul: int        # word mults in the multiplication step
+    mul_count_per_modmul: int        # the paper's cvma count, m(m+1)/2
     baseline_mul_count: int          # schoolbook count at matched limb count
     ratio: float                     # time ratio, residue / baseline
     iters: int
     runs: int
     seed: int
+    kernel_mul_count: int            # modmul_trace: mults of the timed kernel
 
     def to_json(self) -> str:
         return json.dumps({
@@ -132,6 +133,7 @@ class BenchReport:
             "iters": self.iters,
             "runs": self.runs,
             "seed": self.seed,
+            "kernel_mul_count": self.kernel_mul_count,
         })
 
 
@@ -155,8 +157,12 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
     multiplication so no iteration can be skipped.  The ratio sets the
     field's unrolled modmul kernel against a CIOS baseline that still
     runs as loops, so part of the gap is the unrolling, not the
-    representation.  ParameterError unless params is a GrpParams and
-    iters and runs are ints >= 1.
+    representation.  ``mul_count`` is the paper's count for the
+    multiplication step alone, m(m+1)/2 word multiplications;
+    ``kernel_mul_count`` is that of the kernel timed (modmul_trace),
+    which adds q(m+1) cofactor multiplies unless c = 2**e +/- 1.
+    ParameterError unless params is a GrpParams and iters and runs are
+    ints >= 1.
     """
     if type(params) is not GrpParams:
         raise ParameterError(f"params must be a GrpParams, got {params!r}")
@@ -203,4 +209,4 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
     return BenchReport(params.label(), params.bits, grp_ns, base_ns,
                        mul_count, baseline_mul,
                        grp_ns / base_ns if base_ns else float("inf"),
-                       iters, runs, seed)
+                       iters, runs, seed, modmul_trace(params)["mul"])

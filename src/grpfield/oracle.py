@@ -86,12 +86,18 @@ def _has_factor(n: int, m_plus_1: int, bound: int) -> bool:
 
 @dataclass(frozen=True)
 class CanonicalElement:
-    """An integer in [0, modulus), the external representation of a residue."""
+    """An integer in [0, modulus), the external representation of a residue.
+    ParameterError unless value and modulus are ints (not bools) and
+    value lies in that range with modulus > 1."""
 
     value: int
     modulus: int
 
     def __post_init__(self) -> None:
+        if type(self.value) is not int or type(self.modulus) is not int:
+            raise ParameterError(
+                f"value and modulus must be ints, got {self.value!r} "
+                f"and {self.modulus!r}")
         if self.modulus <= 1:
             raise ParameterError(f"modulus must exceed 1, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
@@ -127,7 +133,13 @@ def congruent(u: Sequence[int], v: Sequence[int], t: int, modulus: int) -> bool:
 
 
 def oracle_modmul(x: CanonicalElement, y: CanonicalElement) -> CanonicalElement:
-    """Ground-truth modular multiplication via big-int arithmetic."""
+    """Ground-truth modular multiplication via big-int arithmetic.
+    ParameterError unless both operands are CanonicalElements of one
+    modulus."""
+    if type(x) is not CanonicalElement or type(y) is not CanonicalElement:
+        raise ParameterError(
+            f"expected CanonicalElements, got {type(x).__name__} and "
+            f"{type(y).__name__}")
     if x.modulus != y.modulus:
         raise ParameterError(
             f"modulus mismatch: {x.modulus} vs {y.modulus}")

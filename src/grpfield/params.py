@@ -18,18 +18,19 @@ builds t and p and, unless require_prime=False (only the scans, which
 prove p themselves), runs prove_prime: oracle.is_prime_characteristic
 decides, and a record of proven (m+1, l, c) makes each proof run once;
 only proofs made with the library's own bases (no caller's rng) enter
-the record.  arith builds the field's kernels (modmul, the two
-Montgomery conversions, base-t digits, add and sub) and invert's power
-chain (chain.power_chain, from p's parameters alone) on first use and
-keeps them in ``modmul_kernel`` (arith.FieldKernels); the
-conversions to_residue and psi run the digit kernel, so they live in
-arith too.  A Residue is an immutable ``__slots__`` value that checks its
-own field and components.  zero and arith's kernel outputs skip that
-through _unchecked_residue: the multiplying kernels' outputs are in range
-by construction, and add, sub and randomize test their results with the
-field's generated slack check instead, which raises the constructor's
-range error.  A pickled or copied Residue is rebuilt by the checked
-constructor.
+the record.  arith builds the field's kernels (modmul, base-t digits,
+add and sub, and a stable field's slack check), the Montgomery factors
+b^q and b^-q mod p and invert's power chain (chain.power_chain, from
+p's parameters alone) on first use and keeps them in ``modmul_kernel``
+(arith.FieldKernels); the conversions to_residue, psi, to_montgomery and
+from_montgomery run the digit kernel, so they live in arith too.  A
+Residue is an immutable ``__slots__`` value that checks its own field
+and components.  zero and arith's kernel outputs skip that through
+_unchecked_residue: the digit and multiplying kernels' outputs are in
+range by construction, and add, sub and randomize test their results
+with the field's generated slack check instead, which raises the
+constructor's range error.  A pickled or copied Residue is rebuilt by
+the checked constructor.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ class GrpParams:
         self.c_shift_add = _shift_add_form(c)
 
         # Built on first use by arith (arith.FieldKernels): the
-        # straight-line kernels, the modmul trace and invert's chain.
+        # straight-line kernels, the modmul trace, the Montgomery factors
+        # and invert's chain.
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:
@@ -342,13 +344,20 @@ class WideResidue:
     params: GrpParams
 
 
-def canonical_value(r: Residue | WideResidue) -> int:
-    """Evaluate a vector at t and reduce modulo the field characteristic.
-    ParameterError unless r is a Residue or a WideResidue."""
+def _vector_field(r: Residue | WideResidue) -> GrpParams:
+    """The field of r; ParameterError unless r is a Residue or a
+    WideResidue, of exact type."""
     if type(r) is not Residue and type(r) is not WideResidue:
         raise ParameterError(
             f"expected a Residue, got {type(r).__name__}")
-    return horner(r.comps, r.params.t) % r.params.p
+    return r.params
+
+
+def canonical_value(r: Residue | WideResidue) -> int:
+    """Evaluate a vector at t and reduce modulo the field characteristic.
+    ParameterError unless r is a Residue or a WideResidue."""
+    params = _vector_field(r)
+    return horner(r.comps, params.t) % params.p
 
 
 def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
@@ -418,7 +427,5 @@ def _params_from_obj(obj: dict) -> GrpParams:
 def ring_value(r: Residue | WideResidue) -> int:
     """Evaluate a vector modulo t^(m+1) - 1, the embedding ring; raises
     as canonical_value."""
-    if type(r) is not Residue and type(r) is not WideResidue:
-        raise ParameterError(
-            f"expected a Residue, got {type(r).__name__}")
-    return horner(r.comps, r.params.t) % r.params.ring_modulus
+    params = _vector_field(r)
+    return horner(r.comps, params.t) % params.ring_modulus

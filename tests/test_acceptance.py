@@ -260,6 +260,7 @@ def test_9_benchmark_sanity(capsys, f243, f511):
         m = params.m_plus_1 - 1
         ok &= report.mul_count_per_modmul == m * params.m_plus_1 // 2
         ok &= report.baseline_mul_count == params.m_plus_1 ** 2
+        ok &= report.kernel_mul_count == modmul_trace(params)["mul"]
         if params is f243:  # the degree-5, 256-bit-class comparison
             ok &= (report.mul_count_per_modmul,
                    report.baseline_mul_count) == (10, 25)

@@ -178,6 +178,13 @@ class TestRed1:
             w = red1(z, slice_bits=toy.l)
             assert ring_value(w) == ring_value(z) * inv_b % ring
 
+    @pytest.mark.parametrize("slice_bits", [0, -1, 1.5, True, "8"])
+    def test_slice_bits_must_be_positive_int(self, f228, slice_bits):
+        z = WideResidue((0,) * 5, f228)
+        for op, arg in ((red1, z), (v_vector, f228)):
+            with pytest.raises(ParameterError, match="slice_bits must be"):
+                op(arg, slice_bits)
+
     def test_v_vector_reconstruction(self, f228):
         b = 1 << 64
         t0 = f228.t % b
@@ -254,8 +261,9 @@ class TestModmul:
             for op in unary:
                 with pytest.raises(ParameterError, match="expected a Resid"):
                     op(bad)
-            # The evaluations take a cvma_mul output too.
-            for op in (canonical_value, to_canonical, ring_value):
+            # The evaluations and reductions take a cvma_mul output too.
+            for op in (canonical_value, to_canonical, ring_value, red1, red2,
+                       red3):
                 if type(bad) is WideResidue:
                     op(bad)
                     continue
@@ -493,52 +501,24 @@ class TestKernel:
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
-    def test_conversions_equal_modmul_kernel(self, spec, q):
-        # to_montgomery and from_montgomery run kernels with the second
-        # operand fixed; each equals the two-operand kernel by that operand.
+    def test_conversions_are_psi_of_scaled_value(self, spec, q):
+        # to_montgomery and from_montgomery are one native mulmod by
+        # b^(+-q) mod p, back through the digit kernel: psi's encoding of
+        # the scaled value, whatever the input's encoding.
         params = params_new(*spec, 64, q, require_prime=False)
         b, p = params.b, params.p
-        r2 = to_residue(params, pow(b, 2 * q, p)).comps
-        one = to_residue(params, 1).comps
         rng = random.Random(19)
         xs = ([_random_reduced(params, rng) for _ in range(100)]
               + _slack_edges(params))
-        kernel = _kernel(params).modmul
+        xs += [randomize(x, rng.randrange(params.t - 1)) for x in xs[:20]]
         for x in xs:
-            for op, y in ((to_montgomery, r2), (from_montgomery, one)):
+            value = canonical_value(x)
+            for op, factor in ((to_montgomery, pow(b, q, p)),
+                               (from_montgomery, pow(b, -q, p))):
                 out = op(x)
-                assert out.comps == kernel(x.comps, y), op.__name__
+                assert out.comps == psi(params, value * factor % p).comps, \
+                    op.__name__
                 Residue(out.comps, params)
-
-    @pytest.mark.parametrize("q", [2, 3])
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
-    def test_scaled_kernel_syntax(self, spec, q):
-        # Straight-line code like the modmul kernel: the fixed operand
-        # only removes products, one multiply for each of its differences
-        # outside {0, 1, -1}.  That is all m(m+1)/2 of them for most
-        # fields; where b^(2q) < p its residue can be sparse and have
-        # fewer (34 of 55 on the 511-bit phi(11,2^42*513) at q = 2).
-        # Leaving the domain multiplies by differences of 0 and +/-1, so
-        # it is reductions only.
-        # kernel_ops refuses any constant but 0, a component with no
-        # product.
-        params = params_new(*spec, 64, q, require_prime=False)
-        b, p, n = params.b, params.p, params.m_plus_1
-        trace = modmul_trace(params)
-        mults, want = {}, {}
-        for name, value in (("to", pow(b, 2 * q, p)), ("from", 1)):
-            y = to_residue(params, value).comps
-            want[name] = sum(abs(y[sb] - y[sa]) > 1
-                             for pairs in params.cvma_pairs
-                             for sa, sb in pairs)
-            ops = kernel_ops(ast.parse(kernel_source(params, y)))
-            # the q red3 passes, unchanged
-            assert (ops["mask"], ops["shift"]) == (trace["mask"],
-                                                   trace["shift"])
-            assert ops["divmod"] == ops["compare"] == 0
-            mults[name] = ops["mul"] - (0 if params.c_shift_add else q * n)
-        assert mults == want
-        assert want["from"] == 0 and 0 < want["to"] <= n * (n - 1) // 2
 
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
@@ -598,6 +578,7 @@ _OUTSIDE_GRAMMAR = {
     "other call": "x = abs(y)",
     "divmod with a keyword": "x = divmod(x, y=y)",
     "non-zero constant": "x = y + 1",
+    "zero constant": "x = y + 0",
     "bool constant": "x = y + False",
     "comprehension": "x = tuple(z for z in y)",
     "UnaryOp": "x = -y",
@@ -616,7 +597,7 @@ class TestKernelOps:
         tree = ast.parse("def kernel(x, y):\n"
                          "    a, b = divmod(x, y)\n"
                          "    a += b\n"
-                         "    c = (a * b - x + y) >> a << b & 0\n"
+                         "    c = (a * b - x + y) >> a << b & x\n"
                          "    return (c, LO <= a <= HI and a <= b)\n")
         assert kernel_ops(tree) == {"mul": 1, "add": 3, "shift": 2,
                                     "mask": 1, "divmod": 1, "compare": 3}
@@ -634,13 +615,11 @@ class TestKernelOps:
         (" * (y", " + (y"),  # one product fewer than m(m+1)/2
     ], ids=["divmod", "compare", "fewer mults"])
     def test_build_refuses_modmul_kernel(self, monkeypatch, edit):
-        # The modmul kernel's own tree is checked where it is built; the
-        # scaled kernels are left as generated.
+        # The modmul kernel's own tree is checked where it is built.
         generate = kernel_source
 
-        def edited(params, y=None):
-            source = generate(params, y)
-            return source if y is not None else source.replace(*edit, 1)
+        def edited(params):
+            return generate(params).replace(*edit, 1)
 
         monkeypatch.setattr(grpfield.arith, "kernel_source", edited)
         params = params_new(5, 59, 3, 64, 2, require_prime=False)

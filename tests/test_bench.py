@@ -6,7 +6,8 @@ import random
 import pytest
 
 from grpfield import (BenchReport, MontCtx, OpCounter, ParameterError,
-                      montgomery_modmul, run_bench)
+                      modmul_trace, montgomery_modmul, params_new, run_bench)
+from test_arith import KERNEL_SPECS, _spec_id
 
 
 def _random_prime(bits, rng):
@@ -91,11 +92,29 @@ class TestRunBench:
         assert report.mul_count_per_modmul == 10
         assert report.baseline_mul_count == 25
 
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    def test_kernel_mul_count_is_modmul_trace(self, spec):
+        # Unless c = 2^e +/- 1, each of the q red3 passes multiplies every
+        # component by c, beyond the paper's cvma count: on phi(5,2^50*13)
+        # the kernel takes 20 multiplies to the paper's 10.
+        params = params_new(*spec, 64, 2, require_prime=False)
+        report = run_bench(params, iters=10, runs=1, seed=0)
+        n = params.m_plus_1
+        assert report.mul_count_per_modmul == (n - 1) * n // 2
+        extra = 0 if params.c_shift_add else 2 * n
+        assert report.kernel_mul_count == modmul_trace(params)["mul"] \
+            == report.mul_count_per_modmul + extra
+        assert json.loads(report.to_json())["kernel_mul_count"] \
+            == report.kernel_mul_count
+        if spec == (5, 50, 13):
+            assert (report.mul_count_per_modmul,
+                    report.kernel_mul_count) == (10, 20)
+
     def test_json_schema(self, toy):
         report = run_bench(toy, iters=100, runs=5, seed=0)
         data = json.loads(report.to_json())
         for key in ("param", "bits", "ns_per_op", "baseline_ns_per_op",
-                    "mul_count", "baseline_mul_count"):
+                    "mul_count", "baseline_mul_count", "kernel_mul_count"):
             assert key in data
 
     def test_bad_args(self, toy):

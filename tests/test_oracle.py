@@ -82,6 +82,19 @@ class TestOracleModmul:
             oracle_modmul(CanonicalElement(1, 157),
                           CanonicalElement(1, 163))
 
+    @pytest.mark.parametrize("bad", [1, (1, 157), "x", None])
+    def test_operands_must_be_elements(self, bad):
+        x = CanonicalElement(1, 157)
+        for args in ((bad, x), (x, bad), (bad, bad)):
+            with pytest.raises(ParameterError, match="CanonicalElements"):
+                oracle_modmul(*args)
+
+    @pytest.mark.parametrize("value, modulus", [
+        ("a", 5), (1, "5"), (1.0, 5), (1, 5.0), (True, 5), (1, None)])
+    def test_element_needs_int_value_and_modulus(self, value, modulus):
+        with pytest.raises(ParameterError, match="must be ints"):
+            CanonicalElement(value, modulus)
+
 
 class TestRepunitIdentity:
     def test_telescoping(self):

@@ -17,7 +17,7 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, zero)
-from grpfield.arith import from_montgomery, modmul, modmul_trace
+from grpfield.arith import from_montgomery, modmul, modmul_trace, v_vector
 from grpfield.chain import power_chain
 from test_acceptance import TABLE4_FIELDS
 
@@ -261,13 +261,10 @@ class TestLazyConstants:
             from_montgomery(zero(params))  # first use
             b, q, p = params.b, params.q, params.p
             built = params.modmul_kernel
-            # The scaled kernels are the modmul kernel with the residues
-            # of b^(2q) mod p and 1 fixed; invert's chain powers to p - 2.
-            x = psi(params, 7).comps
-            assert built.to_montgomery(x) == built.modmul(
-                x, to_residue(params, pow(b, 2 * q, p)).comps)
-            assert built.from_montgomery(x) == built.modmul(
-                x, to_residue(params, 1).comps)
+            # The Montgomery factors b^(+-q) mod p; invert's chain powers
+            # to p - 2.
+            assert (built.to_montgomery, built.from_montgomery) == (
+                pow(b, q, p), pow(b, -q, p))
             assert built.chain == power_chain(params)
             to_montgomery(zero(params))
             from_montgomery(zero(params))
@@ -275,10 +272,10 @@ class TestLazyConstants:
             # the toy field is not io_stable: it has no slack range
             assert (built.in_slack is grpfield.arith._no_slack_range) \
                 == (params.slack_range is None)
-        # built once per field: modmul, the two conversions, the digits,
-        # add and sub, and the slack check on every field but the toy
-        # field at q = 2 and 3, which has no slack range
-        assert len(compiled) == 7 * len(fields) - 2
+        # built once per field: modmul, the digits, add and sub, and the
+        # slack check on every field but the toy field at q = 2 and 3,
+        # which has no slack range
+        assert len(compiled) == 5 * len(fields) - 2
 
 
 class TestToResidue:
@@ -309,7 +306,7 @@ class TestToResidue:
         for convert in (to_residue, psi):
             with pytest.raises(ParameterError, match="must be a GrpParams"):
                 convert(params, 5)
-        for make in (zero, modmul_trace):
+        for make in (zero, modmul_trace, v_vector):
             with pytest.raises(ParameterError, match="must be a GrpParams"):
                 make(params)
 
