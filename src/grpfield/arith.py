@@ -31,8 +31,8 @@ their result, whatever the input's encoding; randomize draws a fresh
 one.  The base-t conversions to_residue and psi live here, not in
 params, because they run the field's straight-line digit kernel
 (:func:`digits_source`); add and sub run unrolled componentwise
-kernels, and a stable field has one more, its slack check
-(:func:`slack_check_source`).  ``params.modmul_kernel``, the field's
+kernels that also test their result's slack range
+(:func:`componentwise_source`).  ``params.modmul_kernel``, the field's
 one cache, holds these kernels, the trace, the two Montgomery factors
 and invert's chain for p - 2 (:class:`FieldKernels`,
 ``chain.power_chain``); the first conversion or operation on a field
@@ -42,10 +42,11 @@ Only modmul_interleaved returns through the checked Residue
 constructor.  The other results skip it (params._unchecked_residue).
 The multiplying and digit kernels' outputs stay in the slack range, as
 the tests check on slack-edge inputs.  add, sub and randomize can leave
-it, so their results pass the field's slack check, which raises the
-constructor's ParameterError; the constructor's type and length checks
-hold there by construction (m+1 exact ints combined by + and -).  An
-unstable field has no range to check.  Every operation on field
+it, so their kernel tests the range as it computes the result, and a
+result outside it raises the constructor's ParameterError; the
+constructor's type and length checks hold there by construction (m+1
+exact ints combined by + and -).  An unstable field's range is -inf to
+inf, which every result passes.  Every operation on field
 elements refuses operands that are not Residues, and every operation
 on two (cvma_mul too) refuses operands from two fields.
 """
@@ -53,6 +54,7 @@ on two (cvma_mul too) refuses operands from two fields.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -60,13 +62,14 @@ from .chain import PowerChain, power_chain
 from .errors import ParameterError, ZeroInverseError
 from .oracle import horner, modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
-                     _vector_field, canonical_value, check_int)
+                     _vector_field, canonical_value, check_int,
+                     check_params)
 
 Comps = tuple[int, ...]
 # A field's generated kernels: component tuples in, a tuple out (the
-# digit kernel takes an int).
+# digit kernel takes an int; add and sub also return whether the result
+# is in the slack range).
 Kernel = Callable[[Comps, Comps], Comps]
-SlackCheck = Callable[[Comps], bool]
 DigitKernel = Callable[[int], Comps]
 # Every generated kernel is compiled under this filename, so a tracer or
 # traceback can tell its frames apart.
@@ -188,8 +191,7 @@ def v_vector(params: GrpParams, slice_bits: int | None = None) -> tuple[int, ...
     ParameterError unless params is a GrpParams and slice_bits an int
     >= 1.
     """
-    if type(params) is not GrpParams:
-        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    check_params(params)
     if slice_bits is None:
         slice_bits = params.w
     check_int("slice_bits", slice_bits, 1)
@@ -285,29 +287,19 @@ def digits_source(params: GrpParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def slack_check_source(m_plus_1: int) -> str:
-    """Python source of ``kernel(x)``: whether LO <= x_s <= HI holds for
-    every one of the m+1 components, unrolled.  The bounds are the names
-    LO and HI, bound to ``params.slack_range`` where the kernel is built;
-    an in-range x runs every comparison."""
-    xs = ", ".join(f"x{s}" for s in range(m_plus_1))
-    tests = " and ".join(f"LO <= x{s} <= HI" for s in range(m_plus_1))
-    return f"def kernel(x):\n    {xs} = x\n    return {tests}\n"
-
-
-def _no_slack_range(x: Comps) -> bool:
-    """An unstable field's slack check: it has no range to hold."""
-    return True
-
-
 def componentwise_source(m_plus_1: int, op: str) -> str:
-    """Python source of ``kernel(x, y)``: the tuple of x_s op y_s over
-    the m+1 components, unrolled (op is "+" or "-")."""
+    """Python source of ``kernel(x, y)``: the tuple of z_s = x_s op y_s
+    over the m+1 components, unrolled (op is "+" or "-"), and whether
+    LO <= z_s <= HI holds for every one of them.  The bounds are the
+    names LO and HI, bound to ``params.slack_range`` where the kernel is
+    built; an in-range result runs every comparison."""
     xs = ", ".join(f"x{s}" for s in range(m_plus_1))
     ys = ", ".join(f"y{s}" for s in range(m_plus_1))
-    outs = ", ".join(f"x{s} {op} y{s}" for s in range(m_plus_1))
-    return f"def kernel(x, y):\n    {xs} = x\n    {ys} = y\n" \
-           f"    return ({outs})\n"
+    zs = ", ".join(f"z{s}" for s in range(m_plus_1))
+    outs = "".join(f"    z{s} = x{s} {op} y{s}\n" for s in range(m_plus_1))
+    tests = " and ".join(f"LO <= z{s} <= HI" for s in range(m_plus_1))
+    return f"def kernel(x, y):\n    {xs} = x\n    {ys} = y\n{outs}" \
+           f"    return ({zs}), {tests}\n"
 
 
 # The kernel grammar, the union of what the generators above emit: each
@@ -373,7 +365,7 @@ def _modmul_ops(tree: ast.Module, m_plus_1: int) -> dict[str, int]:
                      ops["mask"]).as_dict()
 
 
-def _compile(source: str | ast.Module, **names: int) -> Callable:
+def _compile(source: str | ast.Module, **names: int | float) -> Callable:
     """The function ``kernel`` that source (text or a parsed tree)
     defines, compiled under KERNEL_FILENAME with the constants names
     bound."""
@@ -390,18 +382,21 @@ class FieldKernels(NamedTuple):
     from_montgomery: int         # b^-q mod p, its inverse
     chain: PowerChain            # invert's power_chain(params)
     digits: DigitKernel          # to_residue's base-t digits
-    add: Kernel                  # componentwise x + y
-    sub: Kernel                  # componentwise x - y
-    in_slack: SlackCheck         # every x_s in params.slack_range
+    # componentwise x + y and x - y, each with whether every component
+    # of the result is in params.slack_range
+    add: Callable[[Comps, Comps], tuple[Comps, bool]]
+    sub: Callable[[Comps, Comps], tuple[Comps, bool]]
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
     """The field's kernels, trace, Montgomery factors and inversion
     chain: built once, kept on params.  The per-op paths read
     ``params.modmul_kernel`` first and call this only to build it, which
-    saves a call on every op.  Five kernels are compiled, four on a field
-    with no slack range.  The modmul kernel's source is parsed once: its
-    trace is the tally of that tree, which is then compiled."""
+    saves a call on every op.  Four kernels are compiled on every field;
+    one with no slack range bounds add and sub by -inf and inf, which
+    CPython compares with ints exactly.  The modmul kernel's source is
+    parsed once: its trace is the tally of that tree, which is then
+    compiled."""
     built = params.modmul_kernel
     if built is None:
         b, p, t = params.b, params.p, params.t
@@ -409,25 +404,24 @@ def _kernel(params: GrpParams) -> FieldKernels:
         if params.c_shift_add is not None:
             names["E"] = params.c_shift_add[0]
         n = params.m_plus_1
-        bounds = params.slack_range
-        in_slack = _no_slack_range if bounds is None else _compile(
-            slack_check_source(n), LO=bounds[0], HI=bounds[1])
+        lo, hi = params.slack_range or (-math.inf, math.inf)
         tree = ast.parse(kernel_source(params))
         built = params.modmul_kernel = FieldKernels(
             _compile(tree, **names), _modmul_ops(tree, n),
             pow(b, params.q, p), pow(b, -params.q, p), power_chain(params),
             _compile(digits_source(params), T=t, H=t >> 1, HP=(t >> 1) * p),
-            _compile(componentwise_source(n, "+")),
-            _compile(componentwise_source(n, "-")), in_slack)
+            _compile(componentwise_source(n, "+"), LO=lo, HI=hi),
+            _compile(componentwise_source(n, "-"), LO=lo, HI=hi))
     return built
 
 
-def _slack_checked(built: FieldKernels, comps: Comps,
+def _slack_checked(result: tuple[Comps, bool],
                    params: GrpParams) -> Residue:
-    """The Residue of an add, sub or randomize result, after the field's
-    slack check: ParameterError, as the checked constructor raises, if
-    a component left the range."""
-    if not built.in_slack(comps):
+    """The Residue of an add or sub kernel's (components, in range)
+    result: ParameterError, as the checked constructor raises, if a
+    component left the slack range."""
+    comps, in_range = result
+    if not in_range:
         raise ParameterError("component outside additive slack range")
     return _unchecked_residue(comps, params)
 
@@ -440,8 +434,7 @@ def to_residue(params: GrpParams, x: int) -> Residue:
     Runs the field's digit kernel (see digits_source): one divmod per
     digit, with no branch on the value.
     """
-    if type(params) is not GrpParams:
-        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    check_params(params)
     if type(x) is not int or not 0 <= x < params.ring_modulus:
         raise ParameterError(
             f"value {x!r} is not an int in [0, t^(m+1) - 1)")
@@ -499,11 +492,12 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
 
 def add(x: Residue, y: Residue) -> Residue:
     """Componentwise sum; no reduction, the next modmul absorbs the growth.
-    Runs the field's add kernel; its slack check bounds the sum."""
+    Runs the field's add kernel, which also tests that the sum is in the
+    slack range: ParameterError if it is not."""
     params = (x.params if type(x) is Residue and type(y) is Residue
               and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
-    return _slack_checked(built, built.add(x.comps, y.comps), params)
+    return _slack_checked(built.add(x.comps, y.comps), params)
 
 
 def sub(x: Residue, y: Residue) -> Residue:
@@ -511,7 +505,7 @@ def sub(x: Residue, y: Residue) -> Residue:
     params = (x.params if type(x) is Residue and type(y) is Residue
               and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
-    return _slack_checked(built, built.sub(x.comps, y.comps), params)
+    return _slack_checked(built.sub(x.comps, y.comps), params)
 
 
 def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
@@ -574,12 +568,13 @@ def equals(x: Residue, y: Residue) -> bool:
 
 def randomize(x: Residue, r: int) -> Residue:
     """Add r times the all-ones vector: same field element, fresh encoding.
-    The field's slack check bounds the result, as add's."""
+    Runs the add kernel on (r, ..., r), so the result is bounded as
+    add's."""
     params = _field(x)
     if type(r) is not int or not 0 <= r < params.t - 1:
         raise ParameterError(f"scaling factor {r!r} is not an int in [0, t-2]")
     built = params.modmul_kernel or _kernel(params)
-    return _slack_checked(built, tuple(comp + r for comp in x.comps), params)
+    return _slack_checked(built.add(x.comps, (r,) * params.m_plus_1), params)
 
 
 def modmul_trace(params: GrpParams) -> dict[str, int]:
@@ -587,6 +582,5 @@ def modmul_trace(params: GrpParams) -> dict[str, int]:
     a copy of the field's trace, the kernel_ops tally of the modmul
     kernel's syntax tree, taken where that tree is compiled (_kernel).
     ParameterError unless params is a GrpParams."""
-    if type(params) is not GrpParams:
-        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    check_params(params)
     return dict((params.modmul_kernel or _kernel(params)).trace)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .arith import UNCOUNTED, OpCounter, modmul, modmul_trace, psi
 from .errors import ParameterError
-from .params import DEFAULT_WORD_BITS, GrpParams, check_int
+from .params import (DEFAULT_WORD_BITS, GrpParams, check_int,
+                     check_params)
 
 
 class MontCtx:
@@ -164,8 +165,7 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
     ParameterError unless params is a GrpParams and iters and runs are
     ints >= 1.
     """
-    if type(params) is not GrpParams:
-        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    check_params(params)
     check_int("iters", iters, 1)
     check_int("runs", runs, 1)
     rng = random.Random(seed)

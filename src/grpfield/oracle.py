@@ -150,8 +150,13 @@ def lattice_basis(m_plus_1: int, t: int) -> list[tuple[int, ...]]:
     """Basis vectors of the congruence lattice, in descending-power order.
 
     Basis vector j represents t**(m-j) - t * t**(m-j-1) (cyclically), so
-    each one evaluates to 0 modulo t**(m+1) - 1.
+    each one evaluates to 0 modulo t**(m+1) - 1.  ParameterError unless
+    m_plus_1 >= 3 and t >= 2 are ints.
     """
+    if type(m_plus_1) is not int or type(t) is not int \
+            or m_plus_1 < 3 or t < 2:
+        raise ParameterError(
+            f"need ints m+1 >= 3 and t >= 2, got {m_plus_1!r} and {t!r}")
     basis = []
     for j in range(m_plus_1):
         vec = [0] * m_plus_1
@@ -234,7 +239,11 @@ def is_prime_characteristic(p: int, m_plus_1: int, *,
 
 
 def modular_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo `modulus`, by the built-in pow."""
+    """Inverse of a modulo `modulus`, by the built-in pow.  ParameterError
+    unless both are ints (no bool), or if a is not invertible."""
+    if type(a) is not int or type(modulus) is not int:
+        raise ParameterError(
+            f"a and modulus must be ints, got {a!r} and {modulus!r}")
     try:
         return pow(a, -1, modulus)
     except ValueError:

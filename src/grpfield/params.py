@@ -19,18 +19,19 @@ prove p themselves), runs prove_prime: oracle.is_prime_characteristic
 decides, and a record of proven (m+1, l, c) makes each proof run once;
 only proofs made with the library's own bases (no caller's rng) enter
 the record.  arith builds the field's kernels (modmul, base-t digits,
-add and sub, and a stable field's slack check), the Montgomery factors
+and add and sub, which also test the slack range), the Montgomery factors
 b^q and b^-q mod p and invert's power chain (chain.power_chain, from
 p's parameters alone) on first use and keeps them in ``modmul_kernel``
 (arith.FieldKernels); the conversions to_residue, psi, to_montgomery and
 from_montgomery run the digit kernel, so they live in arith too.  A
 Residue is an immutable ``__slots__`` value that checks its own field
-and components.  zero and arith's kernel outputs skip that through
-_unchecked_residue: the digit and multiplying kernels' outputs are in
-range by construction, and add, sub and randomize test their results
-with the field's generated slack check instead, which raises the
-constructor's range error.  A pickled or copied Residue is rebuilt by
-the checked constructor.
+and components; a WideResidue checks the same shape, with no range.
+zero and arith's kernel outputs skip that through _unchecked_residue:
+the digit and multiplying kernels' outputs are in range by
+construction, and add, sub and randomize test their results inside the
+field's add kernel or sub kernel instead, raising the constructor's
+range error.  A pickled or copied Residue is rebuilt by the checked
+constructor.
 """
 
 from __future__ import annotations
@@ -128,7 +129,11 @@ def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
 
 
 def mods(x: int, t: int) -> int:
-    """Least absolute residue of x modulo even t, in [-t/2, t/2 - 1]."""
+    """Least absolute residue of x modulo even t, in [-t/2, t/2 - 1].
+    ParameterError unless x is an int and t an int >= 2."""
+    if type(x) is not int:
+        raise ParameterError(f"x must be an integer, got {x!r}")
+    check_int("t", t, 2)
     h = t >> 1
     return (x + h) % t - h
 
@@ -269,9 +274,29 @@ class GrpParams:
 
 params_new = GrpParams
 
+
 # (m+1, l, c) of every characteristic GrpParams.prove_prime has proven
 # with the library's own bases.
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
+
+
+def check_params(params: GrpParams) -> None:
+    """ParameterError unless params is a GrpParams, of exact type."""
+    if type(params) is not GrpParams:
+        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+
+
+def _check_vector(comps: tuple[int, ...], params: GrpParams) -> None:
+    """The shape checks of Residue and WideResidue: ParameterError unless
+    params is a GrpParams and comps a tuple of m+1 exact ints (no bool or
+    float)."""
+    check_params(params)
+    if type(comps) is not tuple or len(comps) != params.m_plus_1:
+        raise ParameterError(
+            f"expected a tuple of {params.m_plus_1} components")
+    for comp in comps:
+        if type(comp) is not int:
+            raise ParameterError("components must be ints")
 
 
 class Residue:
@@ -287,15 +312,7 @@ class Residue:
     __slots__ = ("comps", "params")
 
     def __init__(self, comps: tuple[int, ...], params: GrpParams) -> None:
-        if type(params) is not GrpParams:
-            raise ParameterError(
-                f"params must be a GrpParams, got {params!r}")
-        if type(comps) is not tuple or len(comps) != params.m_plus_1:
-            raise ParameterError(
-                f"expected a tuple of {params.m_plus_1} components")
-        for comp in comps:
-            if type(comp) is not int:
-                raise ParameterError("components must be ints")
+        _check_vector(comps, params)
         bounds = params.slack_range
         if bounds is not None and not (bounds[0] <= min(comps)
                                        and max(comps) <= bounds[1]):
@@ -338,10 +355,15 @@ def _unchecked_residue(comps: tuple[int, ...], params: GrpParams) -> Residue:
 
 @dataclass(frozen=True)
 class WideResidue:
-    """Double-width accumulator vector, output of the multiplication step."""
+    """Double-width accumulator vector, output of the multiplication step.
+    ParameterError unless params is a GrpParams and comps a tuple of m+1
+    exact ints, as for a Residue, but with no bound on the components."""
 
     comps: tuple[int, ...]
     params: GrpParams
+
+    def __post_init__(self) -> None:
+        _check_vector(self.comps, self.params)
 
 
 def _vector_field(r: Residue | WideResidue) -> GrpParams:
@@ -365,8 +387,7 @@ def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
 
 
 def zero(params: GrpParams) -> Residue:
-    if type(params) is not GrpParams:
-        raise ParameterError(f"params must be a GrpParams, got {params!r}")
+    check_params(params)
     return _unchecked_residue((0,) * params.m_plus_1, params)
 
 

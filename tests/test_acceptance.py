@@ -16,6 +16,7 @@ from grpfield import (OpCounter, Residue, add, canonical_value, cvma_mul,
                       modmul_trace, modular_inverse, params_new, psi,
                       red2, red3, ring_value, run_bench, square,
                       stability_table, sub, to_montgomery, WideResidue)
+from tracing import opcode_trace
 
 
 def _report(capsys, num, name, ok):
@@ -177,6 +178,8 @@ def test_5_cost_model(capsys, f243):
 
 
 def test_6_constant_trace(capsys, f243):
+    # modmul_trace builds the field's kernels, so no trace below
+    # includes the build.
     trace = modmul_trace(f243)
     rng = random.Random(6)
     bound = 1 << (f243.k + 1)
@@ -188,6 +191,10 @@ def test_6_constant_trace(capsys, f243):
         ctr = OpCounter()
         modmul(x, x, ctr)
         ok &= ctr.as_dict() == trace
+    # The tally is copied from the kernel's syntax tree, so it cannot
+    # vary: the opcodes modmul executes must not vary either.
+    opcodes = {tuple(opcode_trace(modmul, (x, x))) for x in inputs}
+    ok &= len(opcodes) == 1 and () not in opcodes
     _report(capsys, 6, "constant operation trace", ok)
 
 

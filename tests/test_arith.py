@@ -22,12 +22,12 @@ from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       residue_to_json, ring_value, square, sub,
                       to_canonical, to_montgomery, to_residue, v_vector,
                       zero)
-from grpfield.arith import (KERNEL_FILENAME, _kernel, componentwise_source,
-                            digits_source, kernel_ops, kernel_source,
-                            slack_check_source)
+from grpfield.arith import (_kernel, componentwise_source, digits_source,
+                            kernel_ops, kernel_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
 from test_acceptance import TABLE4_FIELDS
 from test_chain import _BOUND_ROWS, replay_exponent
+from tracing import opcode_trace as _opcode_trace
 
 
 def _random_reduced(params, rng):
@@ -275,6 +275,15 @@ class TestModmul:
                     with pytest.raises(ParameterError,
                                        match="expected a Resid"):
                         op(*args)
+        # A WideResidue checks its shape where it is made, as a Residue
+        # does: a field and m+1 exact ints in a tuple.
+        for probe in (lambda: red3(WideResidue((1, 2), f243)),
+                      lambda: red3(WideResidue((0,) * 5, "x")),
+                      lambda: to_canonical(WideResidue((1, 2), f243)),
+                      lambda: ring_value(WideResidue((1.5,) * 5, f243)),
+                      lambda: hash(WideResidue([1] * 5, f243))):
+            with pytest.raises(ParameterError):
+                probe()
 
     def test_trace_is_input_independent(self, f243):
         trace = modmul_trace(f243)
@@ -545,14 +554,14 @@ class TestKernel:
     def test_digit_and_componentwise_kernel_syntax(self, spec):
         # Straight-line code: the digit kernel is one addition, m+1
         # divmod calls and m+2 digit adjustments; add and sub one
-        # operation per component.
+        # operation and the two compares of the slack range per component.
         params = params_new(*spec, 64, 2, require_prime=False)
         n = params.m_plus_1
         assert kernel_ops(ast.parse(digits_source(params))) == {
             **_NO_OPS, "add": n + 2, "divmod": n}
         for op in "+-":
             assert kernel_ops(ast.parse(componentwise_source(n, op))) == {
-                **_NO_OPS, "add": n}
+                **_NO_OPS, "add": n, "compare": 2 * n}
 
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
@@ -564,8 +573,10 @@ class TestKernel:
               + [x.comps for x in _slack_edges(params)])
         for x in xs:
             for y in (rng.choice(xs), xs[-1]):
-                assert built.add(x, y) == tuple(map(operator.add, x, y))
-                assert built.sub(x, y) == tuple(map(operator.sub, x, y))
+                for kernel, op in ((built.add, operator.add),
+                                   (built.sub, operator.sub)):
+                    comps = tuple(map(op, x, y))
+                    assert kernel(x, y) == (comps, _in_slack(params, comps))
 
 
 # Kernel bodies outside the grammar, each behind `def kernel(x, y):`.
@@ -663,9 +674,18 @@ _SLACK_FIELDS = [params_new(*spec, 64, q, require_prime=False)
                  for spec in [(3, 2, 3)] + KERNEL_SPECS for q in (2, 3)]
 
 
+def _in_slack(params, comps):
+    """Whether the Residue constructor accepts comps on params."""
+    try:
+        Residue(comps, params)
+    except ParameterError:
+        return False
+    return True
+
+
 class TestSlackCheck:
-    """add, sub and randomize test their results with the field's
-    generated slack check (slack_check_source), not the constructor."""
+    """add, sub and randomize test their results inside the field's add
+    and sub kernels (componentwise_source), not with the constructor."""
 
     @pytest.mark.parametrize("params", _SLACK_FIELDS, ids=repr)
     def test_exact_edges(self, params):
@@ -701,29 +721,32 @@ class TestSlackCheck:
             lambda edge: st.integers(edge - 2, edge + 2)),
             st.integers(lo, hi))
         comps = tuple(data.draw(comp) for _ in range(params.m_plus_1))
-        try:
-            Residue(comps, params)
-            accepted = True
-        except ParameterError:
-            accepted = False
-        assert _kernel(params).in_slack(comps) is accepted
+        accepted = _in_slack(params, comps)
+        built, zeros = _kernel(params), (0,) * params.m_plus_1
+        assert built.add(comps, zeros) == (comps, accepted)
+        assert built.sub(comps, zeros) == (comps, accepted)
 
     @pytest.mark.parametrize("m_plus_1", sorted({spec[0] for spec in
                                                  KERNEL_SPECS}))
     def test_syntax(self, m_plus_1):
-        # Tuple unpacking, names, <= and `and` only: kernel_ops refuses a
-        # call, attribute, constant or loop, and counts any other operator.
-        tree = ast.parse(slack_check_source(m_plus_1))
-        assert kernel_ops(tree) == {**_NO_OPS, "compare": 2 * m_plus_1}
-        comps = [f"x{s}" for s in range(m_plus_1)]
-        compares = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                assert node.id in {"x", "LO", "HI", *comps}, node.id
-            if isinstance(node, ast.Compare):
-                compares.append([node.left.id]
-                                + [right.id for right in node.comparators])
-        assert compares == [["LO", name, "HI"] for name in comps]
+        # Tuple unpacking, names, one + or - per component, then <= and
+        # `and` only: kernel_ops refuses a call, attribute, constant or
+        # loop, and counts any other operator.  The compares test the
+        # result components, each between LO and HI.
+        names = {f"{v}{s}" for v in "xyz" for s in range(m_plus_1)}
+        results = [f"z{s}" for s in range(m_plus_1)]
+        for op in "+-":
+            tree = ast.parse(componentwise_source(m_plus_1, op))
+            assert kernel_ops(tree) == {**_NO_OPS, "add": m_plus_1,
+                                        "compare": 2 * m_plus_1}
+            compares = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    assert node.id in {"x", "y", "LO", "HI", *names}, node.id
+                if isinstance(node, ast.Compare):
+                    compares.append([node.left.id] + [
+                        right.id for right in node.comparators])
+            assert compares == [["LO", name, "HI"] for name in results]
 
 
 class TestAuxiliaryOps:
@@ -795,35 +818,6 @@ class TestAuxiliaryOps:
             ym = to_montgomery(psi(f243, b))
             prod = from_montgomery(modmul(xm, ym))
             assert canonical_value(prod) == a * b % f243.p
-
-
-_PACKAGE_DIR = str(Path(grpfield.__file__).resolve().parent) + os.sep
-
-
-def _opcode_trace(op, args):
-    """(code name, offset) of every opcode that op(*args) executes in a
-    grpfield frame.  Frames are picked by filename: the package's files,
-    or KERNEL_FILENAME, under which every generated kernel is compiled."""
-    seen = []
-
-    def local(frame, event, arg):
-        if event == "opcode":
-            seen.append((frame.f_code.co_name, frame.f_lasti))
-        return local
-
-    def on_call(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if filename == KERNEL_FILENAME or filename.startswith(_PACKAGE_DIR):
-            frame.f_trace_opcodes = True
-            return local
-        return None
-
-    sys.settrace(on_call)
-    try:
-        op(*args)
-    finally:
-        sys.settrace(None)
-    return seen
 
 
 class TestOpcodeTrace:

@@ -55,6 +55,13 @@ class TestCongruent:
             for row in lattice_basis(m_plus_1, t):
                 assert congruent(row, zero, t, modulus)
 
+    @pytest.mark.parametrize("m_plus_1, t", [
+        (1, 3), (2, 3), (3, 1), (3, 0), ("a", 3), (3, "a"), (3.0, 12),
+        (3, 12.0), (True, 12)])
+    def test_lattice_basis_refuses_bad_input(self, m_plus_1, t):
+        with pytest.raises(ParameterError):
+            lattice_basis(m_plus_1, t)
+
 
 class TestOracleModmul:
     def test_zero_and_one(self):
@@ -76,6 +83,12 @@ class TestOracleModmul:
             with pytest.raises(ParameterError, match="not invertible"):
                 modular_inverse(a, modulus)
         assert modular_inverse(-2, 9) == 4
+
+    @pytest.mark.parametrize("a, modulus", [
+        (1.5, 7), (2, 7.0), (True, 7), ("2", 7), (2, None)])
+    def test_inverse_needs_ints(self, a, modulus):
+        with pytest.raises(ParameterError, match="must be ints"):
+            modular_inverse(a, modulus)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ParameterError):

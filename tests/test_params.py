@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import random
 
@@ -16,7 +17,7 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       mods, params_from_json, params_new, params_to_json, psi,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
-                      to_residue, zero)
+                      to_residue, WideResidue, zero)
 from grpfield.arith import from_montgomery, modmul, modmul_trace, v_vector
 from grpfield.chain import power_chain
 from test_acceptance import TABLE4_FIELDS
@@ -88,6 +89,13 @@ class TestMods:
         assert mods(7, 10) == -3
         assert mods(3, 10) == 3
         assert mods(-1, 10) == -1
+
+    @pytest.mark.parametrize("x, t", [
+        (1.5, 4), (1, 0), (1, 1), (1, -4), (True, 4), (1, 4.0), ("1", 4),
+        (1, None)])
+    def test_refuses_bad_input(self, x, t):
+        with pytest.raises(ParameterError):
+            mods(x, t)
 
     @given(st.integers(-10 ** 12, 10 ** 12),
            st.integers(1, 10 ** 6).map(lambda n: 2 * n))
@@ -269,13 +277,15 @@ class TestLazyConstants:
             to_montgomery(zero(params))
             from_montgomery(zero(params))
             assert params.modmul_kernel is built
-            # the toy field is not io_stable: it has no slack range
-            assert (built.in_slack is grpfield.arith._no_slack_range) \
-                == (params.slack_range is None)
-        # built once per field: modmul, the digits, add and sub, and the
-        # slack check on every field but the toy field at q = 2 and 3,
-        # which has no slack range
-        assert len(compiled) == 5 * len(fields) - 2
+            # add and sub test the slack range; the toy field is not
+            # io_stable, so its bounds are -inf and inf
+            bounds = params.slack_range or (-math.inf, math.inf)
+            for kernel in (built.add, built.sub):
+                assert (kernel.__globals__["LO"],
+                        kernel.__globals__["HI"]) == bounds
+        # built once per field, the toy field too: modmul, the digits,
+        # add and sub
+        assert len(compiled) == 4 * len(fields)
 
 
 class TestToResidue:
@@ -514,6 +524,12 @@ class TestJson:
         for comps in ((1.5, 0, 0), (True, 0, 0), [0, 0, 0]):
             with pytest.raises(ParameterError):
                 Residue(comps, toy)
+        # A WideResidue runs the type and length checks, with no range.
+        assert WideResidue((1 << 400, 0, 0, 0, 0), f243).comps[0] == 1 << 400
+        for comps in ((1.5, 0, 0), (True, 0, 0), [0, 0, 0], (0, 0),
+                      (0, 0, 0, 0)):
+            with pytest.raises(ParameterError):
+                WideResidue(comps, toy)
 
 
 class TestResidueValue:
@@ -566,3 +582,5 @@ class TestResidueValue:
     def test_params_must_be_grp_params(self, params):
         with pytest.raises(ParameterError, match="must be a GrpParams"):
             Residue((0, 0, 0, 0, 0), params)
+        with pytest.raises(ParameterError, match="must be a GrpParams"):
+            WideResidue((0, 0, 0, 0, 0), params)
