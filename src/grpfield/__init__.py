@@ -6,9 +6,9 @@ reduction, with every result checkable against an exact big-int oracle.
 """
 
 from .arith import (OpCounter, add, cvma_mul, equals, from_montgomery,
-                    invert, modmul, modmul_interleaved, modmul_trace, psi,
-                    randomize, red1, red2, red3, square, sub,
-                    to_montgomery, to_residue, v_vector)
+                    invert, kernel_cost, modmul, modmul_interleaved,
+                    modmul_trace, psi, randomize, red1, red2, red3, square,
+                    sub, to_montgomery, to_residue, v_vector)
 from .bench import BenchReport, MontCtx, montgomery_modmul, run_bench
 from .errors import (GrpError, NotPrimeError, ParameterError, RangeError,
                      StabilityError, ZeroInverseError)

@@ -11,11 +11,14 @@ Every operation executes the same sequence of primitive operations
 regardless of the input values.  ``modmul`` and ``invert`` run a
 straight-line kernel generated for each field on its first use (see
 :func:`kernel_source`), tested against cvma_mul and the plain red3 (the
-kernel alone runs red3's cofactor product as shift-and-add); an
-OpCounter passed in only receives the tally of that kernel's syntax
-tree (:func:`kernel_ops`, :func:`modmul_trace`), taken from the tree
-that is compiled, and never changes the code that runs.  Only the loop
-reference cvma_mul keeps a closed-form tally.
+kernel alone runs red3's cofactor product as shift-and-add).  Their op
+counts are static: :func:`kernel_cost` gives the tally of cvma, modmul,
+square and invert, read in one walk over the syntax tree of the modmul
+kernel that is compiled (:func:`kernel_ops`), so no call counts
+anything.  OpCounter, UNCOUNTED and the counter parameters of invert,
+cvma_mul and bench.montgomery_modmul stay for perfbench, which reads
+counts through them; only the loops cvma_mul and montgomery_modmul keep
+closed-form tallies.
 ``invert`` powers to the public exponent p - 2 by the field's power
 chain (:mod:`grpfield.chain`): a straight-line program over a few
 slots, built from p alone, that follows the repunit form of p where
@@ -33,8 +36,8 @@ params, because they run the field's straight-line digit kernel
 (:func:`digits_source`); add and sub run unrolled componentwise
 kernels that also test their result's slack range
 (:func:`componentwise_source`).  ``params.modmul_kernel``, the field's
-one cache, holds these kernels, the trace, the two Montgomery factors
-and invert's chain for p - 2 (:class:`FieldKernels`,
+one cache, holds these kernels, the cost table, the two Montgomery
+factors and invert's chain for p - 2 (:class:`FieldKernels`,
 ``chain.power_chain``); the first conversion or operation on a field
 builds them all.
 
@@ -78,7 +81,10 @@ KERNEL_FILENAME = "<grpfield kernel>"
 
 @dataclass
 class OpCounter:
-    """Counts of primitive operation classes executed."""
+    """Counts of primitive operation classes executed.  It stays only
+    because perfbench reads counts through the counter parameters of
+    invert, cvma_mul and bench.montgomery_modmul; kernel_cost is where
+    the library keeps its counts."""
 
     mul: int = 0
     add: int = 0
@@ -88,27 +94,30 @@ class OpCounter:
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
-    def tally(self, counts: dict[str, int], times: int = 1) -> None:
-        """Add `times` runs of an operation sequence with these counts."""
+    def tally(self, counts: dict[str, int]) -> None:
+        """Add one run of an operation sequence with these counts."""
         for name, count in counts.items():
-            setattr(self, name, getattr(self, name) + times * count)
+            setattr(self, name, getattr(self, name) + count)
 
 
 class _Uncounted(OpCounter):
-    """The default counter: drops every tally."""
+    """The default counter of those three parameters: drops every tally."""
 
-    def tally(self, counts: dict[str, int], times: int = 1) -> None:
+    def tally(self, counts: dict[str, int]) -> None:
         pass
 
 
 UNCOUNTED = _Uncounted()
+# OpCounter's classes, the keys of every kernel_cost entry.
+_COUNTED = ("mul", "add", "shift", "mask")
 
 
 def _cvma_counts(m_plus_1: int) -> dict[str, int]:
     """cvma_mul's tally, a closed form because cvma_mul is a loop: per
     component, m/2 products of two differences and m/2 - 1 adds."""
     h = (m_plus_1 - 1) // 2
-    return {"mul": m_plus_1 * h, "add": m_plus_1 * (3 * h - 1)}
+    return {"mul": m_plus_1 * h, "add": m_plus_1 * (3 * h - 1),
+            "shift": 0, "mask": 0}
 
 
 def _field(x: Residue) -> GrpParams:
@@ -235,7 +244,8 @@ def kernel_source(params: GrpParams) -> str:
     """Python source of the field's modmul kernel, ``kernel(x, y)``.
 
     The kernel maps two component tuples to the components of
-    modmul(x, y): the cvma_mul products over ``params.cvma_pairs``, then
+    modmul(x, y): the cvma_mul products over ``params.cvma_pairs``,
+    assigned to z0_0 ... z0_m and to no other name, then
     q passes of red3, all unrolled, with the cofactor product written as
     shift-and-add when ``params.c_shift_add`` gives c = 2**e +/- 1.
     Only storage indices are written into the text; the field constants
@@ -315,6 +325,46 @@ _PLAIN_NODES = frozenset((
     ast.Compare, ast.BoolOp, ast.And))
 
 
+def _walk_ops(tree: ast.AST,
+              prefix: str | None) -> tuple[dict[str, int], dict[str, int]]:
+    """Op counts of a generated kernel's syntax tree, walked once: of the
+    whole tree, and of its assignments to a name that starts with prefix
+    (none when prefix is None).  ParameterError as kernel_ops."""
+    whole = dict.fromkeys(("mul", "add", "shift", "mask", "divmod",
+                           "compare"), 0)
+    part = dict(whole)
+    stack = [(tree, False)]
+    while stack:
+        node, in_part = stack.pop()
+        kind = type(node)
+        if kind is ast.Name:
+            continue
+        if kind is ast.Call and type(node.func) is ast.Name \
+                and node.func.id == "divmod" and not node.keywords:
+            op, fields = "divmod", ("args",)
+        else:
+            op = _OP_CLASS.get(kind)
+            if op is None and kind not in _PLAIN_NODES:
+                raise ParameterError(
+                    f"{kind.__name__} is outside the kernel grammar")
+            if kind is ast.Assign and prefix is not None:
+                target = node.targets[0]
+                in_part = in_part or (type(target) is ast.Name
+                                      and target.id.startswith(prefix))
+            fields = kind._fields
+        if op is not None:
+            whole[op] += 1
+            if in_part:
+                part[op] += 1
+        for field in fields:
+            child = getattr(node, field)
+            if type(child) is list:
+                stack += [(item, in_part) for item in child]
+            elif child is not None and type(child) is not str:
+                stack.append((child, in_part))
+    return whole, part
+
+
 def kernel_ops(tree: ast.AST) -> dict[str, int]:
     """Op counts of a generated kernel's syntax tree, walked once: mul,
     add (+ and -), shift (>> and <<), mask (&), divmod and compare (<=).
@@ -325,44 +375,29 @@ def kernel_ops(tree: ast.AST) -> dict[str, int]:
     attribute, other call, constant or operator could make the count
     depend on the data.
     """
-    ops = dict.fromkeys(("mul", "add", "shift", "mask", "divmod",
-                         "compare"), 0)
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is ast.Name:
-            continue
-        if kind is ast.Call and type(node.func) is ast.Name \
-                and node.func.id == "divmod" and not node.keywords:
-            ops["divmod"] += 1
-            stack += node.args
-            continue
-        if kind in _OP_CLASS:
-            ops[_OP_CLASS[kind]] += 1
-        elif kind not in _PLAIN_NODES:
-            raise ParameterError(
-                f"{kind.__name__} is outside the kernel grammar")
-        for field in kind._fields:
-            child = getattr(node, field)
-            if type(child) is list:
-                stack += child
-            elif child is not None and type(child) is not str:
-                stack.append(child)
-    return ops
+    return _walk_ops(tree, None)[0]
 
 
-def _modmul_ops(tree: ast.Module, m_plus_1: int) -> dict[str, int]:
-    """The trace of a modmul kernel's tree: its kernel_ops in OpCounter's
-    four classes.  ParameterError if it holds a divmod or a compare, or
-    fewer than the paper's m(m+1)/2 multiplies."""
-    ops = kernel_ops(tree)
-    if ops["divmod"] or ops["compare"]:
+def _kernel_cost(tree: ast.Module, m_plus_1: int,
+                 chain: PowerChain) -> dict[str, dict[str, int]]:
+    """kernel_cost's table, from one walk over the modmul kernel's tree:
+    cvma is the tally of its difference products (the z0_ assignments),
+    modmul that of the whole tree.  ParameterError if the tree holds a
+    divmod or a compare, or its products fewer than the paper's m(m+1)/2
+    multiplies."""
+    whole, products = _walk_ops(tree, "z0_")
+    if whole["divmod"] or whole["compare"]:
         raise ParameterError("modmul kernel holds a divmod or a compare")
-    if ops["mul"] < (m_plus_1 - 1) * m_plus_1 // 2:
+    if products["mul"] < (m_plus_1 - 1) * m_plus_1 // 2:
         raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
-    return OpCounter(ops["mul"], ops["add"], ops["shift"],
-                     ops["mask"]).as_dict()
+    modmul = {name: whole[name] for name in _COUNTED}
+    square = dict(modmul)
+    squarings = sum(step[0] for step in chain.steps)
+    factors = chain.modmuls - squarings
+    return {"cvma": {name: products[name] for name in _COUNTED},
+            "modmul": modmul, "square": square,
+            "invert": {name: squarings * square[name]
+                       + factors * modmul[name] for name in _COUNTED}}
 
 
 def _compile(source: str | ast.Module, **names: int | float) -> Callable:
@@ -377,7 +412,7 @@ class FieldKernels(NamedTuple):
     """A field's one cache, ``params.modmul_kernel``."""
 
     modmul: Kernel
-    trace: dict[str, int]        # kernel_ops of modmul's compiled tree
+    cost: dict[str, dict[str, int]]  # kernel_cost's table
     to_montgomery: int           # b^q mod p, the Montgomery factor
     from_montgomery: int         # b^-q mod p, its inverse
     chain: PowerChain            # invert's power_chain(params)
@@ -389,13 +424,13 @@ class FieldKernels(NamedTuple):
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
-    """The field's kernels, trace, Montgomery factors and inversion
+    """The field's kernels, cost table, Montgomery factors and inversion
     chain: built once, kept on params.  The per-op paths read
     ``params.modmul_kernel`` first and call this only to build it, which
     saves a call on every op.  Four kernels are compiled on every field;
     one with no slack range bounds add and sub by -inf and inf, which
     CPython compares with ints exactly.  The modmul kernel's source is
-    parsed once: its trace is the tally of that tree, which is then
+    parsed once: its cost table is the tally of that tree, which is then
     compiled."""
     built = params.modmul_kernel
     if built is None:
@@ -406,9 +441,10 @@ def _kernel(params: GrpParams) -> FieldKernels:
         n = params.m_plus_1
         lo, hi = params.slack_range or (-math.inf, math.inf)
         tree = ast.parse(kernel_source(params))
+        chain = power_chain(params)
         built = params.modmul_kernel = FieldKernels(
-            _compile(tree, **names), _modmul_ops(tree, n),
-            pow(b, params.q, p), pow(b, -params.q, p), power_chain(params),
+            _compile(tree, **names), _kernel_cost(tree, n, chain),
+            pow(b, params.q, p), pow(b, -params.q, p), chain,
             _compile(digits_source(params), T=t, H=t >> 1, HP=(t >> 1) * p),
             _compile(componentwise_source(n, "+"), LO=lo, HI=hi),
             _compile(componentwise_source(n, "-"), LO=lo, HI=hi))
@@ -452,16 +488,15 @@ def psi(params: GrpParams, x: int) -> Residue:
     return _unchecked_residue(built.digits(x % params.p), params)
 
 
-def modmul(x: Residue, y: Residue,
-           counter: OpCounter = UNCOUNTED) -> Residue:
+def modmul(x: Residue, y: Residue) -> Residue:
     """Full modular multiplication: product congruent to x*y*b**-q mod p.
 
-    Runs the field's generated kernel; a counter receives modmul_trace.
+    Runs the field's generated kernel, whose op counts are
+    kernel_cost's modmul entry.
     """
     params = (x.params if type(x) is Residue and type(y) is Residue
               and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
-    counter.tally(built.trace)
     return _unchecked_residue(built.modmul(x.comps, y.comps), params)
 
 
@@ -508,11 +543,12 @@ def sub(x: Residue, y: Residue) -> Residue:
     return _slack_checked(built.sub(x.comps, y.comps), params)
 
 
-def square(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
-    """modmul(x, x), through the same kernel.  A squaring could share
-    each difference x_a - x_b between its two factors, but it runs the
-    modmul kernel so that its op counts stay modmul_trace's."""
-    return modmul(x, x, counter)
+def square(x: Residue) -> Residue:
+    """modmul(x, x), through the same kernel, so kernel_cost's square
+    entry equals its modmul entry.  A squaring kernel could share each
+    difference x_a - x_b between its two factors; it would change only
+    the square entry."""
+    return modmul(x, x)
 
 
 def to_montgomery(r: Residue) -> Residue:
@@ -541,14 +577,14 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     the result in a slot.  The steps and every slot index come from p
     alone, so the operation sequence
     depends only on the field, not on x; a counter receives
-    modmul_trace once per squaring or product (chain.modmuls times).
+    kernel_cost's invert entry.
     """
     params = _field(x)
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
     built = params.modmul_kernel or _kernel(params)
     mul, chain = built.modmul, built.chain
-    counter.tally(built.trace, chain.modmuls)
+    counter.tally(built.cost["invert"])
     slots = [x.comps] * chain.slots
     for squarings, dst, src, factor in chain.steps:
         acc = slots[src]
@@ -577,10 +613,26 @@ def randomize(x: Residue, r: int) -> Residue:
     return _slack_checked(built.add(x.comps, (r,) * params.m_plus_1), params)
 
 
-def modmul_trace(params: GrpParams) -> dict[str, int]:
-    """Operation-class counts of one modmul, a function of params only:
-    a copy of the field's trace, the kernel_ops tally of the modmul
-    kernel's syntax tree, taken where that tree is compiled (_kernel).
-    ParameterError unless params is a GrpParams."""
+def kernel_cost(params: GrpParams) -> dict[str, dict[str, int]]:
+    """Static op counts, in OpCounter's classes, of one run of each of:
+
+    - ``cvma``: the multiplication step, m(m+1)/2 word multiplies;
+    - ``modmul``: cvma plus the q unrolled red3 passes;
+    - ``square``: square's kernel, for now the modmul kernel;
+    - ``invert``: invert's power chain, each squaring at the square
+      cost and each product at the modmul cost.
+
+    A function of params only: a copy of the table that _kernel tallies
+    from the syntax tree of the modmul kernel it compiles, in the one
+    walk that also checks that tree against the kernel grammar.
+    ParameterError unless params is a GrpParams.
+    """
     check_params(params)
-    return dict((params.modmul_kernel or _kernel(params)).trace)
+    cost = (params.modmul_kernel or _kernel(params)).cost
+    return {name: dict(ops) for name, ops in cost.items()}
+
+
+def modmul_trace(params: GrpParams) -> dict[str, int]:
+    """Operation-class counts of one modmul: kernel_cost's modmul entry.
+    ParameterError unless params is a GrpParams."""
+    return kernel_cost(params)["modmul"]

@@ -117,15 +117,22 @@ def psi_inverse(vec: Sequence[int], t: int, modulus: int) -> CanonicalElement:
     """Evaluate a coefficient vector at t and reduce into [0, modulus).
 
     Components may be signed and of any magnitude, so unreduced
-    intermediates can be checked exactly.
+    intermediates can be checked exactly.  ParameterError unless every
+    component, t and modulus are ints (no bool) and modulus > 1.
     """
+    if type(t) is not int or type(modulus) is not int \
+            or any(type(comp) is not int for comp in vec):
+        raise ParameterError(
+            f"components, t and modulus must be ints, got {vec!r}, {t!r} "
+            f"and {modulus!r}")
     if modulus <= 1:
         raise ParameterError(f"modulus must exceed 1, got {modulus}")
     return CanonicalElement(horner(vec, t) % modulus, modulus)
 
 
 def congruent(u: Sequence[int], v: Sequence[int], t: int, modulus: int) -> bool:
-    """True iff u and v evaluate to the same residue modulo `modulus`."""
+    """True iff u and v evaluate to the same residue modulo `modulus`.
+    ParameterError for vectors of two lengths, or as psi_inverse."""
     if len(u) != len(v):
         raise ParameterError(
             f"vector length mismatch: {len(u)} vs {len(v)}")
@@ -240,10 +247,13 @@ def is_prime_characteristic(p: int, m_plus_1: int, *,
 
 def modular_inverse(a: int, modulus: int) -> int:
     """Inverse of a modulo `modulus`, by the built-in pow.  ParameterError
-    unless both are ints (no bool), or if a is not invertible."""
+    unless both are ints (no bool) and modulus > 1, as CanonicalElement
+    requires, or if a is not invertible."""
     if type(a) is not int or type(modulus) is not int:
         raise ParameterError(
             f"a and modulus must be ints, got {a!r} and {modulus!r}")
+    if modulus <= 1:
+        raise ParameterError(f"modulus must exceed 1, got {modulus}")
     try:
         return pow(a, -1, modulus)
     except ValueError:

@@ -130,10 +130,12 @@ def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
 
 def mods(x: int, t: int) -> int:
     """Least absolute residue of x modulo even t, in [-t/2, t/2 - 1].
-    ParameterError unless x is an int and t an int >= 2."""
+    ParameterError unless x is an int and t an even int >= 2."""
     if type(x) is not int:
         raise ParameterError(f"x must be an integer, got {x!r}")
     check_int("t", t, 2)
+    if t & 1:
+        raise ParameterError(f"t must be even, got {t}")
     h = t >> 1
     return (x + h) % t - h
 

@@ -16,14 +16,14 @@ import grpfield
 import grpfield.arith
 from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
                       ZeroInverseError, add, canonical_value, congruent,
-                      cvma_mul, equals, from_montgomery, invert, modmul,
-                      modmul_interleaved, modmul_trace, params_new, psi,
-                      randomize, red1, red2, red3, residue_from_json,
-                      residue_to_json, ring_value, square, sub,
-                      to_canonical, to_montgomery, to_residue, v_vector,
-                      zero)
-from grpfield.arith import (_kernel, componentwise_source, digits_source,
-                            kernel_ops, kernel_source)
+                      cvma_mul, equals, from_montgomery, invert,
+                      kernel_cost, modmul, modmul_interleaved,
+                      modmul_trace, params_new, psi, randomize, red1, red2,
+                      red3, residue_from_json, residue_to_json, ring_value,
+                      square, sub, to_canonical, to_montgomery, to_residue,
+                      v_vector, zero)
+from grpfield.arith import (_cvma_counts, _kernel, componentwise_source,
+                            digits_source, kernel_ops, kernel_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
 from test_acceptance import TABLE4_FIELDS
 from test_chain import _BOUND_ROWS, replay_exponent
@@ -286,13 +286,14 @@ class TestModmul:
                 probe()
 
     def test_trace_is_input_independent(self, f243):
-        trace = modmul_trace(f243)
+        # modmul_trace builds the field's kernels, so no opcode trace
+        # below includes the build.
+        assert modmul_trace(f243) == kernel_cost(f243)["modmul"]
         rng = random.Random(13)
-        for _ in range(50):
-            ctr = OpCounter()
-            modmul(_random_reduced(f243, rng), _random_reduced(f243, rng),
-                   ctr)
-            assert ctr.as_dict() == trace
+        pairs = [(_random_reduced(f243, rng), _random_reduced(f243, rng))
+                 for _ in range(50)]
+        opcodes = {tuple(_opcode_trace(modmul, pair)) for pair in pairs}
+        assert len(opcodes) == 1 and () not in opcodes
 
 
 # The Table 4 fields, plus phi(5,2^50*13): c = 13 is not 2^e +/- 1, so its
@@ -332,8 +333,8 @@ def _check_trace(params):
     want = _closed_form_trace(params)
     ops = kernel_ops(ast.parse(kernel_source(params)))
     assert ops == {**_NO_OPS, **want}, params
-    assert modmul_trace(params) == want == params.modmul_kernel.trace
-    assert modmul_trace(params) is not params.modmul_kernel.trace
+    assert modmul_trace(params) == want == params.modmul_kernel.cost["modmul"]
+    assert modmul_trace(params) is not params.modmul_kernel.cost["modmul"]
 
 
 def _slack_edges(params):
@@ -379,22 +380,26 @@ def _digit_edges(params):
     return sorted(v for v in values if 0 <= v < ring)
 
 
-def _replay_invert(x, chain, counter):
-    """Reference invert: the chain's steps one by one with counted
-    modmul, every slot starting as x and every product passed through
-    the checked Residue constructor."""
+def _replay_invert(x, chain):
+    """Reference invert: the chain's steps one by one with square and
+    modmul, every slot starting as x and every result passed through the
+    checked Residue constructor.  Returns the result's components and the
+    numbers of square and modmul calls."""
     params = x.params
+    calls = {square: 0, modmul: 0}
 
-    def mul(a, b):
-        return Residue(modmul(a, b, counter).comps, params)
+    def checked(op, *args):
+        calls[op] += 1
+        return Residue(op(*args).comps, params)
 
     slots = [x] * chain.slots
     for squarings, dst, src, factor in chain.steps:
         acc = slots[src]
         for _ in range(squarings):
-            acc = mul(acc, acc)
-        slots[dst] = acc if factor is None else mul(acc, slots[factor])
-    return slots[dst].comps
+            acc = checked(square, acc)
+        slots[dst] = (acc if factor is None
+                      else checked(modmul, acc, slots[factor]))
+    return slots[dst].comps, calls[square], calls[modmul]
 
 
 def _ladder_invert(x):
@@ -440,14 +445,18 @@ class TestKernel:
             Residue(from_montgomery(x).comps, params)
         assert params.modmul_kernel is not None
         chain = params.modmul_kernel.chain
+        cost = kernel_cost(params)
         for x in (to_montgomery(psi(params, rng.randrange(1, params.p))),
                   edges[0]):
-            counted, reference = OpCounter(), OpCounter()
+            counted = OpCounter()
             inverse = invert(x)
             Residue(inverse.comps, params)
             assert inverse.comps == invert(x, counted).comps
-            assert inverse.comps == _replay_invert(x, chain, reference)
-            assert counted.as_dict() == reference.as_dict()
+            comps, squarings, products = _replay_invert(x, chain)
+            assert inverse.comps == comps
+            assert counted.as_dict() == cost["invert"] == {
+                name: squarings * cost["square"][name]
+                + products * cost["modmul"][name] for name in cost["modmul"]}
             assert canonical_value(inverse) == \
                 canonical_value(_ladder_invert(x))
             assert canonical_value(modmul(x, inverse)) == \
@@ -506,6 +515,31 @@ class TestKernel:
         assert rows
         for spec in rows:
             _check_trace(params_new(*spec, require_prime=False))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    def test_kernel_cost(self, spec):
+        # The one table of static op counts, read from the modmul
+        # kernel's tree: cvma from its difference products, invert from
+        # the chain, which squares and multiplies in the modmul kernel.
+        params = params_new(*spec, 64, 2, require_prime=False)
+        cost = kernel_cost(params)
+        n = params.m_plus_1
+        assert list(cost) == ["cvma", "modmul", "square", "invert"]
+        assert cost["cvma"] == _cvma_counts(n)
+        assert cost["modmul"] == modmul_trace(params) == cost["square"]
+        modmuls = params.modmul_kernel.chain.modmuls
+        assert cost["invert"] == {name: modmuls * count
+                                  for name, count in cost["modmul"].items()}
+        if n == 5:
+            assert cost["cvma"] == {"mul": 10, "add": 25, "shift": 0,
+                                    "mask": 0}
+        if spec == (11, 42, 513):
+            assert cost["cvma"] == {"mul": 55, "add": 154, "shift": 0,
+                                    "mask": 0}
+            assert modmuls == 543 and cost["invert"]["mul"] == 29865
+        # A copy: editing it leaves the field's table as it was.
+        cost["square"]["mul"] += 1
+        assert kernel_cost(params)["square"] == cost["modmul"]
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
@@ -624,7 +658,10 @@ class TestKernelOps:
         ("    return (", "    x0 = divmod(x0, x0)\n    return ("),
         ("    return (", "    x0 = x0 <= x0\n    return ("),
         (" * (y", " + (y"),  # one product fewer than m(m+1)/2
-    ], ids=["divmod", "compare", "fewer mults"])
+        # component 0's products moved out of the z0_ names: the whole
+        # tree still holds m(m+1)/2 mults, the cvma entry two fewer
+        ("    z0_0 = ", "    z0_0 = x0\n    p0 = "),
+    ], ids=["divmod", "compare", "fewer mults", "products not in z0_"])
     def test_build_refuses_modmul_kernel(self, monkeypatch, edit):
         # The modmul kernel's own tree is checked where it is built.
         generate = kernel_source

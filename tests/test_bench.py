@@ -6,7 +6,8 @@ import random
 import pytest
 
 from grpfield import (BenchReport, MontCtx, OpCounter, ParameterError,
-                      modmul_trace, montgomery_modmul, params_new, run_bench)
+                      kernel_cost, modmul_trace, montgomery_modmul,
+                      params_new, run_bench)
 from test_arith import KERNEL_SPECS, _spec_id
 
 
@@ -104,6 +105,9 @@ class TestRunBench:
         extra = 0 if params.c_shift_add else 2 * n
         assert report.kernel_mul_count == modmul_trace(params)["mul"] \
             == report.mul_count_per_modmul + extra
+        cost = kernel_cost(params)
+        assert (report.mul_count_per_modmul, report.kernel_mul_count) \
+            == (cost["cvma"]["mul"], cost["modmul"]["mul"])
         assert json.loads(report.to_json())["kernel_mul_count"] \
             == report.kernel_mul_count
         if spec == (5, 50, 13):

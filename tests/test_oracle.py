@@ -30,6 +30,16 @@ class TestPsiInverse:
         with pytest.raises(ParameterError):
             psi_inverse([0], 12, 1)
 
+    @pytest.mark.parametrize("vec, t, modulus", [
+        (["a"], 12, 157), ([1.0], 12, 157), ([True], 12, 157),
+        ([0, "1"], 12, 157), ([1], 12.0, 157), ([1], True, 157),
+        ([1], "12", 157), ([1], 12, "157"), ([1], 12, 157.0)])
+    def test_refuses_non_ints(self, vec, t, modulus):
+        with pytest.raises(ParameterError, match="must be ints"):
+            psi_inverse(vec, t, modulus)
+        with pytest.raises(ParameterError, match="must be ints"):
+            congruent(vec, [0] * len(vec), t, modulus)
+
     @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3, max_size=3),
            st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3, max_size=3))
     def test_ring_homomorphism(self, u, v):
@@ -88,6 +98,14 @@ class TestOracleModmul:
         (1.5, 7), (2, 7.0), (True, 7), ("2", 7), (2, None)])
     def test_inverse_needs_ints(self, a, modulus):
         with pytest.raises(ParameterError, match="must be ints"):
+            modular_inverse(a, modulus)
+
+    @pytest.mark.parametrize("a, modulus", [
+        (3, 1), (3, 0), (3, -7), (0, 1), (1, -1)])
+    def test_inverse_needs_modulus_above_one(self, a, modulus):
+        # As CanonicalElement: modular_inverse(3, 1) would be 0, and
+        # modular_inverse(3, -7) -2.
+        with pytest.raises(ParameterError, match="modulus must exceed 1"):
             modular_inverse(a, modulus)
 
     def test_modulus_mismatch(self):

@@ -97,6 +97,14 @@ class TestMods:
         with pytest.raises(ParameterError):
             mods(x, t)
 
+    @pytest.mark.parametrize("x", [2, -3, 0])
+    @pytest.mark.parametrize("t", [3, 5, 157])
+    def test_refuses_odd_t(self, x, t):
+        # [-t/2, t/2 - 1] holds no least absolute residue for an odd t:
+        # mods(2, 5) would be 2.
+        with pytest.raises(ParameterError, match="t must be even"):
+            mods(x, t)
+
     @given(st.integers(-10 ** 12, 10 ** 12),
            st.integers(1, 10 ** 6).map(lambda n: 2 * n))
     def test_contract(self, x, t):

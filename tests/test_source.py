@@ -31,6 +31,19 @@ def test_no_branch_on_counter(path):
     assert lines == [], f"branches on counter at {path.name} lines {lines}"
 
 
+def test_counter_parameters_only_for_perfbench():
+    # Op counts live in kernel_cost; only the three functions perfbench
+    # reads counts through declare a counter parameter.
+    declared = {(path.name, node.name)
+                for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and "counter" in {arg.arg for arg in ast.walk(node.args)
+                                  if isinstance(arg, ast.arg)}}
+    assert declared == {("arith.py", "invert"), ("arith.py", "cvma_mul"),
+                        ("bench.py", "montgomery_modmul")}, declared
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unseeded_random(path):
     # An argument-free Random() seeds from the OS, so its results cannot
