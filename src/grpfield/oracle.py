@@ -5,12 +5,14 @@ independent of the vector arithmetic it is used to check.  Vectors are
 sequences in descending-power order: ``vec[0]`` is the coefficient of
 ``t**m`` and ``vec[-1]`` the constant term.
 
-Primality is decided here alone.  miller_rabin, with bases drawn from
-the candidate, accepts what trial division by the primes below 1000
-leaves of any n (is_probable_prime), or what a gcd with its possible
-factors below 10^4, m+1 and those 1 mod m+1, leaves of a characteristic
-Phi_{m+1}(t) (is_prime_characteristic, 64 rounds).  That list of
-possible factors also gives bateman_horn, the density of such primes.
+Primality is decided here alone.  Every Miller-Rabin round is one
+_strong_round.  What trial division by the primes below 1000 leaves of
+any n (is_probable_prime), or what a gcd with its possible factors below
+10^4, m+1 and those 1 mod m+1, leaves of a characteristic Phi_{m+1}(t)
+(is_prime_characteristic), meets one round with base 3, which can only
+refuse, and then miller_rabin, which alone accepts, with 64 rounds whose
+bases are drawn from the candidate.  That list of possible factors also
+gives bateman_horn, the density of such primes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ParameterError
 
@@ -117,10 +119,12 @@ def psi_inverse(vec: Sequence[int], t: int, modulus: int) -> CanonicalElement:
     """Evaluate a coefficient vector at t and reduce into [0, modulus).
 
     Components may be signed and of any magnitude, so unreduced
-    intermediates can be checked exactly.  ParameterError unless every
-    component, t and modulus are ints (no bool) and modulus > 1.
+    intermediates can be checked exactly.  ParameterError unless vec is
+    a sequence, every component, t and modulus are ints (no bool) and
+    modulus > 1.
     """
     if type(t) is not int or type(modulus) is not int \
+            or not isinstance(vec, Sequence) \
             or any(type(comp) is not int for comp in vec):
         raise ParameterError(
             f"components, t and modulus must be ints, got {vec!r}, {t!r} "
@@ -132,11 +136,12 @@ def psi_inverse(vec: Sequence[int], t: int, modulus: int) -> CanonicalElement:
 
 def congruent(u: Sequence[int], v: Sequence[int], t: int, modulus: int) -> bool:
     """True iff u and v evaluate to the same residue modulo `modulus`.
-    ParameterError for vectors of two lengths, or as psi_inverse."""
+    ParameterError as psi_inverse, or for vectors of two lengths."""
+    x, y = psi_inverse(u, t, modulus), psi_inverse(v, t, modulus)
     if len(u) != len(v):
         raise ParameterError(
             f"vector length mismatch: {len(u)} vs {len(v)}")
-    return psi_inverse(u, t, modulus).value == psi_inverse(v, t, modulus).value
+    return x.value == y.value
 
 
 def oracle_modmul(x: CanonicalElement, y: CanonicalElement) -> CanonicalElement:
@@ -193,23 +198,39 @@ def cyclotomic_composite(p: int, m_plus_1: int) -> bool:
     return _has_factor(p, m_plus_1, _CYCLOTOMIC_BOUND)
 
 
+def _strong_round(n: int, a: int, d: int, r: int) -> bool:
+    """One Miller-Rabin round: True when n - 1 = 2**r * d, d odd, and n
+    is a strong probable prime to base a.  A prime always is, so False
+    proves n composite."""
+    n1 = n - 1
+    x = pow(a, d, n)
+    if x == 1 or x == n1:
+        return True
+    for _ in range(r - 1):
+        x = (x * x) % n
+        if x == n1:
+            return True
+    return False
+
+
+def _base_3(n: int) -> bool:
+    """_strong_round with base 3 on odd n > 3, run before any base is
+    drawn.  When t = a**e, base a has order dividing e*(m+1) modulo every
+    factor of Phi_{m+1}(t): every composite Phi_l(2**l), l < 80, that
+    passes the gcd sieve passes base 2, and none passes base 3.  An even
+    t is never a power of 3."""
+    n1 = n - 1
+    r = (n1 & -n1).bit_length() - 1
+    return _strong_round(n, 3, n1 >> r, r)
+
+
 def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
     """`rounds` Miller-Rabin rounds on odd n > 3, bases drawn from rng."""
     n1 = n - 1
     r = (n1 & -n1).bit_length() - 1  # n - 1 = 2**r * d, d odd
     d = n1 >> r
-    for _ in range(rounds):
-        a = rng.randrange(2, n1)
-        x = pow(a, d, n)
-        if x == 1 or x == n1:
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n1:
-                break
-        else:
-            return False
-    return True
+    return all(_strong_round(n, rng.randrange(2, n1), d, r)
+               for _ in range(rounds))
 
 
 def _bases(n: int, rng: random.Random | None) -> random.Random:
@@ -220,19 +241,25 @@ def _bases(n: int, rng: random.Random | None) -> random.Random:
 
 def is_probable_prime(n: int, rounds: int = 64,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin with pseudo-random bases, after trial division.
+    """Miller-Rabin with pseudo-random bases, after trial division and
+    one round with base 3.
 
     Without an rng the bases come from a Random seeded with the bytes of
     n, which CPython hashes with SHA-512: the verdict is a reproducible
     function of n, and whoever picks n cannot fix the bases in advance.
-    Bases are drawn only for n that pass trial division.
+    Bases are drawn only for n that pass trial division and base 3, which
+    can only refuse: a prime draws the bases it would without it.
+    ParameterError unless n and rounds are ints (no bool), rounds >= 1.
     """
+    if type(n) is not int or type(rounds) is not int:
+        raise ParameterError(
+            f"n and rounds must be ints, got {n!r} and {rounds!r}")
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
     verdict = trial_division(n)
     if verdict is not None:
         return verdict
-    return miller_rabin(n, rounds, _bases(n, rng))
+    return _base_3(n) and miller_rabin(n, rounds, _bases(n, rng))
 
 
 def is_prime_characteristic(p: int, m_plus_1: int, *,
@@ -242,7 +269,8 @@ def is_prime_characteristic(p: int, m_plus_1: int, *,
     divide p, so Miller-Rabin draws the bases is_probable_prime would."""
     if cyclotomic_composite(p, m_plus_1):
         return False
-    return p < _CYCLOTOMIC_BOUND or miller_rabin(p, 64, _bases(p, rng))
+    return p < _CYCLOTOMIC_BOUND or (
+        _base_3(p) and miller_rabin(p, 64, _bases(p, rng)))
 
 
 def modular_inverse(a: int, modulus: int) -> int:

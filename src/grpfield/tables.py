@@ -11,10 +11,11 @@ them.  search_grps validates its range once, at the largest cofactor,
 and builds a GrpParams only for the primes it finds.
 
 Every candidate is a characteristic Phi_{m+1}(t), and the scans test
-each with oracle.is_prime_characteristic, 64 rounds with bases from the
-candidate, so they take no seed; nothing here decides primality.  The
-scans take only exact ints for bits and counts.  The estimator's
-cofactor interval is exact integer roots of powers of two.
+each with oracle.is_prime_characteristic: one base-3 round that can
+only refuse, then 64 rounds with bases from the candidate, so they take
+no seed; nothing here decides primality.  The scans take only exact ints
+for bits and counts.  The estimator's cofactor interval is exact integer
+roots of powers of two.
 """
 
 from __future__ import annotations

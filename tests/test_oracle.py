@@ -40,6 +40,16 @@ class TestPsiInverse:
         with pytest.raises(ParameterError, match="must be ints"):
             congruent(vec, [0] * len(vec), t, modulus)
 
+    @pytest.mark.parametrize("vec", [5, None, iter([1, 2]), {1: 2}])
+    def test_refuses_non_sequences(self, vec):
+        # An iterator would be consumed by the type check before Horner.
+        with pytest.raises(ParameterError, match="must be ints"):
+            psi_inverse(vec, 12, 157)
+        with pytest.raises(ParameterError, match="must be ints"):
+            congruent(vec, vec, 12, 157)
+        with pytest.raises(ParameterError, match="must be ints"):
+            congruent([1, 2], vec, 12, 157)
+
     @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3, max_size=3),
            st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3, max_size=3))
     def test_ring_homomorphism(self, u, v):
@@ -156,6 +166,13 @@ class TestIsProbablePrime:
         with pytest.raises(ParameterError):
             is_probable_prime(157, 0)
 
+    @pytest.mark.parametrize("n, rounds", [
+        (2.5, 64), (1e30, 64), (157.0, 64), (True, 64), ("157", 64),
+        (None, 64), (157, True), (157, 1.0), (157, "64"), (157, None)])
+    def test_refuses_non_ints(self, n, rounds):
+        with pytest.raises(ParameterError, match="must be ints"):
+            is_probable_prime(n, rounds)
+
     def test_trial_division_matches_sieve(self):
         # The primes below 5000 by a plain sieve; every n here is decided
         # exactly, by trial division or by Miller-Rabin past 1000.
@@ -196,7 +213,8 @@ class TestIsProbablePrime:
         monkeypatch.setattr(oracle, "miller_rabin", recording)
         t = (1 << 59) * 3
         prime = (t ** 5 - 1) // (t - 1)  # phi(5,2^59*3), a Table 4 field
-        composite = 1009 * ((1 << 127) - 1)  # passes trial division
+        # 1069 * 2137 passes trial division and strong bases 2 and 3.
+        composite = 2284453
         seen = []
         for n, verdict in ((prime, True), (composite, False)):
             states.clear()
@@ -310,6 +328,72 @@ class TestMillerRabin:
                  and self._same(p, 64, c)]
         assert found == [1048592, 1048658, 1048698, 1048939, 1048948,
                          1049004, 1049005, 1049060]
+
+
+def _counting_bases(monkeypatch):
+    """The n of every _bases call, which seeds a Random without an rng."""
+    calls = []
+    real = oracle._bases
+
+    def counting(n, rng):
+        calls.append(n)
+        return real(n, rng)
+    monkeypatch.setattr(oracle, "_bases", counting)
+    return calls
+
+
+def _passes_base(n, a):
+    n1 = n - 1
+    r = (n1 & -n1).bit_length() - 1
+    return oracle._strong_round(n, a, n1 >> r, r)
+
+
+class TestBase3:
+    # The prime l < 80 whose composite Phi_l(2^l) passes the gcd sieve.
+    PURE_POWER_COMPOSITES = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 61,
+                             67, 71, 73, 79)
+
+    def test_strong_pseudoprime_reaches_seeded_rounds(self, monkeypatch):
+        # 1069 * 2137 passes trial division and strong bases 2 and 3, so
+        # only the seeded rounds refuse it.
+        n = 2284453
+        assert n == 1069 * 2137 and oracle.trial_division(n) is None
+        assert _passes_base(n, 2) and oracle._base_3(n)
+        calls = _counting_bases(monkeypatch)
+        assert not is_probable_prime(n)
+        assert calls == [n]
+
+    def test_base_3_witness_seeds_no_random(self, monkeypatch):
+        # Both composites pass their sieve and fail base 3: no Random is
+        # seeded and no base drawn, with or without a caller's rng.
+        calls = _counting_bases(monkeypatch)
+        n = 1009 * ((1 << 127) - 1)
+        p = repunit((1 << 40) * 1048582, 5)
+        assert oracle.trial_division(n) is None
+        assert not oracle.cyclotomic_composite(p, 5)
+        assert not is_probable_prime(n)
+        assert not is_probable_prime(n, 1, _NoBases())
+        assert not is_prime_characteristic(p, 5)
+        assert not is_prime_characteristic(p, 5, rng=_NoBases())
+        assert calls == []
+        # A prime passes base 3 and draws its bases as before.
+        t = (1 << 59) * 3
+        prime = repunit(t, 5)
+        assert is_prime_characteristic(prime, 5)
+        assert calls == [prime]
+
+    def test_base_3_refuses_pure_power_composites(self):
+        # Base 2 is a power-of-t base here and passes every one of them.
+        # The other survivors are the pure-power primes.
+        survivors = {l for l in range(2, 80) if is_probable_prime(l) and
+                     not oracle.cyclotomic_composite(repunit(1 << l, l), l)}
+        composites = set(self.PURE_POWER_COMPOSITES)
+        assert composites <= survivors
+        assert survivors - composites == {2, 3, 7, 59}
+        for l in self.PURE_POWER_COMPOSITES:
+            p = repunit(1 << l, l)
+            assert _passes_base(p, 2), l
+            assert not oracle._base_3(p), l
 
 
 class TestBatemanHorn:

@@ -138,6 +138,7 @@ class TestParamsNew:
         def refuse(*args):
             raise AssertionError("Miller-Rabin ran")
         monkeypatch.setattr(grpfield.oracle, "miller_rabin", refuse)
+        monkeypatch.setattr(grpfield.oracle, "_strong_round", refuse)
         with pytest.raises(NotPrimeError, match="is composite"):
             params_new(5, 31, (1 << 25) - 1)
 
@@ -448,21 +449,26 @@ class TestJson:
     def test_proof_with_callers_rng_not_remembered(self, monkeypatch):
         # A caller's rng picks the Miller-Rabin bases: one that always
         # returns its upper bound gives base n - 1, which every odd n
-        # passes, so its "proof" of a composite must not reach other
-        # callers through the record of proven fields.
+        # passes.  Base 3 runs first and refuses Phi_5(2^40*1048582), so
+        # even that rng proves no composite; a proof made with a caller's
+        # rng still must not reach other callers through the record of
+        # proven fields.
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
 
         class Liar(random.Random):
             def randrange(self, start, stop=None, step=1):
                 return stop
 
-        fooled = params_new(5, 40, 1048582, rng=Liar(0))
-        assert fooled.prime_checked  # the rng parameter stays open
+        with pytest.raises(NotPrimeError):
+            params_new(5, 40, 1048582, rng=Liar(0))
+        seeded = params_new(5, 59, 3, rng=random.Random(0))
+        assert seeded.prime_checked  # the rng parameter stays open
         assert grpfield.params._PROVEN_PRIMES == set()
+        composite = params_new(5, 40, 1048582, require_prime=False)
         with pytest.raises(NotPrimeError):
-            params_from_json(params_to_json(fooled))
+            params_from_json(params_to_json(composite))
         with pytest.raises(NotPrimeError):
-            residue_from_json(residue_to_json(zero(fooled)))
+            residue_from_json(residue_to_json(zero(composite)))
         with pytest.raises(NotPrimeError):
             params_new(5, 40, 1048582)
         # A proof with the library's own bases is remembered as before,

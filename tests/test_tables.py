@@ -116,6 +116,7 @@ class TestEstimateDensity:
         def refuse(*args):
             raise AssertionError("estimate_density ran Miller-Rabin")
         monkeypatch.setattr(grpfield.oracle, "miller_rabin", refuse)
+        monkeypatch.setattr(grpfield.oracle, "_strong_round", refuse)
         for bits in (60, 244, 521, 1024):
             assert estimate_density(bits).est_count > 0
 
@@ -160,6 +161,16 @@ class TestSearchGrps:
         assert [p.c for p in found] == [1048592, 1048658, 1048698, 1048939,
                                         1048948, 1049004, 1049005, 1049060]
         assert all(p.prime_checked for p in found)
+
+    def test_pinned_cofactors_wide(self):
+        # 2000 cofactors, each refused by the sieve, by base 3 or by the
+        # seeded rounds, or found.
+        found = search_grps(5, 40, 1048577, 1050576, max_results=100)
+        assert [p.c for p in found] == [
+            1048592, 1048658, 1048698, 1048939, 1048948, 1049004, 1049005,
+            1049060, 1049089, 1049263, 1049450, 1049468, 1049479, 1049500,
+            1049594, 1049595, 1049688, 1049908, 1050132, 1050254, 1050343,
+            1050345, 1050363, 1050400, 1050414, 1050440]
 
     def test_bad_range(self):
         with pytest.raises(ParameterError):
