@@ -5,14 +5,15 @@ independent of the vector arithmetic it is used to check.  Vectors are
 sequences in descending-power order: ``vec[0]`` is the coefficient of
 ``t**m`` and ``vec[-1]`` the constant term.
 
-Primality is decided here alone.  Every Miller-Rabin round is one
-_strong_round.  What trial division by the primes below 1000 leaves of
-any n (is_probable_prime), or what a gcd with its possible factors below
-10^4, m+1 and those 1 mod m+1, leaves of a characteristic Phi_{m+1}(t)
-(is_prime_characteristic), meets one round with base 3, which can only
+Primality is decided here alone, by one path, _decide.  _prefilter
+reads n's primality from a sieve below 10^4, and above it refuses an n
+with a possible factor below 10^4: for a characteristic Phi_{m+1}(t)
+that is m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every
+prime.  What it leaves meets one round with base 3, which can only
 refuse, and then miller_rabin, which alone accepts, with 64 rounds whose
-bases are drawn from the candidate.  That list of possible factors also
-gives bateman_horn, the density of such primes.
+bases are drawn from the candidate.  Every Miller-Rabin round is one
+_strong_round.  The list of possible factors also gives bateman_horn,
+the density of such primes.
 """
 
 from __future__ import annotations
@@ -25,41 +26,38 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-# Trial division tries the primes below _TRIAL_BOUND, the test of a
-# characteristic its possible factors below _CYCLOTOMIC_BOUND < 1000**2.
-_TRIAL_BOUND = 1000
-_CYCLOTOMIC_BOUND = 10 ** 4
+# Below _SIEVE_BOUND primality is read from _IS_PRIME; above it, the
+# possible factors below it are tried.
+_SIEVE_BOUND = 10 ** 4
 
 
-def _sieve(bound: int) -> list[int]:
+def _prime_flags(bound: int) -> bytearray:
+    """Byte n is 1 exactly when n < bound is prime (Eratosthenes)."""
     flags = bytearray([1]) * bound
     flags[0:2] = b"\x00\x00"
     for i in range(2, int(bound ** 0.5) + 1):
         if flags[i]:
             flags[i * i::i] = bytes(len(flags[i * i::i]))
-    return [i for i in range(bound) if flags[i]]
+    return flags
 
 
-_SMALL_PRIMES = frozenset(_sieve(_TRIAL_BOUND))
+_IS_PRIME = _prime_flags(_SIEVE_BOUND)
 
 
 @functools.cache
 def _possible_factors(m_plus_1: int) -> tuple[int, ...]:
-    """The primes below _CYCLOTOMIC_BOUND that can divide Phi_{m+1}(t):
+    """The primes below _SIEVE_BOUND that can divide Phi_{m+1}(t):
     m+1 and those 1 mod m+1 (every prime for m+1 = 2)."""
-    return tuple(r for r in _sieve(_CYCLOTOMIC_BOUND)
-                 if r == m_plus_1 or r % m_plus_1 == 1)
+    return tuple(r for r in range(_SIEVE_BOUND) if _IS_PRIME[r]
+                 and (r == m_plus_1 or r % m_plus_1 == 1))
 
 
 @functools.cache
-def _products(m_plus_1: int, bound: int) -> tuple[int, int]:
-    """_possible_factors(m_plus_1) below bound, as a product of the
-    smallest that fits in 60 bits, for a one-word gcd, and the product of
-    the rest."""
+def _products(m_plus_1: int) -> tuple[int, int]:
+    """_possible_factors(m_plus_1) as a product of the smallest that fits
+    in 60 bits, for a one-word gcd, and the product of the rest."""
     word = rest = 1
     for r in _possible_factors(m_plus_1):
-        if r >= bound:
-            break
         if rest == 1 and (word * r).bit_length() <= 60:
             word *= r
         else:
@@ -78,12 +76,6 @@ def bateman_horn(m_plus_1: int) -> float:
     return (math.prod(r / (r - 1) for r in _possible_factors(2))  # all primes
             * math.prod(1 - (1 if r == m_plus_1 else m) / r
                         for r in _possible_factors(m_plus_1)))
-
-
-def _has_factor(n: int, m_plus_1: int, bound: int) -> bool:
-    """True when n shares a prime with _products(m_plus_1, bound)."""
-    word, rest = _products(m_plus_1, bound)
-    return math.gcd(n, word) != 1 or math.gcd(n, rest) != 1
 
 
 @dataclass(frozen=True)
@@ -178,24 +170,19 @@ def lattice_basis(m_plus_1: int, t: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def trial_division(n: int) -> bool | None:
-    """Primality of n decided by the primes below 1000, or None.
+def _prefilter(n: int, m_plus_1: int) -> bool | None:
+    """Primality of n, a characteristic Phi_{m+1}(t) or m+1 = 2 for any
+    n, decided by the primes below _SIEVE_BOUND, or None.
 
-    Exact for n < 1000; above that, False when a small prime divides n
-    and None when Miller-Rabin has to decide.
+    Exact for n below the bound; above it, False when n shares a prime
+    with _products(m_plus_1) and None when Miller-Rabin has to decide.
     """
-    if n < _TRIAL_BOUND:
-        return n in _SMALL_PRIMES
-    # Degree 2 admits every prime.
-    return False if _has_factor(n, 2, _TRIAL_BOUND) else None
-
-
-def cyclotomic_composite(p: int, m_plus_1: int) -> bool:
-    """True when p = Phi_{m+1}(t) is composite by trial_division below
-    _CYCLOTOMIC_BOUND, or above it has one of its possible factors."""
-    if p < _CYCLOTOMIC_BOUND:
-        return trial_division(p) is False
-    return _has_factor(p, m_plus_1, _CYCLOTOMIC_BOUND)
+    if n < _SIEVE_BOUND:
+        return n > 1 and _IS_PRIME[n] == 1
+    word, rest = _products(m_plus_1)
+    if math.gcd(n, word) != 1 or math.gcd(n, rest) != 1:
+        return False
+    return None
 
 
 def _strong_round(n: int, a: int, d: int, r: int) -> bool:
@@ -239,38 +226,54 @@ def _bases(n: int, rng: random.Random | None) -> random.Random:
         n.to_bytes((n.bit_length() + 7) // 8, "big"))
 
 
+def _decide(n: int, m_plus_1: int, rounds: int,
+            rng: random.Random | None) -> bool:
+    """_prefilter's verdict on n, or else _base_3, which can only refuse,
+    then `rounds` rounds of miller_rabin with bases from _bases(n, rng).
+    ParameterError unless rng is None or a random.Random."""
+    if rng is not None and not isinstance(rng, random.Random):
+        raise ParameterError(
+            f"rng must be None or a random.Random, got {rng!r}")
+    verdict = _prefilter(n, m_plus_1)
+    if verdict is not None:
+        return verdict
+    return _base_3(n) and miller_rabin(n, rounds, _bases(n, rng))
+
+
 def is_probable_prime(n: int, rounds: int = 64,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin with pseudo-random bases, after trial division and
-    one round with base 3.
+    """Miller-Rabin with pseudo-random bases, after _prefilter and one
+    round with base 3.
 
     Without an rng the bases come from a Random seeded with the bytes of
     n, which CPython hashes with SHA-512: the verdict is a reproducible
     function of n, and whoever picks n cannot fix the bases in advance.
-    Bases are drawn only for n that pass trial division and base 3, which
-    can only refuse: a prime draws the bases it would without it.
-    ParameterError unless n and rounds are ints (no bool), rounds >= 1.
+    Bases are drawn only for n of at least 10^4 that pass the pre-filter
+    and base 3, which can only refuse: a prime draws the bases it would
+    without them.  ParameterError unless n and rounds are ints (no
+    bool), rounds >= 1, and rng is None or a random.Random.
     """
     if type(n) is not int or type(rounds) is not int:
         raise ParameterError(
             f"n and rounds must be ints, got {n!r} and {rounds!r}")
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    verdict = trial_division(n)
-    if verdict is not None:
-        return verdict
-    return _base_3(n) and miller_rabin(n, rounds, _bases(n, rng))
+    return _decide(n, 2, rounds, rng)
 
 
 def is_prime_characteristic(p: int, m_plus_1: int, *,
                             rng: random.Random | None = None) -> bool:
-    """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, trial dividing
-    by cyclotomic_composite: it tries every prime below 1000 that can
-    divide p, so Miller-Rabin draws the bases is_probable_prime would."""
-    if cyclotomic_composite(p, m_plus_1):
-        return False
-    return p < _CYCLOTOMIC_BOUND or (
-        _base_3(p) and miller_rabin(p, 64, _bases(p, rng)))
+    """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, whose
+    pre-filter tries only the possible factors of p: the same verdict,
+    and Miller-Rabin draws the bases is_probable_prime would.
+    ParameterError unless p is an int and m_plus_1 a prime int below
+    10^4 (no bool), or for an rng that is not a random.Random."""
+    if type(p) is not int or type(m_plus_1) is not int \
+            or not 0 <= m_plus_1 < _SIEVE_BOUND or not _IS_PRIME[m_plus_1]:
+        raise ParameterError(
+            f"need an int p and a prime int m+1 below {_SIEVE_BOUND}, "
+            f"got {p!r} and {m_plus_1!r}")
+    return _decide(p, m_plus_1, 64, rng)
 
 
 def modular_inverse(a: int, modulus: int) -> int:

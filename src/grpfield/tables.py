@@ -181,7 +181,7 @@ def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     if l_max > 400:
         raise ParameterError(
             f"l_max capped at 400 for practical primality, got {l_max}")
-    # is_probable_prime is exact for l below 1000.
+    # is_probable_prime is exact for l below 10^4.
     return [(l, l) for l in range(2, l_max + 1) if is_probable_prime(l)
             and is_prime_characteristic(repunit(1 << l, l), l)]
 

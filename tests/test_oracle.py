@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,8 @@ from hypothesis import given, strategies as st
 from grpfield import (CanonicalElement, ParameterError, congruent,
                       is_probable_prime, lattice_basis, modular_inverse,
                       oracle, oracle_modmul, psi_inverse)
-from grpfield.oracle import (_sieve, bateman_horn, is_prime_characteristic,
-                             miller_rabin)
+from grpfield.oracle import (_prime_flags, bateman_horn,
+                             is_prime_characteristic, miller_rabin)
 from grpfield.params import repunit
 
 M3 = 12 ** 3 - 1
@@ -173,32 +174,42 @@ class TestIsProbablePrime:
         with pytest.raises(ParameterError, match="must be ints"):
             is_probable_prime(n, rounds)
 
+    @pytest.mark.parametrize("rng", ["abc", 0, random])
+    def test_refuses_rng_not_random(self, rng):
+        # Both tests would reach Miller-Rabin, which draws from the rng.
+        with pytest.raises(ParameterError, match="random.Random"):
+            is_probable_prime((1 << 127) - 1, 64, rng)
+        with pytest.raises(ParameterError, match="random.Random"):
+            is_prime_characteristic(repunit((1 << 59) * 3, 5), 5, rng=rng)
+
     def test_trial_division_matches_sieve(self):
-        # The primes below 5000 by a plain sieve; every n here is decided
-        # exactly, by trial division or by Miller-Rabin past 1000.
-        bound = 5000
+        # The primes below 2*10^4 by a plain sieve; every n here is
+        # decided exactly, by the pre-filter's sieve below 10^4, which
+        # draws no base, or by Miller-Rabin above it.
+        bound = 2 * 10 ** 4
         flags = [True] * bound
         flags[0] = flags[1] = False
         for i in range(2, bound):
             if flags[i]:
                 for j in range(i * i, bound, i):
                     flags[j] = False
-        rng = random.Random(0)
-        for n in range(-3, bound):
-            assert is_probable_prime(n, 16, rng) == (n >= 0 and flags[n]), n
+        rng, no_bases = random.Random(0), _NoBases()
+        for n in range(-bound, bound):  # negative n must not index the table
+            bases = no_bases if n < 10 ** 4 else rng
+            assert is_probable_prime(n, 16, bases) == (n >= 0 and flags[n]), n
 
     def test_small_times_large_prime_rejected(self):
-        # No base would be drawn: trial division rejects these products.
+        # No base would be drawn: the pre-filter rejects these products.
         t = (1 << 59) * 3
         large = [(t ** 5 - 1) // (t - 1), (1 << 127) - 1, 1000003]
-        small = [2, 3, 5, 7, 11, 541, 983, 997]
+        small = [2, 3, 5, 7, 11, 541, 983, 997, 9973]
         for p in large:
             assert is_probable_prime(p, 8, random.Random(0))
             for d in small:
                 assert not is_probable_prime(d * p, 1, _NoBases())
                 assert not is_probable_prime(d * p * p, 1, _NoBases())
-        # 1009 is the first prime past trial division: Miller-Rabin decides.
-        assert not is_probable_prime(1009 * large[1], 8, random.Random(0))
+        # 10007 is the first prime past the pre-filter: Miller-Rabin decides.
+        assert not is_probable_prime(10007 * large[1], 8, random.Random(0))
 
 
     def test_default_bases_depend_only_on_n(self, monkeypatch):
@@ -213,8 +224,8 @@ class TestIsProbablePrime:
         monkeypatch.setattr(oracle, "miller_rabin", recording)
         t = (1 << 59) * 3
         prime = (t ** 5 - 1) // (t - 1)  # phi(5,2^59*3), a Table 4 field
-        # 1069 * 2137 passes trial division and strong bases 2 and 3.
-        composite = 2284453
+        # 10399 * 51991 passes the pre-filter and strong bases 2 and 3.
+        composite = 540654409
         seen = []
         for n, verdict in ((prime, True), (composite, False)):
             states.clear()
@@ -227,11 +238,11 @@ class TestIsProbablePrime:
 
 class TestIsPrimeCharacteristic:
     def test_matches_sieve(self, monkeypatch):
-        # Every Phi_n(t) below 2*10^6 with t even, t >= 4.  The gcd and
-        # trial division decide p below 10^4; above it, a composite below
-        # 10^8 has a possible factor below 10^4, so Miller-Rabin sees only
-        # primes, which it never rejects: a stand-in that checks that
-        # keeps this sweep of 10^6 candidates fast.
+        # Every Phi_n(t) below 2*10^6 with t even, t >= 4.  The
+        # pre-filter's sieve decides p below 10^4; above it, a composite
+        # below 10^8 has a possible factor below 10^4, so Miller-Rabin
+        # sees only primes, which it never rejects: a stand-in that
+        # checks that keeps this sweep of 10^6 candidates fast.
         bound = 2 * 10 ** 6
         flags = bytearray([1]) * bound
         flags[0:2] = b"\x00\x00"
@@ -257,12 +268,20 @@ class TestIsPrimeCharacteristic:
         for p, verdict in ((11, True), (9901, True), (341, False)):
             assert is_prime_characteristic(p, 5, rng=_NoBases()) is verdict
 
+    @pytest.mark.parametrize("p, m_plus_1", [
+        (2.5e4, 5), (100001, 0), (True, 2), (341, 4), (341, -3),
+        (341, 5.0), (341, True), (341, 10007)])
+    def test_refuses_bad_arguments(self, p, m_plus_1):
+        # p an int, m+1 an int prime below 10^4, where the sieve has it.
+        with pytest.raises(ParameterError, match="prime int m\\+1"):
+            is_prime_characteristic(p, m_plus_1)
+
     def test_takes_no_round_count(self):
         # Phi_5(2^40*1048582) is composite with no factor below 10^4, so
         # only Miller-Rabin rejects it.  is_prime_characteristic always
         # runs 64 rounds: a third positional argument is refused.
         p = repunit((1 << 40) * 1048582, 5)
-        assert not oracle.cyclotomic_composite(p, 5)
+        assert oracle._prefilter(p, 5) is None
         assert not is_prime_characteristic(p, 5)
         with pytest.raises(TypeError):
             is_prime_characteristic(p, 5, 1)
@@ -323,8 +342,7 @@ class TestMillerRabin:
     def test_matches_halving_loop_on_search_window(self):
         # The benchmark's search window: n - 1 = 2**40 * d, so r >= 40.
         found = [c for c in range(2 ** 20 + 1, 2 ** 20 + 501)
-                 if not oracle.cyclotomic_composite(
-                     p := repunit((1 << 40) * c, 5), 5)
+                 if oracle._prefilter(p := repunit((1 << 40) * c, 5), 5) is None
                  and self._same(p, 64, c)]
         assert found == [1048592, 1048658, 1048698, 1048939, 1048948,
                          1049004, 1049005, 1049060]
@@ -354,10 +372,10 @@ class TestBase3:
                              67, 71, 73, 79)
 
     def test_strong_pseudoprime_reaches_seeded_rounds(self, monkeypatch):
-        # 1069 * 2137 passes trial division and strong bases 2 and 3, so
-        # only the seeded rounds refuse it.
-        n = 2284453
-        assert n == 1069 * 2137 and oracle.trial_division(n) is None
+        # 10399 * 51991 passes the pre-filter and strong bases 2 and 3,
+        # so only the seeded rounds refuse it.
+        n = 540654409
+        assert n == 10399 * 51991 and oracle._prefilter(n, 2) is None
         assert _passes_base(n, 2) and oracle._base_3(n)
         calls = _counting_bases(monkeypatch)
         assert not is_probable_prime(n)
@@ -367,10 +385,10 @@ class TestBase3:
         # Both composites pass their sieve and fail base 3: no Random is
         # seeded and no base drawn, with or without a caller's rng.
         calls = _counting_bases(monkeypatch)
-        n = 1009 * ((1 << 127) - 1)
+        n = 10007 * ((1 << 127) - 1)
         p = repunit((1 << 40) * 1048582, 5)
-        assert oracle.trial_division(n) is None
-        assert not oracle.cyclotomic_composite(p, 5)
+        assert oracle._prefilter(n, 2) is None
+        assert oracle._prefilter(p, 5) is None
         assert not is_probable_prime(n)
         assert not is_probable_prime(n, 1, _NoBases())
         assert not is_prime_characteristic(p, 5)
@@ -386,7 +404,7 @@ class TestBase3:
         # Base 2 is a power-of-t base here and passes every one of them.
         # The other survivors are the pure-power primes.
         survivors = {l for l in range(2, 80) if is_probable_prime(l) and
-                     not oracle.cyclotomic_composite(repunit(1 << l, l), l)}
+                     oracle._prefilter(repunit(1 << l, l), l) is not False}
         composites = set(self.PURE_POWER_COMPOSITES)
         assert composites <= survivors
         assert survivors - composites == {2, 3, 7, 59}
@@ -410,7 +428,7 @@ class TestBatemanHorn:
         # The same product over the primes below 10^5, within 1%.  Below
         # 100, omega(r) is counted: the c mod r with Phi_{m+1}(2c) = 0.
         const = 1.0
-        for r in _sieve(10 ** 5):
+        for r in compress(range(10 ** 5), _prime_flags(10 ** 5)):
             if r < 100:
                 roots = sum(repunit(2 * c, m_plus_1) % r == 0
                             for c in range(1, r + 1))
@@ -441,4 +459,4 @@ class _NoBases(random.Random):
     """An rng that fails the test if Miller-Rabin draws from it."""
 
     def randrange(self, *args):
-        raise AssertionError("Miller-Rabin ran after trial division")
+        raise AssertionError("Miller-Rabin ran after the pre-filter")

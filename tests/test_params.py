@@ -477,6 +477,12 @@ class TestJson:
         assert params_new(5, 59, 3, rng=Liar(0)).prime_checked
         assert grpfield.params._PROVEN_PRIMES == {(5, 59, 3)}
 
+    def test_rng_not_random_refused(self, monkeypatch):
+        # On a field not yet proven, the rng would draw Miller-Rabin's bases.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        with pytest.raises(ParameterError, match="random.Random"):
+            params_new(5, 59, 3, rng="abc")
+
     @pytest.mark.parametrize("text", [
         "{", "[1,2]", "5", "null", '"x"', '{"m_plus_1": 5, "l": 59}',
         "[" * 100_000], ids=lambda text: text[:20])

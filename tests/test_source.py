@@ -119,8 +119,9 @@ def _calls(node, owner=None):
 def test_primality_runs_sixty_four_rounds():
     # Standing rule: every primality test the package runs has 64 rounds.
     # Only is_probable_prime takes a count, for callers outside the
-    # package, and it hands that count to miller_rabin unchanged.
-    bad, tested = [], 0
+    # package, and it hands that count to _decide unchanged; _decide is
+    # the one caller of miller_rabin and passes its count on.
+    bad, tested, decided = [], 0, 0
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for owner, call in _calls(tree):
@@ -130,15 +131,20 @@ def test_primality_runs_sixty_four_rounds():
                 most = 1 if name == "is_probable_prime" else 2
                 ok = (len(call.args) <= most and "rounds" not in keywords
                       and None not in keywords)
-            elif name == "miller_rabin":
-                tested += 1
-                rounds = call.args[1]
+            elif name == "_decide":
+                decided += 1
+                rounds = call.args[2]
                 ok = (isinstance(rounds, ast.Constant) and rounds.value == 64
                       or isinstance(rounds, ast.Name) and rounds.id == "rounds"
                       and owner == "is_probable_prime")
+            elif name == "miller_rabin":
+                tested += 1
+                rounds = call.args[1]
+                ok = (isinstance(rounds, ast.Name) and rounds.id == "rounds"
+                      and owner == "_decide")
             else:
                 continue
             if not ok:
                 bad.append((path.name, owner, call.lineno))
     assert bad == [], f"round counts passed at {bad}"
-    assert tested == 2, "no miller_rabin call found: is the check looking?"
+    assert (tested, decided) == (1, 2), "is the check looking?"

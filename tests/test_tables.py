@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,11 +14,19 @@ from grpfield import (GrpError, ParameterError, RangeError, StabilityError,
                       hw2_search, modmul, psi, pure_power_scan, search_grps,
                       stability_rows_to_csv, stability_rows_to_json,
                       stability_table, to_montgomery)
-from grpfield.oracle import _CYCLOTOMIC_BOUND as _SIEVE_BOUND
-from grpfield.oracle import _sieve, bateman_horn
-from grpfield.oracle import cyclotomic_composite as _sieve_rejects
+from grpfield.oracle import _SIEVE_BOUND, _prime_flags, bateman_horn
 from grpfield.params import repunit
 from grpfield.tables import _DEGREES
+
+
+def _primes_below(bound):
+    return list(compress(range(bound), _prime_flags(bound)))
+
+
+def _sieve_rejects(p, m_plus_1):
+    """True when the pre-filter proves p = Phi_{m+1}(t) composite."""
+    return grpfield.oracle._prefilter(p, m_plus_1) is False
+
 
 # Printed stable-parameter rows for w=64: (m+1, k, l, log2 c bound, bits).
 PRINTED_Q2 = [(3, 61, 33, 28, 122), (5, 61, 34, 27, 244),
@@ -212,17 +221,17 @@ class TestSearchGrps:
 
     def test_candidates_not_trial_divided(self, monkeypatch):
         # The gcd with the degree's possible factors covers every prime
-        # below 1000 that can divide a candidate; only m+1 is checked by
-        # trial division, by check_field.
+        # below 10^4 that can divide a candidate; only m+1, checked by
+        # check_field, reaches the pre-filter at degree 2.
         calls = []
-        real = grpfield.oracle.trial_division
+        real = grpfield.oracle._prefilter
 
-        def counting(n):
-            calls.append(n)
-            return real(n)
-        monkeypatch.setattr(grpfield.oracle, "trial_division", counting)
+        def counting(n, m_plus_1):
+            calls.append((n, m_plus_1))
+            return real(n, m_plus_1)
+        monkeypatch.setattr(grpfield.oracle, "_prefilter", counting)
         assert len(search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500)) == 8
-        assert set(calls) == {5}
+        assert {n for n, m_plus_1 in calls if m_plus_1 == 2} == {5}
 
 
 class TestScanArguments:
@@ -238,7 +247,7 @@ class TestScanArguments:
 
 
 class TestCyclotomicSieve:
-    PRIMES = _sieve(1000)
+    PRIMES = _primes_below(1000)
 
     @given(st.sampled_from(_DEGREES), st.integers(2, 1 << 80))
     def test_prime_factors_are_n_or_1_mod_n(self, n, t):
@@ -258,7 +267,7 @@ class TestCyclotomicSieve:
 
     def test_rejects_exactly_small_factors(self):
         # Naive division by every prime below the bound, of any class.
-        primes = _sieve(_SIEVE_BOUND)
+        primes = _primes_below(_SIEVE_BOUND)
         t0 = 1 << 40
         for c in range(2 ** 20 + 1, 2 ** 20 + 20001):
             p = repunit(t0 * c, 5)
