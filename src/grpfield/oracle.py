@@ -5,15 +5,17 @@ independent of the vector arithmetic it is used to check.  Vectors are
 sequences in descending-power order: ``vec[0]`` is the coefficient of
 ``t**m`` and ``vec[-1]`` the constant term.
 
-Primality is decided here alone, by one path, _decide.  _prefilter
-reads n's primality from a sieve below 10^4, and above it refuses an n
-with a possible factor below 10^4: for a characteristic Phi_{m+1}(t)
-that is m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every
-prime.  What it leaves meets one round with base 3, which can only
+Primality is decided here alone, by one path, _decide.  It reads n's
+primality from a table below 10^4, and above it refuses an n with a
+possible factor below 10^4: for a characteristic Phi_{m+1}(t) that is
+m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every prime,
+held by _products as two one-digit words and the product of the rest.
+What the sieve leaves meets one round with base 3, which can only
 refuse, and then miller_rabin, which alone accepts, with 64 rounds whose
 bases are drawn from the candidate.  Every Miller-Rabin round is one
-_strong_round.  The list of possible factors also gives bateman_horn,
-the density of such primes.
+_strong_round.  The public tests check their arguments and call _decide;
+the scans, their range checked, call it directly.  The list of possible
+factors also gives bateman_horn, the density of such primes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -29,6 +32,9 @@ from .errors import ParameterError
 # Below _SIEVE_BOUND primality is read from _IS_PRIME; above it, the
 # possible factors below it are tried.
 _SIEVE_BOUND = 10 ** 4
+# A sieve word stays below one CPython digit, so n % word is the
+# one-digit division and the gcd that follows is of machine words.
+_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def _prime_flags(bound: int) -> bytearray:
@@ -52,17 +58,25 @@ def _possible_factors(m_plus_1: int) -> tuple[int, ...]:
                  and (r == m_plus_1 or r % m_plus_1 == 1))
 
 
+def _small_prime(n: int) -> bool:
+    """True when the int n is a prime below _SIEVE_BOUND, read from the
+    table."""
+    return 0 <= n < _SIEVE_BOUND and _IS_PRIME[n] == 1
+
+
 @functools.cache
-def _products(m_plus_1: int) -> tuple[int, int]:
-    """_possible_factors(m_plus_1) as a product of the smallest that fits
-    in 60 bits, for a one-word gcd, and the product of the rest."""
-    word = rest = 1
+def _products(m_plus_1: int) -> tuple[int, int, int]:
+    """_possible_factors(m_plus_1) as two words below _DIGIT, each of the
+    smallest primes that fit, and the product of the rest."""
+    words, rest, i = [1, 1], 1, 0
     for r in _possible_factors(m_plus_1):
-        if rest == 1 and (word * r).bit_length() <= 60:
-            word *= r
+        if i < 2 and words[i] * r >= _DIGIT:
+            i += 1
+        if i < 2:
+            words[i] *= r
         else:
             rest *= r
-    return word, rest
+    return words[0], words[1], rest
 
 
 @functools.cache
@@ -170,21 +184,6 @@ def lattice_basis(m_plus_1: int, t: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _prefilter(n: int, m_plus_1: int) -> bool | None:
-    """Primality of n, a characteristic Phi_{m+1}(t) or m+1 = 2 for any
-    n, decided by the primes below _SIEVE_BOUND, or None.
-
-    Exact for n below the bound; above it, False when n shares a prime
-    with _products(m_plus_1) and None when Miller-Rabin has to decide.
-    """
-    if n < _SIEVE_BOUND:
-        return n > 1 and _IS_PRIME[n] == 1
-    word, rest = _products(m_plus_1)
-    if math.gcd(n, word) != 1 or math.gcd(n, rest) != 1:
-        return False
-    return None
-
-
 def _strong_round(n: int, a: int, d: int, r: int) -> bool:
     """One Miller-Rabin round: True when n - 1 = 2**r * d, d odd, and n
     is a strong probable prime to base a.  A prime always is, so False
@@ -226,29 +225,37 @@ def _bases(n: int, rng: random.Random | None) -> random.Random:
         n.to_bytes((n.bit_length() + 7) // 8, "big"))
 
 
-def _decide(n: int, m_plus_1: int, rounds: int,
+def _decide(n: int, sieve: tuple[int, int, int], rounds: int,
             rng: random.Random | None) -> bool:
-    """_prefilter's verdict on n, or else _base_3, which can only refuse,
-    then `rounds` rounds of miller_rabin with bases from _bases(n, rng).
-    ParameterError unless rng is None or a random.Random."""
+    """Primality of n, Phi_{m+1}(t) or any n for m+1 = 2, given the
+    checked arguments and sieve = _products(m_plus_1): exact below
+    _SIEVE_BOUND, False for an n that shares a prime with the sieve, or
+    else _base_3, then `rounds` rounds of miller_rabin."""
+    if n < _SIEVE_BOUND:
+        return _small_prime(n)
+    w1, w2, rest = sieve
+    if (math.gcd(n % w1, w1) != 1 or math.gcd(n % w2, w2) != 1
+            or math.gcd(n, rest) != 1):
+        return False
+    return _base_3(n) and miller_rabin(n, rounds, _bases(n, rng))
+
+
+def _check_rng(rng: random.Random | None) -> None:
+    """ParameterError unless rng is None or a random.Random."""
     if rng is not None and not isinstance(rng, random.Random):
         raise ParameterError(
             f"rng must be None or a random.Random, got {rng!r}")
-    verdict = _prefilter(n, m_plus_1)
-    if verdict is not None:
-        return verdict
-    return _base_3(n) and miller_rabin(n, rounds, _bases(n, rng))
 
 
 def is_probable_prime(n: int, rounds: int = 64,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin with pseudo-random bases, after _prefilter and one
-    round with base 3.
+    """Miller-Rabin with pseudo-random bases, after the sieve of _decide
+    and one round with base 3.
 
     Without an rng the bases come from a Random seeded with the bytes of
     n, which CPython hashes with SHA-512: the verdict is a reproducible
     function of n, and whoever picks n cannot fix the bases in advance.
-    Bases are drawn only for n of at least 10^4 that pass the pre-filter
+    Bases are drawn only for n of at least 10^4 that pass the sieve
     and base 3, which can only refuse: a prime draws the bases it would
     without them.  ParameterError unless n and rounds are ints (no
     bool), rounds >= 1, and rng is None or a random.Random.
@@ -258,22 +265,24 @@ def is_probable_prime(n: int, rounds: int = 64,
             f"n and rounds must be ints, got {n!r} and {rounds!r}")
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    return _decide(n, 2, rounds, rng)
+    _check_rng(rng)
+    return _decide(n, _products(2), rounds, rng)
 
 
 def is_prime_characteristic(p: int, m_plus_1: int, *,
                             rng: random.Random | None = None) -> bool:
     """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, whose
-    pre-filter tries only the possible factors of p: the same verdict,
+    sieve tries only the possible factors of p: the same verdict,
     and Miller-Rabin draws the bases is_probable_prime would.
     ParameterError unless p is an int and m_plus_1 a prime int below
     10^4 (no bool), or for an rng that is not a random.Random."""
     if type(p) is not int or type(m_plus_1) is not int \
-            or not 0 <= m_plus_1 < _SIEVE_BOUND or not _IS_PRIME[m_plus_1]:
+            or not _small_prime(m_plus_1):
         raise ParameterError(
             f"need an int p and a prime int m+1 below {_SIEVE_BOUND}, "
             f"got {p!r} and {m_plus_1!r}")
-    return _decide(p, m_plus_1, 64, rng)
+    _check_rng(rng)
+    return _decide(p, _products(m_plus_1), 64, rng)
 
 
 def modular_inverse(a: int, modulus: int) -> int:

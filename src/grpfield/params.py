@@ -5,20 +5,21 @@ p = t**m + ... + t + 1.  Residue vectors are stored in descending-power
 order, matching the oracle module: ``comps[0]`` multiplies t**m.
 
 The stability inequalities live here only.  check_field runs the
-word-size checks that GrpParams and the range check of
-tables.search_grps share: types, positivity, the caps MAX_WORD_BITS and
-MAX_Q (check_word, which the tables also call) and MAX_FIELD_BITS, m+1
-prime and k <= k_max.  GrpParams adds the one per-cofactor inequality,
+word-size checks that GrpParams and the range check of the scans share:
+types, positivity, the caps MAX_WORD_BITS and MAX_Q (check_word, which
+the tables also call) and MAX_FIELD_BITS, m+1 prime (from the oracle's
+table) and k <= k_max.  GrpParams adds the one per-cofactor inequality,
 c not a power of two (t <= 2**k - 2).  k_max and l_min give the
 word-size and I/O bounds that GrpParams, the tables and the searches
 all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 
 Constructing a GrpParams validates the field in word-size integers,
-builds t and p and, unless require_prime=False (only the scans, which
-prove p themselves), runs prove_prime: oracle.is_prime_characteristic
-decides, and a record of proven (m+1, l, c) makes each proof run once;
-only proofs made with the library's own bases (no caller's rng) enter
-the record.  arith builds the field's kernels (modmul, base-t digits,
+builds t and p and, unless require_prime=False (only _proven_field, the
+scans' path for fields whose p they proved), runs prove_prime:
+oracle.is_prime_characteristic decides, and a record of proven
+(m+1, l, c) makes each proof run once; only proofs made with the
+library's own bases (no caller's rng) enter the record.  arith builds
+the field's kernels (modmul, base-t digits,
 and add and sub, which also test the slack range), the Montgomery factors
 b^q and b^-q mod p and invert's power chain (chain.power_chain, from
 p's parameters alone) on first use and keeps them in ``modmul_kernel``
@@ -42,8 +43,8 @@ import random
 from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
-from .oracle import (CanonicalElement, horner, is_prime_characteristic,
-                     is_probable_prime)
+from .oracle import (CanonicalElement, _small_prime, horner,
+                     is_prime_characteristic)
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_Q = 2
@@ -119,7 +120,8 @@ def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
     if (m_plus_1 - 1) * k > MAX_FIELD_BITS:
         raise RangeError(f"m*k = {m_plus_1 - 1}*{k} exceeds "
                          f"MAX_FIELD_BITS = {MAX_FIELD_BITS}")
-    if not is_probable_prime(m_plus_1):
+    # Exact: the size cap keeps m+1 <= MAX_FIELD_BITS + 1, in the table.
+    if not _small_prime(m_plus_1):
         raise ParameterError(f"m+1 must be an odd prime, got {m_plus_1}")
     if k > k_max(m_plus_1, w):
         raise StabilityError(
@@ -280,6 +282,15 @@ params_new = GrpParams
 # (m+1, l, c) of every characteristic GrpParams.prove_prime has proven
 # with the library's own bases.
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
+
+
+def _proven_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> GrpParams:
+    """The GrpParams of a field whose p a scan of tables has just proven
+    prime with the oracle's own bases: validated as any field, and not
+    proven a second time."""
+    params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
+    params.prime_checked = True
+    return params
 
 
 def check_params(params: GrpParams) -> None:

@@ -7,15 +7,15 @@ the searches enumerate actual prime fields, including the fast ones
 whose cofactor has Hamming weight 2.
 The stability inequalities and the default w and q come from the params
 module (check_field, k_max, l_min and GrpParams); nothing here restates
-them.  search_grps validates its range once, at the largest cofactor,
-and builds a GrpParams only for the primes it finds.
+them.  search_grps validates its range once, at the largest cofactor.
 
-Every candidate is a characteristic Phi_{m+1}(t), and the scans test
-each with oracle.is_prime_characteristic: one base-3 round that can
-only refuse, then 64 rounds with bases from the candidate, so they take
-no seed; nothing here decides primality.  The scans take only exact ints
-for bits and counts.  The estimator's cofactor interval is exact integer
-roots of powers of two.
+Every candidate is a characteristic Phi_{m+1}(t).  search_grps and
+hw2_search hand each to oracle._decide, with the degree's sieve and 64
+rounds, and build the primes by params._proven_field; pure_power_scan
+calls is_prime_characteristic.  Bases come from the candidate, so the
+scans take no seed; nothing here decides primality.  The scans take only
+exact ints for bits and counts.  The estimator's cofactor interval is
+exact integer roots of powers of two.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import bateman_horn, is_prime_characteristic, is_probable_prime
-from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, check_field,
-                     check_int, check_word, k_max, l_min, repunit)
+from .oracle import (_decide, _products, bateman_horn,
+                     is_prime_characteristic, is_probable_prime)
+from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, _proven_field,
+                     check_field, check_int, check_word, k_max, l_min,
+                     repunit)
 
 # Field degrees m+1 considered by the table generators, in order.
 _DEGREES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
@@ -145,8 +147,9 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
 
     The range is validated once, by check_field and l_min at the largest
     cofactor: k, the size cap and l_min all grow with c, so that covers
-    every c in the range.  Power-of-two cofactors are skipped, and a
-    GrpParams is built only for each prime found.
+    every c in the range, and no candidate is checked again.  Power-of-two
+    cofactors are skipped, and a GrpParams is built only for each prime
+    found.
     """
     check_int("c_min", c_min, 1)
     check_int("c_max", c_max, c_min)
@@ -159,13 +162,12 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
 
     out = []
     b = 1 << l
+    sieve = _products(m_plus_1)
     for c in range(c_min, c_max + 1):
         if c & (c - 1) == 0:
             continue  # t a power of two: the field of a larger l
-        if is_prime_characteristic(repunit(b * c, m_plus_1), m_plus_1):
-            params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
-            params.prime_checked = True
-            out.append(params)
+        if _decide(repunit(b * c, m_plus_1), sieve, 64, None):
+            out.append(_proven_field(m_plus_1, l, c, w, q))
             if len(out) >= max_results:
                 break
     return out
@@ -201,15 +203,17 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
                          for e in range(1, k_hi - l + 1)
                          for c in ((1 << e) - 1, (1 << e) + 1) if c >= 3})
     out = []
+    sieve = _products(m_plus_1)
     for l, c in candidates:
         try:
-            params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
+            k = check_field(m_plus_1, l, c, w, q)
         except StabilityError:
             continue
-        if (params.io_stable and params.bits == bits_target
-                and is_prime_characteristic(params.p, m_plus_1)):
-            params.prime_checked = True
-            out.append(params)
+        if l < l_min(m_plus_1, k, q):
+            continue  # not I/O-stable
+        p = repunit((1 << l) * c, m_plus_1)
+        if p.bit_length() == bits_target and _decide(p, sieve, 64, None):
+            out.append(_proven_field(m_plus_1, l, c, w, q))
     return out
 
 

@@ -13,6 +13,7 @@ from grpfield import (CanonicalElement, ParameterError, congruent,
 from grpfield.oracle import (_prime_flags, bateman_horn,
                              is_prime_characteristic, miller_rabin)
 from grpfield.params import repunit
+from sieve import sieve_verdict
 
 M3 = 12 ** 3 - 1
 
@@ -281,7 +282,7 @@ class TestIsPrimeCharacteristic:
         # only Miller-Rabin rejects it.  is_prime_characteristic always
         # runs 64 rounds: a third positional argument is refused.
         p = repunit((1 << 40) * 1048582, 5)
-        assert oracle._prefilter(p, 5) is None
+        assert sieve_verdict(p, 5) is None
         assert not is_prime_characteristic(p, 5)
         with pytest.raises(TypeError):
             is_prime_characteristic(p, 5, 1)
@@ -342,7 +343,7 @@ class TestMillerRabin:
     def test_matches_halving_loop_on_search_window(self):
         # The benchmark's search window: n - 1 = 2**40 * d, so r >= 40.
         found = [c for c in range(2 ** 20 + 1, 2 ** 20 + 501)
-                 if oracle._prefilter(p := repunit((1 << 40) * c, 5), 5) is None
+                 if sieve_verdict(p := repunit((1 << 40) * c, 5), 5) is None
                  and self._same(p, 64, c)]
         assert found == [1048592, 1048658, 1048698, 1048939, 1048948,
                          1049004, 1049005, 1049060]
@@ -375,7 +376,7 @@ class TestBase3:
         # 10399 * 51991 passes the pre-filter and strong bases 2 and 3,
         # so only the seeded rounds refuse it.
         n = 540654409
-        assert n == 10399 * 51991 and oracle._prefilter(n, 2) is None
+        assert n == 10399 * 51991 and sieve_verdict(n, 2) is None
         assert _passes_base(n, 2) and oracle._base_3(n)
         calls = _counting_bases(monkeypatch)
         assert not is_probable_prime(n)
@@ -387,8 +388,8 @@ class TestBase3:
         calls = _counting_bases(monkeypatch)
         n = 10007 * ((1 << 127) - 1)
         p = repunit((1 << 40) * 1048582, 5)
-        assert oracle._prefilter(n, 2) is None
-        assert oracle._prefilter(p, 5) is None
+        assert sieve_verdict(n, 2) is None
+        assert sieve_verdict(p, 5) is None
         assert not is_probable_prime(n)
         assert not is_probable_prime(n, 1, _NoBases())
         assert not is_prime_characteristic(p, 5)
@@ -404,7 +405,7 @@ class TestBase3:
         # Base 2 is a power-of-t base here and passes every one of them.
         # The other survivors are the pure-power primes.
         survivors = {l for l in range(2, 80) if is_probable_prime(l) and
-                     oracle._prefilter(repunit(1 << l, l), l) is not False}
+                     sieve_verdict(repunit(1 << l, l), l) is not False}
         composites = set(self.PURE_POWER_COMPOSITES)
         assert composites <= survivors
         assert survivors - composites == {2, 3, 7, 59}
@@ -412,6 +413,20 @@ class TestBase3:
             p = repunit(1 << l, l)
             assert _passes_base(p, 2), l
             assert not oracle._base_3(p), l
+
+
+class TestSieveWords:
+    @pytest.mark.parametrize("m_plus_1", [2, 3, 5, 7, 11, 13, 59, 8191])
+    def test_one_digit_words_cover_possible_factors(self, m_plus_1):
+        # Each word is below 2^30, one CPython digit, so n % word is the
+        # one-digit division; the words and the remainder together hold
+        # every possible factor below 10^4, so the verdict is the one a
+        # single product would give.
+        *words, rest = oracle._products(m_plus_1)
+        assert len(words) == 2
+        assert all(1 <= word < min(1 << 30, oracle._DIGIT) for word in words)
+        assert math.prod(words) * rest == math.prod(
+            oracle._possible_factors(m_plus_1))
 
 
 class TestBatemanHorn:

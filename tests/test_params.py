@@ -159,6 +159,19 @@ class TestParamsNew:
             with pytest.raises(ParameterError):
                 params_new(bad, 10, 3, 64, 2, require_prime=False)
 
+    def test_degree_read_from_exact_table(self):
+        # check_field reads m+1's primality from the oracle's table, exact
+        # below _SIEVE_BOUND; the size cap, checked first, keeps m+1 at
+        # most MAX_FIELD_BITS + 1, so every m+1 it reads is in the table.
+        cap, check_field = (grpfield.params.MAX_FIELD_BITS,
+                            grpfield.params.check_field)
+        assert cap + 1 < grpfield.oracle._SIEVE_BOUND
+        assert check_field(8191, 1, 1, 64, 2) == 1  # m = 8190, k = 1
+        with pytest.raises(ParameterError, match="odd prime"):
+            check_field(cap + 1, 1, 1, 64, 2)  # 8193 = 3 * 2731
+        with pytest.raises(RangeError):
+            check_field(cap + 2, 1, 1, 64, 2)
+
     @pytest.mark.parametrize("key, value", [
         ("l", "42"), ("c", 513.0), ("q", True), ("m_plus_1", 11.0),
         ("w", None)])

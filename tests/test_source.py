@@ -60,11 +60,13 @@ def test_no_unseeded_random(path):
 
 
 def test_unproven_fields_and_unchecked_residues_confined():
-    # require_prime=False skips the proof of p: only the scans, which
-    # prove p themselves, may pass it.  _unchecked_residue skips the
-    # Residue checks: only params and arith may use it, for outputs that
-    # are in range by construction or have passed the field's slack check.
-    unproven, unchecked = set(), set()
+    # require_prime=False skips the proof of p: only params, in the one
+    # path by which the scans, which prove p themselves, build a field,
+    # may pass it, and only tables may take that path.  _unchecked_residue
+    # skips the Residue checks: only params and arith may use it, for
+    # outputs that are in range by construction or have passed the
+    # field's slack check.
+    unproven, proven_path, unchecked = set(), set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.keyword) and node.arg == "require_prime":
@@ -72,12 +74,37 @@ def test_unproven_fields_and_unchecked_residues_confined():
                         and node.value.value is True):
                     unproven.add(path.name)
             # A Name or Attribute use, an import (alias) or the def itself.
-            if "_unchecked_residue" in (getattr(node, "id", None),
-                                        getattr(node, "attr", None),
-                                        getattr(node, "name", None)):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+            if "_proven_field" in names:
+                proven_path.add(path.name)
+            if "_unchecked_residue" in names:
                 unchecked.add(path.name)
-    assert unproven <= {"tables.py"}, unproven
+    assert unproven == {"params.py"}, unproven
+    assert proven_path == {"params.py", "tables.py"}, proven_path
     assert unchecked <= {"arith.py", "params.py"}, unchecked
+
+
+def test_prime_checked_written_only_in_params():
+    # A field is marked proven by GrpParams.prove_prime or by the scans'
+    # one proven-field path, both in params; no other module writes the
+    # mark, by assignment or by setattr.
+    writers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(isinstance(target, ast.Attribute)
+                   and target.attr == "prime_checked" for target in targets):
+                writers.add(path.name)
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "setattr"
+                    and any(isinstance(arg, ast.Constant)
+                            and arg.value == "prime_checked"
+                            for arg in node.args)):
+                writers.add(path.name)
+    assert writers == {"params.py"}, writers
 
 
 def test_generated_code_compiled_under_kernel_filename():
@@ -119,9 +146,12 @@ def _calls(node, owner=None):
 def test_primality_runs_sixty_four_rounds():
     # Standing rule: every primality test the package runs has 64 rounds.
     # Only is_probable_prime takes a count, for callers outside the
-    # package, and it hands that count to _decide unchanged; _decide is
-    # the one caller of miller_rabin and passes its count on.
-    bad, tested, decided = [], 0, 0
+    # package, and it hands that count to _decide unchanged.  Every other
+    # _decide call passes the constant 64: is_prime_characteristic's and
+    # the scans' in tables, which call it directly once their range is
+    # checked.  _decide is the one caller of miller_rabin and passes its
+    # count on.
+    bad, tested, decided = [], 0, []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for owner, call in _calls(tree):
@@ -132,7 +162,7 @@ def test_primality_runs_sixty_four_rounds():
                 ok = (len(call.args) <= most and "rounds" not in keywords
                       and None not in keywords)
             elif name == "_decide":
-                decided += 1
+                decided.append((path.name, owner))
                 rounds = call.args[2]
                 ok = (isinstance(rounds, ast.Constant) and rounds.value == 64
                       or isinstance(rounds, ast.Name) and rounds.id == "rounds"
@@ -147,4 +177,8 @@ def test_primality_runs_sixty_four_rounds():
             if not ok:
                 bad.append((path.name, owner, call.lineno))
     assert bad == [], f"round counts passed at {bad}"
-    assert (tested, decided) == (1, 2), "is the check looking?"
+    assert tested == 1, "is the check looking?"
+    assert sorted(decided) == [("oracle.py", "is_prime_characteristic"),
+                               ("oracle.py", "is_probable_prime"),
+                               ("tables.py", "hw2_search"),
+                               ("tables.py", "search_grps")], decided

@@ -6,17 +6,19 @@ import tracemalloc
 from itertools import compress
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import grpfield.tables
-from grpfield import (GrpError, ParameterError, RangeError, StabilityError,
-                      canonical_value, estimate_density, from_montgomery,
-                      hw2_search, modmul, psi, pure_power_scan, search_grps,
-                      stability_rows_to_csv, stability_rows_to_json,
-                      stability_table, to_montgomery)
-from grpfield.oracle import _SIEVE_BOUND, _prime_flags, bateman_horn
-from grpfield.params import repunit
+from grpfield import (GrpError, GrpParams, ParameterError, RangeError,
+                      StabilityError, canonical_value, estimate_density,
+                      from_montgomery, hw2_search, modmul, psi,
+                      pure_power_scan, search_grps, stability_rows_to_csv,
+                      stability_rows_to_json, stability_table, to_montgomery)
+from grpfield.oracle import (_SIEVE_BOUND, _prime_flags, bateman_horn,
+                             is_prime_characteristic)
+from grpfield.params import k_max, l_min, repunit
 from grpfield.tables import _DEGREES
+from sieve import sieve_verdict
 
 
 def _primes_below(bound):
@@ -24,8 +26,8 @@ def _primes_below(bound):
 
 
 def _sieve_rejects(p, m_plus_1):
-    """True when the pre-filter proves p = Phi_{m+1}(t) composite."""
-    return grpfield.oracle._prefilter(p, m_plus_1) is False
+    """True when the sieve proves p = Phi_{m+1}(t) composite."""
+    return sieve_verdict(p, m_plus_1) is False
 
 
 # Printed stable-parameter rows for w=64: (m+1, k, l, log2 c bound, bits).
@@ -181,6 +183,42 @@ class TestSearchGrps:
             1049594, 1049595, 1049688, 1049908, 1050132, 1050254, 1050343,
             1050345, 1050363, 1050400, 1050414, 1050440]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_public_test_per_cofactor(self, data):
+        # On a stable window of up to 64 cofactors the scan finds exactly
+        # the cofactors, not powers of two, whose characteristic the
+        # public is_prime_characteristic accepts, and one call per
+        # cofactor finds the fields one call over the window finds.
+        m_plus_1 = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        w = data.draw(st.sampled_from((32, 64)))
+        q = data.draw(st.integers(2, 8))
+        k = data.draw(st.sampled_from([
+            k for k in range(3, k_max(m_plus_1, w) + 1)
+            if l_min(m_plus_1, k, q) < k]))
+        l = data.draw(st.integers(l_min(m_plus_1, k, q), k - 1))
+        c_top = 1 << (k - l)  # c <= c_top keeps k, so l stays stable
+        width = data.draw(st.integers(1, 64))
+        c_min = data.draw(st.integers(1, max(1, c_top - width + 1)))
+        c_max = min(c_min + width - 1, c_top)
+        window = range(c_min, c_max + 1)
+        found = search_grps(m_plus_1, l, c_min, c_max, 64, w, q)
+        assert [f.c for f in found] == [
+            c for c in window if c & (c - 1) and is_prime_characteristic(
+                repunit((1 << l) * c, m_plus_1), m_plus_1)]
+        assert all(f.prime_checked and f._key() == (m_plus_1, l, f.c, w, q)
+                   for f in found)
+        assert [f for c in window
+                for f in search_grps(m_plus_1, l, c, c, 1, w, q)] == found
+
+    def test_small_characteristic_decided_by_table(self):
+        # At q = 8, t = 2^2 * c is stable for c <= 8 and p lies below
+        # 10^4, where the scan's decision path reads the table: 157, 421
+        # and 601 are prime, 813 = 3 * 271 is not.
+        found = search_grps(3, 2, 1, 8, 10, 64, 8)
+        assert [(f.c, f.p) for f in found] == [(3, 157), (5, 421), (6, 601)]
+        assert repunit(4 * 7, 3) == 3 * 271
+
     def test_bad_range(self):
         with pytest.raises(ParameterError):
             search_grps(5, 59, 3, 2)
@@ -202,14 +240,15 @@ class TestSearchGrps:
         assert peak < 1 << 20
 
     def test_params_built_only_for_primes(self, monkeypatch):
+        # Counts every GrpParams built, through whichever path.
         built = []
-        real = grpfield.tables.GrpParams
+        real = GrpParams.__init__
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             built.append(args[2])
-            return real(*args, **kwargs)
+            real(self, *args, **kwargs)
 
-        monkeypatch.setattr(grpfield.tables, "GrpParams", counting)
+        monkeypatch.setattr(GrpParams, "__init__", counting)
         found = search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500)
         assert len(found) == 8
         assert built == [p.c for p in found]
@@ -220,18 +259,24 @@ class TestSearchGrps:
             search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500, max_results=limit)
 
     def test_candidates_not_trial_divided(self, monkeypatch):
-        # The gcd with the degree's possible factors covers every prime
-        # below 10^4 that can divide a candidate; only m+1, checked by
-        # check_field, reaches the pre-filter at degree 2.
+        # Each candidate meets the decision path once, sieved by the
+        # degree's possible factors below 10^4, never by every prime as
+        # at degree 2.  check_field reads m+1 from the table, so m+1
+        # reaches no decision path.
         calls = []
-        real = grpfield.oracle._prefilter
+        real = grpfield.oracle._decide
 
-        def counting(n, m_plus_1):
-            calls.append((n, m_plus_1))
-            return real(n, m_plus_1)
-        monkeypatch.setattr(grpfield.oracle, "_prefilter", counting)
-        assert len(search_grps(5, 40, 2 ** 20 + 1, 2 ** 20 + 500)) == 8
-        assert {n for n, m_plus_1 in calls if m_plus_1 == 2} == {5}
+        def counting(n, sieve, rounds, rng):
+            calls.append((n, sieve))
+            return real(n, sieve, rounds, rng)
+        monkeypatch.setattr(grpfield.oracle, "_decide", counting)
+        monkeypatch.setattr(grpfield.tables, "_decide", counting)
+        cofactors = range(2 ** 20 + 1, 2 ** 20 + 501)
+        assert len(search_grps(5, 40, cofactors[0], cofactors[-1])) == 8
+        assert [n for n, _ in calls] == [repunit((1 << 40) * c, 5)
+                                         for c in cofactors]
+        assert {sieve for _, sieve in calls} == {
+            grpfield.oracle._products(5)}
 
 
 class TestScanArguments:
@@ -313,6 +358,30 @@ class TestHw2Search:
         # Every field the scan finds, as computed when it drew its
         # Miller-Rabin bases from a seeded Random.
         assert [p.label() for p in hw2_search(bits)] == labels
+
+    @pytest.mark.parametrize("bits", [122, 180, 243, 253, 380])
+    def test_equals_field_by_field_reference(self, bits):
+        # Every weight-2 cofactor of the degree built as a public unproven
+        # GrpParams, kept when stable, of the bitlength and accepted by
+        # is_prime_characteristic.  At 253 bits a field one bit below the
+        # stability minimum has the bitlength and a prime p.
+        m_plus_1, k_hi = grpfield.tables._degree_for_bits(bits, 64)
+        want = []
+        for l in range(1, k_hi + 1):
+            for c in sorted({c for e in range(1, k_hi - l + 1)
+                             for c in ((1 << e) - 1, (1 << e) + 1)
+                             if c >= 3}):
+                try:
+                    field = GrpParams(m_plus_1, l, c, require_prime=False)
+                except StabilityError:
+                    continue
+                if field.io_stable and field.bits == bits \
+                        and is_prime_characteristic(field.p, m_plus_1):
+                    want.append(field)
+        found = hw2_search(bits)
+        assert found == want
+        assert all(f.prime_checked for f in found)
+        assert [f.slack_bits for f in found] == [f.slack_bits for f in want]
 
     def test_empty_when_no_prime(self):
         # exhaustive scan at 230 bits finds no weight-2 prime
