@@ -8,36 +8,37 @@ reductions, so results carry a b**-q factor: all field arithmetic
 happens in the Montgomery domain, where the factor cancels.
 
 Every operation executes the same sequence of primitive operations
-regardless of the input values.  ``modmul`` and ``invert`` run a
-straight-line kernel generated for each field on its first use (see
-:func:`kernel_source`), tested against cvma_mul and the plain red3 (the
-kernel alone runs red3's cofactor product as shift-and-add).  Their op
-counts are static: :func:`kernel_cost` gives the tally of cvma, modmul,
-square and invert, read in one walk over the syntax tree of the modmul
-kernel that is compiled (:func:`kernel_ops`), so no call counts
-anything.  OpCounter, UNCOUNTED and the counter parameters of invert,
-cvma_mul and bench.montgomery_modmul stay for perfbench, which reads
-counts through them; only the loops cvma_mul and montgomery_modmul keep
-closed-form tallies.
+regardless of the input values.  On its first use a field builds one
+generated module (:func:`kernel_source`) of four straight-line kernels:
+``modmul``, tested against cvma_mul and the plain red3 (the kernel alone
+runs red3's cofactor product as shift-and-add); ``digits``, the base-t
+conversion that to_residue, psi and the Montgomery conversions end in;
+and ``add`` and ``sub``, which also test their result's slack range.
+The module is parsed, walked, compiled and run once: the walk
+(:func:`kernel_ops`) checks all four kernels against the kernel grammar
+and tallies modmul's tree, so the code that runs is the code that was
+checked.  Op counts are static: :func:`kernel_cost` gives the tally of
+cvma, modmul, square and invert, so no call counts anything.
+OpCounter, UNCOUNTED and the counter parameters of invert, cvma_mul and
+bench.montgomery_modmul stay for perfbench, which reads counts through
+them; only the loops cvma_mul and montgomery_modmul keep closed-form
+tallies.
 ``invert`` powers to the public exponent p - 2 by the field's power
 chain (:mod:`grpfield.chain`): a straight-line program over a few
 slots, built from p alone, that follows the repunit form of p where
 that takes fewer modmuls than a sliding window over the bits of p - 2,
 every squaring or product one modmul kernel call.  Its results are the
 same field elements as a binary ladder's, in another redundant
-encoding.
+encoding.  It refuses a field whose p was not proven prime.
 The Montgomery conversions are one native mulmod each (HAC 14.3.2,
 Alg. 14.36): the residue's value at t times b^q mod p
 (``to_montgomery``) or b^-q mod p (``from_montgomery``), reduced by p,
 back through the digit kernel.  So both return psi's digit encoding of
 their result, whatever the input's encoding; randomize draws a fresh
 one.  The base-t conversions to_residue and psi live here, not in
-params, because they run the field's straight-line digit kernel
-(:func:`digits_source`); add and sub run unrolled componentwise
-kernels that also test their result's slack range
-(:func:`componentwise_source`).  ``params.modmul_kernel``, the field's
-one cache, holds these kernels, the cost table, the two Montgomery
-factors and invert's chain for p - 2 (:class:`FieldKernels`,
+params, because they run the digit kernel.  ``params.modmul_kernel``,
+the field's one cache, holds the four kernels, the cost table, the two
+Montgomery factors and invert's chain for p - 2 (:class:`FieldKernels`,
 ``chain.power_chain``); the first conversion or operation on a field
 builds them all.
 
@@ -62,7 +63,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .chain import PowerChain, power_chain
-from .errors import ParameterError, ZeroInverseError
+from .errors import NotPrimeError, ParameterError, ZeroInverseError
 from .oracle import horner, modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
                      _vector_field, canonical_value, check_int,
@@ -74,8 +75,8 @@ Comps = tuple[int, ...]
 # is in the slack range).
 Kernel = Callable[[Comps, Comps], Comps]
 DigitKernel = Callable[[int], Comps]
-# Every generated kernel is compiled under this filename, so a tracer or
-# traceback can tell its frames apart.
+# The generated kernel module is compiled under this filename, so a
+# tracer or traceback can tell its frames apart.
 KERNEL_FILENAME = "<grpfield kernel>"
 
 
@@ -241,20 +242,32 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
 
 
 def kernel_source(params: GrpParams) -> str:
-    """Python source of the field's modmul kernel, ``kernel(x, y)``.
+    """Python source of the field's kernel module: four straight-line
+    functions, all unrolled, on component tuples of ``params``.
 
-    The kernel maps two component tuples to the components of
-    modmul(x, y): the cvma_mul products over ``params.cvma_pairs``,
-    assigned to z0_0 ... z0_m and to no other name, then
-    q passes of red3, all unrolled, with the cofactor product written as
-    shift-and-add when ``params.c_shift_add`` gives c = 2**e +/- 1.
+    - ``modmul(x, y)``, the components of modmul(x, y): the cvma_mul
+      products over ``params.cvma_pairs``, assigned to z0_0 ... z0_m and
+      to no other name, then q passes of red3, with the cofactor product
+      written as shift-and-add when ``params.c_shift_add`` gives
+      c = 2**e +/- 1.
+    - ``digits(x)``, an int x in [0, t^(m+1) - 1) to its least-absolute-
+      residue digits, highest power first: the m+1 steps
+      ``x, d = divmod(x + H, T)`` of the digit loop, with the carry left
+      in x folded onto the t^0 digit.  The m+1 additions of H = t/2 are
+      made as one addition of HP = H*p up front (p is 1 + t + ... + t^m),
+      which leaves every quotient and remainder as it was.
+    - ``add(x, y)`` and ``sub(x, y)``: the tuple of z_s = x_s +/- y_s, and
+      whether LO <= z_s <= HI holds for every one of them; an in-range
+      result runs every comparison.
+
     Only storage indices are written into the text; the field constants
-    are the names L, MASK, C and E, bound where the kernel is built.
+    are the names L, MASK, C, E, T, H, HP, LO and HI, bound where the
+    module is built.
     """
     n = params.m_plus_1
-    xs = ", ".join(f"x{s}" for s in range(n))
-    ys = ", ".join(f"y{s}" for s in range(n))
-    lines = ["def kernel(x, y):", f"    {xs} = x", f"    {ys} = y"]
+    xs, ys, zs = (", ".join(f"{v}{s}" for s in range(n)) for v in "xyz")
+    unpack = [f"    {xs} = x", f"    {ys} = y"]
+    lines = ["def modmul(x, y):", *unpack]
     for s, pairs in enumerate(params.cvma_pairs):
         lines.append(f"    z0_{s} = " + " + ".join(
             f"(x{sa} - x{sb}) * (y{sb} - y{sa})" for sa, sb in pairs))
@@ -274,68 +287,55 @@ def kernel_source(params: GrpParams) -> str:
             lines += [f"    z{r}_{s} = {out}" for s, out in enumerate(outs)]
         else:
             lines.append("    return (" + ", ".join(outs) + ")")
-    return "\n".join(lines) + "\n"
-
-
-def digits_source(params: GrpParams) -> str:
-    """Python source of the field's base-t digit kernel, ``kernel(x)``.
-
-    The kernel maps an int x in [0, t^(m+1) - 1) to its least-absolute-
-    residue digits, highest power first: the m+1 steps
-    ``x, d = divmod(x + H, T)`` of the digit loop, unrolled, with the
-    carry left in x folded onto the t^0 digit.  The m+1 additions of
-    H = t/2 are made as one addition of HP = H*p up front (p is
-    1 + t + ... + t^m), which leaves every quotient and remainder as it
-    was.  The constants are the names T, H and HP, bound where the
-    kernel is built.
-    """
-    n = params.m_plus_1
-    lines = ["def kernel(x):", "    x += HP"]
+    lines += ["def digits(x):", "    x += HP"]
     lines += [f"    x, d{i} = divmod(x, T)" for i in range(n)]
     digits = [f"d{i} - H" for i in range(n - 1, 0, -1)] + ["d0 - H + x"]
     lines.append("    return (" + ", ".join(digits) + ")")
+    tests = " and ".join(f"LO <= z{s} <= HI" for s in range(n))
+    for name, op in (("add", "+"), ("sub", "-")):
+        lines += [f"def {name}(x, y):", *unpack]
+        lines += [f"    z{s} = x{s} {op} y{s}" for s in range(n)]
+        lines.append(f"    return ({zs}), {tests}")
     return "\n".join(lines) + "\n"
 
 
-def componentwise_source(m_plus_1: int, op: str) -> str:
-    """Python source of ``kernel(x, y)``: the tuple of z_s = x_s op y_s
-    over the m+1 components, unrolled (op is "+" or "-"), and whether
-    LO <= z_s <= HI holds for every one of them.  The bounds are the
-    names LO and HI, bound to ``params.slack_range`` where the kernel is
-    built; an in-range result runs every comparison."""
-    xs = ", ".join(f"x{s}" for s in range(m_plus_1))
-    ys = ", ".join(f"y{s}" for s in range(m_plus_1))
-    zs = ", ".join(f"z{s}" for s in range(m_plus_1))
-    outs = "".join(f"    z{s} = x{s} {op} y{s}\n" for s in range(m_plus_1))
-    tests = " and ".join(f"LO <= z{s} <= HI" for s in range(m_plus_1))
-    return f"def kernel(x, y):\n    {xs} = x\n    {ys} = y\n{outs}" \
-           f"    return ({zs}), {tests}\n"
-
-
-# The kernel grammar, the union of what the generators above emit: each
-# operator with its op class (mul, add, shift and mask are OpCounter's),
-# and the other nodes allowed.  Beyond these, a Name is a leaf and a
-# Call must be to divmod.
+# The kernel grammar, what kernel_source emits: each operator with its
+# op class (mul, add, shift and mask are OpCounter's), and the other
+# nodes allowed.  Beyond these, a Name is a leaf, a Call must be to
+# divmod, and the module holds nothing but defs.
 _OP_CLASS = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
              ast.RShift: "shift", ast.LShift: "shift", ast.BitAnd: "mask",
              ast.LtE: "compare"}
 _PLAIN_NODES = frozenset((
-    ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign,
-    ast.AugAssign, ast.Return, ast.Tuple, ast.Load, ast.Store, ast.BinOp,
-    ast.Compare, ast.BoolOp, ast.And))
+    ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.AugAssign,
+    ast.Return, ast.Tuple, ast.Load, ast.Store, ast.BinOp, ast.Compare,
+    ast.BoolOp, ast.And))
+_OPS = ("mul", "add", "shift", "mask", "divmod", "compare")
 
 
-def _walk_ops(tree: ast.AST,
-              prefix: str | None) -> tuple[dict[str, int], dict[str, int]]:
-    """Op counts of a generated kernel's syntax tree, walked once: of the
-    whole tree, and of its assignments to a name that starts with prefix
-    (none when prefix is None).  ParameterError as kernel_ops."""
-    whole = dict.fromkeys(("mul", "add", "shift", "mask", "divmod",
-                           "compare"), 0)
-    part = dict(whole)
-    stack = [(tree, False)]
+def kernel_ops(tree: ast.Module) -> dict[str, dict[str, int]]:
+    """Op counts of a generated module's syntax tree, walked once: for
+    each function it defines, by name, its mul, add (+ and -), shift
+    (>> and <<), mask (&), divmod and compare (<=); and under "z0_"
+    those of the assignments to names that start with z0_ (the modmul
+    kernel's difference products).
+
+    The kernels are straight-line code, so these are the operations
+    every call executes.  ParameterError for a module-level statement
+    that is not a def, or any node outside the kernel grammar (the
+    comment on _OP_CLASS): a branch, loop, attribute, other call,
+    constant or operator could make the count depend on the data.
+    """
+    ops = {"z0_": dict.fromkeys(_OPS, 0)}
+    stack = []
+    for node in tree.body:
+        if type(node) is not ast.FunctionDef:
+            raise ParameterError(f"module-level {type(node).__name__} is "
+                                 "outside the kernel grammar")
+        ops[node.name] = dict.fromkeys(_OPS, 0)
+        stack.append((node, ops[node.name], None))
     while stack:
-        node, in_part = stack.pop()
+        node, whole, part = stack.pop()
         kind = type(node)
         if kind is ast.Name:
             continue
@@ -347,65 +347,21 @@ def _walk_ops(tree: ast.AST,
             if op is None and kind not in _PLAIN_NODES:
                 raise ParameterError(
                     f"{kind.__name__} is outside the kernel grammar")
-            if kind is ast.Assign and prefix is not None:
-                target = node.targets[0]
-                in_part = in_part or (type(target) is ast.Name
-                                      and target.id.startswith(prefix))
+            if kind is ast.Assign and type(node.targets[0]) is ast.Name \
+                    and node.targets[0].id.startswith("z0_"):
+                part = ops["z0_"]
             fields = kind._fields
         if op is not None:
             whole[op] += 1
-            if in_part:
+            if part is not None:
                 part[op] += 1
         for field in fields:
             child = getattr(node, field)
             if type(child) is list:
-                stack += [(item, in_part) for item in child]
+                stack += [(item, whole, part) for item in child]
             elif child is not None and type(child) is not str:
-                stack.append((child, in_part))
-    return whole, part
-
-
-def kernel_ops(tree: ast.AST) -> dict[str, int]:
-    """Op counts of a generated kernel's syntax tree, walked once: mul,
-    add (+ and -), shift (>> and <<), mask (&), divmod and compare (<=).
-
-    The kernels are straight-line code, so these are the operations
-    every call executes.  ParameterError for any node outside the
-    kernel grammar (the comment on _OP_CLASS): a branch, loop,
-    attribute, other call, constant or operator could make the count
-    depend on the data.
-    """
-    return _walk_ops(tree, None)[0]
-
-
-def _kernel_cost(tree: ast.Module, m_plus_1: int,
-                 chain: PowerChain) -> dict[str, dict[str, int]]:
-    """kernel_cost's table, from one walk over the modmul kernel's tree:
-    cvma is the tally of its difference products (the z0_ assignments),
-    modmul that of the whole tree.  ParameterError if the tree holds a
-    divmod or a compare, or its products fewer than the paper's m(m+1)/2
-    multiplies."""
-    whole, products = _walk_ops(tree, "z0_")
-    if whole["divmod"] or whole["compare"]:
-        raise ParameterError("modmul kernel holds a divmod or a compare")
-    if products["mul"] < (m_plus_1 - 1) * m_plus_1 // 2:
-        raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
-    modmul = {name: whole[name] for name in _COUNTED}
-    square = dict(modmul)
-    squarings = sum(step[0] for step in chain.steps)
-    factors = chain.modmuls - squarings
-    return {"cvma": {name: products[name] for name in _COUNTED},
-            "modmul": modmul, "square": square,
-            "invert": {name: squarings * square[name]
-                       + factors * modmul[name] for name in _COUNTED}}
-
-
-def _compile(source: str | ast.Module, **names: int | float) -> Callable:
-    """The function ``kernel`` that source (text or a parsed tree)
-    defines, compiled under KERNEL_FILENAME with the constants names
-    bound."""
-    exec(compile(source, KERNEL_FILENAME, "exec"), names)
-    return names["kernel"]
+                stack.append((child, whole, part))
+    return ops
 
 
 class FieldKernels(NamedTuple):
@@ -427,27 +383,41 @@ def _kernel(params: GrpParams) -> FieldKernels:
     """The field's kernels, cost table, Montgomery factors and inversion
     chain: built once, kept on params.  The per-op paths read
     ``params.modmul_kernel`` first and call this only to build it, which
-    saves a call on every op.  Four kernels are compiled on every field;
-    one with no slack range bounds add and sub by -inf and inf, which
-    CPython compares with ints exactly.  The modmul kernel's source is
-    parsed once: its cost table is the tally of that tree, which is then
-    compiled."""
+    saves a call on every op.  kernel_source's module is parsed, walked,
+    compiled and run once; the cost table is the walk's tally of the
+    modmul kernel, cvma that of its z0_ products.  ParameterError, and
+    nothing kept, if the walk refuses a node, or the modmul kernel holds
+    a divmod or a compare or fewer than the paper's m(m+1)/2 multiplies.
+    A field with no slack range bounds add and sub by -inf and inf,
+    which CPython compares with ints exactly."""
     built = params.modmul_kernel
     if built is None:
-        b, p, t = params.b, params.p, params.t
-        names = {"L": params.l, "MASK": b - 1, "C": params.c}
+        b, p, t, n = params.b, params.p, params.t, params.m_plus_1
+        tree = ast.parse(kernel_source(params))
+        ops = kernel_ops(tree)
+        if ops["modmul"]["divmod"] or ops["modmul"]["compare"]:
+            raise ParameterError("modmul kernel holds a divmod or a compare")
+        if ops["z0_"]["mul"] < (n - 1) * n // 2:
+            raise ParameterError("modmul counted fewer than m(m+1)/2 mults")
+        modmul = {name: ops["modmul"][name] for name in _COUNTED}
+        square = dict(modmul)
+        chain = power_chain(params)
+        squarings = sum(step[0] for step in chain.steps)
+        factors = chain.modmuls - squarings
+        cost = {"cvma": {name: ops["z0_"][name] for name in _COUNTED},
+                "modmul": modmul, "square": square,
+                "invert": {name: squarings * square[name]
+                           + factors * modmul[name] for name in _COUNTED}}
+        lo, hi = params.slack_range or (-math.inf, math.inf)
+        names = {"L": params.l, "MASK": b - 1, "C": params.c, "T": t,
+                 "H": t >> 1, "HP": (t >> 1) * p, "LO": lo, "HI": hi}
         if params.c_shift_add is not None:
             names["E"] = params.c_shift_add[0]
-        n = params.m_plus_1
-        lo, hi = params.slack_range or (-math.inf, math.inf)
-        tree = ast.parse(kernel_source(params))
-        chain = power_chain(params)
+        exec(compile(tree, KERNEL_FILENAME, "exec"), names)
         built = params.modmul_kernel = FieldKernels(
-            _compile(tree, **names), _kernel_cost(tree, n, chain),
-            pow(b, params.q, p), pow(b, -params.q, p), chain,
-            _compile(digits_source(params), T=t, H=t >> 1, HP=(t >> 1) * p),
-            _compile(componentwise_source(n, "+"), LO=lo, HI=hi),
-            _compile(componentwise_source(n, "-"), LO=lo, HI=hi))
+            names["modmul"], cost, pow(b, params.q, p),
+            pow(b, -params.q, p), chain, names["digits"], names["add"],
+            names["sub"])
     return built
 
 
@@ -467,7 +437,7 @@ def to_residue(params: GrpParams, x: int) -> Residue:
 
     Every component ends up in [-t/2, t/2]; only the constant-term digit
     can reach the upper bound, via the final wrap of the t**(m+1) carry.
-    Runs the field's digit kernel (see digits_source): one divmod per
+    Runs the field's digit kernel (see kernel_source): one divmod per
     digit, with no branch on the value.
     """
     check_params(params)
@@ -577,9 +547,14 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     the result in a slot.  The steps and every slot index come from p
     alone, so the operation sequence
     depends only on the field, not on x; a counter receives
-    kernel_cost's invert entry.
+    kernel_cost's invert entry.  NotPrimeError on a field whose p was
+    not proven prime (built with require_prime=False): powering to p - 2
+    inverts only modulo a prime.
     """
     params = _field(x)
+    if not params.prime_checked:
+        raise NotPrimeError(f"{params.label()} is not proven prime, "
+                            "so invert has no inverse to give")
     if canonical_value(x) == 0:
         raise ZeroInverseError("zero has no inverse")
     built = params.modmul_kernel or _kernel(params)
@@ -605,7 +580,10 @@ def equals(x: Residue, y: Residue) -> bool:
 def randomize(x: Residue, r: int) -> Residue:
     """Add r times the all-ones vector: same field element, fresh encoding.
     Runs the add kernel on (r, ..., r), so the result is bounded as
-    add's."""
+    add's.  It changes only the encoding of the operand: every cvma term
+    is a product of differences x_a - x_b, from which the shift cancels,
+    so cvma_mul and modmul of randomize(x, r) and y are bit-identical to
+    those of x and y."""
     params = _field(x)
     if type(r) is not int or not 0 <= r < params.t - 1:
         raise ParameterError(f"scaling factor {r!r} is not an int in [0, t-2]")

@@ -193,8 +193,9 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
     """Prime fields of exactly bits_target bits with c = 2**e +/- 1.
 
     Searches the smallest adequate degree only; results are sorted by
-    (l, c).  Each result carries the slack_bits diagnostic, the distance
-    between its l and the stability minimum.
+    (l, c).  A candidate that breaks a stability inequality or the
+    MAX_FIELD_BITS cap is skipped.  Each result carries the slack_bits
+    diagnostic, the distance between its l and the stability minimum.
     """
     check_int("bits_target", bits_target, 2)
     check_word(w, q)
@@ -207,7 +208,7 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
     for l, c in candidates:
         try:
             k = check_field(m_plus_1, l, c, w, q)
-        except StabilityError:
+        except (StabilityError, RangeError):
             continue
         if l < l_min(m_plus_1, k, q):
             continue  # not I/O-stable

@@ -14,16 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 import grpfield
 import grpfield.arith
-from grpfield import (OpCounter, ParameterError, Residue, WideResidue,
-                      ZeroInverseError, add, canonical_value, congruent,
-                      cvma_mul, equals, from_montgomery, invert,
+from grpfield import (NotPrimeError, OpCounter, ParameterError, Residue,
+                      WideResidue, ZeroInverseError, add, canonical_value,
+                      congruent, cvma_mul, equals, from_montgomery, invert,
                       kernel_cost, modmul, modmul_interleaved,
                       modmul_trace, params_new, psi, randomize, red1, red2,
                       red3, residue_from_json, residue_to_json, ring_value,
                       square, sub, to_canonical, to_montgomery, to_residue,
                       v_vector, zero)
-from grpfield.arith import (_cvma_counts, _kernel, componentwise_source,
-                            digits_source, kernel_ops, kernel_source)
+from grpfield.arith import (KERNEL_FILENAME, _cvma_counts, _kernel,
+                            kernel_ops, kernel_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
 from test_acceptance import TABLE4_FIELDS
 from test_chain import _BOUND_ROWS, replay_exponent
@@ -331,7 +331,7 @@ def _check_trace(params):
     """kernel_ops of the modmul kernel's tree, modmul_trace (a copy) and
     the built trace each equal the closed form."""
     want = _closed_form_trace(params)
-    ops = kernel_ops(ast.parse(kernel_source(params)))
+    ops = kernel_ops(ast.parse(kernel_source(params)))["modmul"]
     assert ops == {**_NO_OPS, **want}, params
     assert modmul_trace(params) == want == params.modmul_kernel.cost["modmul"]
     assert modmul_trace(params) is not params.modmul_kernel.cost["modmul"]
@@ -428,7 +428,7 @@ class TestKernel:
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
     def test_bit_identical_to_loops(self, spec):
-        params = params_new(*spec, 64, 2, require_prime=False)
+        params = params_new(*spec, 64, 2)  # proven: invert needs p prime
         assert params.modmul_kernel is None  # built on first use only
         rng = random.Random(17)
         edges = _slack_edges(params)
@@ -465,7 +465,7 @@ class TestKernel:
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
     def test_inversion_chain_builds_p_minus_2(self, spec):
-        params = params_new(*spec, 64, 2, require_prime=False)
+        params = params_new(*spec, 64, 2)
         e = params.p - 2
         chain = _kernel(params).chain
         assert chain == power_chain(params)
@@ -589,13 +589,14 @@ class TestKernel:
         # Straight-line code: the digit kernel is one addition, m+1
         # divmod calls and m+2 digit adjustments; add and sub one
         # operation and the two compares of the slack range per component.
+        # The module defines these and modmul, and nothing else.
         params = params_new(*spec, 64, 2, require_prime=False)
         n = params.m_plus_1
-        assert kernel_ops(ast.parse(digits_source(params))) == {
-            **_NO_OPS, "add": n + 2, "divmod": n}
-        for op in "+-":
-            assert kernel_ops(ast.parse(componentwise_source(n, op))) == {
-                **_NO_OPS, "add": n, "compare": 2 * n}
+        ops = kernel_ops(ast.parse(kernel_source(params)))
+        assert list(ops) == ["z0_", "modmul", "digits", "add", "sub"]
+        assert ops["digits"] == {**_NO_OPS, "add": n + 2, "divmod": n}
+        for name in ("add", "sub"):
+            assert ops[name] == {**_NO_OPS, "add": n, "compare": 2 * n}
 
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
@@ -639,13 +640,21 @@ class TestKernelOps:
 
     def test_counts_every_class(self):
         # Every node of the grammar, each operator once or more.
+        # Each def is tallied on its own, and the assignments to z0_
+        # names of any def once more under "z0_".
         tree = ast.parse("def kernel(x, y):\n"
                          "    a, b = divmod(x, y)\n"
                          "    a += b\n"
                          "    c = (a * b - x + y) >> a << b & x\n"
-                         "    return (c, LO <= a <= HI and a <= b)\n")
-        assert kernel_ops(tree) == {"mul": 1, "add": 3, "shift": 2,
-                                    "mask": 1, "divmod": 1, "compare": 3}
+                         "    return (c, LO <= a <= HI and a <= b)\n"
+                         "def other(x):\n"
+                         "    z0_1 = x * x - x\n"
+                         "    return z0_1 + x\n")
+        assert kernel_ops(tree) == {
+            "z0_": {**_NO_OPS, "mul": 1, "add": 1},
+            "kernel": {"mul": 1, "add": 3, "shift": 2, "mask": 1,
+                       "divmod": 1, "compare": 3},
+            "other": {**_NO_OPS, "mul": 1, "add": 2}}
 
     @pytest.mark.parametrize("body", _OUTSIDE_GRAMMAR.values(),
                              ids=_OUTSIDE_GRAMMAR.keys())
@@ -654,24 +663,43 @@ class TestKernelOps:
         with pytest.raises(ParameterError, match="outside the kernel gram"):
             kernel_ops(tree)
 
-    @pytest.mark.parametrize("edit", [
-        ("    return (", "    x0 = divmod(x0, x0)\n    return ("),
-        ("    return (", "    x0 = x0 <= x0\n    return ("),
-        (" * (y", " + (y"),  # one product fewer than m(m+1)/2
+    @pytest.mark.parametrize("source", [
+        "x = y\ndef kernel(x):\n    return x\n", "import os\n"])
+    def test_refuses_module_level_statements(self, source):
+        # Only defs: a module-level statement would run at build time.
+        with pytest.raises(ParameterError, match="module-level"):
+            kernel_ops(ast.parse(source))
+
+    @pytest.mark.parametrize("edit,match", [
+        (("    return (", "    x0 = divmod(x0, x0)\n    return ("), "modmul"),
+        (("    return (", "    x0 = x0 <= x0\n    return ("), "modmul"),
+        ((" * (y", " + (y"), "modmul"),  # a product fewer than m(m+1)/2
         # component 0's products moved out of the z0_ names: the whole
         # tree still holds m(m+1)/2 mults, the cvma entry two fewer
-        ("    z0_0 = ", "    z0_0 = x0\n    p0 = "),
-    ], ids=["divmod", "compare", "fewer mults", "products not in z0_"])
-    def test_build_refuses_modmul_kernel(self, monkeypatch, edit):
-        # The modmul kernel's own tree is checked where it is built.
+        (("    z0_0 = ", "    z0_0 = x0\n    p0 = "), "modmul"),
+        # a node outside the grammar in each of the other three kernels,
+        # and a statement between them
+        (("    x += HP", "    x += HP + 1"), "Constant is outside"),
+        (("def add(x, y):\n", "def add(x, y):\n    x = -y\n"),
+         "UnaryOp is outside"),
+        (("def sub(x, y):\n", "def sub(x, y):\n    if x:\n        y = x\n"),
+         "If is outside"),
+        (("def digits(x):", "T = H\ndef digits(x):"), "module-level Assign"),
+    ], ids=["divmod", "compare", "fewer mults", "products not in z0_",
+            "digits", "add", "sub", "module level"])
+    def test_build_refuses_modmul_kernel(self, monkeypatch, edit, match):
+        # The whole module is checked where it is built, before any of
+        # its code runs: the first use of the field raises.
         generate = kernel_source
 
         def edited(params):
-            return generate(params).replace(*edit, 1)
+            source = generate(params)
+            assert edit[0] in source
+            return source.replace(*edit, 1)
 
         monkeypatch.setattr(grpfield.arith, "kernel_source", edited)
         params = params_new(5, 59, 3, 64, 2, require_prime=False)
-        with pytest.raises(ParameterError, match="modmul"):
+        with pytest.raises(ParameterError, match=match):
             psi(params, 5)
         assert params.modmul_kernel is None
 
@@ -722,7 +750,7 @@ def _in_slack(params, comps):
 
 class TestSlackCheck:
     """add, sub and randomize test their results inside the field's add
-    and sub kernels (componentwise_source), not with the constructor."""
+    and sub kernels (see kernel_source), not with the constructor."""
 
     @pytest.mark.parametrize("params", _SLACK_FIELDS, ids=repr)
     def test_exact_edges(self, params):
@@ -770,12 +798,16 @@ class TestSlackCheck:
         # `and` only: kernel_ops refuses a call, attribute, constant or
         # loop, and counts any other operator.  The compares test the
         # result components, each between LO and HI.
+        spec = next(spec for spec in KERNEL_SPECS if spec[0] == m_plus_1)
+        module = ast.parse(kernel_source(params_new(*spec, 64, 2,
+                                                    require_prime=False)))
         names = {f"{v}{s}" for v in "xyz" for s in range(m_plus_1)}
         results = [f"z{s}" for s in range(m_plus_1)]
-        for op in "+-":
-            tree = ast.parse(componentwise_source(m_plus_1, op))
-            assert kernel_ops(tree) == {**_NO_OPS, "add": m_plus_1,
-                                        "compare": 2 * m_plus_1}
+        ops = kernel_ops(module)
+        for name in ("add", "sub"):
+            assert ops[name] == {**_NO_OPS, "add": m_plus_1,
+                                 "compare": 2 * m_plus_1}
+            tree = next(node for node in module.body if node.name == name)
             compares = []
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
@@ -815,6 +847,27 @@ class TestAuxiliaryOps:
         with pytest.raises(ZeroInverseError):
             invert(zero(toy))
 
+    def test_invert_refuses_unproven_field(self, toy):
+        # phi(5,2^40*1048582) is stable but composite: powering to p - 2
+        # is no inverse there, so invert refuses every field built
+        # without its proof.  modmul and the conversions stay allowed.
+        with pytest.raises(NotPrimeError):
+            params_new(5, 40, 1048582)
+        composite = params_new(5, 40, 1048582, require_prime=False)
+        p = composite.p
+        assert pow(5, p - 2, p) * 5 % p != 1
+        xm = to_montgomery(psi(composite, 5))
+        assert canonical_value(from_montgomery(modmul(xm, xm))) == 25
+        with pytest.raises(NotPrimeError, match="not proven prime"):
+            invert(xm)
+        # a prime field too, until its proof is run
+        unproven = params_new(3, 2, 3, 64, 2, require_prime=False)
+        xm = to_montgomery(psi(unproven, 5))
+        with pytest.raises(NotPrimeError, match="not proven prime"):
+            invert(xm)
+        unproven.prove_prime()
+        assert invert(xm).comps == invert(to_montgomery(psi(toy, 5))).comps
+
     def test_invert_involution(self, f243):
         rng = random.Random(15)
         for _ in range(20):
@@ -838,6 +891,22 @@ class TestAuxiliaryOps:
                 assert equals(x, y)
         with pytest.raises(ParameterError):
             randomize(psi(toy, 1), toy.t - 1)
+
+    @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
+                             ids=_spec_id)
+    def test_randomize_changes_only_the_encoding(self, spec):
+        # Every cvma term is a product of differences x_a - x_b, from
+        # which the all-ones shift cancels: no product sees the fresh
+        # encoding, so cvma_mul and modmul are bit-identical.
+        params = params_new(*spec, 64, 2, require_prime=False)
+        rng = random.Random(23)
+        for _ in range(50):
+            x, y = _random_reduced(params, rng), _random_reduced(params, rng)
+            fresh = randomize(x, rng.randrange(1, params.t - 1))
+            assert fresh.comps != x.comps and equals(fresh, x)
+            assert cvma_mul(fresh, y).comps == cvma_mul(x, y).comps
+            assert modmul(fresh, y).comps == modmul(x, y).comps
+            assert modmul(y, fresh).comps == modmul(y, x).comps
 
     @pytest.mark.parametrize("r", [1.5, 2.0, True, "3"])
     def test_randomize_needs_int(self, f243, r):
@@ -885,12 +954,16 @@ class TestOpcodeTrace:
             traces = [_opcode_trace(op, args) for args in arg_lists]
             assert len(traces) >= 8 and traces[0], op.__name__
             assert all(trace == traces[0] for trace in traces), op.__name__
-        for op, args in ((modmul, pairs[0]), (to_montgomery, (elems[0],)),
-                         (from_montgomery, (monts[0],)), (psi, (f243, 5)),
-                         (add, pairs[0]), (sub, pairs[0])):
-            names = {name for name, _ in _opcode_trace(op, args)}
-            # the kernel frame is traced
-            assert {op.__name__, "kernel"} <= names, op.__name__
+        for op, args, kernel in (
+                (modmul, pairs[0], "modmul"), (add, pairs[0], "add"),
+                (sub, pairs[0], "sub"), (psi, (f243, 5), "digits"),
+                (to_montgomery, (elems[0],), "digits"),
+                (from_montgomery, (monts[0],), "digits")):
+            names = {(code.co_filename == KERNEL_FILENAME, code.co_name)
+                     for code, _ in _opcode_trace(op, args)}
+            # the package function and its kernel's frame are traced
+            assert {(False, op.__name__), (True, kernel)} <= names, \
+                op.__name__
 
 
 _SLACK_SCRIPT = """

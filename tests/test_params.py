@@ -277,12 +277,12 @@ class TestLazyConstants:
 
     def test_built_on_first_use(self, monkeypatch):
         compiled = []
-        real = grpfield.arith._compile
+        real = grpfield.arith.kernel_source
 
-        def counting(source, **names):
-            compiled.append(source)
-            return real(source, **names)
-        monkeypatch.setattr(grpfield.arith, "_compile", counting)
+        def counting(params):
+            compiled.append(params)
+            return real(params)
+        monkeypatch.setattr(grpfield.arith, "kernel_source", counting)
         fields = [params_new(*spec, 64, q, require_prime=False)
                   for spec in self.SPECS for q in (2, 3)]
         assert compiled == []  # a rejected search candidate pays for none
@@ -305,9 +305,13 @@ class TestLazyConstants:
             for kernel in (built.add, built.sub):
                 assert (kernel.__globals__["LO"],
                         kernel.__globals__["HI"]) == bounds
-        # built once per field, the toy field too: modmul, the digits,
-        # add and sub
-        assert len(compiled) == 4 * len(fields)
+            # one module, run in one namespace: modmul, the digits, add
+            # and sub
+            assert {id(kernel.__globals__) for kernel in (
+                built.modmul, built.digits, built.add, built.sub)} == {
+                    id(built.modmul.__globals__)}
+        # built once per field, the toy field too
+        assert compiled == fields
 
 
 class TestToResidue:

@@ -386,3 +386,22 @@ class TestHw2Search:
     def test_empty_when_no_prime(self):
         # exhaustive scan at 230 bits finds no weight-2 prime
         assert hw2_search(230) == []
+
+    def test_skips_candidates_over_size_cap(self, monkeypatch):
+        # At w = 256 the 8000-bit degree, 37, admits k up to 228, and
+        # 36*228 > MAX_FIELD_BITS: those candidates are skipped as the
+        # unstable ones are.  None has the bitlength, so none is tested.
+        refused, decided = [], []
+        real = grpfield.tables.check_field
+
+        def checking(*args):
+            try:
+                return real(*args)
+            except RangeError:
+                refused.append(args)
+                raise
+        monkeypatch.setattr(grpfield.tables, "check_field", checking)
+        monkeypatch.setattr(grpfield.tables, "_decide",
+                            lambda *args: decided.append(args))
+        assert hw2_search(8000, 256) == []
+        assert refused and decided == []

@@ -11,15 +11,17 @@ _PACKAGE_DIR = str(Path(grpfield.__file__).resolve().parent) + os.sep
 
 
 def opcode_trace(op, args):
-    """(code name, offset) of every opcode that op(*args) executes in a
-    grpfield frame.  Frames are picked by filename: the package's files,
-    or KERNEL_FILENAME, under which every generated kernel is compiled.
-    A field's first operation also traces the build of its kernels."""
+    """(code object, offset) of every opcode that op(*args) executes in
+    a grpfield frame.  Frames are picked by filename: the package's
+    files, or KERNEL_FILENAME, under which the generated kernel module is
+    compiled; a kernel's code object keeps that filename, so a kernel
+    and the package function of the same name stay apart.  A field's
+    first operation also traces the build of its kernels."""
     seen = []
 
     def local(frame, event, arg):
         if event == "opcode":
-            seen.append((frame.f_code.co_name, frame.f_lasti))
+            seen.append((frame.f_code, frame.f_lasti))
         return local
 
     def on_call(frame, event, arg):
