@@ -9,16 +9,17 @@ happens in the Montgomery domain, where the factor cancels.
 
 Every operation executes the same sequence of primitive operations
 regardless of the input values.  On its first use a field builds one
-generated module (:func:`kernel_source`) of four straight-line kernels:
+generated module (:func:`kernel_source`) of six straight-line kernels:
 ``modmul``, tested against cvma_mul and the plain red3 (the kernel alone
 runs red3's cofactor product as shift-and-add); ``digits``, the base-t
-conversion that to_residue, psi and the Montgomery conversions end in;
-and ``add`` and ``sub``, which also test their result's slack range.
-The module is parsed, walked, compiled and run once: the walk
-(:func:`kernel_ops`) checks all four kernels against the kernel grammar
-and tallies modmul's tree, so the code that runs is the code that was
-checked.  Op counts are static: :func:`kernel_cost` gives the tally of
-cvma, modmul, square and invert, so no call counts anything.
+conversion that to_residue and psi run; ``to_montgomery`` and
+``from_montgomery``; and ``add`` and ``sub``, which also test their
+result's slack range.  The module is parsed, walked, compiled and run
+once: the walk (:func:`kernel_ops`) checks all six kernels against the
+kernel grammar and tallies modmul's tree, so the code that runs is the
+code that was checked.  Op counts are static: :func:`kernel_cost` gives
+the tally of cvma, modmul, square and invert, so no call counts
+anything.
 OpCounter, UNCOUNTED and the counter parameters of invert, cvma_mul and
 bench.montgomery_modmul stay for perfbench, which reads counts through
 them; only the loops cvma_mul and montgomery_modmul keep closed-form
@@ -30,29 +31,31 @@ that takes fewer modmuls than a sliding window over the bits of p - 2,
 every squaring or product one modmul kernel call.  Its results are the
 same field elements as a binary ladder's, in another redundant
 encoding.  It refuses a field whose p was not proven prime.
-The Montgomery conversions are one native mulmod each (HAC 14.3.2,
-Alg. 14.36): the residue's value at t times b^q mod p
-(``to_montgomery``) or b^-q mod p (``from_montgomery``), reduced by p,
-back through the digit kernel.  So both return psi's digit encoding of
-their result, whatever the input's encoding; randomize draws a fresh
-one.  The base-t conversions to_residue and psi live here, not in
-params, because they run the digit kernel.  ``params.modmul_kernel``,
-the field's one cache, holds the four kernels, the cost table, the two
-Montgomery factors and invert's chain for p - 2 (:class:`FieldKernels`,
-``chain.power_chain``); the first conversion or operation on a field
-builds them all.
+Each Montgomery conversion is one call of its kernel, one native
+mulmod (HAC 14.3.2, Alg. 14.36): the residue's value at t, by unrolled
+Horner steps, times b^q mod p (``to_montgomery``) or b^-q mod p
+(``from_montgomery``), reduced by p, then the digit kernel's steps.  So
+both return psi's digit encoding of their result, whatever the input's
+encoding; randomize draws a fresh one.  The base-t conversions
+to_residue and psi live here, not in params, because they run the
+digit kernel.  ``params.modmul_kernel``, the field's one cache, holds
+the six kernels, the cost table and invert's chain for p - 2
+(:class:`FieldKernels`, ``chain.power_chain``); the first conversion or
+operation on a field builds them all.
 
 Only modmul_interleaved returns through the checked Residue
-constructor.  The other results skip it (params._unchecked_residue).
-The multiplying and digit kernels' outputs stay in the slack range, as
-the tests check on slack-edge inputs.  add, sub and randomize can leave
-it, so their kernel tests the range as it computes the result, and a
-result outside it raises the constructor's ParameterError; the
-constructor's type and length checks hold there by construction (m+1
-exact ints combined by + and -).  An unstable field's range is -inf to
-inf, which every result passes.  Every operation on field
-elements refuses operands that are not Residues, and every operation
-on two (cvma_mul too) refuses operands from two fields.
+constructor.  The other results skip it: each per-op path builds its
+Residue inline from ``object.__new__`` and params' two slot setters,
+and invert through params._unchecked_residue.
+The multiplying, conversion and digit kernels' outputs stay in the
+slack range, as the tests check on slack-edge inputs.  add, sub and
+randomize can leave it, so their kernel tests the range as it computes
+the result, and a result outside it raises the constructor's
+ParameterError; the constructor's type and length checks hold there by
+construction (m+1 exact ints combined by + and -).  An unstable field's
+range is -inf to inf, which every result passes.  Every operation on
+field elements refuses operands that are not Residues, and every
+operation on two (cvma_mul too) refuses operands from two fields.
 """
 
 from __future__ import annotations
@@ -64,20 +67,25 @@ from typing import Callable, NamedTuple
 
 from .chain import PowerChain, power_chain
 from .errors import NotPrimeError, ParameterError, ZeroInverseError
-from .oracle import horner, modular_inverse
-from .params import (GrpParams, Residue, WideResidue, _unchecked_residue,
-                     _vector_field, canonical_value, check_int,
-                     check_params)
+from .oracle import modular_inverse
+from .params import (GrpParams, Residue, WideResidue, _set_comps,
+                     _set_params, _unchecked_residue, _vector_field,
+                     canonical_value, check_int, check_params)
 
 Comps = tuple[int, ...]
 # A field's generated kernels: component tuples in, a tuple out (the
-# digit kernel takes an int; add and sub also return whether the result
-# is in the slack range).
+# digit kernel takes an int, the conversions one tuple; add and sub also
+# return whether the result is in the slack range).
 Kernel = Callable[[Comps, Comps], Comps]
 DigitKernel = Callable[[int], Comps]
+Conversion = Callable[[Comps], Comps]
 # The generated kernel module is compiled under this filename, so a
 # tracer or traceback can tell its frames apart.
 KERNEL_FILENAME = "<grpfield kernel>"
+# The unchecked Residue of a kernel's result is built inline on each op
+# from object.__new__, bound here once, and params' two slot setters:
+# one call fewer than params._unchecked_residue.
+_new = object.__new__
 
 
 @dataclass
@@ -242,7 +250,7 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
 
 
 def kernel_source(params: GrpParams) -> str:
-    """Python source of the field's kernel module: four straight-line
+    """Python source of the field's kernel module: six straight-line
     functions, all unrolled, on component tuples of ``params``.
 
     - ``modmul(x, y)``, the components of modmul(x, y): the cvma_mul
@@ -256,13 +264,16 @@ def kernel_source(params: GrpParams) -> str:
       in x folded onto the t^0 digit.  The m+1 additions of H = t/2 are
       made as one addition of HP = H*p up front (p is 1 + t + ... + t^m),
       which leaves every quotient and remainder as it was.
+    - ``to_montgomery(x)`` and ``from_montgomery(x)``: the value of the
+      components x at t, by unrolled Horner steps, times R = b^q mod p or
+      RI = b^-q mod p, reduced by P = p, then HP and digits' m+1 steps.
     - ``add(x, y)`` and ``sub(x, y)``: the tuple of z_s = x_s +/- y_s, and
       whether LO <= z_s <= HI holds for every one of them; an in-range
       result runs every comparison.
 
     Only storage indices are written into the text; the field constants
-    are the names L, MASK, C, E, T, H, HP, LO and HI, bound where the
-    module is built.
+    are the names L, MASK, C, E, T, H, HP, P, R, RI, LO and HI, bound
+    where the module is built.
     """
     n = params.m_plus_1
     xs, ys, zs = (", ".join(f"{v}{s}" for s in range(n)) for v in "xyz")
@@ -287,10 +298,16 @@ def kernel_source(params: GrpParams) -> str:
             lines += [f"    z{r}_{s} = {out}" for s, out in enumerate(outs)]
         else:
             lines.append("    return (" + ", ".join(outs) + ")")
-    lines += ["def digits(x):", "    x += HP"]
-    lines += [f"    x, d{i} = divmod(x, T)" for i in range(n)]
+    steps = [f"    x, d{i} = divmod(x, T)" for i in range(n)]
     digits = [f"d{i} - H" for i in range(n - 1, 0, -1)] + ["d0 - H + x"]
-    lines.append("    return (" + ", ".join(digits) + ")")
+    steps.append("    return (" + ", ".join(digits) + ")")
+    lines += ["def digits(x):", "    x += HP", *steps]
+    value = "x0"
+    for s in range(1, n):
+        value = f"({value} * T + x{s})"
+    for name, factor in (("to_montgomery", "R"), ("from_montgomery", "RI")):
+        lines += [f"def {name}(x):", f"    {xs} = x",
+                  f"    x = {value} * {factor} % P + HP", *steps]
     tests = " and ".join(f"LO <= z{s} <= HI" for s in range(n))
     for name, op in (("add", "+"), ("sub", "-")):
         lines += [f"def {name}(x, y):", *unpack]
@@ -300,30 +317,32 @@ def kernel_source(params: GrpParams) -> str:
 
 
 # The kernel grammar, what kernel_source emits: each operator with its
-# op class (mul, add, shift and mask are OpCounter's), and the other
-# nodes allowed.  Beyond these, a Name is a leaf, a Call must be to
-# divmod, and the module holds nothing but defs.
+# op class (mul, add, shift and mask are OpCounter's; % is a divmod),
+# and the other nodes allowed.  Beyond these, a Name is a leaf, a Call
+# must be to divmod, and the module holds nothing but defs of plain
+# positional parameters.
 _OP_CLASS = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
              ast.RShift: "shift", ast.LShift: "shift", ast.BitAnd: "mask",
-             ast.LtE: "compare"}
+             ast.Mod: "divmod", ast.LtE: "compare"}
 _PLAIN_NODES = frozenset((
-    ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.AugAssign,
-    ast.Return, ast.Tuple, ast.Load, ast.Store, ast.BinOp, ast.Compare,
-    ast.BoolOp, ast.And))
+    ast.Assign, ast.AugAssign, ast.Return, ast.Tuple, ast.Load, ast.Store,
+    ast.BinOp, ast.Compare, ast.BoolOp, ast.And))
 _OPS = ("mul", "add", "shift", "mask", "divmod", "compare")
 
 
 def kernel_ops(tree: ast.Module) -> dict[str, dict[str, int]]:
     """Op counts of a generated module's syntax tree, walked once: for
     each function it defines, by name, its mul, add (+ and -), shift
-    (>> and <<), mask (&), divmod and compare (<=); and under "z0_"
-    those of the assignments to names that start with z0_ (the modmul
-    kernel's difference products).
+    (>> and <<), mask (&), divmod (divmod and %) and compare (<=); and
+    under "z0_" those of the assignments to names that start with z0_
+    (the modmul kernel's difference products).
 
     The kernels are straight-line code, so these are the operations
     every call executes.  ParameterError for a module-level statement
-    that is not a def, or any node outside the kernel grammar (the
-    comment on _OP_CLASS): a branch, loop, attribute, other call,
+    that is not a def, a def whose signature is more than plain
+    positional parameters (its decorators, defaults and annotations run
+    once, when the module does), or any node outside the kernel grammar
+    (the comment on _OP_CLASS): a branch, loop, attribute, other call,
     constant or operator could make the count depend on the data.
     """
     ops = {"z0_": dict.fromkeys(_OPS, 0)}
@@ -332,8 +351,17 @@ def kernel_ops(tree: ast.Module) -> dict[str, dict[str, int]]:
         if type(node) is not ast.FunctionDef:
             raise ParameterError(f"module-level {type(node).__name__} is "
                                  "outside the kernel grammar")
+        args = node.args
+        # type_params holds the T of a def f[T](x), on Python 3.12+
+        if (node.decorator_list or node.returns
+                or getattr(node, "type_params", None) or args.posonlyargs
+                or args.vararg or args.kwonlyargs or args.kwarg
+                or args.defaults or any(arg.annotation for arg in args.args)):
+            raise ParameterError(f"def {node.name} has a signature outside "
+                                 "the kernel grammar: only plain "
+                                 "positional parameters")
         ops[node.name] = dict.fromkeys(_OPS, 0)
-        stack.append((node, ops[node.name], None))
+        stack += [(item, ops[node.name], None) for item in node.body]
     while stack:
         node, whole, part = stack.pop()
         kind = type(node)
@@ -369,8 +397,8 @@ class FieldKernels(NamedTuple):
 
     modmul: Kernel
     cost: dict[str, dict[str, int]]  # kernel_cost's table
-    to_montgomery: int           # b^q mod p, the Montgomery factor
-    from_montgomery: int         # b^-q mod p, its inverse
+    to_montgomery: Conversion    # psi of the value times b^q mod p
+    from_montgomery: Conversion  # psi of the value times b^-q mod p
     chain: PowerChain            # invert's power_chain(params)
     digits: DigitKernel          # to_residue's base-t digits
     # componentwise x + y and x - y, each with whether every component
@@ -380,14 +408,14 @@ class FieldKernels(NamedTuple):
 
 
 def _kernel(params: GrpParams) -> FieldKernels:
-    """The field's kernels, cost table, Montgomery factors and inversion
-    chain: built once, kept on params.  The per-op paths read
-    ``params.modmul_kernel`` first and call this only to build it, which
-    saves a call on every op.  kernel_source's module is parsed, walked,
-    compiled and run once; the cost table is the walk's tally of the
-    modmul kernel, cvma that of its z0_ products.  ParameterError, and
-    nothing kept, if the walk refuses a node, or the modmul kernel holds
-    a divmod or a compare or fewer than the paper's m(m+1)/2 multiplies.
+    """The field's kernels, cost table and inversion chain: built once,
+    kept on params.  The per-op paths read ``params.modmul_kernel`` first
+    and call this only to build it, which saves a call on every op.
+    kernel_source's module is parsed, walked, compiled and run once; the
+    cost table is the walk's tally of the modmul kernel, cvma that of
+    its z0_ products.  ParameterError, and nothing kept, if the walk
+    refuses a node, or the modmul kernel holds a divmod (or %) or a
+    compare or fewer than the paper's m(m+1)/2 multiplies.
     A field with no slack range bounds add and sub by -inf and inf,
     which CPython compares with ints exactly."""
     built = params.modmul_kernel
@@ -410,13 +438,15 @@ def _kernel(params: GrpParams) -> FieldKernels:
                            + factors * modmul[name] for name in _COUNTED}}
         lo, hi = params.slack_range or (-math.inf, math.inf)
         names = {"L": params.l, "MASK": b - 1, "C": params.c, "T": t,
-                 "H": t >> 1, "HP": (t >> 1) * p, "LO": lo, "HI": hi}
+                 "H": t >> 1, "HP": (t >> 1) * p, "P": p,
+                 "R": pow(b, params.q, p), "RI": pow(b, -params.q, p),
+                 "LO": lo, "HI": hi}
         if params.c_shift_add is not None:
             names["E"] = params.c_shift_add[0]
         exec(compile(tree, KERNEL_FILENAME, "exec"), names)
         built = params.modmul_kernel = FieldKernels(
-            names["modmul"], cost, pow(b, params.q, p),
-            pow(b, -params.q, p), chain, names["digits"], names["add"],
+            names["modmul"], cost, names["to_montgomery"],
+            names["from_montgomery"], chain, names["digits"], names["add"],
             names["sub"])
     return built
 
@@ -429,7 +459,10 @@ def _slack_checked(result: tuple[Comps, bool],
     comps, in_range = result
     if not in_range:
         raise ParameterError("component outside additive slack range")
-    return _unchecked_residue(comps, params)
+    out = _new(Residue)
+    _set_comps(out, comps)
+    _set_params(out, params)
+    return out
 
 
 def to_residue(params: GrpParams, x: int) -> Residue:
@@ -445,7 +478,10 @@ def to_residue(params: GrpParams, x: int) -> Residue:
         raise ParameterError(
             f"value {x!r} is not an int in [0, t^(m+1) - 1)")
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.digits(x), params)
+    out = _new(Residue)
+    _set_comps(out, built.digits(x))
+    _set_params(out, params)
+    return out
 
 
 def psi(params: GrpParams, x: int) -> Residue:
@@ -455,7 +491,10 @@ def psi(params: GrpParams, x: int) -> Residue:
     if type(params) is not GrpParams or type(x) is not int:
         return to_residue(params, x)  # raises its ParameterError
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.digits(x % params.p), params)
+    out = _new(Residue)
+    _set_comps(out, built.digits(x % params.p))
+    _set_params(out, params)
+    return out
 
 
 def modmul(x: Residue, y: Residue) -> Residue:
@@ -467,7 +506,10 @@ def modmul(x: Residue, y: Residue) -> Residue:
     params = (x.params if type(x) is Residue and type(y) is Residue
               and x.params is y.params else _same_field(x, y))
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.modmul(x.comps, y.comps), params)
+    out = _new(Residue)
+    _set_comps(out, built.modmul(x.comps, y.comps))
+    _set_params(out, params)
+    return out
 
 
 def modmul_interleaved(x: Residue, y: Residue) -> Residue:
@@ -523,19 +565,25 @@ def square(x: Residue) -> Residue:
 
 def to_montgomery(r: Residue) -> Residue:
     """Scale by b**q: psi of r's value times b**q mod p, one native
-    mulmod.  The result has psi's digit encoding, whatever r's is."""
+    mulmod in the field's to_montgomery kernel.  The result has psi's
+    digit encoding, whatever r's is."""
     params = r.params if type(r) is Residue else _field(r)
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.digits(
-        horner(r.comps, params.t) * built.to_montgomery % params.p), params)
+    out = _new(Residue)
+    _set_comps(out, built.to_montgomery(r.comps))
+    _set_params(out, params)
+    return out
 
 
 def from_montgomery(r: Residue) -> Residue:
-    """Scale by b**-q, as to_montgomery with b**-q mod p."""
+    """Scale by b**-q, as to_montgomery with b**-q mod p, in the field's
+    from_montgomery kernel."""
     params = r.params if type(r) is Residue else _field(r)
     built = params.modmul_kernel or _kernel(params)
-    return _unchecked_residue(built.digits(
-        horner(r.comps, params.t) * built.from_montgomery % params.p), params)
+    out = _new(Residue)
+    _set_comps(out, built.from_montgomery(r.comps))
+    _set_params(out, params)
+    return out
 
 
 def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:

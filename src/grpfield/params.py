@@ -19,12 +19,12 @@ scans' path for fields whose p they proved), runs prove_prime:
 oracle.is_prime_characteristic decides, and a record of proven
 (m+1, l, c) makes each proof run once; only proofs made with the
 library's own bases (no caller's rng) enter the record.  arith builds
-the field's kernels (modmul, base-t digits,
-and add and sub, which also test the slack range), the Montgomery factors
-b^q and b^-q mod p and invert's power chain (chain.power_chain, from
-p's parameters alone) on first use and keeps them in ``modmul_kernel``
-(arith.FieldKernels); the conversions to_residue, psi, to_montgomery and
-from_montgomery run the digit kernel, so they live in arith too.  A
+the field's kernels (modmul, base-t digits, the two Montgomery
+conversions, and add and sub, which also test the slack range) and
+invert's power chain (chain.power_chain, from p's parameters alone) on
+first use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
+conversions to_residue, psi, to_montgomery and from_montgomery run
+kernels, so they live in arith too.  A
 Residue is an immutable ``__slots__`` value that checks its own field
 and components; a WideResidue checks the same shape, with no range.
 zero and arith's kernel outputs skip that through _unchecked_residue:
@@ -232,8 +232,7 @@ class GrpParams:
         self.c_shift_add = _shift_add_form(c)
 
         # Built on first use by arith (arith.FieldKernels): the
-        # straight-line kernels, the modmul trace, the Montgomery factors
-        # and invert's chain.
+        # straight-line kernels, the modmul trace and invert's chain.
         self.modmul_kernel = None
 
     def prove_prime(self, rng: random.Random | None = None) -> None:

@@ -25,6 +25,7 @@ from grpfield import (NotPrimeError, OpCounter, ParameterError, Residue,
 from grpfield.arith import (KERNEL_FILENAME, _cvma_counts, _kernel,
                             kernel_ops, kernel_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
+from grpfield.oracle import horner
 from test_acceptance import TABLE4_FIELDS
 from test_chain import _BOUND_ROWS, replay_exponent
 from tracing import opcode_trace as _opcode_trace
@@ -546,10 +547,13 @@ class TestKernel:
                              ids=_spec_id)
     def test_conversions_are_psi_of_scaled_value(self, spec, q):
         # to_montgomery and from_montgomery are one native mulmod by
-        # b^(+-q) mod p, back through the digit kernel: psi's encoding of
-        # the scaled value, whatever the input's encoding.
+        # b^(+-q) mod p, then the digit steps, each in its own kernel:
+        # the integers of Horner's value, the mulmod and the digit
+        # kernel as three calls, and so psi's encoding of the scaled
+        # value, whatever the input's.
         params = params_new(*spec, 64, q, require_prime=False)
-        b, p = params.b, params.p
+        b, p, t = params.b, params.p, params.t
+        digits = _kernel(params).digits
         rng = random.Random(19)
         xs = ([_random_reduced(params, rng) for _ in range(100)]
               + _slack_edges(params))
@@ -559,9 +563,12 @@ class TestKernel:
             for op, factor in ((to_montgomery, pow(b, q, p)),
                                (from_montgomery, pow(b, -q, p))):
                 out = op(x)
-                assert out.comps == psi(params, value * factor % p).comps, \
-                    op.__name__
+                assert out.comps == digits(horner(x.comps, t) * factor % p) \
+                    == psi(params, value * factor % p).comps, op.__name__
                 Residue(out.comps, params)
+        for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(100)]:
+            assert to_montgomery(psi(params, a)) == \
+                psi(params, a * pow(b, q, p) % p)
 
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)
@@ -587,14 +594,20 @@ class TestKernel:
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
     def test_digit_and_componentwise_kernel_syntax(self, spec):
         # Straight-line code: the digit kernel is one addition, m+1
-        # divmod calls and m+2 digit adjustments; add and sub one
+        # divmod calls and m+2 digit adjustments; each conversion kernel
+        # m Horner steps (a mul and an add each), one mul by its factor,
+        # one % p, then the digit kernel's body; add and sub one
         # operation and the two compares of the slack range per component.
         # The module defines these and modmul, and nothing else.
         params = params_new(*spec, 64, 2, require_prime=False)
         n = params.m_plus_1
         ops = kernel_ops(ast.parse(kernel_source(params)))
-        assert list(ops) == ["z0_", "modmul", "digits", "add", "sub"]
+        assert list(ops) == ["z0_", "modmul", "digits", "to_montgomery",
+                             "from_montgomery", "add", "sub"]
         assert ops["digits"] == {**_NO_OPS, "add": n + 2, "divmod": n}
+        for name in ("to_montgomery", "from_montgomery"):
+            assert ops[name] == {**_NO_OPS, "mul": n, "add": 2 * n + 1,
+                                 "divmod": n + 1}
         for name in ("add", "sub"):
             assert ops[name] == {**_NO_OPS, "add": n, "compare": 2 * n}
 
@@ -632,6 +645,7 @@ _OUTSIDE_GRAMMAR = {
     "or": "x = x or y",
     "Subscript": "x = y[0]",
     "division": "x = x // y",
+    "nested def": "def g(y):\n        return y",
 }
 
 
@@ -670,23 +684,50 @@ class TestKernelOps:
         with pytest.raises(ParameterError, match="module-level"):
             kernel_ops(ast.parse(source))
 
+    @pytest.mark.parametrize("source", [
+        "@d\ndef f(x):\n    return x\n",
+        "def f(x=y):\n    return x\n",
+        "def f(x: y) -> z:\n    return x\n",
+        "def f(x: divmod(a, b)):\n    return x\n",
+        "def f(x) -> z:\n    return x\n",
+        "def f(*x):\n    return x\n",
+        "def f(**x):\n    return x\n",
+        "def f(x, *, y):\n    return x\n",
+        "def f(x, /):\n    return x\n",
+    ], ids=["decorator", "default", "annotations", "divmod annotation",
+            "return annotation", "*x", "**x", "keyword-only",
+            "positional-only"])
+    def test_refuses_signatures_beyond_positional_parameters(self, source):
+        # Decorators, defaults and annotations run once, when the module
+        # does, not per call: no def may have them, nor any parameter
+        # but a plain positional one.
+        with pytest.raises(ParameterError, match="def f has a signature"):
+            kernel_ops(ast.parse(source))
+
     @pytest.mark.parametrize("edit,match", [
         (("    return (", "    x0 = divmod(x0, x0)\n    return ("), "modmul"),
         (("    return (", "    x0 = x0 <= x0\n    return ("), "modmul"),
+        (("    return (", "    x0 = x0 % x0\n    return ("), "modmul"),
         ((" * (y", " + (y"), "modmul"),  # a product fewer than m(m+1)/2
         # component 0's products moved out of the z0_ names: the whole
         # tree still holds m(m+1)/2 mults, the cvma entry two fewer
         (("    z0_0 = ", "    z0_0 = x0\n    p0 = "), "modmul"),
-        # a node outside the grammar in each of the other three kernels,
+        # a node outside the grammar in each of the other five kernels,
         # and a statement between them
         (("    x += HP", "    x += HP + 1"), "Constant is outside"),
+        (("def to_montgomery(x):\n", "def to_montgomery(x):\n    x = -x\n"),
+         "UnaryOp is outside"),
+        ((" * RI % P", " * RI // P"), "FloorDiv is outside"),
+        (("def from_montgomery(x):", "def from_montgomery(x=T):"),
+         "def from_montgomery has a signature outside"),
         (("def add(x, y):\n", "def add(x, y):\n    x = -y\n"),
          "UnaryOp is outside"),
         (("def sub(x, y):\n", "def sub(x, y):\n    if x:\n        y = x\n"),
          "If is outside"),
         (("def digits(x):", "T = H\ndef digits(x):"), "module-level Assign"),
-    ], ids=["divmod", "compare", "fewer mults", "products not in z0_",
-            "digits", "add", "sub", "module level"])
+    ], ids=["divmod", "compare", "%", "fewer mults", "products not in z0_",
+            "digits", "to_montgomery", "from_montgomery",
+            "from_montgomery default", "add", "sub", "module level"])
     def test_build_refuses_modmul_kernel(self, monkeypatch, edit, match):
         # The whole module is checked where it is built, before any of
         # its code runs: the first use of the field raises.
@@ -957,13 +998,14 @@ class TestOpcodeTrace:
         for op, args, kernel in (
                 (modmul, pairs[0], "modmul"), (add, pairs[0], "add"),
                 (sub, pairs[0], "sub"), (psi, (f243, 5), "digits"),
-                (to_montgomery, (elems[0],), "digits"),
-                (from_montgomery, (monts[0],), "digits")):
+                (to_montgomery, (elems[0],), "to_montgomery"),
+                (from_montgomery, (monts[0],), "from_montgomery")):
             names = {(code.co_filename == KERNEL_FILENAME, code.co_name)
                      for code, _ in _opcode_trace(op, args)}
-            # the package function and its kernel's frame are traced
-            assert {(False, op.__name__), (True, kernel)} <= names, \
-                op.__name__
+            # the package function and its one kernel's frame are traced
+            assert (False, op.__name__) in names, op.__name__
+            assert {name for generated, name in names if generated} == {
+                kernel}, op.__name__
 
 
 _SLACK_SCRIPT = """

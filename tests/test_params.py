@@ -18,7 +18,8 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, WideResidue, zero)
-from grpfield.arith import from_montgomery, modmul, modmul_trace, v_vector
+from grpfield.arith import (KERNEL_FILENAME, from_montgomery, modmul,
+                            modmul_trace, v_vector)
 from grpfield.chain import power_chain
 from test_acceptance import TABLE4_FIELDS
 
@@ -291,10 +292,14 @@ class TestLazyConstants:
             from_montgomery(zero(params))  # first use
             b, q, p = params.b, params.q, params.p
             built = params.modmul_kernel
-            # The Montgomery factors b^(+-q) mod p; invert's chain powers
-            # to p - 2.
-            assert (built.to_montgomery, built.from_montgomery) == (
-                pow(b, q, p), pow(b, -q, p))
+            # The conversion kernels' factors b^(+-q) mod p and modulus p;
+            # invert's chain powers to p - 2.
+            for kernel, name, factor in (
+                    (built.to_montgomery, "R", pow(b, q, p)),
+                    (built.from_montgomery, "RI", pow(b, -q, p))):
+                assert kernel.__code__.co_filename == KERNEL_FILENAME
+                assert (kernel.__globals__[name],
+                        kernel.__globals__["P"]) == (factor, p)
             assert built.chain == power_chain(params)
             to_montgomery(zero(params))
             from_montgomery(zero(params))
@@ -305,10 +310,11 @@ class TestLazyConstants:
             for kernel in (built.add, built.sub):
                 assert (kernel.__globals__["LO"],
                         kernel.__globals__["HI"]) == bounds
-            # one module, run in one namespace: modmul, the digits, add
-            # and sub
+            # one module, run in one namespace: modmul, the digits, the
+            # two conversions, add and sub
             assert {id(kernel.__globals__) for kernel in (
-                built.modmul, built.digits, built.add, built.sub)} == {
+                built.modmul, built.digits, built.to_montgomery,
+                built.from_montgomery, built.add, built.sub)} == {
                     id(built.modmul.__globals__)}
         # built once per field, the toy field too
         assert compiled == fields

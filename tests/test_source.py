@@ -62,10 +62,11 @@ def test_no_unseeded_random(path):
 def test_unproven_fields_and_unchecked_residues_confined():
     # require_prime=False skips the proof of p: only params, in the one
     # path by which the scans, which prove p themselves, build a field,
-    # may pass it, and only tables may take that path.  _unchecked_residue
-    # skips the Residue checks: only params and arith may use it, for
-    # outputs that are in range by construction or have passed the
-    # field's slack check.
+    # may pass it, and only tables may take that path.  _unchecked_residue,
+    # Residue's slot setters _set_comps and _set_params, and
+    # object.__new__ skip the Residue checks: only params and arith may
+    # use them, for outputs that are in range by construction or have
+    # passed the field's slack check.
     unproven, proven_path, unchecked = set(), set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -78,7 +79,13 @@ def test_unproven_fields_and_unchecked_residues_confined():
                      getattr(node, "name", None))
             if "_proven_field" in names:
                 proven_path.add(path.name)
-            if "_unchecked_residue" in names:
+            if {"_unchecked_residue", "_set_comps", "_set_params"} & {
+                    *names}:
+                unchecked.add(path.name)
+            # object.__new__, whether called or bound to a name
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"):
                 unchecked.add(path.name)
     assert unproven == {"params.py"}, unproven
     assert proven_path == {"params.py", "tables.py"}, proven_path
