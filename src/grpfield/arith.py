@@ -43,12 +43,13 @@ the six kernels, the cost table and invert's chain for p - 2
 (:class:`FieldKernels`, ``chain.power_chain``); the first conversion or
 operation on a field builds them all.
 
-Only modmul_interleaved returns through the checked Residue
-constructor.  The other results skip it: each per-op path builds its
-Residue inline from ``object.__new__`` and params' two slot setters,
-and invert through params._unchecked_residue.
-The multiplying, conversion and digit kernels' outputs stay in the
-slack range, as the tests check on slack-edge inputs.  add, sub and
+This is the one module that builds a Residue without the checked
+constructor, and only on the per-op paths psi, to_residue, modmul,
+to_montgomery, from_montgomery, add, sub and randomize: each builds its
+Residue inline from ``object.__new__`` and params' two slot setters.
+invert and modmul_interleaved return through the constructor.  The
+multiplying, conversion and digit kernels' outputs stay in the slack
+range, as the tests check on slack-edge inputs.  add, sub and
 randomize can leave it, so their kernel tests the range as it computes
 the result, and a result outside it raises the constructor's
 ParameterError; the constructor's type and length checks hold there by
@@ -68,9 +69,9 @@ from typing import Callable, NamedTuple
 from .chain import PowerChain, power_chain
 from .errors import NotPrimeError, ParameterError, ZeroInverseError
 from .oracle import modular_inverse
-from .params import (GrpParams, Residue, WideResidue, _set_comps,
-                     _set_params, _unchecked_residue, _vector_field,
-                     canonical_value, check_int, check_params)
+from .params import (GrpParams, Residue, WideResidue, _field, _set_comps,
+                     _set_params, _vector_field, canonical_value, check_int,
+                     check_params)
 
 Comps = tuple[int, ...]
 # A field's generated kernels: component tuples in, a tuple out (the
@@ -84,7 +85,7 @@ Conversion = Callable[[Comps], Comps]
 KERNEL_FILENAME = "<grpfield kernel>"
 # The unchecked Residue of a kernel's result is built inline on each op
 # from object.__new__, bound here once, and params' two slot setters:
-# one call fewer than params._unchecked_residue.
+# a helper function around the three would add a call to every op.
 _new = object.__new__
 
 
@@ -127,14 +128,6 @@ def _cvma_counts(m_plus_1: int) -> dict[str, int]:
     h = (m_plus_1 - 1) // 2
     return {"mul": m_plus_1 * h, "add": m_plus_1 * (3 * h - 1),
             "shift": 0, "mask": 0}
-
-
-def _field(x: Residue) -> GrpParams:
-    """The field of x; raises unless x is a Residue (a WideResidue's
-    components are outside the slack range the kernels are proven for)."""
-    if type(x) is not Residue:
-        raise ParameterError(f"expected a Residue, got {type(x).__name__}")
-    return x.params
 
 
 def _same_field(x: Residue, y: Residue) -> GrpParams:
@@ -597,7 +590,8 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
     depends only on the field, not on x; a counter receives
     kernel_cost's invert entry.  NotPrimeError on a field whose p was
     not proven prime (built with require_prime=False): powering to p - 2
-    inverts only modulo a prime.
+    inverts only modulo a prime.  The result goes through the checked
+    Residue constructor.
     """
     params = _field(x)
     if not params.prime_checked:
@@ -616,7 +610,7 @@ def invert(x: Residue, counter: OpCounter = UNCOUNTED) -> Residue:
         if factor is not None:
             acc = mul(acc, slots[factor])
         slots[dst] = acc
-    return _unchecked_residue(acc, params)
+    return Residue(acc, params)
 
 
 def equals(x: Residue, y: Residue) -> bool:

@@ -27,12 +27,13 @@ conversions to_residue, psi, to_montgomery and from_montgomery run
 kernels, so they live in arith too.  A
 Residue is an immutable ``__slots__`` value that checks its own field
 and components; a WideResidue checks the same shape, with no range.
-zero and arith's kernel outputs skip that through _unchecked_residue:
-the digit and multiplying kernels' outputs are in range by
+zero, the loaders and a pickled or copied Residue go through that
+checked constructor.  Only arith's per-op paths skip it, building their
+Residue from object.__new__ and the two slot setters here: the digit,
+multiplying and conversion kernels' outputs are in range by
 construction, and add, sub and randomize test their results inside the
 field's add kernel or sub kernel instead, raising the constructor's
-range error.  A pickled or copied Residue is rebuilt by the checked
-constructor.
+range error.  _field is the one test that an operand is a Residue.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import random
 from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
-from .oracle import (CanonicalElement, _small_prime, horner,
+from .oracle import (CanonicalElement, _check_rng, _small_prime, horner,
                      is_prime_characteristic)
 
 DEFAULT_WORD_BITS = 64
@@ -239,7 +240,9 @@ class GrpParams:
         """Set prime_checked, or raise NotPrimeError if p is composite.
         A (m+1, l, c) proven without an rng is recorded, and not proven
         again; a caller's rng chooses the Miller-Rabin bases, so its
-        proof holds for this object only."""
+        proof holds for this object only.  ParameterError unless rng is
+        None or a random.Random, whether or not p is in the record."""
+        _check_rng(rng)
         key = (self.m_plus_1, self.l, self.c)
         if key not in _PROVEN_PRIMES:
             if not is_prime_characteristic(self.p, self.m_plus_1, rng=rng):
@@ -357,14 +360,6 @@ _set_comps = Residue.comps.__set__
 _set_params = Residue.params.__set__
 
 
-def _unchecked_residue(comps: tuple[int, ...], params: GrpParams) -> Residue:
-    """Residue without the checks, for comps in range by construction."""
-    r = object.__new__(Residue)
-    _set_comps(r, comps)
-    _set_params(r, params)
-    return r
-
-
 @dataclass(frozen=True)
 class WideResidue:
     """Double-width accumulator vector, output of the multiplication step.
@@ -387,6 +382,15 @@ def _vector_field(r: Residue | WideResidue) -> GrpParams:
     return r.params
 
 
+def _field(x: Residue) -> GrpParams:
+    """The field of x; ParameterError unless x is a Residue, of exact type
+    (a WideResidue's components are outside the slack range the kernels
+    are proven for)."""
+    if type(x) is not Residue:
+        raise ParameterError(f"expected a Residue, got {type(x).__name__}")
+    return x.params
+
+
 def canonical_value(r: Residue | WideResidue) -> int:
     """Evaluate a vector at t and reduce modulo the field characteristic.
     ParameterError unless r is a Residue or a WideResidue."""
@@ -400,13 +404,11 @@ def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
 
 def zero(params: GrpParams) -> Residue:
     check_params(params)
-    return _unchecked_residue((0,) * params.m_plus_1, params)
+    return Residue((0,) * params.m_plus_1, params)
 
 
 def residue_to_json(r: Residue) -> str:
-    if type(r) is not Residue:
-        raise ParameterError(f"expected a Residue, got {type(r).__name__}")
-    obj = _params_obj(r.params)
+    obj = _params_obj(_field(r))
     obj["comps"] = [str(comp) for comp in r.comps]
     return json.dumps(obj)
 

@@ -909,6 +909,18 @@ class TestAuxiliaryOps:
         unproven.prove_prime()
         assert invert(xm).comps == invert(to_montgomery(psi(toy, 5))).comps
 
+    def test_invert_result_checked(self):
+        # invert returns through the checked constructor: a modmul kernel
+        # that leaves the slack range by one makes it raise, not return
+        # the out-of-range components.
+        field = params_new(5, 59, 3)
+        hi = field.slack_range[1]
+        field.modmul_kernel = _kernel(field)._replace(
+            modmul=lambda x, y: (hi + 1,) + x[1:])
+        with pytest.raises(ParameterError,
+                           match="component outside additive slack range"):
+            invert(to_montgomery(psi(field, 5)))
+
     def test_invert_involution(self, f243):
         rng = random.Random(15)
         for _ in range(20):

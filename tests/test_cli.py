@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import grpfield.arith
 from grpfield.cli import main, parse_spec
 from grpfield.errors import ParameterError
 
@@ -80,6 +81,15 @@ class TestDispatch:
     def test_selftest_with_param(self, capsys):
         assert main(["selftest", "--param", "phi(5,2^54*7)"]) == 0
         assert "phi(5,2^54*7) sample: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sweep", [[], ["--exhaustive-toy"]])
+    def test_selftest_failure_exit_1(self, sweep, capsys, monkeypatch):
+        # A modmul that returns its first operand fails every field.
+        monkeypatch.setattr(grpfield.arith, "modmul", lambda x, y: x)
+        assert main(["selftest", *sweep, "--param", "phi(5,2^59*3)"]) == 1
+        toy = "exhaustive toy sweep" if sweep else "toy field sample"
+        assert capsys.readouterr().out == (
+            f"{toy}: FAIL\nphi(5,2^59*3) sample: FAIL\n")
 
     def test_bench(self, capsys):
         rc = main(["bench", "--param", "phi(3,2^2*3)", "--iters", "100",

@@ -18,7 +18,7 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_canonical, to_montgomery,
                       to_residue, WideResidue, zero)
-from grpfield.arith import (KERNEL_FILENAME, from_montgomery, modmul,
+from grpfield.arith import (KERNEL_FILENAME, add, from_montgomery, modmul,
                             modmul_trace, v_vector)
 from grpfield.chain import power_chain
 from test_acceptance import TABLE4_FIELDS
@@ -506,6 +506,15 @@ class TestJson:
         with pytest.raises(ParameterError, match="random.Random"):
             params_new(5, 59, 3, rng="abc")
 
+    def test_rng_not_random_refused_on_recorded_field(self, monkeypatch):
+        # A field in the record of proven primes skips its proof, not the
+        # check of the rng.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        params_new(5, 59, 3)
+        assert grpfield.params._PROVEN_PRIMES == {(5, 59, 3)}
+        with pytest.raises(ParameterError, match="random.Random"):
+            params_new(5, 59, 3, rng="abc")
+
     @pytest.mark.parametrize("text", [
         "{", "[1,2]", "5", "null", '"x"', '{"m_plus_1": 5, "l": 59}',
         "[" * 100_000], ids=lambda text: text[:20])
@@ -611,7 +620,7 @@ class TestResidueValue:
 
     def test_equality_and_hash(self, f243, f228):
         x = psi(f243, 5)
-        unchecked = grpfield.params._unchecked_residue(x.comps, f243)
+        unchecked = add(x, zero(f243))  # built without the constructor
         assert x == unchecked and hash(x) == hash(unchecked)
         twin = params_new(5, 59, 3)
         assert x == Residue(x.comps, twin)

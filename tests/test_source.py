@@ -62,13 +62,16 @@ def test_no_unseeded_random(path):
 def test_unproven_fields_and_unchecked_residues_confined():
     # require_prime=False skips the proof of p: only params, in the one
     # path by which the scans, which prove p themselves, build a field,
-    # may pass it, and only tables may take that path.  _unchecked_residue,
-    # Residue's slot setters _set_comps and _set_params, and
-    # object.__new__ skip the Residue checks: only params and arith may
-    # use them, for outputs that are in range by construction or have
-    # passed the field's slack check.
-    unproven, proven_path, unchecked = set(), set(), set()
+    # may pass it, and only tables may take that path.  Residue's slot
+    # setters _set_comps and _set_params, with object.__new__, skip the
+    # Residue checks: params defines the setters, and only arith builds
+    # a Residue from object.__new__, for outputs that are in range by
+    # construction or have passed the field's slack check.  No module
+    # wraps them in a helper named _unchecked_residue: the inline form
+    # is the only one.
+    unproven, proven_path, unchecked, new = set(), set(), set(), set()
     for path in SOURCES:
+        assert "_unchecked_residue" not in path.read_text(), path.name
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.keyword) and node.arg == "require_prime":
                 if not (isinstance(node.value, ast.Constant)
@@ -79,17 +82,17 @@ def test_unproven_fields_and_unchecked_residues_confined():
                      getattr(node, "name", None))
             if "_proven_field" in names:
                 proven_path.add(path.name)
-            if {"_unchecked_residue", "_set_comps", "_set_params"} & {
-                    *names}:
+            if {"_set_comps", "_set_params"} & {*names}:
                 unchecked.add(path.name)
             # object.__new__, whether called or bound to a name
             if (isinstance(node, ast.Attribute) and node.attr == "__new__"
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "object"):
-                unchecked.add(path.name)
+                new.add(path.name)
     assert unproven == {"params.py"}, unproven
     assert proven_path == {"params.py", "tables.py"}, proven_path
     assert unchecked <= {"arith.py", "params.py"}, unchecked
+    assert new <= {"arith.py"}, new
 
 
 def test_prime_checked_written_only_in_params():
@@ -118,7 +121,7 @@ def test_generated_code_compiled_under_kernel_filename():
     # The opcode trace follows generated code by its filename, so every
     # compile must be in arith.py and name KERNEL_FILENAME, and every
     # exec or eval must run such a compile's code, never a bare string.
-    # A field's four kernels are one module, so there is one of each.
+    # A field's six kernels are one module, so there is one of each.
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
