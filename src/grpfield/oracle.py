@@ -12,10 +12,11 @@ m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every prime,
 held by _products as two one-digit words and the product of the rest.
 What the sieve leaves meets one round with base 3, which can only
 refuse, and then miller_rabin, which alone accepts, with 64 rounds whose
-bases are drawn from the candidate.  Every Miller-Rabin round is one
-_strong_round.  The public tests check their arguments and call _decide;
-the scans, their range checked, call it directly.  The list of possible
-factors also gives bateman_horn, the density of such primes.
+bases _bases draws from the candidate: no caller chooses them.  Every
+Miller-Rabin round is one _strong_round.  The public tests check their
+arguments and call _decide; the scans, their range checked, call it
+directly.  The list of possible factors also gives bateman_horn, the
+density of such primes.
 """
 
 from __future__ import annotations
@@ -219,14 +220,12 @@ def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
                for _ in range(rounds))
 
 
-def _bases(n: int, rng: random.Random | None) -> random.Random:
-    """rng, or without one a Random seeded with the bytes of n."""
-    return rng if rng is not None else random.Random(
-        n.to_bytes((n.bit_length() + 7) // 8, "big"))
+def _bases(n: int) -> random.Random:
+    """Miller-Rabin's bases for n: a Random seeded with the bytes of n."""
+    return random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
 
 
-def _decide(n: int, sieve: tuple[int, int, int], rounds: int,
-            rng: random.Random | None) -> bool:
+def _decide(n: int, sieve: tuple[int, int, int], rounds: int) -> bool:
     """Primality of n, Phi_{m+1}(t) or any n for m+1 = 2, given the
     checked arguments and sieve = _products(m_plus_1): exact below
     _SIEVE_BOUND, False for an n that shares a prime with the sieve, or
@@ -237,7 +236,7 @@ def _decide(n: int, sieve: tuple[int, int, int], rounds: int,
     if (math.gcd(n % w1, w1) != 1 or math.gcd(n % w2, w2) != 1
             or math.gcd(n, rest) != 1):
         return False
-    return _base_3(n) and miller_rabin(n, rounds, _bases(n, rng))
+    return _base_3(n) and miller_rabin(n, rounds, _bases(n))
 
 
 def _check_rng(rng: random.Random | None) -> None:
@@ -252,9 +251,10 @@ def is_probable_prime(n: int, rounds: int = 64,
     """Miller-Rabin with pseudo-random bases, after the sieve of _decide
     and one round with base 3.
 
-    Without an rng the bases come from a Random seeded with the bytes of
-    n, which CPython hashes with SHA-512: the verdict is a reproducible
-    function of n, and whoever picks n cannot fix the bases in advance.
+    The bases come from a Random seeded with the bytes of n, which
+    CPython hashes with SHA-512: the verdict is a reproducible function
+    of n, and whoever picks n cannot fix the bases in advance.  rng
+    chooses nothing; it is checked and kept only for older callers.
     Bases are drawn only for n of at least 10^4 that pass the sieve
     and base 3, which can only refuse: a prime draws the bases it would
     without them.  ParameterError unless n and rounds are ints (no
@@ -266,23 +266,21 @@ def is_probable_prime(n: int, rounds: int = 64,
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
     _check_rng(rng)
-    return _decide(n, _products(2), rounds, rng)
+    return _decide(n, _products(2), rounds)
 
 
-def is_prime_characteristic(p: int, m_plus_1: int, *,
-                            rng: random.Random | None = None) -> bool:
+def is_prime_characteristic(p: int, m_plus_1: int) -> bool:
     """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, whose
     sieve tries only the possible factors of p: the same verdict,
     and Miller-Rabin draws the bases is_probable_prime would.
     ParameterError unless p is an int and m_plus_1 a prime int below
-    10^4 (no bool), or for an rng that is not a random.Random."""
+    10^4 (no bool)."""
     if type(p) is not int or type(m_plus_1) is not int \
             or not _small_prime(m_plus_1):
         raise ParameterError(
             f"need an int p and a prime int m+1 below {_SIEVE_BOUND}, "
             f"got {p!r} and {m_plus_1!r}")
-    _check_rng(rng)
-    return _decide(p, _products(m_plus_1), 64, rng)
+    return _decide(p, _products(m_plus_1), 64)
 
 
 def modular_inverse(a: int, modulus: int) -> int:

@@ -14,11 +14,13 @@ word-size and I/O bounds that GrpParams, the tables and the searches
 all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 
 Constructing a GrpParams validates the field in word-size integers,
-builds t and p and, unless require_prime=False (only _proven_field, the
-scans' path for fields whose p they proved), runs prove_prime:
-oracle.is_prime_characteristic decides, and a record of proven
-(m+1, l, c) makes each proof run once; only proofs made with the
-library's own bases (no caller's rng) enter the record.  arith builds
+builds t and p and, unless require_prime=False, runs prove_prime:
+oracle.is_prime_characteristic decides, with Miller-Rabin bases drawn
+from p, and every (m+1, l, c) proven enters one record, so each proof
+runs once per process.  A scan that has proven p itself enters it in
+the record through _proven_field, and the constructor then finds it
+there; only GrpParams sets prime_checked.  An rng argument chooses
+nothing: it is checked and kept only for older callers.  arith builds
 the field's kernels (modmul, base-t digits, the two Montgomery
 conversions, and add and sub, which also test the slack range) and
 invert's power chain (chain.power_chain, from p's parameters alone) on
@@ -183,8 +185,10 @@ def _shift_add_form(c: int) -> tuple[int, int] | None:
 class GrpParams:
     """Validated description of one field; ``params_new`` is this class.
 
-    Raises what check_field raises, StabilityError if c is a power of
-    two, and NotPrimeError if require_prime is set and p is composite.
+    Raises ParameterError for an rng that is not None or a
+    random.Random, what check_field raises, StabilityError if c is a
+    power of two, and NotPrimeError if require_prime is set and p is
+    composite.
     Every check but the primality of p runs on word-size integers, before
     t is built.  The kernels arith generates for the field start as None
     in ``modmul_kernel``: a field that is never used never builds them.
@@ -194,6 +198,7 @@ class GrpParams:
                  w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
                  require_prime: bool = True,
                  rng: random.Random | None = None) -> None:
+        _check_rng(rng)
         k = check_field(m_plus_1, l, c, w, q)
         # t <= 2^k - 2 fails exactly for c = 2^j, where t = 2^k; otherwise
         # c < 2^(k-l) holds by the choice of k.
@@ -225,7 +230,7 @@ class GrpParams:
 
         self.prime_checked = False
         if require_prime:
-            self.prove_prime(rng)
+            self.prove_prime()
 
         # Per-field constant tables.
         self.cvma_pairs = _half_index_pairs(m_plus_1)
@@ -236,20 +241,15 @@ class GrpParams:
         # straight-line kernels, the modmul trace and invert's chain.
         self.modmul_kernel = None
 
-    def prove_prime(self, rng: random.Random | None = None) -> None:
+    def prove_prime(self) -> None:
         """Set prime_checked, or raise NotPrimeError if p is composite.
-        A (m+1, l, c) proven without an rng is recorded, and not proven
-        again; a caller's rng chooses the Miller-Rabin bases, so its
-        proof holds for this object only.  ParameterError unless rng is
-        None or a random.Random, whether or not p is in the record."""
-        _check_rng(rng)
+        Every (m+1, l, c) proven is recorded, and not proven again."""
         key = (self.m_plus_1, self.l, self.c)
         if key not in _PROVEN_PRIMES:
-            if not is_prime_characteristic(self.p, self.m_plus_1, rng=rng):
+            if not is_prime_characteristic(self.p, self.m_plus_1):
                 raise NotPrimeError(
                     f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
-            if rng is None:
-                _PROVEN_PRIMES.add(key)
+            _PROVEN_PRIMES.add(key)
         self.prime_checked = True
 
     @property
@@ -267,8 +267,8 @@ class GrpParams:
         return (self.m_plus_1, self.l, self.c, self.w, self.q)
 
     def __reduce__(self):
-        # Rebuilt by the constructor, which proves p again if it was
-        # proven; the per-field kernel cache is not carried.
+        # Rebuilt by the constructor, which finds a proven p in the
+        # record; the per-field kernel cache is not carried.
         return GrpParams, (*self._key(), self.prime_checked)
 
     def __eq__(self, other) -> bool:
@@ -281,18 +281,17 @@ class GrpParams:
 params_new = GrpParams
 
 
-# (m+1, l, c) of every characteristic GrpParams.prove_prime has proven
-# with the library's own bases.
+# (m+1, l, c) of every characteristic proven prime: by
+# GrpParams.prove_prime, or by a scan through _proven_field.
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
 
 
 def _proven_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> GrpParams:
     """The GrpParams of a field whose p a scan of tables has just proven
-    prime with the oracle's own bases: validated as any field, and not
-    proven a second time."""
-    params = GrpParams(m_plus_1, l, c, w, q, require_prime=False)
-    params.prime_checked = True
-    return params
+    prime: recorded, then built by the constructor, which finds it in
+    the record and does not prove it again."""
+    _PROVEN_PRIMES.add((m_plus_1, l, c))
+    return GrpParams(m_plus_1, l, c, w, q)
 
 
 def check_params(params: GrpParams) -> None:

@@ -11,9 +11,10 @@ them.  search_grps validates its range once, at the largest cofactor.
 
 Every candidate is a characteristic Phi_{m+1}(t).  search_grps and
 hw2_search hand each to oracle._decide, with the degree's sieve and 64
-rounds, and build the primes by params._proven_field; pure_power_scan
-calls is_prime_characteristic.  Bases come from the candidate, so the
-scans take no seed; nothing here decides primality.  The scans take only
+rounds, and build the primes by params._proven_field, which records the
+proof, so a field found is never proven again; pure_power_scan calls
+is_prime_characteristic.  Bases come from the candidate, so the scans
+take no seed; nothing here decides primality.  The scans take only
 exact ints for bits and counts.  The estimator's cofactor interval is
 exact integer roots of powers of two.
 """
@@ -166,7 +167,7 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
     for c in range(c_min, c_max + 1):
         if c & (c - 1) == 0:
             continue  # t a power of two: the field of a larger l
-        if _decide(repunit(b * c, m_plus_1), sieve, 64, None):
+        if _decide(repunit(b * c, m_plus_1), sieve, 64):
             out.append(_proven_field(m_plus_1, l, c, w, q))
             if len(out) >= max_results:
                 break
@@ -213,7 +214,7 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
         if l < l_min(m_plus_1, k, q):
             continue  # not I/O-stable
         p = repunit((1 << l) * c, m_plus_1)
-        if p.bit_length() == bits_target and _decide(p, sieve, 64, None):
+        if p.bit_length() == bits_target and _decide(p, sieve, 64):
             out.append(_proven_field(m_plus_1, l, c, w, q))
     return out
 

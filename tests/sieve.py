@@ -1,4 +1,7 @@
-"""The verdict of the oracle's sieve alone, shared by the tests."""
+"""Probes of the oracle's decision path, shared by the tests: the verdict
+of its sieve alone, and an rng that would choose every base."""
+
+import random
 
 from grpfield import oracle
 
@@ -19,8 +22,20 @@ def sieve_verdict(n, m_plus_1):
     """
     base_3, oracle._base_3 = oracle._base_3, _past_sieve
     try:
-        return oracle._decide(n, oracle._products(m_plus_1), 64, None)
+        return oracle._decide(n, oracle._products(m_plus_1), 64)
     except _PastSieve:
         return None
     finally:
         oracle._base_3 = base_3
+
+
+class Liar(random.Random):
+    """An rng whose randrange returns its stop: drawn as Miller-Rabin
+    bases, every base is n - 1, which every odd n passes.  draws counts
+    the calls, so a test sees whether anything drew from it."""
+
+    draws = 0
+
+    def randrange(self, start, stop=None, step=1):
+        self.draws += 1
+        return stop

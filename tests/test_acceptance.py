@@ -246,11 +246,10 @@ def test_8_parameter_facts(capsys, pure_powers_59):
     ok = True
     scan = pure_powers_59
     ok &= sorted(l for l, _ in scan if l % 2 == 1) == [3, 7, 59]
-    rng = random.Random(8)
     got_bits = []
     for bits, m1, l, c in TABLE4_FIELDS:
         params = params_new(m1, l, c, 64, 2, require_prime=False)
-        ok &= is_probable_prime(params.p, 64, rng)
+        ok &= is_probable_prime(params.p)
         ok &= params.bits == bits
         got_bits.append(params.bits)
     ok &= sorted(got_bits) == sorted(PRINTED_BITLENGTHS)

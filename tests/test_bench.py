@@ -15,7 +15,7 @@ def _random_prime(bits, rng):
     from grpfield import is_probable_prime
     while True:
         cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(cand, 16, rng):
+        if is_probable_prime(cand, 16):
             return cand
 
 

@@ -13,7 +13,7 @@ from grpfield import (CanonicalElement, ParameterError, congruent,
 from grpfield.oracle import (_prime_flags, bateman_horn,
                              is_prime_characteristic, miller_rabin)
 from grpfield.params import repunit
-from sieve import sieve_verdict
+from sieve import Liar, sieve_verdict
 
 M3 = 12 ** 3 - 1
 
@@ -156,13 +156,16 @@ class TestIsProbablePrime:
         assert not is_probable_prime(0)
 
     def test_never_rejects_known_primes_across_seeds(self):
+        # is_probable_prime's bases come from n alone, so the seeds go to
+        # the Miller-Rabin rounds directly: no base rejects a prime.
         t = (1 << 59) * 3
         big = (t ** 5 - 1) // (t - 1)
         for seed in range(1000):
             rng = random.Random(seed)
-            assert is_probable_prime(73, 8, rng)
-            assert is_probable_prime(157, 8, rng)
-            assert is_probable_prime(big, 1, rng)
+            assert miller_rabin(73, 8, rng)
+            assert miller_rabin(157, 8, rng)
+            assert miller_rabin(big, 1, rng)
+        assert is_probable_prime(73) and is_probable_prime(big)
 
     def test_rounds_validated(self):
         with pytest.raises(ParameterError):
@@ -177,13 +180,24 @@ class TestIsProbablePrime:
 
     @pytest.mark.parametrize("rng", ["abc", 0, random])
     def test_refuses_rng_not_random(self, rng):
-        # Both tests would reach Miller-Rabin, which draws from the rng.
+        # The rng chooses no base, but is_probable_prime still refuses one
+        # that is not a random.Random; is_prime_characteristic takes none.
         with pytest.raises(ParameterError, match="random.Random"):
             is_probable_prime((1 << 127) - 1, 64, rng)
-        with pytest.raises(ParameterError, match="random.Random"):
+        with pytest.raises(TypeError):
             is_prime_characteristic(repunit((1 << 59) * 3, 5), 5, rng=rng)
 
-    def test_trial_division_matches_sieve(self):
+    def test_hostile_rng_chooses_no_base(self):
+        # 10399 * 51991 passes the pre-filter and strong bases 2 and 3.
+        # A Liar's bases would all be n - 1 and accept it; the bases
+        # drawn from n refuse it, and none is drawn from the Liar.
+        n = 540654409
+        assert miller_rabin(n, 64, Liar(0))
+        liar = Liar(0)
+        assert not is_probable_prime(n, 64, liar)
+        assert liar.draws == 0
+
+    def test_trial_division_matches_sieve(self, monkeypatch):
         # The primes below 2*10^4 by a plain sieve; every n here is
         # decided exactly, by the pre-filter's sieve below 10^4, which
         # draws no base, or by Miller-Rabin above it.
@@ -194,28 +208,31 @@ class TestIsProbablePrime:
             if flags[i]:
                 for j in range(i * i, bound, i):
                     flags[j] = False
-        rng, no_bases = random.Random(0), _NoBases()
+        drawn = _counting_bases(monkeypatch)
         for n in range(-bound, bound):  # negative n must not index the table
-            bases = no_bases if n < 10 ** 4 else rng
-            assert is_probable_prime(n, 16, bases) == (n >= 0 and flags[n]), n
+            assert is_probable_prime(n, 16) == (n >= 0 and flags[n]), n
+        assert drawn and min(drawn) >= 10 ** 4
 
-    def test_small_times_large_prime_rejected(self):
-        # No base would be drawn: the pre-filter rejects these products.
+    def test_small_times_large_prime_rejected(self, monkeypatch):
+        # No base is drawn: the pre-filter rejects these products.
         t = (1 << 59) * 3
         large = [(t ** 5 - 1) // (t - 1), (1 << 127) - 1, 1000003]
         small = [2, 3, 5, 7, 11, 541, 983, 997, 9973]
         for p in large:
-            assert is_probable_prime(p, 8, random.Random(0))
+            assert is_probable_prime(p, 8)
+        drawn = _counting_bases(monkeypatch)
+        for p in large:
             for d in small:
-                assert not is_probable_prime(d * p, 1, _NoBases())
-                assert not is_probable_prime(d * p * p, 1, _NoBases())
+                assert not is_probable_prime(d * p, 1)
+                assert not is_probable_prime(d * p * p, 1)
+        assert drawn == []
         # 10007 is the first prime past the pre-filter: Miller-Rabin decides.
-        assert not is_probable_prime(10007 * large[1], 8, random.Random(0))
+        assert not is_probable_prime(10007 * large[1], 8)
 
 
     def test_default_bases_depend_only_on_n(self, monkeypatch):
-        # Without an rng the bases come from a Random seeded with n, so
-        # two calls on one candidate draw the same bases.
+        # The bases come from a Random seeded with n, so two calls on one
+        # candidate draw the same bases, and a caller's rng changes none.
         states = []
         real = oracle.miller_rabin
 
@@ -230,9 +247,11 @@ class TestIsProbablePrime:
         seen = []
         for n, verdict in ((prime, True), (composite, False)):
             states.clear()
+            liar = Liar(0)
             assert is_probable_prime(n) is verdict
-            assert is_probable_prime(n) is verdict
+            assert is_probable_prime(n, 64, liar) is verdict
             assert len(states) == 2 and states[0] == states[1]
+            assert liar.draws == 0
             seen.append(states[0])
         assert seen[0] != seen[1]
 
@@ -261,13 +280,15 @@ class TestIsPrimeCharacteristic:
                 assert is_prime_characteristic(p, n) == flags[p], (n, t)
                 t += 2
 
-    def test_small_p_decided_exactly(self):
+    def test_small_p_decided_exactly(self, monkeypatch):
         # Below 10^4 no base is drawn: 3 = Phi_2(2) is below Miller-Rabin's
         # n > 3, and 11 and 9901 are themselves factors of the degree-5
         # products, while 11 * 31 = Phi_5(4) is composite.
-        assert is_prime_characteristic(3, 2, rng=_NoBases())
+        drawn = _counting_bases(monkeypatch)
+        assert is_prime_characteristic(3, 2)
         for p, verdict in ((11, True), (9901, True), (341, False)):
-            assert is_prime_characteristic(p, 5, rng=_NoBases()) is verdict
+            assert is_prime_characteristic(p, 5) is verdict
+        assert drawn == []
 
     @pytest.mark.parametrize("p, m_plus_1", [
         (2.5e4, 5), (100001, 0), (True, 2), (341, 4), (341, -3),
@@ -350,13 +371,13 @@ class TestMillerRabin:
 
 
 def _counting_bases(monkeypatch):
-    """The n of every _bases call, which seeds a Random without an rng."""
+    """The n of every _bases call, each of which seeds a Random."""
     calls = []
     real = oracle._bases
 
-    def counting(n, rng):
+    def counting(n):
         calls.append(n)
-        return real(n, rng)
+        return real(n)
     monkeypatch.setattr(oracle, "_bases", counting)
     return calls
 
@@ -384,17 +405,17 @@ class TestBase3:
 
     def test_base_3_witness_seeds_no_random(self, monkeypatch):
         # Both composites pass their sieve and fail base 3: no Random is
-        # seeded and no base drawn, with or without a caller's rng.
+        # seeded and no base drawn, and a caller's rng is not drawn from.
         calls = _counting_bases(monkeypatch)
         n = 10007 * ((1 << 127) - 1)
         p = repunit((1 << 40) * 1048582, 5)
         assert sieve_verdict(n, 2) is None
         assert sieve_verdict(p, 5) is None
+        liar = Liar(0)
         assert not is_probable_prime(n)
-        assert not is_probable_prime(n, 1, _NoBases())
+        assert not is_probable_prime(n, 1, liar)
         assert not is_prime_characteristic(p, 5)
-        assert not is_prime_characteristic(p, 5, rng=_NoBases())
-        assert calls == []
+        assert calls == [] and liar.draws == 0
         # A prime passes base 3 and draws its bases as before.
         t = (1 << 59) * 3
         prime = repunit(t, 5)
@@ -468,10 +489,3 @@ class TestBatemanHorn:
             count += is_prime_characteristic(p, m_plus_1)
             expected += const / math.log(p)
         assert abs(count - expected) <= 3 * math.sqrt(expected)
-
-
-class _NoBases(random.Random):
-    """An rng that fails the test if Miller-Rabin draws from it."""
-
-    def randrange(self, *args):
-        raise AssertionError("Miller-Rabin ran after the pre-filter")

@@ -21,6 +21,8 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
 from grpfield.arith import (KERNEL_FILENAME, add, from_montgomery, modmul,
                             modmul_trace, v_vector)
 from grpfield.chain import power_chain
+from grpfield.tables import hw2_search, search_grps
+from sieve import Liar
 from test_acceptance import TABLE4_FIELDS
 
 
@@ -469,24 +471,16 @@ class TestJson:
                 residue_from_json(text)
         assert runs == [f511.p, composite.p, composite.p]
 
-    def test_proof_with_callers_rng_not_remembered(self, monkeypatch):
-        # A caller's rng picks the Miller-Rabin bases: one that always
-        # returns its upper bound gives base n - 1, which every odd n
-        # passes.  Base 3 runs first and refuses Phi_5(2^40*1048582), so
-        # even that rng proves no composite; a proof made with a caller's
-        # rng still must not reach other callers through the record of
-        # proven fields.
+    def test_proof_with_callers_rng_recorded(self, monkeypatch):
+        # A caller's rng chooses no Miller-Rabin base, so a proof made
+        # with one is the library's proof and enters the record; a
+        # composite is refused with any rng and never recorded.
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
-
-        class Liar(random.Random):
-            def randrange(self, start, stop=None, step=1):
-                return stop
-
         with pytest.raises(NotPrimeError):
-            params_new(5, 40, 1048582, rng=Liar(0))
+            params_new(5, 40, 1048582, rng=random.Random(0))
         seeded = params_new(5, 59, 3, rng=random.Random(0))
-        assert seeded.prime_checked  # the rng parameter stays open
-        assert grpfield.params._PROVEN_PRIMES == set()
+        assert seeded.prime_checked
+        assert grpfield.params._PROVEN_PRIMES == {(5, 59, 3)}
         composite = params_new(5, 40, 1048582, require_prime=False)
         with pytest.raises(NotPrimeError):
             params_from_json(params_to_json(composite))
@@ -494,17 +488,47 @@ class TestJson:
             residue_from_json(residue_to_json(zero(composite)))
         with pytest.raises(NotPrimeError):
             params_new(5, 40, 1048582)
-        # A proof with the library's own bases is remembered as before,
-        # and a later caller's rng is then not consulted.
-        params_new(5, 59, 3)
-        assert params_new(5, 59, 3, rng=Liar(0)).prime_checked
         assert grpfield.params._PROVEN_PRIMES == {(5, 59, 3)}
 
+    def test_hostile_rng_not_drawn(self, monkeypatch):
+        # A Liar would make every base n - 1, which every odd n passes.
+        # The field is proven, by one Miller-Rabin run, with bases drawn
+        # from p, and nothing draws from the Liar.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        runs = _counting_miller_rabin(monkeypatch)
+        liar = Liar(0)
+        params = params_new(5, 59, 3, rng=liar)
+        assert params.prime_checked and runs == [params.p]
+        assert liar.draws == 0
+
+    @pytest.mark.parametrize("source", ["search_grps", "hw2_search", "rng"])
+    def test_every_proof_recorded_once(self, monkeypatch, source):
+        # A field found by a scan or built with a caller's rng is proven
+        # by one Miller-Rabin run; its pickle, its copy and a rebuild
+        # from (m+1, l, c) find it in the record.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        runs = _counting_miller_rabin(monkeypatch)
+        if source == "search_grps":
+            field, = search_grps(5, 40, 1048577, 1050576, max_results=1)
+            assert field.label() == "phi(5,2^40*1048592)"
+        elif source == "hw2_search":
+            field, = hw2_search(243)
+            assert field.label() == "phi(5,2^59*3)"
+        else:
+            field = params_new(5, 59, 3, rng=random.Random(1))
+        copies = [pickle.loads(pickle.dumps(field)), copy.copy(field),
+                  params_new(field.m_plus_1, field.l, field.c)]
+        assert all(f == field and f.prime_checked for f in copies)
+        assert runs.count(field.p) == 1
+
     def test_rng_not_random_refused(self, monkeypatch):
-        # On a field not yet proven, the rng would draw Miller-Rabin's bases.
+        # The rng chooses nothing, and is checked before anything else,
+        # whether or not p is to be proven.
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
         with pytest.raises(ParameterError, match="random.Random"):
             params_new(5, 59, 3, rng="abc")
+        with pytest.raises(ParameterError, match="random.Random"):
+            params_new(5, 59, 3, require_prime=False, rng="abc")
 
     def test_rng_not_random_refused_on_recorded_field(self, monkeypatch):
         # A field in the record of proven primes skips its proof, not the
@@ -636,3 +660,15 @@ class TestResidueValue:
             Residue((0, 0, 0, 0, 0), params)
         with pytest.raises(ParameterError, match="must be a GrpParams"):
             WideResidue((0, 0, 0, 0, 0), params)
+
+
+def _counting_miller_rabin(monkeypatch):
+    """The n of every oracle.miller_rabin run."""
+    runs = []
+    real = grpfield.oracle.miller_rabin
+
+    def counting(n, rounds, rng):
+        runs.append(n)
+        return real(n, rounds, rng)
+    monkeypatch.setattr(grpfield.oracle, "miller_rabin", counting)
+    return runs

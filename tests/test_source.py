@@ -60,9 +60,10 @@ def test_no_unseeded_random(path):
 
 
 def test_unproven_fields_and_unchecked_residues_confined():
-    # require_prime=False skips the proof of p: only params, in the one
-    # path by which the scans, which prove p themselves, build a field,
-    # may pass it, and only tables may take that path.  Residue's slot
+    # require_prime=False skips the proof of p: no module passes
+    # require_prime other than True, so the library builds no unproven
+    # field.  The scans, which prove p themselves, record it through
+    # params._proven_field, and only tables takes that path.  Residue's slot
     # setters _set_comps and _set_params, with object.__new__, skip the
     # Residue checks: params defines the setters, and only arith builds
     # a Residue from object.__new__, for outputs that are in range by
@@ -89,32 +90,59 @@ def test_unproven_fields_and_unchecked_residues_confined():
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "object"):
                 new.add(path.name)
-    assert unproven == {"params.py"}, unproven
+    assert unproven == set(), unproven
     assert proven_path == {"params.py", "tables.py"}, proven_path
     assert unchecked <= {"arith.py", "params.py"}, unchecked
     assert new <= {"arith.py"}, new
 
 
+def _nodes_in_classes(node, owner=None):
+    """(name of the innermost enclosing class, node) for every node."""
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        yield from _nodes_in_classes(child, child.name if isinstance(
+            child, ast.ClassDef) else owner)
+
+
 def test_prime_checked_written_only_in_params():
-    # A field is marked proven by GrpParams.prove_prime or by the scans'
-    # one proven-field path, both in params; no other module writes the
-    # mark, by assignment or by setattr.
+    # A field is marked proven only by the methods of GrpParams (the
+    # constructor and prove_prime); nothing else writes the mark, by
+    # assignment or by setattr, the scans' proven-field path included.
     writers = set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, node in _nodes_in_classes(tree):
             targets = (node.targets if isinstance(node, ast.Assign) else
                        [node.target] if isinstance(
                            node, (ast.AugAssign, ast.AnnAssign)) else [])
             if any(isinstance(target, ast.Attribute)
                    and target.attr == "prime_checked" for target in targets):
-                writers.add(path.name)
+                writers.add((path.name, owner))
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "setattr"
                     and any(isinstance(arg, ast.Constant)
                             and arg.value == "prime_checked"
                             for arg in node.args)):
-                writers.add(path.name)
-    assert writers == {"params.py"}, writers
+                writers.add((path.name, owner))
+    assert writers == {("params.py", "GrpParams")}, writers
+
+
+def test_miller_rabin_bases_drawn_from_candidate():
+    # No caller chooses Miller-Rabin's bases: the one miller_rabin call
+    # passes _bases(n), a Random seeded from the candidate, and _bases
+    # takes the candidate alone.
+    calls, bases_args = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) \
+                    == "miller_rabin":
+                calls.append((path.name, ast.unparse(node)))
+            if isinstance(node, ast.FunctionDef) and node.name == "_bases":
+                bases_args.append(ast.unparse(node.args))
+    assert calls == [("oracle.py", "miller_rabin(n, rounds, _bases(n))")], \
+        calls
+    assert bases_args == ["n: int"], bases_args
 
 
 def test_generated_code_compiled_under_kernel_filename():

@@ -266,9 +266,9 @@ class TestSearchGrps:
         calls = []
         real = grpfield.oracle._decide
 
-        def counting(n, sieve, rounds, rng):
+        def counting(n, sieve, rounds):
             calls.append((n, sieve))
-            return real(n, sieve, rounds, rng)
+            return real(n, sieve, rounds)
         monkeypatch.setattr(grpfield.oracle, "_decide", counting)
         monkeypatch.setattr(grpfield.tables, "_decide", counting)
         cofactors = range(2 ** 20 + 1, 2 ** 20 + 501)
