@@ -10,16 +10,15 @@ happens in the Montgomery domain, where the factor cancels.
 Every operation executes the same sequence of primitive operations
 regardless of the input values.  On its first use a field builds one
 generated module (:func:`kernel_source`) of six straight-line kernels:
-``modmul``, tested against cvma_mul and the plain red3 (the kernel alone
-runs red3's cofactor product as shift-and-add); ``digits``, the base-t
-conversion that to_residue and psi run; ``to_montgomery`` and
-``from_montgomery``; and ``add`` and ``sub``, which also test their
-result's slack range.  The module is parsed, walked, compiled and run
-once: the walk (:func:`kernel_ops`) checks all six kernels against the
-kernel grammar and tallies modmul's tree, so the code that runs is the
-code that was checked.  Op counts are static: :func:`kernel_cost` gives
-the tally of cvma, modmul, square and invert, so no call counts
-anything.
+``modmul``, cvma_mul then q passes of red3, each written as red3's own
+definition and tested against it; ``digits``, the base-t conversion
+that to_residue and psi run; ``to_montgomery`` and ``from_montgomery``;
+and ``add`` and ``sub``, which also test their result's slack range.
+The module is parsed, walked, compiled and run once: the walk
+(:func:`kernel_ops`) checks all six kernels against the kernel grammar
+and tallies modmul's tree, so the code that runs is the code that was
+checked.  Op counts are static: :func:`kernel_cost` gives the tally of
+cvma, modmul, square and invert, so no call counts anything.
 OpCounter, UNCOUNTED and the counter parameters of invert, cvma_mul and
 bench.montgomery_modmul stay for perfbench, which reads counts through
 them; only the loops cvma_mul and montgomery_modmul keep closed-form
@@ -169,8 +168,9 @@ def red3(z: WideResidue) -> WideResidue:
 
     Component i becomes z_i/b + c*(z_{i+1} mod b), cyclically; floor
     semantics on the shift keep the division exact in the telescoped sum.
-    This is the definition the generated kernel is tested against; only
-    the kernel runs the cofactor product as shift-and-add.
+    The generated modmul kernel writes each of its q passes as this
+    expression.  In hardware a cofactor c = 2**e +/- 1 makes c times the
+    low word a shift and an add; in CPython the multiply measured faster.
     ParameterError unless z is a Residue or a WideResidue, as red2 and
     red1.
     """
@@ -234,10 +234,8 @@ def red1(z: WideResidue, slice_bits: int | None = None) -> WideResidue:
     for s in range(n):
         vi = t * u_prev
         u_cur = (vi - zc[s]) & mask
-        num = zc[s] + u_cur - vi
-        if num & mask:
-            raise ParameterError("inexact division in reduction")
-        out.append(num >> slice_bits)
+        # (z + ((vi - z) & mask) - vi) & mask is 0: the shift is exact.
+        out.append((zc[s] + u_cur - vi) >> slice_bits)
         u_prev = u_cur
     return WideResidue(tuple(out), params)
 
@@ -248,9 +246,9 @@ def kernel_source(params: GrpParams) -> str:
 
     - ``modmul(x, y)``, the components of modmul(x, y): the cvma_mul
       products over ``params.cvma_pairs``, assigned to z0_0 ... z0_m and
-      to no other name, then q passes of red3, with the cofactor product
-      written as shift-and-add when ``params.c_shift_add`` gives
-      c = 2**e +/- 1.
+      to no other name, then q passes of red3 as red3 defines it:
+      component s of pass r is ``(z{r-1}_s >> L) + C * (z{r-1}_{s-1} &
+      MASK)``, with s - 1 taken cyclically.
     - ``digits(x)``, an int x in [0, t^(m+1) - 1) to its least-absolute-
       residue digits, highest power first: the m+1 steps
       ``x, d = divmod(x + H, T)`` of the digit loop, with the carry left
@@ -265,7 +263,7 @@ def kernel_source(params: GrpParams) -> str:
       result runs every comparison.
 
     Only storage indices are written into the text; the field constants
-    are the names L, MASK, C, E, T, H, HP, P, R, RI, LO and HI, bound
+    are the names L, MASK, C, T, H, HP, P, R, RI, LO and HI, bound
     where the module is built.
     """
     n = params.m_plus_1
@@ -275,18 +273,9 @@ def kernel_source(params: GrpParams) -> str:
     for s, pairs in enumerate(params.cvma_pairs):
         lines.append(f"    z0_{s} = " + " + ".join(
             f"(x{sa} - x{sb}) * (y{sb} - y{sa})" for sa, sb in pairs))
-    sign = None if params.c_shift_add is None else params.c_shift_add[1]
     for r in range(1, params.q + 1):
-        outs = []
-        for s in range(n):
-            low = f"z{r - 1}_{s - 1 if s else n - 1} & MASK"
-            if sign is not None:
-                lines.append(f"    w{r}_{s} = {low}")
-                low = f"w{r}_{s}"
-                cm = f"(({low} << E) {'+' if sign > 0 else '-'} {low})"
-            else:
-                cm = f"C * ({low})"
-            outs.append(f"(z{r - 1}_{s} >> L) + {cm}")
+        outs = [f"(z{r - 1}_{s} >> L) + C * (z{r - 1}_{(s - 1) % n} & MASK)"
+                for s in range(n)]
         if r < params.q:
             lines += [f"    z{r}_{s} = {out}" for s, out in enumerate(outs)]
         else:
@@ -315,7 +304,7 @@ def kernel_source(params: GrpParams) -> str:
 # must be to divmod, and the module holds nothing but defs of plain
 # positional parameters.
 _OP_CLASS = {ast.Mult: "mul", ast.Add: "add", ast.Sub: "add",
-             ast.RShift: "shift", ast.LShift: "shift", ast.BitAnd: "mask",
+             ast.RShift: "shift", ast.BitAnd: "mask",
              ast.Mod: "divmod", ast.LtE: "compare"}
 _PLAIN_NODES = frozenset((
     ast.Assign, ast.AugAssign, ast.Return, ast.Tuple, ast.Load, ast.Store,
@@ -326,7 +315,7 @@ _OPS = ("mul", "add", "shift", "mask", "divmod", "compare")
 def kernel_ops(tree: ast.Module) -> dict[str, dict[str, int]]:
     """Op counts of a generated module's syntax tree, walked once: for
     each function it defines, by name, its mul, add (+ and -), shift
-    (>> and <<), mask (&), divmod (divmod and %) and compare (<=); and
+    (>>), mask (&), divmod (divmod and %) and compare (<=); and
     under "z0_" those of the assignments to names that start with z0_
     (the modmul kernel's difference products).
 
@@ -434,8 +423,6 @@ def _kernel(params: GrpParams) -> FieldKernels:
                  "H": t >> 1, "HP": (t >> 1) * p, "P": p,
                  "R": pow(b, params.q, p), "RI": pow(b, -params.q, p),
                  "LO": lo, "HI": hi}
-        if params.c_shift_add is not None:
-            names["E"] = params.c_shift_add[0]
         exec(compile(tree, KERNEL_FILENAME, "exec"), names)
         built = params.modmul_kernel = FieldKernels(
             names["modmul"], cost, names["to_montgomery"],

@@ -163,8 +163,8 @@ def run_bench(params: GrpParams, iters: int = 10_000, runs: int = 5,
     representation.  ``mul_count`` is the paper's count for the
     multiplication step alone, m(m+1)/2 word multiplications;
     ``kernel_mul_count`` is that of the kernel timed, which adds q(m+1)
-    cofactor multiplies unless c = 2**e +/- 1: kernel_cost's cvma and
-    modmul entries.
+    cofactor multiplies for every c: kernel_cost's cvma and modmul
+    entries.
     ParameterError unless params is a GrpParams and iters and runs are
     ints >= 1.
     """

@@ -170,18 +170,6 @@ def _half_index_pairs(m_plus_1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
-def _shift_add_form(c: int) -> tuple[int, int] | None:
-    """(e, sign) with c = 2**e + sign, for sign = -1 or +1, else None.
-
-    c = 3 is both 2**2 - 1 and 2**1 + 1; the -1 form is taken.
-    """
-    if c & (c + 1) == 0:
-        return c.bit_length(), -1
-    if c > 2 and (c - 1) & (c - 2) == 0:
-        return (c - 1).bit_length() - 1, 1
-    return None
-
-
 class GrpParams:
     """Validated description of one field; ``params_new`` is this class.
 
@@ -232,10 +220,8 @@ class GrpParams:
         if require_prime:
             self.prove_prime()
 
-        # Per-field constant tables.
+        # The storage-index pairs of the multiplication step.
         self.cvma_pairs = _half_index_pairs(m_plus_1)
-        # c = 2^e + 1 or 2^e - 1 enables a shift-and-add reduction path.
-        self.c_shift_add = _shift_add_form(c)
 
         # Built on first use by arith (arith.FieldKernels): the
         # straight-line kernels, the modmul trace and invert's chain.

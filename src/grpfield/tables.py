@@ -3,8 +3,9 @@
 Stability rows give, per field degree, the largest word-stable t and the
 smallest reduction shift; the density estimator predicts by Bateman-Horn,
 testing no candidate, how many fields of a requested bitlength exist;
-the searches enumerate actual prime fields, including the fast ones
-whose cofactor has Hamming weight 2.
+the searches enumerate actual prime fields, including those whose
+cofactor c = 2**e +/- 1 has Hamming weight 2, which the paper picks
+because in hardware c times a word is then a shift and an add.
 The stability inequalities and the default w and q come from the params
 module (check_field, k_max, l_min and GrpParams); nothing here restates
 them.  search_grps validates its range once, at the largest cofactor.

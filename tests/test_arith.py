@@ -297,8 +297,8 @@ class TestModmul:
         assert len(opcodes) == 1 and () not in opcodes
 
 
-# The Table 4 fields, plus phi(5,2^50*13): c = 13 is not 2^e +/- 1, so its
-# kernel takes the multiply form of red3; and phi(3,2^33*268435056), a
+# The Table 4 fields, plus phi(5,2^50*13): c = 13 is not 2^e +/- 1, unlike
+# every Table 4 cofactor; and phi(3,2^33*268435056), a
 # prime on the printed degree-3 row, whose slack-edge products come closest
 # to the slack range: 62 bits at k = 61.
 KERNEL_SPECS = ([(m1, l, c) for _, m1, l, c in TABLE4_FIELDS]
@@ -310,17 +310,14 @@ def _spec_id(spec):
 
 
 def _closed_form_trace(params):
-    """Reference op counts of one modmul: cvma_mul's m/2 products of two
-    differences and m/2 - 1 adds per component, then q red3 passes that
-    take a mask, a shift and an add per component, plus the cofactor
-    product c * low: one multiply, or a shift and an add when
-    c = 2**e +/- 1."""
+    """Reference op counts of one modmul, the same closed form for every
+    field: cvma_mul's m/2 products of two differences and m/2 - 1 adds
+    per component, then q red3 passes that take a mask, a shift, an add
+    and the cofactor multiply per component."""
     n, q = params.m_plus_1, params.q
     h = (n - 1) // 2
-    shift_add = params.c_shift_add is not None
-    return {"mul": n * h + (0 if shift_add else q * n),
-            "add": n * (3 * h - 1) + q * n * (2 if shift_add else 1),
-            "shift": q * n * (2 if shift_add else 1), "mask": q * n}
+    return {"mul": n * h + q * n, "add": n * (3 * h - 1) + q * n,
+            "shift": q * n, "mask": q * n}
 
 
 # Every op class at 0: the base of a tally that holds only some of them.
@@ -534,10 +531,15 @@ class TestKernel:
         if n == 5:
             assert cost["cvma"] == {"mul": 10, "add": 25, "shift": 0,
                                     "mask": 0}
+        if spec == (5, 59, 3):
+            assert cost["modmul"] == {"mul": 20, "add": 35, "shift": 10,
+                                      "mask": 10}
         if spec == (11, 42, 513):
             assert cost["cvma"] == {"mul": 55, "add": 154, "shift": 0,
                                     "mask": 0}
-            assert modmuls == 543 and cost["invert"]["mul"] == 29865
+            assert cost["modmul"] == {"mul": 77, "add": 176, "shift": 22,
+                                      "mask": 22}
+            assert modmuls == 543 and cost["invert"]["mul"] == 543 * 77
         # A copy: editing it leaves the field's table as it was.
         cost["square"]["mul"] += 1
         assert kernel_cost(params)["square"] == cost["modmul"]
@@ -645,6 +647,7 @@ _OUTSIDE_GRAMMAR = {
     "or": "x = x or y",
     "Subscript": "x = y[0]",
     "division": "x = x // y",
+    "<< shift": "x = x << y",
     "nested def": "def g(y):\n        return y",
 }
 
@@ -659,14 +662,14 @@ class TestKernelOps:
         tree = ast.parse("def kernel(x, y):\n"
                          "    a, b = divmod(x, y)\n"
                          "    a += b\n"
-                         "    c = (a * b - x + y) >> a << b & x\n"
+                         "    c = (a * b - x + y) >> a & x\n"
                          "    return (c, LO <= a <= HI and a <= b)\n"
                          "def other(x):\n"
                          "    z0_1 = x * x - x\n"
                          "    return z0_1 + x\n")
         assert kernel_ops(tree) == {
             "z0_": {**_NO_OPS, "mul": 1, "add": 1},
-            "kernel": {"mul": 1, "add": 3, "shift": 2, "mask": 1,
+            "kernel": {"mul": 1, "add": 3, "shift": 1, "mask": 1,
                        "divmod": 1, "compare": 3},
             "other": {**_NO_OPS, "mul": 1, "add": 2}}
 

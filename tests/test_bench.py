@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import grpfield.bench
 from grpfield import (BenchReport, MontCtx, OpCounter, ParameterError,
                       kernel_cost, modmul_trace, montgomery_modmul,
                       params_new, run_bench)
@@ -95,22 +96,21 @@ class TestRunBench:
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
     def test_kernel_mul_count_is_modmul_trace(self, spec):
-        # Unless c = 2^e +/- 1, each of the q red3 passes multiplies every
-        # component by c, beyond the paper's cvma count: on phi(5,2^50*13)
-        # the kernel takes 20 multiplies to the paper's 10.
+        # Each of the q red3 passes multiplies every component by c,
+        # beyond the paper's cvma count, whatever c is: at degree 5 the
+        # kernel takes 20 multiplies to the paper's 10.
         params = params_new(*spec, 64, 2, require_prime=False)
         report = run_bench(params, iters=10, runs=1, seed=0)
         n = params.m_plus_1
         assert report.mul_count_per_modmul == (n - 1) * n // 2
-        extra = 0 if params.c_shift_add else 2 * n
         assert report.kernel_mul_count == modmul_trace(params)["mul"] \
-            == report.mul_count_per_modmul + extra
+            == report.mul_count_per_modmul + 2 * n
         cost = kernel_cost(params)
         assert (report.mul_count_per_modmul, report.kernel_mul_count) \
             == (cost["cvma"]["mul"], cost["modmul"]["mul"])
         assert json.loads(report.to_json())["kernel_mul_count"] \
             == report.kernel_mul_count
-        if spec == (5, 50, 13):
+        if n == 5:
             assert (report.mul_count_per_modmul,
                     report.kernel_mul_count) == (10, 20)
 
@@ -124,6 +124,18 @@ class TestRunBench:
     def test_bad_args(self, toy):
         with pytest.raises(ParameterError):
             run_bench(toy, iters=0)
+
+    def test_baseline_checked_against_oracle(self, toy, monkeypatch):
+        # A baseline that returns wrong words is refused before timing.
+        real = grpfield.bench.montgomery_modmul
+
+        def wrong(x, y, ctx, *args):
+            out = real(x, y, ctx, *args)
+            return [out[0] ^ 1, *out[1:]]
+        monkeypatch.setattr(grpfield.bench, "montgomery_modmul", wrong)
+        with pytest.raises(ParameterError,
+                           match="baseline failed oracle check"):
+            run_bench(toy, iters=1, runs=1)
 
     @pytest.mark.parametrize("params", ["x", None, (5, 59, 3)])
     def test_params_must_be_grp_params(self, params):

@@ -29,8 +29,10 @@ class TestPsiInverse:
         assert psi_inverse([0, 0, -1], 12, M3).value == M3 - 1
 
     def test_bad_modulus(self):
-        with pytest.raises(ParameterError):
-            psi_inverse([0], 12, 1)
+        # Modulus 0 would leak ZeroDivisionError from the reduction.
+        for modulus in (1, 0, -5):
+            with pytest.raises(ParameterError, match="modulus must exceed 1"):
+                psi_inverse([1], 12, modulus)
 
     @pytest.mark.parametrize("vec, t, modulus", [
         (["a"], 12, 157), ([1.0], 12, 157), ([True], 12, 157),
@@ -136,6 +138,13 @@ class TestOracleModmul:
         ("a", 5), (1, "5"), (1.0, 5), (1, 5.0), (True, 5), (1, None)])
     def test_element_needs_int_value_and_modulus(self, value, modulus):
         with pytest.raises(ParameterError, match="must be ints"):
+            CanonicalElement(value, modulus)
+
+    @pytest.mark.parametrize("value, modulus, match", [
+        (0, 1, "modulus must exceed 1"), (0, 0, "modulus must exceed 1"),
+        (5, 5, r"outside \[0, 5\)"), (-1, 5, r"outside \[0, 5\)")])
+    def test_element_needs_value_in_range(self, value, modulus, match):
+        with pytest.raises(ParameterError, match=match):
             CanonicalElement(value, modulus)
 
 

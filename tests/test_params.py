@@ -214,19 +214,6 @@ class TestParamsNew:
         assert params.k == 61
         assert not params.io_stable
 
-    def test_shift_add_form(self):
-        # The closed form agrees with the definition: the last e in
-        # 1..bitlen(c) with c = 2^e + 1 or 2^e - 1, so c = 3 -> (2, -1).
-        for c in range(1, 1 << 12):
-            want = None
-            for e in range(1, c.bit_length() + 1):
-                if c == (1 << e) + 1:
-                    want = (e, 1)
-                elif c == (1 << e) - 1:
-                    want = (e, -1)
-            assert grpfield.params._shift_add_form(c) == want, c
-        assert params_new(5, 59, 3, require_prime=False).c_shift_add == (2, -1)
-
     def test_single_cofactor_inequality(self):
         # StabilityError exactly when the written-out inequalities fail,
         # with k = ceil(log2 t): t <= 2^k - 2, c < 2^(k-l) and the word
@@ -559,6 +546,15 @@ class TestJson:
             residue_from_json(json.dumps(obj))
         del obj["comps"]
         with pytest.raises(ParameterError):
+            residue_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("first", ["1.5", "9" * 5000],
+                             ids=["1.5", "5000 digits"])
+    def test_comps_not_decimal(self, f243, first):
+        # Refused by the loader's parse, not later by the constructor.
+        obj = json.loads(residue_to_json(psi(f243, 12345)))
+        obj["comps"] = [first] + ["0"] * 4
+        with pytest.raises(ParameterError, match="decimal strings"):
             residue_from_json(json.dumps(obj))
 
     @settings(max_examples=300, deadline=None)

@@ -137,6 +137,12 @@ class TestEstimateDensity:
         with pytest.raises(RangeError):  # w above MAX_WORD_BITS
             estimate_density(1000, 512, 2)
 
+    def test_l_min_above_k_max(self):
+        # Degree 3 covers 3 bits at w = 8, but q = 1 needs l >= 6.
+        with pytest.raises(RangeError, match="3-bit fields need l >= 6 > "
+                           "k_max = 5 at w=8, q=1"):
+            estimate_density(3, 8, 1)
+
 
 class TestSearchGrps:
     def test_finds_known_fields(self):
