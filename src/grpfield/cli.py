@@ -5,8 +5,9 @@ Subcommands: `params` (tables, search, estimate, hw2), `selftest` and
 the --param field of `selftest` and `bench` is a default GrpParams, so
 it is proven prime.  Every subcommand takes --w (default 64) and --q
 (default 2).  Exit codes: 0 success, 1 test failure, 2 usage error or a
-composite --param.  Only `selftest` and `bench` take --seed, and the
-GRP_SEED environment variable overrides it there; the `params` searches
+composite --param.  `selftest` checks every pair of the toy field
+phi(3,2^2*3) against the oracle, and a seeded sample of the --param
+field.  Only `selftest` and `bench` take --seed; the `params` searches
 draw no seed, since their primality test takes its bases from each
 candidate.
 """
@@ -14,7 +15,6 @@ candidate.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import re
 import sys
@@ -27,7 +27,7 @@ from .tables import (estimate_density, hw2_search, search_grps,
                      stability_rows_to_csv, stability_rows_to_json,
                      stability_table)
 
-_SPEC_RE = re.compile(r"^phi\((\d+),2\^(\d+)(?:\*(\d+))?\)$")
+_SPEC_RE = re.compile(r"^phi\(([0-9]+),2\^([0-9]+)(?:\*([0-9]+))?\)$")
 
 
 def parse_spec(text: str) -> tuple[int, int, int]:
@@ -38,17 +38,6 @@ def parse_spec(text: str) -> tuple[int, int, int]:
             f"bad field spec {text!r}; expected phi(M,2^L*C)")
     m_plus_1, l, c = match.groups()
     return int(m_plus_1), int(l), int(c) if c else 1
-
-
-def _seed(args: argparse.Namespace) -> int:
-    env = os.environ.get("GRP_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(
-            f"GRP_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -101,28 +90,18 @@ def _selftest_field(params: GrpParams, pairs) -> bool:
     return True
 
 
-def _sampled_pairs(rng: random.Random, p: int, samples: int):
-    """samples pairs (a, b) in [0, p), drawn from rng as needed: a, then b."""
-    return ((rng.randrange(p), rng.randrange(p)) for _ in range(samples))
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    rng = random.Random(_seed(args))
-    failures = 0
-
     toy = GrpParams(3, 2, 3)
-    if args.exhaustive_toy:
-        ok = _selftest_field(toy, ((a, b) for a in range(toy.p)
-                                   for b in range(a, toy.p)))
-        print(f"exhaustive toy sweep: {'ok' if ok else 'FAIL'}")
-    else:
-        ok = _selftest_field(toy, _sampled_pairs(rng, toy.p, 200))
-        print(f"toy field sample: {'ok' if ok else 'FAIL'}")
-    failures += not ok
+    ok = _selftest_field(toy, ((a, b) for a in range(toy.p)
+                               for b in range(a, toy.p)))
+    print(f"exhaustive toy sweep: {'ok' if ok else 'FAIL'}")
+    failures = not ok
 
     if args.param:
         params = GrpParams(*parse_spec(args.param), args.w, args.q)
-        ok = _selftest_field(params, _sampled_pairs(rng, params.p, 100))
+        rng, p = random.Random(args.seed), params.p
+        ok = _selftest_field(params, [(rng.randrange(p), rng.randrange(p))
+                                      for _ in range(100)])
         print(f"{params.label()} sample: {'ok' if ok else 'FAIL'}")
         failures += not ok
     return 1 if failures else 0
@@ -136,7 +115,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """
     params = GrpParams(*parse_spec(args.param), args.w, args.q)
     report = run_bench(params, iters=args.iters, runs=args.runs,
-                       seed=_seed(args))
+                       seed=args.seed)
     print(report.to_json())
     return 0
 
@@ -185,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     self_p = sub.add_parser("selftest", parents=[field],
                             help="oracle-equivalence checks")
     self_p.add_argument("--param", help="field spec phi(M,2^L*C)")
-    self_p.add_argument("--exhaustive-toy", action="store_true")
-    self_p.add_argument("--seed", type=int, default=0)
+    self_p.add_argument("--seed", type=int, default=0,
+                        help="seeds the --param sample")
     self_p.set_defaults(func=_cmd_selftest)
 
     bench_p = sub.add_parser("bench", parents=[field],

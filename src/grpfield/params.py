@@ -14,17 +14,19 @@ word-size and I/O bounds that GrpParams, the tables and the searches
 all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 
 Constructing a GrpParams validates the field in word-size integers,
-builds t and p and, unless require_prime=False, runs prove_prime:
+builds t and p and, unless require_prime=False, proves p prime:
 oracle.is_prime_characteristic decides, with Miller-Rabin bases drawn
 from p, and every (m+1, l, c) proven enters one record, so each proof
 runs once per process.  A scan that has proven p itself enters it in
 the record through _proven_field, and the constructor then finds it
-there; only GrpParams sets prime_checked.  An rng argument chooses
-nothing: it is checked and kept only for older callers.  arith builds
-the field's kernels (modmul, base-t digits, the two Montgomery
-conversions, and add and sub, which also test the slack range) and
-invert's power chain (chain.power_chain, from p's parameters alone) on
-first use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
+there.  Only the constructor sets prime_checked, once: a field built
+with require_prime=False stays unproven, and building it again without
+that flag proves it.  An rng argument chooses nothing: it is checked
+and kept only for older callers.  arith builds the field's kernels
+(modmul, base-t digits, the two Montgomery conversions, and add and
+sub, which also test the slack range) and invert's power chain
+(chain.power_chain, from p's parameters alone) on first use and keeps
+them in ``modmul_kernel`` (arith.FieldKernels); the
 conversions to_residue, psi, to_montgomery and from_montgomery run
 kernels, so they live in arith too.  A
 Residue is an immutable ``__slots__`` value that checks its own field
@@ -216,9 +218,14 @@ class GrpParams:
         # additive slack that the next modmul absorbs.
         self.slack_range = (-4 << k, (4 << k) - 2) if self.io_stable else None
 
-        self.prime_checked = False
-        if require_prime:
-            self.prove_prime()
+        # Every (m+1, l, c) proven is recorded, and not proven again.
+        key = (m_plus_1, l, c)
+        if require_prime and key not in _PROVEN_PRIMES:
+            if not is_prime_characteristic(self.p, m_plus_1):
+                raise NotPrimeError(
+                    f"phi_{m_plus_1}(2^{l}*{c}) is composite")
+            _PROVEN_PRIMES.add(key)
+        self.prime_checked = bool(require_prime)
 
         # The storage-index pairs of the multiplication step.
         self.cvma_pairs = _half_index_pairs(m_plus_1)
@@ -226,17 +233,6 @@ class GrpParams:
         # Built on first use by arith (arith.FieldKernels): the
         # straight-line kernels, the modmul trace and invert's chain.
         self.modmul_kernel = None
-
-    def prove_prime(self) -> None:
-        """Set prime_checked, or raise NotPrimeError if p is composite.
-        Every (m+1, l, c) proven is recorded, and not proven again."""
-        key = (self.m_plus_1, self.l, self.c)
-        if key not in _PROVEN_PRIMES:
-            if not is_prime_characteristic(self.p, self.m_plus_1):
-                raise NotPrimeError(
-                    f"phi_{self.m_plus_1}(2^{self.l}*{self.c}) is composite")
-            _PROVEN_PRIMES.add(key)
-        self.prime_checked = True
 
     @property
     def bits(self) -> int:
@@ -267,8 +263,8 @@ class GrpParams:
 params_new = GrpParams
 
 
-# (m+1, l, c) of every characteristic proven prime: by
-# GrpParams.prove_prime, or by a scan through _proven_field.
+# (m+1, l, c) of every characteristic proven prime: by the GrpParams
+# constructor, or by a scan through _proven_field.
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
 
 
@@ -399,18 +395,24 @@ def residue_to_json(r: Residue) -> str:
 
 
 def residue_from_json(text: str) -> Residue:
-    """Load a residue_to_json document; ParameterError if it is malformed."""
+    """Load a residue_to_json document; ParameterError if it is malformed.
+
+    A component must be the text residue_to_json writes, str(int):
+    ASCII digits after an optional "-", with no leading zero, no "-0"
+    and nothing else.
+    """
     obj = _json_object(text)
     params = _params_from_obj(obj)
     comps = obj.get("comps")
     if type(comps) is not list or any(type(s) is not str for s in comps):
         raise ParameterError("comps must be a list of decimal strings")
     try:
-        comps = tuple(int(s) for s in comps)
-    except ValueError:
-        raise ParameterError("comps must be a list of decimal strings") \
-            from None
-    return Residue(comps, params)
+        values = tuple(int(s) for s in comps)
+    except ValueError:  # not a number, or over the int-from-str limit
+        values = None
+    if values is None or list(map(str, values)) != comps:
+        raise ParameterError("comps must be a list of decimal strings")
+    return Residue(values, params)
 
 
 def params_to_json(params: GrpParams) -> str:
@@ -433,8 +435,7 @@ def _json_object(text: str) -> dict:
 
 
 def _params_obj(params: GrpParams) -> dict:
-    return {"m_plus_1": params.m_plus_1, "l": params.l, "c": params.c,
-            "w": params.w, "q": params.q}
+    return dict(zip(_FIELD_NAMES, params._key()))
 
 
 def _params_from_obj(obj: dict) -> GrpParams:

@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import ParameterError, RangeError, StabilityError
 from .oracle import (_decide, _products, bateman_horn,
@@ -220,12 +220,9 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
     return out
 
 
-# Stable column order shared by the CSV and JSON emitters.
+# Column names shared by the CSV and JSON emitters, in StabilityRow's
+# field order, which astuple follows.
 _COLUMNS = ("m_plus_1", "k", "l", "c_bound", "bits")
-
-
-def _row_values(row: StabilityRow) -> tuple[int, ...]:
-    return (row.m_plus_1, row.k, row.l_min, row.c_bound, row.max_prime_bits)
 
 
 def stability_rows_to_csv(rows: list[StabilityRow]) -> str:
@@ -233,10 +230,10 @@ def stability_rows_to_csv(rows: list[StabilityRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
     for row in rows:
-        writer.writerow(_row_values(row))
+        writer.writerow(astuple(row))
     return buf.getvalue()
 
 
 def stability_rows_to_json(rows: list[StabilityRow]) -> str:
-    return json.dumps([dict(zip(_COLUMNS, _row_values(row)))
+    return json.dumps([dict(zip(_COLUMNS, astuple(row)))
                        for row in rows])

@@ -904,13 +904,18 @@ class TestAuxiliaryOps:
         assert canonical_value(from_montgomery(modmul(xm, xm))) == 25
         with pytest.raises(NotPrimeError, match="not proven prime"):
             invert(xm)
-        # a prime field too, until its proof is run
+        # a prime field too: it stays unproven, and only the constructor
+        # proves a field, so the same value inverts on a rebuilt one.
         unproven = params_new(3, 2, 3, 64, 2, require_prime=False)
         xm = to_montgomery(psi(unproven, 5))
         with pytest.raises(NotPrimeError, match="not proven prime"):
             invert(xm)
-        unproven.prove_prime()
-        assert invert(xm).comps == invert(to_montgomery(psi(toy, 5))).comps
+        assert not unproven.prime_checked
+        assert not hasattr(params_new, "prove_prime")
+        proven = params_new(3, 2, 3)
+        assert proven.prime_checked and proven == unproven
+        assert invert(to_montgomery(psi(proven, 5))).comps == \
+            invert(to_montgomery(psi(toy, 5))).comps
 
     def test_invert_result_checked(self):
         # invert returns through the checked constructor: a modmul kernel

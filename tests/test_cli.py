@@ -17,7 +17,11 @@ class TestParseSpec:
         assert parse_spec("phi(3,2^7)") == (3, 7, 1)
 
     def test_rejects_garbage(self):
-        for bad in ("phi(5,2^59*3", "psi(5,2^59*3)", "phi(5, 2^59*3)", ""):
+        # int() reads Arabic-Indic and fullwidth digits, but the grammar
+        # is ASCII.
+        for bad in ("phi(5,2^59*3", "psi(5,2^59*3)", "phi(5, 2^59*3)", "",
+                    "phi(\u0665,2^59*3)", "phi(5,2^\u0665\u0669*3)",
+                    "phi(5,2^59*\u0663)", "phi(\uff15,2^59*3)"):
             with pytest.raises(ParameterError):
                 parse_spec(bad)
 
@@ -76,20 +80,25 @@ class TestDispatch:
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
-        assert "ok" in capsys.readouterr().out
+        assert capsys.readouterr().out == "exhaustive toy sweep: ok\n"
+
+    def test_selftest_takes_no_exhaustive_toy(self, capsys):
+        # The toy sweep is always exhaustive; the flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--exhaustive-toy"])
+        assert exc.value.code == 2
+        assert "--exhaustive-toy" in capsys.readouterr().err
 
     def test_selftest_with_param(self, capsys):
         assert main(["selftest", "--param", "phi(5,2^54*7)"]) == 0
         assert "phi(5,2^54*7) sample: ok" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("sweep", [[], ["--exhaustive-toy"]])
-    def test_selftest_failure_exit_1(self, sweep, capsys, monkeypatch):
+    def test_selftest_failure_exit_1(self, capsys, monkeypatch):
         # A modmul that returns its first operand fails every field.
         monkeypatch.setattr(grpfield.arith, "modmul", lambda x, y: x)
-        assert main(["selftest", *sweep, "--param", "phi(5,2^59*3)"]) == 1
-        toy = "exhaustive toy sweep" if sweep else "toy field sample"
+        assert main(["selftest", "--param", "phi(5,2^59*3)"]) == 1
         assert capsys.readouterr().out == (
-            f"{toy}: FAIL\nphi(5,2^59*3) sample: FAIL\n")
+            "exhaustive toy sweep: FAIL\nphi(5,2^59*3) sample: FAIL\n")
 
     def test_bench(self, capsys):
         rc = main(["bench", "--param", "phi(3,2^2*3)", "--iters", "100",
@@ -120,16 +129,12 @@ class TestDispatch:
             main(["params", "tables", "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRP_SEED", "7")
+    def test_env_seed_ignored(self, capsys, monkeypatch):
+        # Only --seed seeds: no environment variable overrides it.
+        monkeypatch.setenv("GRP_SEED", "abc")
+        assert main(["selftest"]) == 0
+        assert capsys.readouterr() == ("exhaustive toy sweep: ok\n", "")
         rc = main(["bench", "--param", "phi(3,2^2*3)", "--iters", "50",
                    "--runs", "5", "--seed", "99"])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 7
-
-    def test_env_seed_not_an_integer_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRP_SEED", "abc")
-        assert main(["selftest"]) == 2
-        assert capsys.readouterr().err.startswith("error: GRP_SEED")
-        # The params searches take no seed, so they never read GRP_SEED.
-        assert main(["params", "hw2", "--bits", "243"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 99

@@ -418,6 +418,10 @@ class TestJson:
         again = residue_from_json(residue_to_json(r))
         assert again.comps == r.comps
         assert again.params == f243
+        # Zero, negative and slack-edge components load back as written.
+        lo, hi = f243.slack_range
+        r = Residue((0, -1, 1, lo, hi), f243)
+        assert residue_from_json(residue_to_json(r)) == r
 
     def test_composite_field_refused(self):
         # phi(5,2^31*(2^25-1)) is stable but divisible by 8951, so invert
@@ -548,10 +552,14 @@ class TestJson:
         with pytest.raises(ParameterError):
             residue_from_json(json.dumps(obj))
 
-    @pytest.mark.parametrize("first", ["1.5", "9" * 5000],
-                             ids=["1.5", "5000 digits"])
+    @pytest.mark.parametrize("first", [
+        "1.5", "9" * 5000, "1_0", " 7 ", "+7", "\u0663", "007", "-0"],
+        ids=["1.5", "5000 digits", "underscore", "spaces", "plus",
+             "arabic-indic 3", "leading zeros", "minus zero"])
     def test_comps_not_decimal(self, f243, first):
-        # Refused by the loader's parse, not later by the constructor.
+        # Refused by the loader's parse, not later by the constructor:
+        # only the text residue_to_json writes, str(int), is accepted,
+        # though int() alone takes each of these.
         obj = json.loads(residue_to_json(psi(f243, 12345)))
         obj["comps"] = [first] + ["0"] * 4
         with pytest.raises(ParameterError, match="decimal strings"):

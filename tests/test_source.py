@@ -105,9 +105,9 @@ def _nodes_in_classes(node, owner=None):
 
 
 def test_prime_checked_written_only_in_params():
-    # A field is marked proven only by the methods of GrpParams (the
-    # constructor and prove_prime); nothing else writes the mark, by
-    # assignment or by setattr, the scans' proven-field path included.
+    # A field is marked proven only by the GrpParams constructor;
+    # nothing else writes the mark, by assignment or by setattr, the
+    # scans' proven-field path included.
     writers = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
