@@ -1,9 +1,18 @@
 """Arbitrary-precision ground truth for the residue arithmetic.
 
 Everything here works on plain Python integers, so it is exact and
-independent of the vector arithmetic it is used to check.  Vectors are
-sequences in descending-power order: ``vec[0]`` is the coefficient of
-``t**m`` and ``vec[-1]`` the constant term.
+independent of the vector arithmetic it is used to check.  The module
+holds three things:
+- the one primality path (_decide, with is_probable_prime and
+  is_prime_characteristic in front of it) and bateman_horn;
+- horner, the value of a coefficient vector at t, unreduced;
+- lattice_basis, the vectors that vanish modulo t**(m+1) - 1, and
+  modular_inverse.
+Vectors are sequences in descending-power order: ``vec[0]`` is the
+coefficient of ``t**m`` and ``vec[-1]`` the constant term.  A vector's
+value has one home in each modulus, both in params: canonical_value
+(mod p) and ring_value (mod t**(m+1) - 1); a product's ground truth is
+native ``a * b % p``.
 
 Primality is decided here alone, by one path, _decide.  It reads n's
 primality from a table below 10^4, and above it refuses an n with a
@@ -26,7 +35,6 @@ import math
 import random
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -93,76 +101,12 @@ def bateman_horn(m_plus_1: int) -> float:
                         for r in _possible_factors(m_plus_1)))
 
 
-@dataclass(frozen=True)
-class CanonicalElement:
-    """An integer in [0, modulus), the external representation of a residue.
-    ParameterError unless value and modulus are ints (not bools) and
-    value lies in that range with modulus > 1."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if type(self.value) is not int or type(self.modulus) is not int:
-            raise ParameterError(
-                f"value and modulus must be ints, got {self.value!r} "
-                f"and {self.modulus!r}")
-        if self.modulus <= 1:
-            raise ParameterError(f"modulus must exceed 1, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ParameterError(
-                f"value {self.value} outside [0, {self.modulus})")
-
-
 def horner(vec: Sequence[int], t: int) -> int:
     """Value at t of a descending-power coefficient vector, unreduced."""
     acc = 0
     for comp in vec:
         acc = acc * t + comp
     return acc
-
-
-def psi_inverse(vec: Sequence[int], t: int, modulus: int) -> CanonicalElement:
-    """Evaluate a coefficient vector at t and reduce into [0, modulus).
-
-    Components may be signed and of any magnitude, so unreduced
-    intermediates can be checked exactly.  ParameterError unless vec is
-    a sequence, every component, t and modulus are ints (no bool) and
-    modulus > 1.
-    """
-    if type(t) is not int or type(modulus) is not int \
-            or not isinstance(vec, Sequence) \
-            or any(type(comp) is not int for comp in vec):
-        raise ParameterError(
-            f"components, t and modulus must be ints, got {vec!r}, {t!r} "
-            f"and {modulus!r}")
-    if modulus <= 1:
-        raise ParameterError(f"modulus must exceed 1, got {modulus}")
-    return CanonicalElement(horner(vec, t) % modulus, modulus)
-
-
-def congruent(u: Sequence[int], v: Sequence[int], t: int, modulus: int) -> bool:
-    """True iff u and v evaluate to the same residue modulo `modulus`.
-    ParameterError as psi_inverse, or for vectors of two lengths."""
-    x, y = psi_inverse(u, t, modulus), psi_inverse(v, t, modulus)
-    if len(u) != len(v):
-        raise ParameterError(
-            f"vector length mismatch: {len(u)} vs {len(v)}")
-    return x.value == y.value
-
-
-def oracle_modmul(x: CanonicalElement, y: CanonicalElement) -> CanonicalElement:
-    """Ground-truth modular multiplication via big-int arithmetic.
-    ParameterError unless both operands are CanonicalElements of one
-    modulus."""
-    if type(x) is not CanonicalElement or type(y) is not CanonicalElement:
-        raise ParameterError(
-            f"expected CanonicalElements, got {type(x).__name__} and "
-            f"{type(y).__name__}")
-    if x.modulus != y.modulus:
-        raise ParameterError(
-            f"modulus mismatch: {x.modulus} vs {y.modulus}")
-    return CanonicalElement((x.value * y.value) % x.modulus, x.modulus)
 
 
 def lattice_basis(m_plus_1: int, t: int) -> list[tuple[int, ...]]:
@@ -285,8 +229,8 @@ def is_prime_characteristic(p: int, m_plus_1: int) -> bool:
 
 def modular_inverse(a: int, modulus: int) -> int:
     """Inverse of a modulo `modulus`, by the built-in pow.  ParameterError
-    unless both are ints (no bool) and modulus > 1, as CanonicalElement
-    requires, or if a is not invertible."""
+    unless both are ints (no bool) and modulus > 1, or if a is not
+    invertible."""
     if type(a) is not int or type(modulus) is not int:
         raise ParameterError(
             f"a and modulus must be ints, got {a!r} and {modulus!r}")

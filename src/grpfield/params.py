@@ -21,12 +21,13 @@ runs once per process.  A scan that has proven p itself enters it in
 the record through _proven_field, and the constructor then finds it
 there.  Only the constructor sets prime_checked, once: a field built
 with require_prime=False stays unproven, and building it again without
-that flag proves it.  An rng argument chooses nothing: it is checked
-and kept only for older callers.  arith builds the field's kernels
-(modmul, base-t digits, the two Montgomery conversions, and add and
-sub, which also test the slack range) and invert's power chain
-(chain.power_chain, from p's parameters alone) on first use and keeps
-them in ``modmul_kernel`` (arith.FieldKernels); the
+that flag proves it.  require_prime must be a bool, so that no truthy
+or falsy stand-in picks whether p is proven.  An rng argument chooses
+nothing: it is checked and kept only for older callers.  arith builds
+the field's kernels (modmul, base-t digits, the two Montgomery
+conversions, and add and sub, which also test the slack range) and
+invert's power chain (chain.power_chain, from p's parameters alone) on
+first use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
 conversions to_residue, psi, to_montgomery and from_montgomery run
 kernels, so they live in arith too.  A
 Residue is an immutable ``__slots__`` value that checks its own field
@@ -48,8 +49,7 @@ import random
 from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
-from .oracle import (CanonicalElement, _check_rng, _small_prime, horner,
-                     is_prime_characteristic)
+from .oracle import _check_rng, _small_prime, horner, is_prime_characteristic
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_Q = 2
@@ -176,9 +176,9 @@ class GrpParams:
     """Validated description of one field; ``params_new`` is this class.
 
     Raises ParameterError for an rng that is not None or a
-    random.Random, what check_field raises, StabilityError if c is a
-    power of two, and NotPrimeError if require_prime is set and p is
-    composite.
+    random.Random or a require_prime that is not a bool, what
+    check_field raises, StabilityError if c is a power of two, and
+    NotPrimeError if require_prime is True and p is composite.
     Every check but the primality of p runs on word-size integers, before
     t is built.  The kernels arith generates for the field start as None
     in ``modmul_kernel``: a field that is never used never builds them.
@@ -189,6 +189,9 @@ class GrpParams:
                  require_prime: bool = True,
                  rng: random.Random | None = None) -> None:
         _check_rng(rng)
+        if type(require_prime) is not bool:
+            raise ParameterError(
+                f"require_prime must be a bool, got {require_prime!r}")
         k = check_field(m_plus_1, l, c, w, q)
         # t <= 2^k - 2 fails exactly for c = 2^j, where t = 2^k; otherwise
         # c < 2^(k-l) holds by the choice of k.
@@ -225,7 +228,7 @@ class GrpParams:
                 raise NotPrimeError(
                     f"phi_{m_plus_1}(2^{l}*{c}) is composite")
             _PROVEN_PRIMES.add(key)
-        self.prime_checked = bool(require_prime)
+        self.prime_checked = require_prime
 
         # The storage-index pairs of the multiplication step.
         self.cvma_pairs = _half_index_pairs(m_plus_1)
@@ -377,10 +380,6 @@ def canonical_value(r: Residue | WideResidue) -> int:
     ParameterError unless r is a Residue or a WideResidue."""
     params = _vector_field(r)
     return horner(r.comps, params.t) % params.p
-
-
-def to_canonical(r: Residue | WideResidue) -> CanonicalElement:
-    return CanonicalElement(canonical_value(r), r.params.p)
 
 
 def zero(params: GrpParams) -> Residue:

@@ -16,12 +16,11 @@ import grpfield
 import grpfield.arith
 from grpfield import (NotPrimeError, OpCounter, ParameterError, Residue,
                       WideResidue, ZeroInverseError, add, canonical_value,
-                      congruent, cvma_mul, equals, from_montgomery, invert,
-                      kernel_cost, modmul, modmul_interleaved,
-                      modmul_trace, params_new, psi, randomize, red1, red2,
-                      red3, residue_from_json, residue_to_json, ring_value,
-                      square, sub, to_canonical, to_montgomery, to_residue,
-                      v_vector, zero)
+                      cvma_mul, equals, from_montgomery, invert, kernel_cost,
+                      modmul, modmul_interleaved, modmul_trace, params_new,
+                      psi, randomize, red1, red2, red3, residue_from_json,
+                      residue_to_json, ring_value, square, sub,
+                      to_montgomery, to_residue, v_vector, zero)
 from grpfield.arith import (KERNEL_FILENAME, _cvma_counts, _kernel,
                             kernel_ops, kernel_source)
 from grpfield.chain import chain_exponent, power_chain, window_chain
@@ -150,8 +149,7 @@ class TestRed2:
         for _ in range(300):
             z = WideResidue(tuple(rng.randrange(-2 ** 127, 2 ** 127)
                                   for _ in range(5)), f243)
-            a, b = red2(z), red3(z)
-            assert congruent(a.comps, b.comps, f243.t, f243.ring_modulus)
+            assert ring_value(red2(z)) == ring_value(red3(z))
 
 
 class TestRed1:
@@ -263,8 +261,7 @@ class TestModmul:
                 with pytest.raises(ParameterError, match="expected a Resid"):
                     op(bad)
             # The evaluations and reductions take a cvma_mul output too.
-            for op in (canonical_value, to_canonical, ring_value, red1, red2,
-                       red3):
+            for op in (canonical_value, ring_value, red1, red2, red3):
                 if type(bad) is WideResidue:
                     op(bad)
                     continue
@@ -280,7 +277,7 @@ class TestModmul:
         # does: a field and m+1 exact ints in a tuple.
         for probe in (lambda: red3(WideResidue((1, 2), f243)),
                       lambda: red3(WideResidue((0,) * 5, "x")),
-                      lambda: to_canonical(WideResidue((1, 2), f243)),
+                      lambda: canonical_value(WideResidue((1, 2), f243)),
                       lambda: ring_value(WideResidue((1.5,) * 5, f243)),
                       lambda: hash(WideResidue([1] * 5, f243))):
             with pytest.raises(ParameterError):

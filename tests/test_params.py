@@ -16,8 +16,8 @@ from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       RangeError, Residue, StabilityError, canonical_value,
                       mods, params_from_json, params_new, params_to_json, psi,
                       residue_from_json, residue_to_json, ring_value,
-                      stability_table, to_canonical, to_montgomery,
-                      to_residue, WideResidue, zero)
+                      stability_table, to_montgomery, to_residue,
+                      WideResidue, zero)
 from grpfield.arith import (KERNEL_FILENAME, add, from_montgomery, modmul,
                             modmul_trace, v_vector)
 from grpfield.chain import power_chain
@@ -367,7 +367,6 @@ class TestCanonical:
     def test_zero_and_all_ones(self, toy):
         from grpfield import Residue
         assert canonical_value(zero(toy)) == 0
-        assert to_canonical(zero(toy)).value == 0
         # the all-ones vector evaluates to p itself, i.e. the zero class
         assert canonical_value(Residue((1, 1, 1), toy)) == 0
 
@@ -529,6 +528,26 @@ class TestJson:
         assert grpfield.params._PROVEN_PRIMES == {(5, 59, 3)}
         with pytest.raises(ParameterError, match="random.Random"):
             params_new(5, 59, 3, rng="abc")
+
+    @pytest.mark.parametrize("flag", [None, "False", 0, 1, 1.0])
+    def test_require_prime_must_be_bool(self, monkeypatch, flag):
+        # A stand-in for a bool is refused before the proof: None would
+        # build the composite field unproven, "False" would prove it.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        runs = _counting_miller_rabin(monkeypatch)
+        for spec in ((5, 40, 1048582), (5, 59, 3)):
+            with pytest.raises(ParameterError, match="must be a bool"):
+                params_new(*spec, require_prime=flag)
+        assert runs == [] and grpfield.params._PROVEN_PRIMES == set()
+
+    def test_require_prime_bools_build_and_pickle(self, monkeypatch):
+        # The pickle passes prime_checked, itself a bool, back in.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        for flag in (False, True):
+            field = params_new(5, 59, 3, require_prime=flag)
+            again = pickle.loads(pickle.dumps(field))
+            assert again == field
+            assert field.prime_checked is again.prime_checked is flag
 
     @pytest.mark.parametrize("text", [
         "{", "[1,2]", "5", "null", '"x"', '{"m_plus_1": 5, "l": 59}',

@@ -1,12 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "grpfield")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "grpfield").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -221,3 +222,13 @@ def test_primality_runs_sixty_four_rounds():
                                ("oracle.py", "is_probable_prime"),
                                ("tables.py", "hw2_search"),
                                ("tables.py", "search_grps")], decided
+
+
+def test_readme_python_blocks_run():
+    # Every python block of README.md runs as written, in a namespace of
+    # its own, so an example that names a removed function fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md")
+                        .read_text(), flags=re.MULTILINE | re.DOTALL)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
