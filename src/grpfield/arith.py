@@ -40,7 +40,9 @@ to_residue and psi live here, not in params, because they run the
 digit kernel.  ``params.modmul_kernel``, the field's one cache, holds
 the six kernels, the cost table and invert's chain for p - 2
 (:class:`FieldKernels`, ``chain.power_chain``); the first conversion or
-operation on a field builds them all.
+operation on a field builds them all, and :func:`_kernel` keeps them
+through ``params._keep_kernels``, since a GrpParams is frozen.  A copy
+of a field is the field, so it shares them.
 
 This is the one module that builds a Residue without the checked
 constructor, and only on the per-op paths psi, to_residue, modmul,
@@ -68,9 +70,9 @@ from typing import Callable, NamedTuple
 from .chain import PowerChain, power_chain
 from .errors import NotPrimeError, ParameterError, ZeroInverseError
 from .oracle import modular_inverse
-from .params import (GrpParams, Residue, WideResidue, _field, _set_comps,
-                     _set_params, _vector_field, canonical_value, check_int,
-                     check_params)
+from .params import (GrpParams, Residue, WideResidue, _field, _keep_kernels,
+                     _set_comps, _set_params, _vector_field, canonical_value,
+                     check_int, check_params)
 
 Comps = tuple[int, ...]
 # A field's generated kernels: component tuples in, a tuple out (the
@@ -391,8 +393,9 @@ class FieldKernels(NamedTuple):
 
 def _kernel(params: GrpParams) -> FieldKernels:
     """The field's kernels, cost table and inversion chain: built once,
-    kept on params.  The per-op paths read ``params.modmul_kernel`` first
-    and call this only to build it, which saves a call on every op.
+    kept on params by params._keep_kernels.  The per-op paths read
+    ``params.modmul_kernel`` first and call this only to build it, which
+    saves a call on every op.
     kernel_source's module is parsed, walked, compiled and run once; the
     cost table is the walk's tally of the modmul kernel, cvma that of
     its z0_ products.  ParameterError, and nothing kept, if the walk
@@ -424,10 +427,11 @@ def _kernel(params: GrpParams) -> FieldKernels:
                  "R": pow(b, params.q, p), "RI": pow(b, -params.q, p),
                  "LO": lo, "HI": hi}
         exec(compile(tree, KERNEL_FILENAME, "exec"), names)
-        built = params.modmul_kernel = FieldKernels(
+        built = FieldKernels(
             names["modmul"], cost, names["to_montgomery"],
             names["from_montgomery"], chain, names["digits"], names["add"],
             names["sub"])
+        _keep_kernels(params, built)
     return built
 
 

@@ -13,25 +13,32 @@ c not a power of two (t <= 2**k - 2).  k_max and l_min give the
 word-size and I/O bounds that GrpParams, the tables and the searches
 all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
 
-Constructing a GrpParams validates the field in word-size integers,
+GrpParams, Residue and WideResidue are frozen dataclasses: equality
+and hash are the generated ones, and any assignment or del raises
+FrozenInstanceError.  A GrpParams's value is its five fields
+(m+1, l, c, w, q), which are also its JSON document (asdict).
+Constructing one validates the field in word-size integers,
 builds t and p and, unless require_prime=False, proves p prime:
 oracle.is_prime_characteristic decides, with Miller-Rabin bases drawn
 from p, and every (m+1, l, c) proven enters one record, so each proof
 runs once per process.  A scan that has proven p itself enters it in
 the record through _proven_field, and the constructor then finds it
-there.  Only the constructor sets prime_checked, once: a field built
-with require_prime=False stays unproven, and building it again without
-that flag proves it.  require_prime must be a bool, so that no truthy
-or falsy stand-in picks whether p is proven.  An rng argument chooses
-nothing: it is checked and kept only for older callers.  arith builds
-the field's kernels (modmul, base-t digits, the two Montgomery
-conversions, and add and sub, which also test the slack range) and
-invert's power chain (chain.power_chain, from p's parameters alone) on
-first use and keeps them in ``modmul_kernel`` (arith.FieldKernels); the
-conversions to_residue, psi, to_montgomery and from_montgomery run
-kernels, so they live in arith too.  A
-Residue is an immutable ``__slots__`` value that checks its own field
-and components; a WideResidue checks the same shape, with no range.
+there.  The constructor sets the derived values, prime_checked among
+them, once: a field built with require_prime=False stays unproven, and
+building it again without that flag proves it.  require_prime must be
+a bool, so that no truthy or falsy stand-in picks whether p is proven.
+An rng argument chooses nothing: it is checked and kept only for older
+callers.  arith builds the field's kernels (modmul, base-t digits, the
+two Montgomery conversions, and add and sub, which also test the slack
+range) and invert's power chain (chain.power_chain, from p's parameters
+alone) on first use and keeps them in ``modmul_kernel``
+(arith.FieldKernels) through _keep_kernels, the one write to a field
+after its constructor.  A copy or deep copy of a field is the field
+itself, so it shares the built kernels; a pickle is rebuilt by the
+constructor, without them.  The conversions to_residue, psi,
+to_montgomery and from_montgomery run kernels, so they live in arith
+too.  A Residue checks its own field and components; a WideResidue
+checks the same shape, with no range.
 zero, the loaders and a pickled or copied Residue go through that
 checked constructor.  Only arith's per-op paths skip it, building their
 Residue from object.__new__ and the two slot setters here: the digit,
@@ -46,7 +53,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import InitVar, asdict, astuple, dataclass, fields
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
 from .oracle import _check_rng, _small_prime, horner, is_prime_characteristic
@@ -61,7 +68,6 @@ DEFAULT_Q = 2
 MAX_FIELD_BITS = 1 << 13
 MAX_WORD_BITS = 256
 MAX_Q = 8
-_FIELD_NAMES = ("m_plus_1", "l", "c", "w", "q")
 
 
 def ceil_log2(x: int) -> int:
@@ -172,54 +178,63 @@ def _half_index_pairs(m_plus_1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
+@dataclass(frozen=True)
 class GrpParams:
     """Validated description of one field; ``params_new`` is this class.
 
-    Raises ParameterError for an rng that is not None or a
-    random.Random or a require_prime that is not a bool, what
-    check_field raises, StabilityError if c is a power of two, and
+    A frozen dataclass of the five fields (m+1, l, c, w, q), which alone
+    give its equality, hash and JSON document; require_prime and rng are
+    constructor arguments only.  Raises ParameterError for an rng that is
+    not None or a random.Random or a require_prime that is not a bool,
+    what check_field raises, StabilityError if c is a power of two, and
     NotPrimeError if require_prime is True and p is composite.
     Every check but the primality of p runs on word-size integers, before
-    t is built.  The kernels arith generates for the field start as None
-    in ``modmul_kernel``: a field that is never used never builds them.
+    t is built.  The derived values are set once, by the constructor.
+    The kernels arith generates for the field start as None in
+    ``modmul_kernel``, which only _keep_kernels sets: a field that is
+    never used never builds them.  A copy is the field itself; a pickle
+    is rebuilt by the constructor.
     """
 
-    def __init__(self, m_plus_1: int, l: int, c: int,
-                 w: int = DEFAULT_WORD_BITS, q: int = DEFAULT_Q,
-                 require_prime: bool = True,
-                 rng: random.Random | None = None) -> None:
+    m_plus_1: int
+    l: int
+    c: int
+    w: int = DEFAULT_WORD_BITS
+    q: int = DEFAULT_Q
+    require_prime: InitVar[bool] = True
+    rng: InitVar[random.Random | None] = None
+
+    def __post_init__(self, require_prime: bool,
+                      rng: random.Random | None) -> None:
         _check_rng(rng)
         if type(require_prime) is not bool:
             raise ParameterError(
                 f"require_prime must be a bool, got {require_prime!r}")
-        k = check_field(m_plus_1, l, c, w, q)
+        m_plus_1, l, c, q = self.m_plus_1, self.l, self.c, self.q
+        k = check_field(m_plus_1, l, c, self.w, q)
         # t <= 2^k - 2 fails exactly for c = 2^j, where t = 2^k; otherwise
         # c < 2^(k-l) holds by the choice of k.
         if c & (c - 1) == 0:
             raise StabilityError(
                 f"t = 2^{l}*{c} exceeds 2^k - 2: c is a power of two")
 
-        self.m_plus_1 = m_plus_1
-        self.l = l
-        self.c = c
-        self.w = w
-        self.q = q
-        self.k = k
-        self.b = 1 << l
-        self.t = self.b * c
-        self.p = repunit(self.t, m_plus_1)
-        self.ring_modulus = self.p * (self.t - 1)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "b", 1 << l)
+        object.__setattr__(self, "t", self.b * c)
+        object.__setattr__(self, "p", repunit(self.t, m_plus_1))
+        object.__setattr__(self, "ring_modulus", self.p * (self.t - 1))
 
         # I/O stability of repeated modmul: q reductions must shrink the
         # product back to reduced size.  slack_bits is how far l sits
         # above that minimum (negative if below).  Not enforced as an
         # error so toy fields stay constructible; search paths reject
         # unstable triples.
-        self.slack_bits = l - l_min(m_plus_1, k, q)
-        self.io_stable = self.slack_bits >= 0
+        object.__setattr__(self, "slack_bits", l - l_min(m_plus_1, k, q))
+        object.__setattr__(self, "io_stable", self.slack_bits >= 0)
         # Inclusive bounds of a stable field's Residue components: the
         # additive slack that the next modmul absorbs.
-        self.slack_range = (-4 << k, (4 << k) - 2) if self.io_stable else None
+        object.__setattr__(self, "slack_range", (-4 << k, (4 << k) - 2)
+                           if self.io_stable else None)
 
         # Every (m+1, l, c) proven is recorded, and not proven again.
         key = (m_plus_1, l, c)
@@ -228,14 +243,13 @@ class GrpParams:
                 raise NotPrimeError(
                     f"phi_{m_plus_1}(2^{l}*{c}) is composite")
             _PROVEN_PRIMES.add(key)
-        self.prime_checked = require_prime
+        object.__setattr__(self, "prime_checked", require_prime)
 
         # The storage-index pairs of the multiplication step.
-        self.cvma_pairs = _half_index_pairs(m_plus_1)
-
+        object.__setattr__(self, "cvma_pairs", _half_index_pairs(m_plus_1))
         # Built on first use by arith (arith.FieldKernels): the
         # straight-line kernels, the modmul trace and invert's chain.
-        self.modmul_kernel = None
+        object.__setattr__(self, "modmul_kernel", None)
 
     @property
     def bits(self) -> int:
@@ -248,19 +262,28 @@ class GrpParams:
     def __repr__(self) -> str:
         return f"GrpParams({self.label()}, w={self.w}, q={self.q})"
 
-    def _key(self):
-        return (self.m_plus_1, self.l, self.c, self.w, self.q)
-
     def __reduce__(self):
         # Rebuilt by the constructor, which finds a proven p in the
         # record; the per-field kernel cache is not carried.
-        return GrpParams, (*self._key(), self.prime_checked)
+        return GrpParams, (*astuple(self), self.prime_checked)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrpParams) and self._key() == other._key()
+    def __copy__(self) -> GrpParams:
+        return self
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __deepcopy__(self, memo) -> GrpParams:
+        return self
+
+
+# The InitVars' defaults would otherwise read as attributes of every
+# field: require_prime True on an unproven one.
+del GrpParams.require_prime, GrpParams.rng
+_FIELD_NAMES = tuple(f.name for f in fields(GrpParams))
+
+
+def _keep_kernels(params: GrpParams, built) -> None:
+    """Keep arith's FieldKernels in params.modmul_kernel, the field's one
+    cache: the one write to a GrpParams after its constructor."""
+    object.__setattr__(params, "modmul_kernel", built)
 
 
 params_new = GrpParams
@@ -298,10 +321,11 @@ def _check_vector(comps: tuple[int, ...], params: GrpParams) -> None:
             raise ParameterError("components must be ints")
 
 
+@dataclass(frozen=True)
 class Residue:
     """Length-(m+1) vector of signed components, descending powers of t.
 
-    An immutable value: ParameterError unless params is a GrpParams (of
+    A frozen dataclass: ParameterError unless params is a GrpParams (of
     exact type, as to_residue and psi require) and comps a tuple of m+1
     exact ints (no bool or float), inside
     params.slack_range when the field is io_stable.  A pickle or copy is
@@ -309,35 +333,19 @@ class Residue:
     """
 
     __slots__ = ("comps", "params")
+    comps: tuple[int, ...]
+    params: GrpParams
 
-    def __init__(self, comps: tuple[int, ...], params: GrpParams) -> None:
+    def __post_init__(self) -> None:
+        comps, params = self.comps, self.params
         _check_vector(comps, params)
         bounds = params.slack_range
         if bounds is not None and not (bounds[0] <= min(comps)
                                        and max(comps) <= bounds[1]):
             raise ParameterError("component outside additive slack range")
-        _set_comps(self, comps)
-        _set_params(self, params)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Residue, (self.comps, self.params)
-
-    def __eq__(self, other):
-        if other.__class__ is not Residue:
-            return NotImplemented
-        return (self.comps, self.params) == (other.comps, other.params)
-
-    def __hash__(self) -> int:
-        return hash((self.comps, self.params))
-
-    def __repr__(self) -> str:
-        return f"Residue(comps={self.comps!r}, params={self.params!r})"
 
 
 _set_comps = Residue.comps.__set__
@@ -388,7 +396,7 @@ def zero(params: GrpParams) -> Residue:
 
 
 def residue_to_json(r: Residue) -> str:
-    obj = _params_obj(_field(r))
+    obj = asdict(_field(r))
     obj["comps"] = [str(comp) for comp in r.comps]
     return json.dumps(obj)
 
@@ -415,7 +423,7 @@ def residue_from_json(text: str) -> Residue:
 
 
 def params_to_json(params: GrpParams) -> str:
-    return json.dumps(_params_obj(params))
+    return json.dumps(asdict(params))
 
 
 def params_from_json(text: str) -> GrpParams:
@@ -431,10 +439,6 @@ def _json_object(text: str) -> dict:
     if type(obj) is not dict:
         raise ParameterError("expected a JSON object")
     return obj
-
-
-def _params_obj(params: GrpParams) -> dict:
-    return dict(zip(_FIELD_NAMES, params._key()))
 
 
 def _params_from_obj(obj: dict) -> GrpParams:

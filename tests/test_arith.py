@@ -917,11 +917,12 @@ class TestAuxiliaryOps:
     def test_invert_result_checked(self):
         # invert returns through the checked constructor: a modmul kernel
         # that leaves the slack range by one makes it raise, not return
-        # the out-of-range components.
+        # the out-of-range components.  The field is frozen, so the
+        # kernel goes in through params' one setter of its cache.
         field = params_new(5, 59, 3)
         hi = field.slack_range[1]
-        field.modmul_kernel = _kernel(field)._replace(
-            modmul=lambda x, y: (hi + 1,) + x[1:])
+        grpfield.params._keep_kernels(field, _kernel(field)._replace(
+            modmul=lambda x, y: (hi + 1,) + x[1:]))
         with pytest.raises(ParameterError,
                            match="component outside additive slack range"):
             invert(to_montgomery(psi(field, 5)))

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+from dataclasses import FrozenInstanceError, astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -433,6 +434,25 @@ class TestJson:
         with pytest.raises(NotPrimeError):
             residue_from_json(residue_to_json(zero(composite)))
 
+    def test_loaders_pass_only_the_five_fields(self):
+        # Keys beyond (m+1, l, c, w, q) reach no constructor argument:
+        # the loaders pass the five positionally, so a document cannot
+        # skip the proof of a composite or claim one.
+        composite = params_new(5, 31, (1 << 25) - 1, 64, 2,
+                               require_prime=False)
+        extra = {"require_prime": False, "prime_checked": True, "rng": 0}
+        for text, load in (
+                (params_to_json(composite), params_from_json),
+                (residue_to_json(zero(composite)), residue_from_json)):
+            obj = json.loads(text)
+            obj.update(extra)
+            with pytest.raises(NotPrimeError):
+                load(json.dumps(obj))
+
+    def test_params_document_is_the_five_fields(self):
+        assert params_to_json(GrpParams(5, 59, 3)) == (
+            '{"m_plus_1": 5, "l": 59, "c": 3, "w": 64, "q": 2}')
+
     def test_field_proved_once(self, monkeypatch):
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
         runs = []
@@ -683,6 +703,49 @@ class TestResidueValue:
             Residue((0, 0, 0, 0, 0), params)
         with pytest.raises(ParameterError, match="must be a GrpParams"):
             WideResidue((0, 0, 0, 0, 0), params)
+
+
+class TestFieldValue:
+    def test_frozen_after_kernels_built(self):
+        # Every kernel is generated from (m+1, l, c, w, q), so once they
+        # are built no value of the field may change under them.
+        field = params_new(5, 59, 3)
+        x = to_montgomery(psi(field, 12345))
+        product = modmul(x, x)
+        built = field.modmul_kernel
+        for name, value in (("c", 5), ("p", 7), ("modmul_kernel", None),
+                            ("prime_checked", False), ("other", 1)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(field, name, value)
+        with pytest.raises(FrozenInstanceError):
+            del field.p
+        assert field.label() == "phi(5,2^59*3)"
+        assert field.p == sum((3 << 59) ** i for i in range(5))
+        assert field.modmul_kernel is built and modmul(x, x) == product
+        assert canonical_value(psi(field, 12345)) == 12345
+
+    def test_copies_share_the_field(self, f243):
+        # A copy of an immutable value is the value itself: a deep copy
+        # of a residue keeps its field, and with it the built kernels.
+        x = psi(f243, 12345)
+        modmul(x, x)
+        assert copy.copy(f243) is f243 and copy.deepcopy(f243) is f243
+        assert copy.deepcopy(x).params is x.params
+        assert copy.deepcopy([x, f243])[1] is f243
+        # A pickle is rebuilt by the constructor, with no kernel cache.
+        again = pickle.loads(pickle.dumps(f243))
+        assert again == f243 and again is not f243
+        assert again.modmul_kernel is None
+
+    def test_value_is_the_five_fields(self, f243):
+        assert hash(GrpParams(5, 59, 3)) == hash((5, 59, 3, 64, 2))
+        assert astuple(f243) == (5, 59, 3, 64, 2)
+        assert GrpParams(5, 59, 3) == f243 != GrpParams(5, 59, 3, 64, 3)
+        # require_prime and rng are constructor arguments only: no
+        # attribute reads True on a field built unproven.
+        unproven = GrpParams(5, 59, 3, require_prime=False)
+        assert not hasattr(unproven, "require_prime")
+        assert not hasattr(unproven, "rng")
 
 
 def _counting_miller_rabin(monkeypatch):

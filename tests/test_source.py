@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from grpfield import GrpParams
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "grpfield").glob("*.py"))
 
@@ -105,27 +107,61 @@ def _nodes_in_classes(node, owner=None):
             child, ast.ClassDef) else owner)
 
 
-def test_prime_checked_written_only_in_params():
-    # A field is marked proven only by the GrpParams constructor;
-    # nothing else writes the mark, by assignment or by setattr, the
-    # scans' proven-field path included.
-    writers = set()
+def _attribute_writes(tree, names):
+    """(owner class, attribute) of every write in tree that may reach an
+    attribute in names: an assignment or del of one, and setattr,
+    delattr, __setattr__ or __delattr__ naming one or a computed name
+    (None), each unless its target is the self of a class other than
+    GrpParams; and any vars() or __dict__ ("vars")."""
+    for owner, node in _nodes_in_classes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                or isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "vars"):
+            yield owner, "vars"
+            continue
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            target, attr = node.value, node.attr
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) in (
+                    "setattr", "delattr", "__setattr__", "__delattr__"):
+            # setattr(x, name, v), object.__setattr__(x, name, v) or
+            # x.__setattr__(name, v), and the same for delattr
+            bound = (isinstance(node.func, ast.Attribute)
+                     and getattr(node.func.value, "id", None) != "object")
+            target = node.func.value if bound else node.args[0]
+            name = node.args[0 if bound else 1]
+            attr = name.value if isinstance(name, ast.Constant) else None
+        else:
+            continue
+        if (attr is None or attr in names) and not (
+                owner not in (None, "GrpParams")
+                and getattr(target, "id", None) == "self"):
+            yield owner, attr
+
+
+def test_grp_params_written_only_in_params():
+    # Every kernel is generated from a field's values, so a GrpParams is
+    # frozen, and no module but params writes one of its attributes, by
+    # assignment, del, setattr, object.__setattr__ or vars()/__dict__.
+    # In params only the GrpParams constructor writes them, prime_checked
+    # included, so only it marks a field proven; the one later write is
+    # arith._kernel's cache, through params._keep_kernels.
+    names = set(vars(GrpParams(3, 2, 3, require_prime=False)))
+    writes, keepers = {}, []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for owner, node in _nodes_in_classes(tree):
-            targets = (node.targets if isinstance(node, ast.Assign) else
-                       [node.target] if isinstance(
-                           node, (ast.AugAssign, ast.AnnAssign)) else [])
-            if any(isinstance(target, ast.Attribute)
-                   and target.attr == "prime_checked" for target in targets):
-                writers.add((path.name, owner))
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "setattr"
-                    and any(isinstance(arg, ast.Constant)
-                            and arg.value == "prime_checked"
-                            for arg in node.args)):
-                writers.add((path.name, owner))
-    assert writers == {("params.py", "GrpParams")}, writers
+        writes[path.name] = set(_attribute_writes(tree, names))
+        keepers += [(path.name, owner) for owner, call in _calls(tree)
+                    if getattr(call.func, "id", None) == "_keep_kernels"]
+    params_writes = writes.pop("params.py")
+    assert {name for owner, name in params_writes
+            if owner != "GrpParams"} == {"modmul_kernel"}, params_writes
+    assert {owner for owner, name in params_writes
+            if name == "prime_checked"} == {"GrpParams"}, params_writes
+    assert {"k", "p", "slack_range"} <= {name for _, name in params_writes}
+    assert all(found == set() for found in writes.values()), writes
+    assert keepers == [("arith.py", "_kernel")], keepers
 
 
 def test_miller_rabin_bases_drawn_from_candidate():

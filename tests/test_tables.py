@@ -1,5 +1,6 @@
 """Tests for the parameter tables and searches."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -212,7 +213,8 @@ class TestSearchGrps:
         assert [f.c for f in found] == [
             c for c in window if c & (c - 1) and is_prime_characteristic(
                 repunit((1 << l) * c, m_plus_1), m_plus_1)]
-        assert all(f.prime_checked and f._key() == (m_plus_1, l, f.c, w, q)
+        assert all(f.prime_checked
+                   and dataclasses.astuple(f) == (m_plus_1, l, f.c, w, q)
                    for f in found)
         assert [f for c in window
                 for f in search_grps(m_plus_1, l, c, c, 1, w, q)] == found
