@@ -12,9 +12,9 @@ from .arith import (OpCounter, add, cvma_mul, equals, from_montgomery,
 from .bench import BenchReport, MontCtx, montgomery_modmul, run_bench
 from .errors import (GrpError, NotPrimeError, ParameterError, RangeError,
                      StabilityError, ZeroInverseError)
-from .oracle import is_probable_prime, lattice_basis, modular_inverse
+from .oracle import is_probable_prime, lattice_basis
 from .params import (GrpParams, Residue, WideResidue, canonical_value,
-                     mods, params_from_json, params_new, params_to_json,
+                     params_from_json, params_new, params_to_json,
                      residue_from_json, residue_to_json, ring_value, zero)
 from .tables import (DensityEstimate, StabilityRow, estimate_density,
                      hw2_search, pure_power_scan, search_grps,

@@ -6,6 +6,8 @@ staying in the same congruence class modulo t**(m+1) - 1.  A full
 modular multiplication is the multiplication step followed by q
 reductions, so results carry a b**-q factor: all field arithmetic
 happens in the Montgomery domain, where the factor cancels.
+modmul_interleaved runs the same two steps, cvma_mul and red3 and no
+copy of either, once per base-b digit slice of x.
 
 Every operation executes the same sequence of primitive operations
 regardless of the input values.  On its first use a field builds one
@@ -64,12 +66,12 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .chain import PowerChain, power_chain
 from .errors import NotPrimeError, ParameterError, ZeroInverseError
-from .oracle import modular_inverse
 from .params import (GrpParams, Residue, WideResidue, _field, _keep_kernels,
                      _set_comps, _set_params, _vector_field, canonical_value,
                      check_int, check_params)
@@ -211,7 +213,7 @@ def v_vector(params: GrpParams, slice_bits: int | None = None) -> tuple[int, ...
     b = 1 << slice_bits
     t0 = params.t % b
     denom = t0 ** params.m_plus_1 - 1
-    inv = modular_inverse(denom, b)
+    inv = pow(denom, -1, b)  # denom is odd: t0 is even
     m = params.m_plus_1 - 1
     return tuple((pow(t0, m - s, b) * inv) % b for s in range(params.m_plus_1))
 
@@ -500,25 +502,18 @@ def modmul_interleaved(x: Residue, y: Residue) -> Residue:
     """Interleaved multiplication and reduction, same contract as modmul.
 
     The x components are split into q base-b digits (signed top digit),
-    least significant first, with a reduction after each digit pass.
+    least significant first: each digit slice's cvma_mul product with y
+    is added to the running sum, which one red3 pass then divides by b.
     """
     params = _same_field(x, y)
-    n, l, q, mask = params.m_plus_1, params.l, params.q, params.b - 1
-    digits = []
-    for comp in x.comps:
-        row = [(comp >> (l * j)) & mask for j in range(q - 1)]
-        row.append(comp >> (l * (q - 1)))
-        digits.append(row)
-    yc = y.comps
-    z = [0] * n
-    for j in range(q):
-        for s in range(n):
-            acc = 0
-            for sa, sb in params.cvma_pairs[s]:
-                acc += (digits[sa][j] - digits[sb][j]) * (yc[sb] - yc[sa])
-            z[s] += acc
-        z = list(red3(WideResidue(tuple(z), params)).comps)
-    return Residue(tuple(z), params)
+    l, mask = params.l, params.b - 1
+    rest, z = x.comps, (0,) * params.m_plus_1
+    for above in range(params.q - 1, -1, -1):  # digits above this slice
+        digit = tuple(comp & mask for comp in rest) if above else rest
+        rest = tuple(comp >> l for comp in rest)
+        prod = cvma_mul(Residue(digit, params), y).comps
+        z = red3(WideResidue(tuple(map(operator.add, z, prod)), params)).comps
+    return Residue(z, params)
 
 
 def add(x: Residue, y: Residue) -> Residue:

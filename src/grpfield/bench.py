@@ -13,7 +13,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .arith import UNCOUNTED, OpCounter, kernel_cost, modmul, psi
 from .errors import ParameterError
@@ -110,34 +110,23 @@ def montgomery_modmul(x: list[int], y: list[int], ctx: MontCtx,
 
 @dataclass
 class BenchReport:
-    """Timing and operation-count comparison for one field."""
+    """Timing and operation-count comparison for one field; its field
+    names are the keys of its JSON document, in the same order."""
 
-    param_label: str
+    param: str                   # the field's label
     bits: int
-    ns_per_modmul: float
-    baseline_ns_per_modmul: float
-    mul_count_per_modmul: int        # the paper's cvma count, m(m+1)/2
-    baseline_mul_count: int          # schoolbook count at matched limb count
-    ratio: float                     # time ratio, residue / baseline
+    ns_per_op: float             # one modmul kernel call
+    baseline_ns_per_op: float    # one CIOS multiplication
+    mul_count: int               # the paper's cvma count, m(m+1)/2
+    baseline_mul_count: int      # schoolbook count at matched limb count
+    ratio: float                 # time ratio, residue / baseline
     iters: int
     runs: int
     seed: int
-    kernel_mul_count: int            # kernel_cost modmul: the timed kernel
+    kernel_mul_count: int        # kernel_cost modmul: the timed kernel
 
     def to_json(self) -> str:
-        return json.dumps({
-            "param": self.param_label,
-            "bits": self.bits,
-            "ns_per_op": self.ns_per_modmul,
-            "baseline_ns_per_op": self.baseline_ns_per_modmul,
-            "mul_count": self.mul_count_per_modmul,
-            "baseline_mul_count": self.baseline_mul_count,
-            "ratio": self.ratio,
-            "iters": self.iters,
-            "runs": self.runs,
-            "seed": self.seed,
-            "kernel_mul_count": self.kernel_mul_count,
-        })
+        return json.dumps(asdict(self))
 
 
 def _median_run_ns(fn, iters: int, runs: int) -> float:

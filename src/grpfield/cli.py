@@ -7,9 +7,9 @@ it is proven prime.  Every subcommand takes --w (default 64) and --q
 (default 2).  Exit codes: 0 success, 1 test failure, 2 usage error or a
 composite --param.  `selftest` checks every pair of the toy field
 phi(3,2^2*3) against the oracle, and a seeded sample of the --param
-field.  Only `selftest` and `bench` take --seed; the `params` searches
-draw no seed, since their primality test takes its bases from each
-candidate.
+field, both at the given --w and --q.  Only `selftest` and `bench` take
+--seed; the `params` searches draw no seed, since their primality test
+takes its bases from each candidate.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _selftest_field(params: GrpParams, pairs) -> bool:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    toy = GrpParams(3, 2, 3)
+    toy = GrpParams(3, 2, 3, args.w, args.q)
     ok = _selftest_field(toy, ((a, b) for a in range(toy.p)
                                for b in range(a, toy.p)))
     print(f"exhaustive toy sweep: {'ok' if ok else 'FAIL'}")

@@ -6,8 +6,9 @@ holds three things:
 - the one primality path (_decide, with is_probable_prime and
   is_prime_characteristic in front of it) and bateman_horn;
 - horner, the value of a coefficient vector at t, unreduced;
-- lattice_basis, the vectors that vanish modulo t**(m+1) - 1, and
-  modular_inverse.
+- lattice_basis, the vectors that vanish modulo t**(m+1) - 1.
+An inverse modulo an int is the built-in pow(a, -1, m), called where it
+is needed.
 Vectors are sequences in descending-power order: ``vec[0]`` is the
 coefficient of ``t**m`` and ``vec[-1]`` the constant term.  A vector's
 value has one home in each modulus, both in params: canonical_value
@@ -21,11 +22,12 @@ m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every prime,
 held by _products as two one-digit words and the product of the rest.
 What the sieve leaves meets one round with base 3, which can only
 refuse, and then miller_rabin, which alone accepts, with 64 rounds whose
-bases _bases draws from the candidate: no caller chooses them.  Every
-Miller-Rabin round is one _strong_round.  The public tests check their
-arguments and call _decide; the scans, their range checked, call it
-directly.  The list of possible factors also gives bateman_horn, the
-density of such primes.
+bases it draws from a Random seeded with the candidate: it takes no rng,
+so no caller chooses them.  Every Miller-Rabin round is one
+_strong_round.  The public tests check their arguments and call
+_decide; the scans, their range checked, call it directly.  The list
+of possible factors also gives bateman_horn, the density of such
+primes.
 """
 
 from __future__ import annotations
@@ -155,18 +157,15 @@ def _base_3(n: int) -> bool:
     return _strong_round(n, 3, n1 >> r, r)
 
 
-def miller_rabin(n: int, rounds: int, rng: random.Random) -> bool:
-    """`rounds` Miller-Rabin rounds on odd n > 3, bases drawn from rng."""
+def miller_rabin(n: int, rounds: int) -> bool:
+    """`rounds` Miller-Rabin rounds on odd n > 3, with bases drawn from
+    a Random seeded with the bytes of n: no caller chooses them."""
+    rng = random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
     n1 = n - 1
     r = (n1 & -n1).bit_length() - 1  # n - 1 = 2**r * d, d odd
     d = n1 >> r
     return all(_strong_round(n, rng.randrange(2, n1), d, r)
                for _ in range(rounds))
-
-
-def _bases(n: int) -> random.Random:
-    """Miller-Rabin's bases for n: a Random seeded with the bytes of n."""
-    return random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
 
 
 def _decide(n: int, sieve: tuple[int, int, int], rounds: int) -> bool:
@@ -180,7 +179,7 @@ def _decide(n: int, sieve: tuple[int, int, int], rounds: int) -> bool:
     if (math.gcd(n % w1, w1) != 1 or math.gcd(n % w2, w2) != 1
             or math.gcd(n, rest) != 1):
         return False
-    return _base_3(n) and miller_rabin(n, rounds, _bases(n))
+    return _base_3(n) and miller_rabin(n, rounds)
 
 
 def _check_rng(rng: random.Random | None) -> None:
@@ -225,19 +224,3 @@ def is_prime_characteristic(p: int, m_plus_1: int) -> bool:
             f"need an int p and a prime int m+1 below {_SIEVE_BOUND}, "
             f"got {p!r} and {m_plus_1!r}")
     return _decide(p, _products(m_plus_1), 64)
-
-
-def modular_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo `modulus`, by the built-in pow.  ParameterError
-    unless both are ints (no bool) and modulus > 1, or if a is not
-    invertible."""
-    if type(a) is not int or type(modulus) is not int:
-        raise ParameterError(
-            f"a and modulus must be ints, got {a!r} and {modulus!r}")
-    if modulus <= 1:
-        raise ParameterError(f"modulus must exceed 1, got {modulus}")
-    try:
-        return pow(a, -1, modulus)
-    except ValueError:
-        raise ParameterError(
-            f"{a} is not invertible modulo {modulus}") from None

@@ -21,12 +21,14 @@ Constructing one validates the field in word-size integers,
 builds t and p and, unless require_prime=False, proves p prime:
 oracle.is_prime_characteristic decides, with Miller-Rabin bases drawn
 from p, and every (m+1, l, c) proven enters one record, so each proof
-runs once per process.  A scan that has proven p itself enters it in
-the record through _proven_field, and the constructor then finds it
-there.  The constructor sets the derived values, prime_checked among
-them, once: a field built with require_prime=False stays unproven, and
-building it again without that flag proves it.  require_prime must be
-a bool, so that no truthy or falsy stand-in picks whether p is proven.
+runs once while its key stays there.  A scan that has proven p itself
+enters it in the record through _proven_field, and the constructor
+then finds it there.  Both write through _record_proof, which bounds
+the record at _PROVEN_LIMIT keys by clearing it when it is full.  The
+constructor sets the derived values, prime_checked among them, once: a
+field built with require_prime=False stays unproven, and building it
+again without that flag proves it.  require_prime must be a bool, so
+that no truthy or falsy stand-in picks whether p is proven.
 An rng argument chooses nothing: it is checked and kept only for older
 callers.  arith builds the field's kernels (modmul, base-t digits, the
 two Montgomery conversions, and add and sub, which also test the slack
@@ -37,8 +39,9 @@ after its constructor.  A copy or deep copy of a field is the field
 itself, so it shares the built kernels; a pickle is rebuilt by the
 constructor, without them.  The conversions to_residue, psi,
 to_montgomery and from_montgomery run kernels, so they live in arith
-too.  A Residue checks its own field and components; a WideResidue
-checks the same shape, with no range.
+too, and the least-absolute-residue digit rule, divmod(x + t/2, t), has
+its one home in arith's digit kernel.  A Residue checks its own field
+and components; a WideResidue checks the same shape, with no range.
 zero, the loaders and a pickled or copied Residue go through that
 checked constructor.  Only arith's per-op paths skip it, building their
 Residue from object.__new__ and the two slot setters here: the digit,
@@ -141,18 +144,6 @@ def check_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> int:
     return k
 
 
-def mods(x: int, t: int) -> int:
-    """Least absolute residue of x modulo even t, in [-t/2, t/2 - 1].
-    ParameterError unless x is an int and t an even int >= 2."""
-    if type(x) is not int:
-        raise ParameterError(f"x must be an integer, got {x!r}")
-    check_int("t", t, 2)
-    if t & 1:
-        raise ParameterError(f"t must be even, got {t}")
-    h = t >> 1
-    return (x + h) % t - h
-
-
 @functools.cache
 def _half_index_pairs(m_plus_1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Storage-index pairs driving the product formulae.
@@ -242,7 +233,7 @@ class GrpParams:
             if not is_prime_characteristic(self.p, m_plus_1):
                 raise NotPrimeError(
                     f"phi_{m_plus_1}(2^{l}*{c}) is composite")
-            _PROVEN_PRIMES.add(key)
+            _record_proof(key)
         object.__setattr__(self, "prime_checked", require_prime)
 
         # The storage-index pairs of the multiplication step.
@@ -289,16 +280,28 @@ def _keep_kernels(params: GrpParams, built) -> None:
 params_new = GrpParams
 
 
-# (m+1, l, c) of every characteristic proven prime: by the GrpParams
-# constructor, or by a scan through _proven_field.
+# (m+1, l, c) of characteristics proven prime: by the GrpParams
+# constructor, or by a scan through _proven_field.  It holds at most
+# _PROVEN_LIMIT keys, so a process that scans for long keeps a bounded
+# record: a full record is cleared, and a field whose key went with it
+# is proven again when it is next built (a pickle is rebuilt so).
+_PROVEN_LIMIT = 1024
 _PROVEN_PRIMES: set[tuple[int, int, int]] = set()
+
+
+def _record_proof(key: tuple[int, int, int]) -> None:
+    """Enter (m+1, l, c) in _PROVEN_PRIMES, the one write to it; a
+    record already holding _PROVEN_LIMIT keys is cleared first."""
+    if len(_PROVEN_PRIMES) >= _PROVEN_LIMIT:
+        _PROVEN_PRIMES.clear()
+    _PROVEN_PRIMES.add(key)
 
 
 def _proven_field(m_plus_1: int, l: int, c: int, w: int, q: int) -> GrpParams:
     """The GrpParams of a field whose p a scan of tables has just proven
     prime: recorded, then built by the constructor, which finds it in
     the record and does not prove it again."""
-    _PROVEN_PRIMES.add((m_plus_1, l, c))
+    _record_proof((m_plus_1, l, c))
     return GrpParams(m_plus_1, l, c, w, q)
 
 

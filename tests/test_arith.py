@@ -349,6 +349,42 @@ def _loop_modmul(x, y):
     return z.comps
 
 
+def _parent_interleaved(x, y):
+    """modmul_interleaved's components as first written, with its own
+    copy of cvma_mul's loop on rows of base-b digits: the reference for
+    the form that calls cvma_mul and red3."""
+    params = x.params
+    n, l, q, mask = params.m_plus_1, params.l, params.q, params.b - 1
+    digits = []
+    for comp in x.comps:
+        row = [(comp >> (l * j)) & mask for j in range(q - 1)]
+        row.append(comp >> (l * (q - 1)))
+        digits.append(row)
+    yc = y.comps
+    z = [0] * n
+    for j in range(q):
+        for s in range(n):
+            acc = 0
+            for sa, sb in params.cvma_pairs[s]:
+                acc += (digits[sa][j] - digits[sb][j]) * (yc[sb] - yc[sa])
+            z[s] += acc
+        z = list(red3(WideResidue(tuple(z), params)).comps)
+    return tuple(z)
+
+
+def _slack_corners(params, rng):
+    """Vectors whose components are the slack-range bounds -2^(k+2) and
+    2^(k+2) - 2 at the field's k (on an unstable field too, which has no
+    range): both flat vectors, both alternations and four random mixes."""
+    lo, hi = -(4 << params.k), (4 << params.k) - 2
+    n = params.m_plus_1
+    vecs = [(lo,) * n, (hi,) * n,
+            tuple((lo, hi)[s % 2] for s in range(n)),
+            tuple((hi, lo)[s % 2] for s in range(n))]
+    vecs += [tuple(rng.choice((lo, hi)) for _ in range(n)) for _ in range(4)]
+    return [Residue(vec, params) for vec in vecs]
+
+
 def _loop_to_residue(params, x):
     """Reference to_residue: one divmod(x + t/2, t) per digit in a loop,
     the t^(m+1) carry folded onto the constant term."""
@@ -456,6 +492,21 @@ class TestKernel:
                 canonical_value(_ladder_invert(x))
             assert canonical_value(modmul(x, inverse)) == \
                 pow(params.b, params.q, params.p)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
+    def test_interleaved_component_for_component(self, spec, q):
+        # modmul_interleaved runs cvma_mul on each digit slice of x and
+        # red3 after it: the same components as the inline loop, on
+        # random reduced and slack-range corner inputs.
+        params = params_new(*spec, 64, q)
+        rng = random.Random(q)
+        corners = _slack_corners(params, rng)
+        xs = corners + [_random_reduced(params, rng) for _ in range(8)]
+        for x in xs:
+            for y in corners + [rng.choice(xs)]:
+                assert modmul_interleaved(x, y).comps \
+                    == _parent_interleaved(x, y)
 
     @pytest.mark.parametrize("spec", [(3, 2, 3)] + KERNEL_SPECS,
                              ids=_spec_id)

@@ -84,14 +84,14 @@ class TestRunBench:
     def test_smoke_toy(self, toy):
         report = run_bench(toy, iters=500, runs=5, seed=0)
         assert isinstance(report, BenchReport)
-        assert report.ns_per_modmul > 0
-        assert report.baseline_ns_per_modmul > 0
+        assert report.ns_per_op > 0
+        assert report.baseline_ns_per_op > 0
         assert report.ratio > 0
         assert report.runs == 5
 
     def test_op_count_gate_degree5(self, f243):
         report = run_bench(f243, iters=200, runs=5, seed=0)
-        assert report.mul_count_per_modmul == 10
+        assert report.mul_count == 10
         assert report.baseline_mul_count == 25
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_spec_id)
@@ -102,24 +102,37 @@ class TestRunBench:
         params = params_new(*spec, 64, 2, require_prime=False)
         report = run_bench(params, iters=10, runs=1, seed=0)
         n = params.m_plus_1
-        assert report.mul_count_per_modmul == (n - 1) * n // 2
+        assert report.mul_count == (n - 1) * n // 2
         assert report.kernel_mul_count == modmul_trace(params)["mul"] \
-            == report.mul_count_per_modmul + 2 * n
+            == report.mul_count + 2 * n
         cost = kernel_cost(params)
-        assert (report.mul_count_per_modmul, report.kernel_mul_count) \
+        assert (report.mul_count, report.kernel_mul_count) \
             == (cost["cvma"]["mul"], cost["modmul"]["mul"])
         assert json.loads(report.to_json())["kernel_mul_count"] \
             == report.kernel_mul_count
         if n == 5:
-            assert (report.mul_count_per_modmul,
+            assert (report.mul_count,
                     report.kernel_mul_count) == (10, 20)
 
     def test_json_schema(self, toy):
+        # The document's keys are the report's field names, in order.
         report = run_bench(toy, iters=100, runs=5, seed=0)
         data = json.loads(report.to_json())
-        for key in ("param", "bits", "ns_per_op", "baseline_ns_per_op",
-                    "mul_count", "baseline_mul_count", "kernel_mul_count"):
-            assert key in data
+        assert list(data) == [
+            "param", "bits", "ns_per_op", "baseline_ns_per_op", "mul_count",
+            "baseline_mul_count", "ratio", "iters", "runs", "seed",
+            "kernel_mul_count"]
+        assert data == {key: getattr(report, key) for key in data}
+
+    def test_json_text_pinned(self):
+        # The text the hand-written document gave for these values.
+        report = BenchReport("phi(5,2^59*3)", 243, 4000.44, 11574.23, 10,
+                             25, 0.3456333596273792, 2000, 5, 0, 20)
+        assert report.to_json() == (
+            '{"param": "phi(5,2^59*3)", "bits": 243, "ns_per_op": 4000.44, '
+            '"baseline_ns_per_op": 11574.23, "mul_count": 10, '
+            '"baseline_mul_count": 25, "ratio": 0.3456333596273792, '
+            '"iters": 2000, "runs": 5, "seed": 0, "kernel_mul_count": 20}')
 
     def test_bad_args(self, toy):
         with pytest.raises(ParameterError):

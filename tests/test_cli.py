@@ -5,6 +5,7 @@ import json
 import pytest
 
 import grpfield.arith
+import grpfield.cli
 from grpfield.cli import main, parse_spec
 from grpfield.errors import ParameterError
 
@@ -81,6 +82,31 @@ class TestDispatch:
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out == "exhaustive toy sweep: ok\n"
+
+    @pytest.mark.parametrize("q", [1, 3, 4, 8])
+    def test_selftest_toy_at_w_and_q(self, q, capsys, monkeypatch):
+        # The toy field is built at --w and --q: every pair passes at
+        # w = 8 with q from 1 to MAX_Q.
+        built = []
+        real = grpfield.cli.GrpParams
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+        monkeypatch.setattr(grpfield.cli, "GrpParams", recording)
+        assert main(["selftest", "--w", "8", "--q", str(q)]) == 0
+        assert capsys.readouterr().out == "exhaustive toy sweep: ok\n"
+        assert built == [real(3, 2, 3, 8, q)]
+
+    @pytest.mark.parametrize("option", [
+        ["--w", "300"], ["--q", "9"], ["--w", "7"], ["--q", "0"]])
+    def test_selftest_bad_word_exit_2(self, option, capsys):
+        # --w and --q build the toy field, which refuses them as the
+        # tables do: nothing is swept.
+        assert main(["selftest", *option]) == 2
+        assert main(["params", "tables", *option]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_selftest_takes_no_exhaustive_toy(self, capsys):
         # The toy sweep is always exhaustive; the flag is gone.

@@ -7,8 +7,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, strategies as st
 
-from grpfield import (ParameterError, is_probable_prime, lattice_basis,
-                      modular_inverse, oracle)
+from grpfield import ParameterError, is_probable_prime, lattice_basis, oracle
 from grpfield.oracle import (_prime_flags, bateman_horn, horner,
                              is_prime_characteristic, miller_rabin)
 from grpfield.params import repunit
@@ -50,32 +49,6 @@ class TestHorner:
             lattice_basis(m_plus_1, t)
 
 
-class TestModularInverse:
-    def test_inverse_pairs(self):
-        p = 157
-        for x in (2, 3, 101, 156):
-            assert x * modular_inverse(x, p) % p == 1
-
-    def test_inverse_not_invertible(self):
-        for a, modulus in ((6, 9), (0, 157), (157, 157), (4, 8)):
-            with pytest.raises(ParameterError, match="not invertible"):
-                modular_inverse(a, modulus)
-        assert modular_inverse(-2, 9) == 4
-
-    @pytest.mark.parametrize("a, modulus", [
-        (1.5, 7), (2, 7.0), (True, 7), ("2", 7), (2, None)])
-    def test_inverse_needs_ints(self, a, modulus):
-        with pytest.raises(ParameterError, match="must be ints"):
-            modular_inverse(a, modulus)
-
-    @pytest.mark.parametrize("a, modulus", [
-        (3, 1), (3, 0), (3, -7), (0, 1), (1, -1)])
-    def test_inverse_needs_modulus_above_one(self, a, modulus):
-        # modular_inverse(3, 1) would be 0, and modular_inverse(3, -7) -2.
-        with pytest.raises(ParameterError, match="modulus must exceed 1"):
-            modular_inverse(a, modulus)
-
-
 class TestRepunitIdentity:
     def test_telescoping(self):
         # (t - 1) * (t^m + ... + 1) = t^(m+1) - 1, exactly.
@@ -93,15 +66,15 @@ class TestIsProbablePrime:
         assert not is_probable_prime(0)
 
     def test_never_rejects_known_primes_across_seeds(self):
-        # is_probable_prime's bases come from n alone, so the seeds go to
-        # the Miller-Rabin rounds directly: no base rejects a prime.
+        # is_probable_prime's bases come from n alone, so the seeds draw
+        # bases for single rounds directly: no base rejects a prime.
         t = (1 << 59) * 3
         big = (t ** 5 - 1) // (t - 1)
         for seed in range(1000):
             rng = random.Random(seed)
-            assert miller_rabin(73, 8, rng)
-            assert miller_rabin(157, 8, rng)
-            assert miller_rabin(big, 1, rng)
+            for n, rounds in ((73, 8), (157, 8), (big, 1)):
+                for _ in range(rounds):
+                    assert _passes_base(n, rng.randrange(2, n - 1)), (n, seed)
         assert is_probable_prime(73) and is_probable_prime(big)
 
     def test_rounds_validated(self):
@@ -129,7 +102,7 @@ class TestIsProbablePrime:
         # A Liar's bases would all be n - 1 and accept it; the bases
         # drawn from n refuse it, and none is drawn from the Liar.
         n = 540654409
-        assert miller_rabin(n, 64, Liar(0))
+        assert _passes_base(n, n - 1)
         liar = Liar(0)
         assert not is_probable_prime(n, 64, liar)
         assert liar.draws == 0
@@ -145,7 +118,7 @@ class TestIsProbablePrime:
             if flags[i]:
                 for j in range(i * i, bound, i):
                     flags[j] = False
-        drawn = _counting_bases(monkeypatch)
+        drawn = _counting_runs(monkeypatch)
         for n in range(-bound, bound):  # negative n must not index the table
             assert is_probable_prime(n, 16) == (n >= 0 and flags[n]), n
         assert drawn and min(drawn) >= 10 ** 4
@@ -157,7 +130,7 @@ class TestIsProbablePrime:
         small = [2, 3, 5, 7, 11, 541, 983, 997, 9973]
         for p in large:
             assert is_probable_prime(p, 8)
-        drawn = _counting_bases(monkeypatch)
+        drawn = _counting_runs(monkeypatch)
         for p in large:
             for d in small:
                 assert not is_probable_prime(d * p, 1)
@@ -170,26 +143,30 @@ class TestIsProbablePrime:
     def test_default_bases_depend_only_on_n(self, monkeypatch):
         # The bases come from a Random seeded with n, so two calls on one
         # candidate draw the same bases, and a caller's rng changes none.
-        states = []
-        real = oracle.miller_rabin
+        bases = []
+        real = oracle._strong_round
 
-        def recording(n, rounds, rng):
-            states.append(rng.getstate())
-            return real(n, rounds, rng)
-        monkeypatch.setattr(oracle, "miller_rabin", recording)
+        def recording(n, a, d, r):
+            bases.append(a)
+            return real(n, a, d, r)
+        monkeypatch.setattr(oracle, "_strong_round", recording)
         t = (1 << 59) * 3
         prime = (t ** 5 - 1) // (t - 1)  # phi(5,2^59*3), a Table 4 field
         # 10399 * 51991 passes the pre-filter and strong bases 2 and 3.
         composite = 540654409
         seen = []
         for n, verdict in ((prime, True), (composite, False)):
-            states.clear()
+            bases.clear()
             liar = Liar(0)
             assert is_probable_prime(n) is verdict
+            first = bases[:]
+            bases.clear()
             assert is_probable_prime(n, 64, liar) is verdict
-            assert len(states) == 2 and states[0] == states[1]
+            # base 3 first, then the drawn bases: all 64 for the prime
+            assert bases == first and first[0] == 3 and len(first) > 1
+            assert len(first) == 65 or not verdict
             assert liar.draws == 0
-            seen.append(states[0])
+            seen.append(first[1])
         assert seen[0] != seen[1]
 
 
@@ -207,7 +184,7 @@ class TestIsPrimeCharacteristic:
             if flags[i]:
                 flags[i * i::i] = bytes(len(flags[i * i::i]))
 
-        def primes_only(n, rounds, rng):
+        def primes_only(n, rounds):
             assert flags[n] and rounds == 64, n
             return True
         monkeypatch.setattr(oracle, "miller_rabin", primes_only)
@@ -221,7 +198,7 @@ class TestIsPrimeCharacteristic:
         # Below 10^4 no base is drawn: 3 = Phi_2(2) is below Miller-Rabin's
         # n > 3, and 11 and 9901 are themselves factors of the degree-5
         # products, while 11 * 31 = Phi_5(4) is composite.
-        drawn = _counting_bases(monkeypatch)
+        drawn = _counting_runs(monkeypatch)
         assert is_prime_characteristic(3, 2)
         for p, verdict in ((11, True), (9901, True), (341, False)):
             assert is_prime_characteristic(p, 5) is verdict
@@ -283,18 +260,20 @@ class TestMillerRabin:
     CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911)
     STRONG_BASE_2 = (2047, 3277, 4033, 4681, 8321)
 
-    def _same(self, n, rounds, seed):
-        new, old = random.Random(seed), random.Random(seed)
-        verdict = miller_rabin(n, rounds, new)
-        assert verdict == _halving_miller_rabin(n, rounds, old), n
-        assert new.getstate() == old.getstate(), n  # the same bases
+    def _same(self, n, rounds):
+        # miller_rabin draws its bases from a Random seeded with n's bytes;
+        # the reference draws from its own copy of that Random.
+        seeded = random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
+        verdict = miller_rabin(n, rounds)
+        assert verdict == _halving_miller_rabin(n, rounds, seeded), n
         return verdict
 
     def test_matches_halving_loop(self):
         for n in self.CARMICHAEL + self.STRONG_BASE_2:
-            assert not self._same(n, 64, n)
-            # Base 2 passes exactly the strong base-2 pseudoprimes.
-            assert (miller_rabin(n, 1, _Base(2))
+            assert not self._same(n, 64)
+            # Base 2 passes exactly the strong base-2 pseudoprimes: one
+            # round with a chosen base is _strong_round's.
+            assert (_passes_base(n, 2)
                     == _halving_miller_rabin(n, 1, _Base(2))
                     == (n in self.STRONG_BASE_2)), n
 
@@ -302,20 +281,20 @@ class TestMillerRabin:
         # The benchmark's search window: n - 1 = 2**40 * d, so r >= 40.
         found = [c for c in range(2 ** 20 + 1, 2 ** 20 + 501)
                  if sieve_verdict(p := repunit((1 << 40) * c, 5), 5) is None
-                 and self._same(p, 64, c)]
+                 and self._same(p, 64)]
         assert found == [1048592, 1048658, 1048698, 1048939, 1048948,
                          1049004, 1049005, 1049060]
 
 
-def _counting_bases(monkeypatch):
-    """The n of every _bases call, each of which seeds a Random."""
+def _counting_runs(monkeypatch):
+    """The n of every miller_rabin run, each of which seeds a Random."""
     calls = []
-    real = oracle._bases
+    real = oracle.miller_rabin
 
-    def counting(n):
+    def counting(n, rounds):
         calls.append(n)
-        return real(n)
-    monkeypatch.setattr(oracle, "_bases", counting)
+        return real(n, rounds)
+    monkeypatch.setattr(oracle, "miller_rabin", counting)
     return calls
 
 
@@ -336,14 +315,14 @@ class TestBase3:
         n = 540654409
         assert n == 10399 * 51991 and sieve_verdict(n, 2) is None
         assert _passes_base(n, 2) and oracle._base_3(n)
-        calls = _counting_bases(monkeypatch)
+        calls = _counting_runs(monkeypatch)
         assert not is_probable_prime(n)
         assert calls == [n]
 
     def test_base_3_witness_seeds_no_random(self, monkeypatch):
         # Both composites pass their sieve and fail base 3: no Random is
         # seeded and no base drawn, and a caller's rng is not drawn from.
-        calls = _counting_bases(monkeypatch)
+        calls = _counting_runs(monkeypatch)
         n = 10007 * ((1 << 127) - 1)
         p = repunit((1 << 40) * 1048582, 5)
         assert sieve_verdict(n, 2) is None

@@ -15,7 +15,7 @@ import grpfield.oracle
 import grpfield.params
 from grpfield import (GrpError, GrpParams, NotPrimeError, ParameterError,
                       RangeError, Residue, StabilityError, canonical_value,
-                      mods, params_from_json, params_new, params_to_json, psi,
+                      params_from_json, params_new, params_to_json, psi,
                       residue_from_json, residue_to_json, ring_value,
                       stability_table, to_montgomery, to_residue,
                       WideResidue, zero)
@@ -86,45 +86,6 @@ def _conversion_inputs(draw):
         return params, ring - 1
     k = draw(st.integers(0, ring // t - 1))
     return params, k * t + t // 2 + draw(st.sampled_from([-1, 0, 1]))
-
-
-class TestMods:
-    def test_examples(self):
-        assert mods(7, 10) == -3
-        assert mods(3, 10) == 3
-        assert mods(-1, 10) == -1
-
-    @pytest.mark.parametrize("x, t", [
-        (1.5, 4), (1, 0), (1, 1), (1, -4), (True, 4), (1, 4.0), ("1", 4),
-        (1, None)])
-    def test_refuses_bad_input(self, x, t):
-        with pytest.raises(ParameterError):
-            mods(x, t)
-
-    @pytest.mark.parametrize("x", [2, -3, 0])
-    @pytest.mark.parametrize("t", [3, 5, 157])
-    def test_refuses_odd_t(self, x, t):
-        # [-t/2, t/2 - 1] holds no least absolute residue for an odd t:
-        # mods(2, 5) would be 2.
-        with pytest.raises(ParameterError, match="t must be even"):
-            mods(x, t)
-
-    @given(st.integers(-10 ** 12, 10 ** 12),
-           st.integers(1, 10 ** 6).map(lambda n: 2 * n))
-    def test_contract(self, x, t):
-        r = mods(x, t)
-        assert (x - r) % t == 0
-        assert -t // 2 <= r < t // 2
-
-    @settings(max_examples=500)
-    @given(_conversion_inputs())
-    def test_digits_pinned(self, case):
-        params, x = case
-        got = to_residue(params, x).comps
-        assert got == _parent_digits(x, params.t, params.m_plus_1)
-        r = x % params.t
-        assert mods(x, params.t) == (r - params.t if r >= params.t // 2
-                                     else r)
 
 
 class TestParamsNew:
@@ -363,6 +324,15 @@ class TestToResidue:
                 if comp == half:
                     assert pos == len(r.comps) - 1
 
+    @settings(max_examples=500)
+    @given(_conversion_inputs())
+    def test_digits_pinned(self, case):
+        # The digit kernel is the one home of the least-absolute-residue
+        # rule: its digits equal those of the first, branching form.
+        params, x = case
+        got = to_residue(params, x).comps
+        assert got == _parent_digits(x, params.t, params.m_plus_1)
+
 
 class TestCanonical:
     def test_zero_and_all_ones(self, toy):
@@ -530,6 +500,26 @@ class TestJson:
                   params_new(field.m_plus_1, field.l, field.c)]
         assert all(f == field and f.prime_checked for f in copies)
         assert runs.count(field.p) == 1
+
+    def test_proof_record_bounded(self, monkeypatch):
+        # Both writers of the record, a scan's _proven_field and the
+        # constructor, go through _record_proof, which clears a full
+        # record before a key enters: at a cap of 3, eight fields found
+        # leave the last two.  An evicted field is proven again when it
+        # is built, and a recorded one is not.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        monkeypatch.setattr(grpfield.params, "_PROVEN_LIMIT", 3)
+        found = search_grps(5, 40, 1048577, 1050576, max_results=8)
+        keys = [(f.m_plus_1, f.l, f.c) for f in found]
+        record = grpfield.params._PROVEN_PRIMES
+        assert len(keys) == 8 and record == set(keys[6:])
+        runs = _counting_miller_rabin(monkeypatch)
+        assert params_new(*keys[7]).prime_checked and runs == []
+        assert params_new(*keys[0]).prime_checked and runs == [found[0].p]
+        assert record == {keys[0], *keys[6:]}
+        # Full: the next proof clears the record first.
+        assert pickle.loads(pickle.dumps(found[1])).prime_checked
+        assert runs == [found[0].p, found[1].p] and record == {keys[1]}
 
     def test_rng_not_random_refused(self, monkeypatch):
         # The rng chooses nothing, and is checked before anything else,
@@ -753,8 +743,8 @@ def _counting_miller_rabin(monkeypatch):
     runs = []
     real = grpfield.oracle.miller_rabin
 
-    def counting(n, rounds, rng):
+    def counting(n, rounds):
         runs.append(n)
-        return real(n, rounds, rng)
+        return real(n, rounds)
     monkeypatch.setattr(grpfield.oracle, "miller_rabin", counting)
     return runs

@@ -1,12 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from grpfield import GrpParams
+from grpfield import GrpParams, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "grpfield").glob("*.py"))
@@ -165,21 +166,21 @@ def test_grp_params_written_only_in_params():
 
 
 def test_miller_rabin_bases_drawn_from_candidate():
-    # No caller chooses Miller-Rabin's bases: the one miller_rabin call
-    # passes _bases(n), a Random seeded from the candidate, and _bases
-    # takes the candidate alone.
-    calls, bases_args = [], []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) \
-                    == "miller_rabin":
-                calls.append((path.name, ast.unparse(node)))
-            if isinstance(node, ast.FunctionDef) and node.name == "_bases":
-                bases_args.append(ast.unparse(node.args))
-    assert calls == [("oracle.py", "miller_rabin(n, rounds, _bases(n))")], \
-        calls
-    assert bases_args == ["n: int"], bases_args
+    # No caller chooses Miller-Rabin's bases: miller_rabin takes (n,
+    # rounds) and seeds its own Random from n.  The only defs with an rng
+    # parameter are the two inert ones kept for perfbench, GrpParams's
+    # (its __post_init__) and is_probable_prime's, and their check.
+    assert list(inspect.signature(oracle.miller_rabin).parameters) \
+        == ["n", "rounds"]
+    with_rng = {(path.name, node.name)
+                for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and "rng" in {arg.arg for arg in ast.walk(node.args)
+                              if isinstance(arg, ast.arg)}}
+    assert with_rng == {("params.py", "__post_init__"),
+                        ("oracle.py", "is_probable_prime"),
+                        ("oracle.py", "_check_rng")}, with_rng
 
 
 def test_generated_code_compiled_under_kernel_filename():
