@@ -4,7 +4,8 @@ Everything here works on plain Python integers, so it is exact and
 independent of the vector arithmetic it is used to check.  The module
 holds three things:
 - the one primality path (_decide, with is_probable_prime and
-  is_prime_characteristic in front of it) and bateman_horn;
+  is_prime_characteristic in front of it), bateman_horn, repunit and
+  iroot;
 - horner, the value of a coefficient vector at t, unreduced;
 - lattice_basis, the vectors that vanish modulo t**(m+1) - 1.
 An inverse modulo an int is the built-in pow(a, -1, m), called where it
@@ -21,9 +22,17 @@ possible factor below 10^4: for a characteristic Phi_{m+1}(t) that is
 m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every prime,
 held by _products as two one-digit words and the product of the rest.
 What the sieve leaves meets one round with base 3, which can only
-refuse, and then miller_rabin, which alone accepts, with 64 rounds whose
-bases it draws from a Random seeded with the candidate: it takes no rng,
-so no caller chooses them.  Every Miller-Rabin round is one
+refuse.  A characteristic whose t the caller passes (the scans do, and
+is_prime_characteristic finds t as the integer m-th root of p) then
+meets _certify, which proves it prime or composite from the part of
+p - 1 = 2**l * c * prod_{d | m, d > 1} Phi_d(t) that factors over the
+primes below 10^4 and a cofactor the first 13 prime bases decide:
+Pocklington's theorem when that part F has (F+1)**2 > p, the
+Brillhart-Lehmer-Selfridge test when F**3 > p.  When it has no verdict
+(F too small, or no witness among its bases), and for every n
+is_probable_prime tests, miller_rabin decides, with 64 rounds whose
+bases it draws from a Random seeded with the candidate: it takes no
+rng, so no caller chooses them.  Every Miller-Rabin round is one
 _strong_round.  The public tests check their arguments and call
 _decide; the scans, their range checked, call it directly.  The list
 of possible factors also gives bateman_horn, the density of such
@@ -69,6 +78,16 @@ def _possible_factors(m_plus_1: int) -> tuple[int, ...]:
                  and (r == m_plus_1 or r % m_plus_1 == 1))
 
 
+# The prime powers of n - 1 that _certify uses are found by one gcd
+# with the product of the primes below _SIEVE_BOUND.  A cofactor left
+# over is proven by the first 13 prime bases, which decide exactly below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the same bases are _pocklington's.
+_PRIMORIAL = math.prod(_possible_factors(2))
+_FIRST_13 = _possible_factors(2)[:13]
+_PSI_13 = 3317044064679887385961981
+
+
 def _small_prime(n: int) -> bool:
     """True when the int n is a prime below _SIEVE_BOUND, read from the
     table."""
@@ -111,6 +130,22 @@ def horner(vec: Sequence[int], t: int) -> int:
     return acc
 
 
+def repunit(t: int, m_plus_1: int) -> int:
+    """t**m + ... + t + 1, the field characteristic over t."""
+    return (t ** m_plus_1 - 1) // (t - 1)
+
+
+def iroot(x: int, k: int) -> int:
+    """Floor of the k-th root of the int x >= 1, by Newton's method
+    from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            return r
+        r = nr
+
+
 def lattice_basis(m_plus_1: int, t: int) -> list[tuple[int, ...]]:
     """Basis vectors of the congruence lattice, in descending-power order.
 
@@ -146,40 +181,175 @@ def _strong_round(n: int, a: int, d: int, r: int) -> bool:
     return False
 
 
+def _strong_rounds(n: int, bases) -> bool:
+    """_strong_round on odd n > 3 with each base of the iterable bases in
+    turn, until one proves n composite."""
+    n1 = n - 1
+    r = (n1 & -n1).bit_length() - 1  # n - 1 = 2**r * d, d odd
+    d = n1 >> r
+    for a in bases:
+        if not _strong_round(n, a, d, r):
+            return False
+    return True
+
+
 def _base_3(n: int) -> bool:
     """_strong_round with base 3 on odd n > 3, run before any base is
     drawn.  When t = a**e, base a has order dividing e*(m+1) modulo every
     factor of Phi_{m+1}(t): every composite Phi_l(2**l), l < 80, that
     passes the gcd sieve passes base 2, and none passes base 3.  An even
     t is never a power of 3."""
-    n1 = n - 1
-    r = (n1 & -n1).bit_length() - 1
-    return _strong_round(n, 3, n1 >> r, r)
+    return _strong_rounds(n, (3,))
 
 
 def miller_rabin(n: int, rounds: int) -> bool:
     """`rounds` Miller-Rabin rounds on odd n > 3, with bases drawn from
     a Random seeded with the bytes of n: no caller chooses them."""
     rng = random.Random(n.to_bytes((n.bit_length() + 7) // 8, "big"))
+    return _strong_rounds(n, (rng.randrange(2, n - 1)
+                              for _ in range(rounds)))
+
+
+def _proven_cofactor(x: int) -> bool:
+    """True when x, odd and free of the primes below _SIEVE_BOUND, is
+    proven prime: below _SIEVE_BOUND**2, or below _PSI_13 and a strong
+    probable prime to each of the 13 bases 2..41."""
+    if x < _SIEVE_BOUND ** 2:
+        return True
+    return x < _PSI_13 and _strong_rounds(x, _FIRST_13)
+
+
+def _factored(x: int) -> dict[int, int]:
+    """The prime powers of the int x >= 1 that can be proven: those of
+    the primes below _SIEVE_BOUND, and what is left if _proven_cofactor
+    proves it prime."""
+    found = {}
+    g = math.gcd(x, _PRIMORIAL)  # the primes below _SIEVE_BOUND in x
+    primes = iter(_possible_factors(2))
+    while g > 1:
+        r = next(primes)
+        if r * r > g:
+            r = g  # g is a prime
+        elif g % r:
+            continue
+        g //= r
+        e = 0
+        while x % r == 0:
+            x //= r
+            e += 1
+        found[r] = e
+    if x > 1 and _proven_cofactor(x):
+        found[x] = 1
+    return found
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _pocklington(n: int, powers: dict[int, int]) -> bool | None:
+    """Verdict on n > 2 from a part F = prod q**e of n - 1, given as its
+    prime powers, or None.  Each prime q of F needs a witness a among the
+    13 bases below n, with a**(n-1) = 1 and gcd(a**((n-1)/q) - 1, n) = 1;
+    then every prime of n is 1 mod F (Pocklington), and n is prime if
+    (F+1)**2 > n.  Below that, F**3 > n lets the Brillhart-Lehmer-
+    Selfridge test decide: with n = c2*F**2 + c1*F + 1, n is prime
+    exactly when c1**2 - 4*c2 is not a square.  A base with
+    a**(n-1) != 1 proves n composite.  None when F does not divide
+    n - 1, F**3 <= n, or a prime of F finds no witness."""
+    f = math.prod(q ** e for q, e in powers.items())
     n1 = n - 1
-    r = (n1 & -n1).bit_length() - 1  # n - 1 = 2**r * d, d odd
-    d = n1 >> r
-    return all(_strong_round(n, rng.randrange(2, n1), d, r)
-               for _ in range(rounds))
+    if n1 % f or f ** 3 <= n:
+        return None
+    cofactor = n1 // f
+    pending = set(powers)
+    for a in _FIRST_13:
+        if not pending or a >= n:
+            break
+        if pending == {2} and _jacobi(a, n) == 1:
+            continue  # for a prime n, a**((n-1)/2) = (a/n) = 1
+        b = pow(a, cofactor, n)
+        if pow(b, f, n) != 1:
+            return False  # Fermat fails: n is composite
+        pending = {q for q in pending
+                   if math.gcd(pow(b, f // q, n) - 1, n) != 1}
+    if pending:
+        return None
+    if (f + 1) ** 2 > n:
+        return True
+    c2, c1 = divmod(cofactor, f)
+    disc = c1 * c1 - 4 * c2
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
 
 
-def _decide(n: int, sieve: tuple[int, int, int], rounds: int) -> bool:
+def _certify(n: int, t: int) -> bool | None:
+    """_pocklington's verdict on n = Phi_{m+1}(t), or None.  n - 1 is
+    2**l * c * prod Phi_d(t) over d | m, d > 1, with t = 2**l * c; the
+    prime powers _factored finds in these pieces are taken, 2**l first
+    and then the largest, until their product F has F**3 > n."""
+    l = (t & -t).bit_length() - 1
+    pieces = [t >> l]
+    powers = [1, t]  # t**j up to the first above n: t**m < n < t**(m+1)
+    while powers[-1] <= n:
+        powers.append(powers[-1] * t)
+    m = len(powers) - 2
+    phi = {1: t - 1}  # Phi_d(t) for the d dividing m
+    for d in range(2, m + 1):
+        if m % d == 0:
+            value = powers[d] - 1
+            for e, phi_e in phi.items():
+                if d % e == 0:
+                    value //= phi_e
+            phi[d] = value
+            pieces.append(value)
+    found = {}
+    for piece in pieces:
+        for q, e in _factored(piece).items():
+            found[q] = found.get(q, 0) + e
+    two = found.pop(2, 0) + l
+    chosen = {2: two} if two else {}
+    f = 1 << two
+    for q, e in sorted(found.items(), key=lambda qe: qe[0] ** qe[1],
+                       reverse=True):
+        if f ** 3 > n:
+            break
+        chosen[q] = e
+        f *= q ** e
+    return _pocklington(n, chosen)
+
+
+def _decide(n: int, sieve: tuple[int, int, int], rounds: int,
+            t: int | None = None) -> bool:
     """Primality of n, Phi_{m+1}(t) or any n for m+1 = 2, given the
     checked arguments and sieve = _products(m_plus_1): exact below
     _SIEVE_BOUND, False for an n that shares a prime with the sieve, or
-    else _base_3, then `rounds` rounds of miller_rabin."""
+    else _base_3, then, when t is given, _certify's verdict, and when it
+    has none `rounds` rounds of miller_rabin."""
     if n < _SIEVE_BOUND:
         return _small_prime(n)
     w1, w2, rest = sieve
     if (math.gcd(n % w1, w1) != 1 or math.gcd(n % w2, w2) != 1
             or math.gcd(n, rest) != 1):
         return False
-    return _base_3(n) and miller_rabin(n, rounds)
+    if not _base_3(n):
+        return False
+    if t is not None:
+        verdict = _certify(n, t)
+        if verdict is not None:
+            return verdict
+    return miller_rabin(n, rounds)
 
 
 def _check_rng(rng: random.Random | None) -> None:
@@ -214,8 +384,10 @@ def is_probable_prime(n: int, rounds: int = 64,
 
 def is_prime_characteristic(p: int, m_plus_1: int) -> bool:
     """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, whose
-    sieve tries only the possible factors of p: the same verdict,
-    and Miller-Rabin draws the bases is_probable_prime would.
+    sieve tries only the possible factors of p, and which _certify
+    first tries to prove from p - 1 when t, the integer m-th root of p,
+    gives repunit(t, m_plus_1) == p: the same verdict, and when
+    Miller-Rabin decides it draws the bases is_probable_prime would.
     ParameterError unless p is an int and m_plus_1 a prime int below
     10^4 (no bool)."""
     if type(p) is not int or type(m_plus_1) is not int \
@@ -223,4 +395,6 @@ def is_prime_characteristic(p: int, m_plus_1: int) -> bool:
         raise ParameterError(
             f"need an int p and a prime int m+1 below {_SIEVE_BOUND}, "
             f"got {p!r} and {m_plus_1!r}")
-    return _decide(p, _products(m_plus_1), 64)
+    t = iroot(p, m_plus_1 - 1) if p > 0 else 0
+    return _decide(p, _products(m_plus_1), 64,
+                   t if t > 1 and repunit(t, m_plus_1) == p else None)

@@ -11,7 +11,8 @@ the tables also call) and MAX_FIELD_BITS, m+1 prime (from the oracle's
 table) and k <= k_max.  GrpParams adds the one per-cofactor inequality,
 c not a power of two (t <= 2**k - 2).  k_max and l_min give the
 word-size and I/O bounds that GrpParams, the tables and the searches
-all use, and repunit is the one home of p = (t**(m+1) - 1)/(t - 1).
+all use.  repunit, the one home of p = (t**(m+1) - 1)/(t - 1), lives
+in the oracle, whose primality proof needs it, and is imported here.
 
 GrpParams, Residue and WideResidue are frozen dataclasses: equality
 and hash are the generated ones, and any assignment or del raises
@@ -19,16 +20,17 @@ FrozenInstanceError.  A GrpParams's value is its five fields
 (m+1, l, c, w, q), which are also its JSON document (asdict).
 Constructing one validates the field in word-size integers,
 builds t and p and, unless require_prime=False, proves p prime:
-oracle.is_prime_characteristic decides, with Miller-Rabin bases drawn
-from p, and every (m+1, l, c) proven enters one record, so each proof
-runs once while its key stays there.  A scan that has proven p itself
-enters it in the record through _proven_field, and the constructor
-then finds it there.  Both write through _record_proof, which bounds
-the record at _PROVEN_LIMIT keys by clearing it when it is full.  The
-constructor sets the derived values, prime_checked among them, once: a
-field built with require_prime=False stays unproven, and building it
-again without that flag proves it.  require_prime must be a bool, so
-that no truthy or falsy stand-in picks whether p is proven.
+oracle.is_prime_characteristic decides, from the factored part of
+p - 1 where that suffices and otherwise by 64 Miller-Rabin rounds with
+bases drawn from p, and every (m+1, l, c) proven enters one record, so
+each proof runs once while its key stays there.  A scan that has proven
+p itself enters it in the record through _proven_field, and the
+constructor then finds it there.  Both write through _record_proof,
+which bounds the record at _PROVEN_LIMIT keys by clearing it when it is
+full.  The constructor sets the derived values, prime_checked among
+them, once: a field built with require_prime=False stays unproven, and
+building it again without that flag proves it.  require_prime must be
+a bool, so that no truthy or falsy stand-in picks whether p is proven.
 An rng argument chooses nothing: it is checked and kept only for older
 callers.  arith builds the field's kernels (modmul, base-t digits, the
 two Montgomery conversions, and add and sub, which also test the slack
@@ -59,7 +61,8 @@ import random
 from dataclasses import InitVar, asdict, astuple, dataclass, fields
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
-from .oracle import _check_rng, _small_prime, horner, is_prime_characteristic
+from .oracle import (_check_rng, _small_prime, horner,
+                     is_prime_characteristic, repunit)
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_Q = 2
@@ -92,11 +95,6 @@ def l_min(m_plus_1: int, log_t: int, q: int) -> int:
     """
     need = ceil_log2((m_plus_1 - 1) // 2) + 3 + log_t
     return 1 + -(-need // q)
-
-
-def repunit(t: int, m_plus_1: int) -> int:
-    """t**m + ... + t + 1, the field characteristic over t."""
-    return (t ** m_plus_1 - 1) // (t - 1)
 
 
 def check_int(name: str, value: int, least: int) -> None:

@@ -11,13 +11,15 @@ module (check_field, k_max, l_min and GrpParams); nothing here restates
 them.  search_grps validates its range once, at the largest cofactor.
 
 Every candidate is a characteristic Phi_{m+1}(t).  search_grps and
-hw2_search hand each to oracle._decide, with the degree's sieve and 64
-rounds, and build the primes by params._proven_field, which records the
-proof, so a field found is never proven again; pure_power_scan calls
-is_prime_characteristic.  Bases come from the candidate, so the scans
-take no seed; nothing here decides primality.  The scans take only
-exact ints for bits and counts.  The estimator's cofactor interval is
-exact integer roots of powers of two.
+hw2_search hand each to oracle._decide, with the degree's sieve, 64
+rounds and its t, from which the oracle proves most primes by the
+factored part of p - 1 before any round runs, and build the primes by
+params._proven_field, which records the proof, so a field found is
+never proven again; pure_power_scan calls is_prime_characteristic.
+Bases come from the candidate, so the scans take no seed; nothing here
+decides primality.  The scans take only exact ints for bits and counts.
+The estimator's cofactor interval is exact integer roots of powers of
+two, by the oracle's iroot.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import astuple, dataclass
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import (_decide, _products, bateman_horn,
+from .oracle import (_decide, _products, bateman_horn, iroot,
                      is_prime_characteristic, is_probable_prime)
 from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, _proven_field,
                      check_field, check_int, check_word, k_max, l_min,
@@ -83,20 +85,8 @@ def stability_table(w: int, q: int,
 
 
 def _floor_pow2(e: int, n: int) -> int:
-    """Exact floor of 2**(e/n), 0 when e < 0: the integer n-th root of
-    2**e, by Newton's method from above."""
-    if e < 0:
-        return 0
-    x = 1 << e
-    r = 1 << -(-(e + 1) // n)
-    while True:
-        nr = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nr >= r:
-            break
-        r = nr
-    while r ** n > x:
-        r -= 1
-    return r
+    """Exact floor of 2**(e/n), 0 when e < 0."""
+    return iroot(1 << e, n) if e >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,8 @@ def search_grps(m_plus_1: int, l: int, c_min: int, c_max: int,
     for c in range(c_min, c_max + 1):
         if c & (c - 1) == 0:
             continue  # t a power of two: the field of a larger l
-        if _decide(repunit(b * c, m_plus_1), sieve, 64):
+        t = b * c
+        if _decide(repunit(t, m_plus_1), sieve, 64, t):
             out.append(_proven_field(m_plus_1, l, c, w, q))
             if len(out) >= max_results:
                 break
@@ -214,8 +205,9 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
             continue
         if l < l_min(m_plus_1, k, q):
             continue  # not I/O-stable
-        p = repunit((1 << l) * c, m_plus_1)
-        if p.bit_length() == bits_target and _decide(p, sieve, 64):
+        t = (1 << l) * c
+        p = repunit(t, m_plus_1)
+        if p.bit_length() == bits_target and _decide(p, sieve, 64, t):
             out.append(_proven_field(m_plus_1, l, c, w, q))
     return out
 

@@ -2,13 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
 
 from grpfield import ParameterError, is_probable_prime, lattice_basis, oracle
-from grpfield.oracle import (_prime_flags, bateman_horn, horner,
+from grpfield.oracle import (_prime_flags, bateman_horn, horner, iroot,
                              is_prime_characteristic, miller_rabin)
 from grpfield.params import repunit
 from sieve import Liar, sieve_verdict
@@ -174,9 +175,11 @@ class TestIsPrimeCharacteristic:
     def test_matches_sieve(self, monkeypatch):
         # Every Phi_n(t) below 2*10^6 with t even, t >= 4.  The
         # pre-filter's sieve decides p below 10^4; above it, a composite
-        # below 10^8 has a possible factor below 10^4, so Miller-Rabin
-        # sees only primes, which it never rejects: a stand-in that
-        # checks that keeps this sweep of 10^6 candidates fast.
+        # below 10^8 has a possible factor below 10^4, so the proof from
+        # p - 1 and Miller-Rabin see only primes.  The proof's verdicts
+        # are checked against the flags here; Miller-Rabin never rejects
+        # a prime, and a stand-in that checks that keeps this sweep of
+        # 10^6 candidates fast.
         bound = 2 * 10 ** 6
         flags = bytearray([1]) * bound
         flags[0:2] = b"\x00\x00"
@@ -332,10 +335,10 @@ class TestBase3:
         assert not is_probable_prime(n, 1, liar)
         assert not is_prime_characteristic(p, 5)
         assert calls == [] and liar.draws == 0
-        # A prime passes base 3 and draws its bases as before.
-        t = (1 << 59) * 3
-        prime = repunit(t, 5)
-        assert is_prime_characteristic(prime, 5)
+        # A prime passes base 3 and, when p - 1 cannot prove it, draws
+        # its bases as before.
+        prime = repunit((1 << 42) * 513, 11)
+        assert is_prime_characteristic(prime, 11)
         assert calls == [prime]
 
     def test_base_3_refuses_pure_power_composites(self):
@@ -350,6 +353,159 @@ class TestBase3:
             p = repunit(1 << l, l)
             assert _passes_base(p, 2), l
             assert not oracle._base_3(p), l
+
+
+def _prime_powers(n):
+    """{q: e} of the int n >= 1, by trial division."""
+    powers, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            powers[d] = powers.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        powers[n] = powers.get(n, 0) + 1
+    return powers
+
+
+def _divisors(n):
+    """Every divisor of the int n >= 1, as its prime powers."""
+    divisors = [{}]
+    for q, e in _prime_powers(n).items():
+        divisors = [{**d, q: k} if k else d
+                    for d in divisors for k in range(e + 1)]
+    return divisors
+
+
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+class TestCertificate:
+    # The proof from p - 1: _pocklington decides n from a factored part
+    # F of n - 1, and _certify finds F for a characteristic from its t.
+    def test_exhaustive_below_sieve_bound(self):
+        # Every n < 10^4 and every divisor F of n - 1: no verdict when
+        # F**3 <= n, and otherwise none that the table contradicts.
+        verdicts = Counter()
+        for n in range(3, oracle._SIEVE_BOUND):
+            for powers in _divisors(n - 1):
+                verdict = oracle._pocklington(n, powers)
+                if math.prod(q ** e for q, e in powers.items()) ** 3 <= n:
+                    assert verdict is None, (n, powers)
+                    continue
+                verdicts[verdict] += 1
+                assert verdict in (None, oracle._IS_PRIME[n] == 1), (
+                    n, powers)
+        # Both verdicts occur, through both tests: F = n - 1 gives
+        # (F+1)**2 > n, and the F near n**(1/3) need the discriminant.
+        assert verdicts[True] > 10 ** 4 and verdicts[False] > 10 ** 4
+
+    def test_small_part_gives_no_verdict(self):
+        # phi(5,2^59*3) is prime and 2^59 || p - 1: F = 2^59 has
+        # F**3 < p, and F = 2^60 * 3^20, with F**3 > p, does not divide
+        # p - 1.
+        t = (1 << 59) * 3
+        p = repunit(t, 5)
+        assert oracle._pocklington(p, {2: 59}) is None
+        assert oracle._pocklington(p, {2: 60, 3: 20}) is None
+        assert oracle._certify(p, t) is True
+
+    @pytest.mark.parametrize("n", [341, 561, 10399 * 51991])
+    def test_never_certifies_pseudoprimes(self, n):
+        # Pseudoprimes to base 2 (341), to every coprime base (561, a
+        # Carmichael number) and strong ones to bases 2 and 3: no part
+        # of n - 1 proves any of them prime.
+        assert all(oracle._pocklington(n, powers) is not True
+                   for powers in _divisors(n - 1))
+
+    def test_cofactor_needs_all_13_bases(self):
+        # psi_12 passes the first 12 prime bases and psi_13 all 13; both
+        # are composite, and neither counts as proven.
+        def strong(x, bases):
+            x1 = x - 1
+            r = (x1 & -x1).bit_length() - 1
+            return all(oracle._strong_round(x, a, x1 >> r, r)
+                       for a in bases)
+        assert strong(PSI_12, oracle._FIRST_13[:12])
+        assert not oracle._proven_cofactor(PSI_12)
+        assert strong(PSI_13, oracle._FIRST_13)
+        assert not oracle._proven_cofactor(PSI_13)
+        for prime in (99999989, (1 << 61) - 1):
+            assert oracle._proven_cofactor(prime)
+
+    def test_nothing_at_or_above_psi_13_proven(self, monkeypatch):
+        # With every round passing, the bound alone decides.
+        monkeypatch.setattr(oracle, "_strong_round", lambda *args: True)
+        assert oracle._proven_cofactor(PSI_13 - 2)
+        for x in (PSI_13, PSI_13 + 2, (1 << 127) - 1):
+            assert not oracle._proven_cofactor(x)
+
+    @pytest.mark.parametrize("spec, verdict", [
+        ((5, 59, 3), True), ((5, 40, 1048592), True),
+        ((3, 33, 268435056), True), ((7, 27, 32769), True),
+        ((11, 42, 513), None), ((5, 50, 13), None)],
+        ids=lambda value: "phi({},2^{}*{})".format(*value)
+        if isinstance(value, tuple) else str(value))
+    def test_fields(self, spec, verdict):
+        # The fields whose F**3 > p is reached are proven; the others,
+        # phi(11,2^42*513) with 124 bits of F against 171, are left to
+        # Miller-Rabin.
+        m_plus_1, l, c = spec
+        t = (1 << l) * c
+        assert oracle._certify(repunit(t, m_plus_1), t) is verdict
+
+    def test_search_window_agrees_with_miller_rabin(self):
+        # Every candidate of a search window that passes the sieve,
+        # base 3 or not: the proof never contradicts 64 rounds, proves
+        # most of the primes and refuses most of the composites.
+        sieve = math.prod(oracle._products(5))
+        verdicts = Counter()
+        for c in range(2 ** 20 + 1, 2 ** 20 + 1000):
+            t = (1 << 40) * c
+            p = repunit(t, 5)
+            if math.gcd(p, sieve) != 1:
+                continue
+            truth = miller_rabin(p, 64)
+            verdict = oracle._certify(p, t)
+            assert verdict in (None, truth), c
+            verdicts[verdict, truth] += 1
+        assert verdicts[True, True] > verdicts[None, True]
+        assert verdicts[False, False] > verdicts[None, False]
+
+    def test_entered_only_after_base_3_with_t(self, monkeypatch):
+        # is_probable_prime knows no t and never enters the step, nor
+        # does a p that is no Phi_{m+1}(t) at its degree; a
+        # characteristic enters it after base 3, with t.
+        t = (1 << 59) * 3
+        prime = repunit(t, 5)
+        seen = []
+
+        def recording(n, t):
+            seen.append((n, t))
+            return True
+        monkeypatch.setattr(oracle, "_certify", recording)
+        assert is_probable_prime(prime)
+        assert is_prime_characteristic((1 << 127) - 1, 5)
+        assert seen == []
+        assert is_prime_characteristic(prime, 5)
+        assert seen == [(prime, t)]
+        monkeypatch.setattr(oracle, "_base_3", lambda n: False)
+        assert not is_prime_characteristic(prime, 5)
+        assert seen == [(prime, t)]
+
+
+class TestIroot:
+    @given(st.integers(1, 1 << 600), st.integers(1, 60))
+    def test_floor_root(self, x, k):
+        r = iroot(x, k)
+        assert r ** k <= x < (r + 1) ** k
+
+    def test_characteristic_root_is_t(self):
+        # t**m < Phi_{m+1}(t) < (t+1)**m, so t is the floor m-th root.
+        for m_plus_1, t in [(3, 2), (5, (1 << 59) * 3), (11, (1 << 42) * 513),
+                            (59, 1 << 59)]:
+            assert iroot(repunit(t, m_plus_1), m_plus_1 - 1) == t
 
 
 class TestSieveWords:

@@ -472,22 +472,44 @@ class TestJson:
 
     def test_hostile_rng_not_drawn(self, monkeypatch):
         # A Liar would make every base n - 1, which every odd n passes.
-        # The field is proven, by one Miller-Rabin run, with bases drawn
-        # from p, and nothing draws from the Liar.
+        # The field, whose p - 1 proves nothing, is proven by one
+        # Miller-Rabin run, with bases drawn from p, and nothing draws
+        # from the Liar.
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
         runs = _counting_miller_rabin(monkeypatch)
         liar = Liar(0)
-        params = params_new(5, 59, 3, rng=liar)
+        params = params_new(11, 42, 513, rng=liar)
         assert params.prime_checked and runs == [params.p]
         assert liar.draws == 0
+
+    def test_certified_field_runs_no_miller_rabin(self, monkeypatch):
+        # phi(5,2^59*3) is proven from the factored part of p - 1, so
+        # it builds with Miller-Rabin refused; phi(11,2^42*513), whose
+        # factored part is 124 bits where F**3 > p needs 171, still
+        # runs one call of 64 rounds.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        real = grpfield.oracle.miller_rabin
+
+        def refuse(n, rounds):
+            raise AssertionError("Miller-Rabin ran")
+        monkeypatch.setattr(grpfield.oracle, "miller_rabin", refuse)
+        assert params_new(5, 59, 3).prime_checked
+        rounds = []
+
+        def counting(n, count):
+            rounds.append(count)
+            return real(n, count)
+        monkeypatch.setattr(grpfield.oracle, "miller_rabin", counting)
+        assert params_new(11, 42, 513).prime_checked
+        assert rounds == [64]
 
     @pytest.mark.parametrize("source", ["search_grps", "hw2_search", "rng"])
     def test_every_proof_recorded_once(self, monkeypatch, source):
         # A field found by a scan or built with a caller's rng is proven
-        # by one Miller-Rabin run; its pickle, its copy and a rebuild
-        # from (m+1, l, c) find it in the record.
+        # once, from p - 1 or by Miller-Rabin; its pickle, its copy and a
+        # rebuild from (m+1, l, c) find it in the record.
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
-        runs = _counting_miller_rabin(monkeypatch)
+        runs = _counting_proofs(monkeypatch)
         if source == "search_grps":
             field, = search_grps(5, 40, 1048577, 1050576, max_results=1)
             assert field.label() == "phi(5,2^40*1048592)"
@@ -513,7 +535,7 @@ class TestJson:
         keys = [(f.m_plus_1, f.l, f.c) for f in found]
         record = grpfield.params._PROVEN_PRIMES
         assert len(keys) == 8 and record == set(keys[6:])
-        runs = _counting_miller_rabin(monkeypatch)
+        runs = _counting_proofs(monkeypatch)
         assert params_new(*keys[7]).prime_checked and runs == []
         assert params_new(*keys[0]).prime_checked and runs == [found[0].p]
         assert record == {keys[0], *keys[6:]}
@@ -544,7 +566,7 @@ class TestJson:
         # A stand-in for a bool is refused before the proof: None would
         # build the composite field unproven, "False" would prove it.
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
-        runs = _counting_miller_rabin(monkeypatch)
+        runs = _counting_proofs(monkeypatch)
         for spec in ((5, 40, 1048582), (5, 59, 3)):
             with pytest.raises(ParameterError, match="must be a bool"):
                 params_new(*spec, require_prime=flag)
@@ -747,4 +769,19 @@ def _counting_miller_rabin(monkeypatch):
         runs.append(n)
         return real(n, rounds)
     monkeypatch.setattr(grpfield.oracle, "miller_rabin", counting)
+    return runs
+
+
+def _counting_proofs(monkeypatch):
+    """The n of every proof of either kind: each oracle.miller_rabin run
+    and each verdict of oracle._certify."""
+    runs = _counting_miller_rabin(monkeypatch)
+    real = grpfield.oracle._certify
+
+    def certifying(n, t):
+        verdict = real(n, t)
+        if verdict is not None:
+            runs.append(n)
+        return verdict
+    monkeypatch.setattr(grpfield.oracle, "_certify", certifying)
     return runs

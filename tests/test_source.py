@@ -226,7 +226,9 @@ def test_primality_runs_sixty_four_rounds():
     # package, and it hands that count to _decide unchanged.  Every other
     # _decide call passes the constant 64: is_prime_characteristic's and
     # the scans' in tables, which call it directly once their range is
-    # checked.  _decide is the one caller of miller_rabin and passes its
+    # checked.  Those three also pass the candidate's t, so the proof
+    # from p - 1 can run; is_probable_prime, which knows no t, passes
+    # none.  _decide is the one caller of miller_rabin and passes its
     # count on.
     bad, tested, decided = [], 0, []
     for path in SOURCES:
@@ -242,8 +244,10 @@ def test_primality_runs_sixty_four_rounds():
                 decided.append((path.name, owner))
                 rounds = call.args[2]
                 ok = (isinstance(rounds, ast.Constant) and rounds.value == 64
+                      and len(call.args) == 4
                       or isinstance(rounds, ast.Name) and rounds.id == "rounds"
-                      and owner == "is_probable_prime")
+                      and owner == "is_probable_prime"
+                      and len(call.args) == 3)
             elif name == "miller_rabin":
                 tested += 1
                 rounds = call.args[1]

@@ -269,21 +269,22 @@ class TestSearchGrps:
     def test_candidates_not_trial_divided(self, monkeypatch):
         # Each candidate meets the decision path once, sieved by the
         # degree's possible factors below 10^4, never by every prime as
-        # at degree 2.  check_field reads m+1 from the table, so m+1
+        # at degree 2, and with its t, from which the path proves it
+        # by p - 1.  check_field reads m+1 from the table, so m+1
         # reaches no decision path.
         calls = []
         real = grpfield.oracle._decide
 
-        def counting(n, sieve, rounds):
-            calls.append((n, sieve))
-            return real(n, sieve, rounds)
+        def counting(n, sieve, rounds, t):
+            calls.append((n, sieve, t))
+            return real(n, sieve, rounds, t)
         monkeypatch.setattr(grpfield.oracle, "_decide", counting)
         monkeypatch.setattr(grpfield.tables, "_decide", counting)
         cofactors = range(2 ** 20 + 1, 2 ** 20 + 501)
         assert len(search_grps(5, 40, cofactors[0], cofactors[-1])) == 8
-        assert [n for n, _ in calls] == [repunit((1 << 40) * c, 5)
-                                         for c in cofactors]
-        assert {sieve for _, sieve in calls} == {
+        assert [(n, t) for n, _, t in calls] == [
+            (repunit((1 << 40) * c, 5), (1 << 40) * c) for c in cofactors]
+        assert {sieve for _, sieve, _ in calls} == {
             grpfield.oracle._products(5)}
 
 
