@@ -64,8 +64,14 @@ class TestDispatch:
         assert "--sample-primes" in capsys.readouterr().err
 
     def test_hw2(self, capsys):
-        assert main(["params", "hw2", "--bits", "243"]) == 0
-        assert "phi(5,2^59*3)" in capsys.readouterr().out
+        for options, out in (
+                (["--bits", "243"], "phi(5,2^59*3) bits=243 slack_bits=25\n"),
+                (["--bits", "511"],
+                 "phi(11,2^42*513) bits=511 slack_bits=12\n"),
+                # Candidates over MAX_FIELD_BITS are skipped: no field.
+                (["--bits", "8000", "--w", "256"], "")):
+            assert main(["params", "hw2", *options]) == 0
+            assert capsys.readouterr() == (out, "")
 
     @pytest.mark.parametrize("command", [
         ["search", "--m", "5", "--l", "59", "--c-min", "2", "--c-max", "3"],
@@ -116,8 +122,11 @@ class TestDispatch:
         assert "--exhaustive-toy" in capsys.readouterr().err
 
     def test_selftest_with_param(self, capsys):
-        assert main(["selftest", "--param", "phi(5,2^54*7)"]) == 0
-        assert "phi(5,2^54*7) sample: ok" in capsys.readouterr().out
+        # Every pair of the toy field, then a seeded sample of the field.
+        for param in ("phi(5,2^54*7)", "phi(5,2^59*3)", "phi(11,2^42*513)"):
+            assert main(["selftest", "--param", param]) == 0
+            assert capsys.readouterr() == (
+                f"exhaustive toy sweep: ok\n{param} sample: ok\n", "")
 
     def test_selftest_failure_exit_1(self, capsys, monkeypatch):
         # A modmul that returns its first operand fails every field.

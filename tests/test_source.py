@@ -23,6 +23,44 @@ def test_no_assert_statements(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_optimize_flag_reads(path):
+    # Nor may code branch on -O: no __debug__, and no .flags attribute
+    # (sys.flags.optimize) or flags imported from sys.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "__debug__"
+             or isinstance(node, ast.Attribute) and node.attr == "flags"
+             or isinstance(node, ast.ImportFrom) and node.module == "sys"
+             and "flags" in {alias.name for alias in node.names}]
+    assert lines == [], f"-O flag reads at {path.name} lines {lines}"
+
+
+def test_ci_runs_only_pytest():
+    # Every check CI makes is a tier-1 test, so each workflow step runs
+    # the pip install line or pytest, never an inline program.  The file
+    # is read as plain text (CI installs no YAML parser); a run: whose
+    # value continues on a deeper-indented line is refused too, since
+    # YAML folds that line into the command.
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text() \
+        .splitlines()
+    runs, bad = [], []
+    for i, line in enumerate(lines):
+        found = re.match(r"\s*(- )?run:(.*)", line)
+        if not found:
+            continue
+        runs.append(command := found[2].strip())
+        column = line.index("run:")
+        below = next((text for text in lines[i + 1:] if text.strip()), "")
+        if (len(below) - len(below.lstrip()) > column
+                or not re.fullmatch(r"python -m pip install pytest hypothesis"
+                                    r"|python (-O )?-m pytest[\w .:=/-]*",
+                                    command)):
+            bad.append((i + 1, command))
+    assert runs, "the workflow runs nothing"
+    assert bad == [], f"workflow runs that are not pytest: {bad}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_branch_on_counter(path):
     # Op counts are tallies of the generated kernels' syntax trees (and
     # closed forms for the loops cvma_mul and montgomery_modmul): a
