@@ -5,6 +5,8 @@ multiplication is a cyclic-difference convolution followed by shift-based
 reduction, with every result checkable against an exact big-int oracle.
 """
 
+import types
+
 from .arith import (OpCounter, add, cvma_mul, equals, from_montgomery,
                     invert, kernel_cost, modmul, modmul_interleaved,
                     modmul_trace, psi, randomize, red1, red2, red3, square,
@@ -21,5 +23,8 @@ from .tables import (DensityEstimate, StabilityRow, estimate_density,
                      stability_rows_to_csv, stability_rows_to_json,
                      stability_table)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above; the submodules those imports bind
+# here are not among them.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], types.ModuleType)]
 __version__ = "1.0.0"

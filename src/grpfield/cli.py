@@ -27,12 +27,12 @@ from .tables import (estimate_density, hw2_search, search_grps,
                      stability_rows_to_csv, stability_rows_to_json,
                      stability_table)
 
-_SPEC_RE = re.compile(r"^phi\(([0-9]+),2\^([0-9]+)(?:\*([0-9]+))?\)$")
+_SPEC_RE = re.compile(r"phi\(([0-9]+),2\^([0-9]+)(?:\*([0-9]+))?\)")
 
 
 def parse_spec(text: str) -> tuple[int, int, int]:
     """Parse phi(M,2^L*C) into (m_plus_1, l, c); C defaults to 1."""
-    match = _SPEC_RE.match(text)
+    match = _SPEC_RE.fullmatch(text)
     if match is None:
         raise ParameterError(
             f"bad field spec {text!r}; expected phi(M,2^L*C)")

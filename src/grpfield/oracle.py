@@ -3,9 +3,8 @@
 Everything here works on plain Python integers, so it is exact and
 independent of the vector arithmetic it is used to check.  The module
 holds three things:
-- the one primality path (_decide, with is_probable_prime and
-  is_prime_characteristic in front of it), bateman_horn, repunit and
-  iroot;
+- the one primality path (_decide, with is_probable_prime in front of
+  it for callers outside the package), bateman_horn, repunit and iroot;
 - horner, the value of a coefficient vector at t, unreduced;
 - lattice_basis, the vectors that vanish modulo t**(m+1) - 1.
 An inverse modulo an int is the built-in pow(a, -1, m), called where it
@@ -22,9 +21,9 @@ possible factor below 10^4: for a characteristic Phi_{m+1}(t) that is
 m+1 or a prime 1 mod m+1, and for any other n (m+1 = 2) every prime,
 held by _products as two one-digit words and the product of the rest.
 What the sieve leaves meets one round with base 3, which can only
-refuse.  A characteristic whose t the caller passes (the scans do, and
-is_prime_characteristic finds t as the integer m-th root of p) then
-meets _certify, which proves it prime or composite from the part of
+refuse.  A characteristic's t, which every caller in the package holds
+and passes (the GrpParams constructor and the scans), then leads it to
+_certify, which proves it prime or composite from the part of
 p - 1 = 2**l * c * prod_{d | m, d > 1} Phi_d(t) that factors over the
 primes below 10^4 and a cofactor the first 13 prime bases decide:
 Pocklington's theorem when that part F has (F+1)**2 > p, the
@@ -33,8 +32,9 @@ Brillhart-Lehmer-Selfridge test when F**3 > p.  When it has no verdict
 is_probable_prime tests, miller_rabin decides, with 64 rounds whose
 bases it draws from a Random seeded with the candidate: it takes no
 rng, so no caller chooses them.  Every Miller-Rabin round is one
-_strong_round.  The public tests check their arguments and call
-_decide; the scans, their range checked, call it directly.  The list
+_strong_round.  is_probable_prime checks its arguments and calls
+_decide with no t; the package's callers, their field checked, call it
+as _decide(p, _products(m_plus_1), 64, t).  The list
 of possible factors also gives bateman_horn, the density of such
 primes.
 """
@@ -381,20 +381,3 @@ def is_probable_prime(n: int, rounds: int = 64,
     _check_rng(rng)
     return _decide(n, _products(2), rounds)
 
-
-def is_prime_characteristic(p: int, m_plus_1: int) -> bool:
-    """is_probable_prime for p = Phi_{m+1}(t) at 64 rounds, whose
-    sieve tries only the possible factors of p, and which _certify
-    first tries to prove from p - 1 when t, the integer m-th root of p,
-    gives repunit(t, m_plus_1) == p: the same verdict, and when
-    Miller-Rabin decides it draws the bases is_probable_prime would.
-    ParameterError unless p is an int and m_plus_1 a prime int below
-    10^4 (no bool)."""
-    if type(p) is not int or type(m_plus_1) is not int \
-            or not _small_prime(m_plus_1):
-        raise ParameterError(
-            f"need an int p and a prime int m+1 below {_SIEVE_BOUND}, "
-            f"got {p!r} and {m_plus_1!r}")
-    t = iroot(p, m_plus_1 - 1) if p > 0 else 0
-    return _decide(p, _products(m_plus_1), 64,
-                   t if t > 1 and repunit(t, m_plus_1) == p else None)

@@ -14,23 +14,23 @@ word-size and I/O bounds that GrpParams, the tables and the searches
 all use.  repunit, the one home of p = (t**(m+1) - 1)/(t - 1), lives
 in the oracle, whose primality proof needs it, and is imported here.
 
-GrpParams, Residue and WideResidue are frozen dataclasses: equality
-and hash are the generated ones, and any assignment or del raises
+GrpParams, Residue and WideResidue are frozen dataclasses: equality and
+hash are the generated ones, and any assignment or del raises
 FrozenInstanceError.  A GrpParams's value is its five fields
 (m+1, l, c, w, q), which are also its JSON document (asdict).
-Constructing one validates the field in word-size integers,
-builds t and p and, unless require_prime=False, proves p prime:
-oracle.is_prime_characteristic decides, from the factored part of
-p - 1 where that suffices and otherwise by 64 Miller-Rabin rounds with
-bases drawn from p, and every (m+1, l, c) proven enters one record, so
-each proof runs once while its key stays there.  A scan that has proven
-p itself enters it in the record through _proven_field, and the
+Constructing one validates the field in word-size integers, builds t
+and p and, unless require_prime=False, proves p prime by the scans'
+call, oracle._decide(p, _products(m+1), 64, t): from the factored part
+of p - 1 where that suffices, and otherwise by 64 Miller-Rabin rounds
+with bases drawn from p.  Every (m+1, l, c) proven enters one record,
+so each proof runs once while its key stays there.  A scan that has
+proven p itself enters it in the record through _proven_field, and the
 constructor then finds it there.  Both write through _record_proof,
 which bounds the record at _PROVEN_LIMIT keys by clearing it when it is
 full.  The constructor sets the derived values, prime_checked among
 them, once: a field built with require_prime=False stays unproven, and
-building it again without that flag proves it.  require_prime must be
-a bool, so that no truthy or falsy stand-in picks whether p is proven.
+building it again without that flag proves it.  require_prime must be a
+bool, so that no truthy or falsy stand-in picks whether p is proven.
 An rng argument chooses nothing: it is checked and kept only for older
 callers.  arith builds the field's kernels (modmul, base-t digits, the
 two Montgomery conversions, and add and sub, which also test the slack
@@ -61,8 +61,8 @@ import random
 from dataclasses import InitVar, asdict, astuple, dataclass, fields
 
 from .errors import NotPrimeError, ParameterError, RangeError, StabilityError
-from .oracle import (_check_rng, _small_prime, horner,
-                     is_prime_characteristic, repunit)
+from .oracle import (_check_rng, _decide, _products, _small_prime, horner,
+                     repunit)
 
 DEFAULT_WORD_BITS = 64
 DEFAULT_Q = 2
@@ -228,7 +228,7 @@ class GrpParams:
         # Every (m+1, l, c) proven is recorded, and not proven again.
         key = (m_plus_1, l, c)
         if require_prime and key not in _PROVEN_PRIMES:
-            if not is_prime_characteristic(self.p, m_plus_1):
+            if not _decide(self.p, _products(m_plus_1), 64, self.t):
                 raise NotPrimeError(
                     f"phi_{m_plus_1}(2^{l}*{c}) is composite")
             _record_proof(key)

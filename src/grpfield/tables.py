@@ -10,14 +10,15 @@ The stability inequalities and the default w and q come from the params
 module (check_field, k_max, l_min and GrpParams); nothing here restates
 them.  search_grps validates its range once, at the largest cofactor.
 
-Every candidate is a characteristic Phi_{m+1}(t).  search_grps and
-hw2_search hand each to oracle._decide, with the degree's sieve, 64
-rounds and its t, from which the oracle proves most primes by the
-factored part of p - 1 before any round runs, and build the primes by
+Every candidate is a characteristic Phi_{m+1}(t), decided by the
+package's one call, oracle._decide(p, _products(m+1), 64, t), which
+proves most primes by the factored part of p - 1 before any round runs.
+search_grps makes that call for each cofactor and builds the primes by
 params._proven_field, which records the proof, so a field found is
-never proven again; pure_power_scan calls is_prime_characteristic.
-Bases come from the candidate, so the scans take no seed; nothing here
-decides primality.  The scans take only exact ints for bits and counts.
+never proven again; hw2_search hands each candidate of the right bit
+length to search_grps, and pure_power_scan makes the call itself.
+Bases come from the candidate, so the scans take no seed.  The scans
+take only exact ints for bits and counts.
 The estimator's cofactor interval is exact integer roots of powers of
 two, by the oracle's iroot.
 """
@@ -31,8 +32,7 @@ import math
 from dataclasses import astuple, dataclass
 
 from .errors import ParameterError, RangeError, StabilityError
-from .oracle import (_decide, _products, bateman_horn, iroot,
-                     is_prime_characteristic, is_probable_prime)
+from .oracle import _decide, _products, _small_prime, bateman_horn, iroot
 from .params import (DEFAULT_Q, DEFAULT_WORD_BITS, GrpParams, _proven_field,
                      check_field, check_int, check_word, k_max, l_min,
                      repunit)
@@ -173,12 +173,15 @@ def pure_power_scan(l_max: int) -> list[tuple[int, int]]:
     they are rare, which is why the cofactor search exists.
     """
     check_int("l_max", l_max, 2)
-    if l_max > 400:
+    # Each prime l costs at least one base-3 round on an (l*(l-1)+1)-bit
+    # p: the scan to 131 took 57 s and to 137 71 s (CPython 3.11, one
+    # Xeon core).
+    if l_max > 131:
         raise ParameterError(
-            f"l_max capped at 400 for practical primality, got {l_max}")
-    # is_probable_prime is exact for l below 10^4.
-    return [(l, l) for l in range(2, l_max + 1) if is_probable_prime(l)
-            and is_prime_characteristic(repunit(1 << l, l), l)]
+            f"l_max capped at 131, a scan of about a minute, got {l_max}")
+    # l's primality is read from the oracle's table, exact for l < 10^4.
+    return [(l, l) for l in range(2, l_max + 1) if _small_prime(l)
+            and _decide(repunit(1 << l, l), _products(l), 64, 1 << l)]
 
 
 def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
@@ -186,29 +189,28 @@ def hw2_search(bits_target: int, w: int = DEFAULT_WORD_BITS,
     """Prime fields of exactly bits_target bits with c = 2**e +/- 1.
 
     Searches the smallest adequate degree only; results are sorted by
-    (l, c).  A candidate that breaks a stability inequality or the
+    (l, c).  Each candidate of exactly bits_target bits goes to
+    search_grps alone, and one that breaks a stability inequality or the
     MAX_FIELD_BITS cap is skipped.  Each result carries the slack_bits
     diagnostic, the distance between its l and the stability minimum.
     """
     check_int("bits_target", bits_target, 2)
     check_word(w, q)
     m_plus_1, k_hi = _degree_for_bits(bits_target, w)
-    candidates = sorted({(l, c) for l in range(1, k_hi + 1)
-                         for e in range(1, k_hi - l + 1)
-                         for c in ((1 << e) - 1, (1 << e) + 1) if c >= 3})
+    m = m_plus_1 - 1
+    # t**m < p < 2 * t**m: t's bit length brackets p's before p is built.
+    candidates = sorted({
+        (l, c) for l in range(1, k_hi + 1) for e in range(1, k_hi - l + 1)
+        for c in ((1 << e) - 1, (1 << e) + 1) if c >= 3
+        and m * (l + c.bit_length() - 1) < bits_target
+        <= m * (l + c.bit_length()) + 1
+        and repunit((1 << l) * c, m_plus_1).bit_length() == bits_target})
     out = []
-    sieve = _products(m_plus_1)
     for l, c in candidates:
         try:
-            k = check_field(m_plus_1, l, c, w, q)
+            out += search_grps(m_plus_1, l, c, c, 1, w, q)
         except (StabilityError, RangeError):
-            continue
-        if l < l_min(m_plus_1, k, q):
-            continue  # not I/O-stable
-        t = (1 << l) * c
-        p = repunit(t, m_plus_1)
-        if p.bit_length() == bits_target and _decide(p, sieve, 64, t):
-            out.append(_proven_field(m_plus_1, l, c, w, q))
+            continue  # unstable, or over the size cap
     return out
 
 

@@ -1,9 +1,17 @@
-"""Probes of the oracle's decision path, shared by the tests: the verdict
-of its sieve alone, and an rng that would choose every base."""
+"""Probes of the oracle's decision path, shared by the tests: the
+package's proof step on a characteristic, the verdict of its sieve
+alone, and an rng that would choose every base."""
 
 import random
 
 from grpfield import oracle
+
+
+def prove_characteristic(t, m_plus_1):
+    """The verdict on Phi_{m+1}(t) of the package's one proof step, the
+    call the GrpParams constructor and the scans make with their t."""
+    return oracle._decide(oracle.repunit(t, m_plus_1),
+                          oracle._products(m_plus_1), 64, t)
 
 
 class _PastSieve(Exception):

@@ -19,10 +19,12 @@ class TestParseSpec:
 
     def test_rejects_garbage(self):
         # int() reads Arabic-Indic and fullwidth digits, but the grammar
-        # is ASCII.
+        # is ASCII; and the whole text must match it, where a $ anchor
+        # would also match before a trailing newline.
         for bad in ("phi(5,2^59*3", "psi(5,2^59*3)", "phi(5, 2^59*3)", "",
                     "phi(\u0665,2^59*3)", "phi(5,2^\u0665\u0669*3)",
-                    "phi(5,2^59*\u0663)", "phi(\uff15,2^59*3)"):
+                    "phi(5,2^59*\u0663)", "phi(\uff15,2^59*3)",
+                    "phi(5,2^59*3)\n"):
             with pytest.raises(ParameterError):
                 parse_spec(bad)
 

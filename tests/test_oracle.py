@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 
 from grpfield import ParameterError, is_probable_prime, lattice_basis, oracle
 from grpfield.oracle import (_prime_flags, bateman_horn, horner, iroot,
-                             is_prime_characteristic, miller_rabin)
+                             miller_rabin)
 from grpfield.params import repunit
-from sieve import Liar, sieve_verdict
+from sieve import Liar, prove_characteristic, sieve_verdict
 
 M3 = 12 ** 3 - 1
 
@@ -92,11 +92,9 @@ class TestIsProbablePrime:
     @pytest.mark.parametrize("rng", ["abc", 0, random])
     def test_refuses_rng_not_random(self, rng):
         # The rng chooses no base, but is_probable_prime still refuses one
-        # that is not a random.Random; is_prime_characteristic takes none.
+        # that is not a random.Random.
         with pytest.raises(ParameterError, match="random.Random"):
             is_probable_prime((1 << 127) - 1, 64, rng)
-        with pytest.raises(TypeError):
-            is_prime_characteristic(repunit((1 << 59) * 3, 5), 5, rng=rng)
 
     def test_hostile_rng_chooses_no_base(self):
         # 10399 * 51991 passes the pre-filter and strong bases 2 and 3.
@@ -194,36 +192,19 @@ class TestIsPrimeCharacteristic:
         for n in (2, 3, 5, 7, 11, 13):
             t = 4
             while (p := repunit(t, n)) < bound:
-                assert is_prime_characteristic(p, n) == flags[p], (n, t)
+                assert prove_characteristic(t, n) == flags[p], (n, t)
                 t += 2
 
     def test_small_p_decided_exactly(self, monkeypatch):
-        # Below 10^4 no base is drawn: 3 = Phi_2(2) is below Miller-Rabin's
-        # n > 3, and 11 and 9901 are themselves factors of the degree-5
-        # products, while 11 * 31 = Phi_5(4) is composite.
+        # Below 10^4 no base is drawn and t is not read: 3 = Phi_2(2) is
+        # below Miller-Rabin's n > 3, 11 and 9901 are themselves factors
+        # of the degree-5 products, and 11 * 31 = Phi_5(4) is composite.
         drawn = _counting_runs(monkeypatch)
-        assert is_prime_characteristic(3, 2)
-        for p, verdict in ((11, True), (9901, True), (341, False)):
-            assert is_prime_characteristic(p, 5) is verdict
+        assert prove_characteristic(2, 2)
+        for p, verdict in ((11, True), (9901, True)):
+            assert oracle._decide(p, oracle._products(5), 64) is verdict
+        assert prove_characteristic(4, 5) is False
         assert drawn == []
-
-    @pytest.mark.parametrize("p, m_plus_1", [
-        (2.5e4, 5), (100001, 0), (True, 2), (341, 4), (341, -3),
-        (341, 5.0), (341, True), (341, 10007)])
-    def test_refuses_bad_arguments(self, p, m_plus_1):
-        # p an int, m+1 an int prime below 10^4, where the sieve has it.
-        with pytest.raises(ParameterError, match="prime int m\\+1"):
-            is_prime_characteristic(p, m_plus_1)
-
-    def test_takes_no_round_count(self):
-        # Phi_5(2^40*1048582) is composite with no factor below 10^4, so
-        # only Miller-Rabin rejects it.  is_prime_characteristic always
-        # runs 64 rounds: a third positional argument is refused.
-        p = repunit((1 << 40) * 1048582, 5)
-        assert sieve_verdict(p, 5) is None
-        assert not is_prime_characteristic(p, 5)
-        with pytest.raises(TypeError):
-            is_prime_characteristic(p, 5, 1)
 
 
 # Miller-Rabin with r and d found by halving n - 1: the reference for
@@ -333,12 +314,12 @@ class TestBase3:
         liar = Liar(0)
         assert not is_probable_prime(n)
         assert not is_probable_prime(n, 1, liar)
-        assert not is_prime_characteristic(p, 5)
+        assert not prove_characteristic((1 << 40) * 1048582, 5)
         assert calls == [] and liar.draws == 0
         # A prime passes base 3 and, when p - 1 cannot prove it, draws
         # its bases as before.
         prime = repunit((1 << 42) * 513, 11)
-        assert is_prime_characteristic(prime, 11)
+        assert prove_characteristic((1 << 42) * 513, 11)
         assert calls == [prime]
 
     def test_base_3_refuses_pure_power_composites(self):
@@ -474,8 +455,7 @@ class TestCertificate:
         assert verdicts[False, False] > verdicts[None, False]
 
     def test_entered_only_after_base_3_with_t(self, monkeypatch):
-        # is_probable_prime knows no t and never enters the step, nor
-        # does a p that is no Phi_{m+1}(t) at its degree; a
+        # is_probable_prime knows no t and never enters the step; a
         # characteristic enters it after base 3, with t.
         t = (1 << 59) * 3
         prime = repunit(t, 5)
@@ -486,12 +466,11 @@ class TestCertificate:
             return True
         monkeypatch.setattr(oracle, "_certify", recording)
         assert is_probable_prime(prime)
-        assert is_prime_characteristic((1 << 127) - 1, 5)
         assert seen == []
-        assert is_prime_characteristic(prime, 5)
+        assert prove_characteristic(t, 5)
         assert seen == [(prime, t)]
         monkeypatch.setattr(oracle, "_base_3", lambda n: False)
-        assert not is_prime_characteristic(prime, 5)
+        assert not prove_characteristic(t, 5)
         assert seen == [(prime, t)]
 
 
@@ -558,6 +537,6 @@ class TestBatemanHorn:
         count, expected = 0, 0.0
         for c in range(c0, c0 + size):
             p = repunit((1 << l) * c, m_plus_1)
-            count += is_prime_characteristic(p, m_plus_1)
+            count += prove_characteristic((1 << l) * c, m_plus_1)
             expected += const / math.log(p)
         assert abs(count - expected) <= 3 * math.sqrt(expected)

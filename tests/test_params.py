@@ -423,16 +423,30 @@ class TestJson:
         assert params_to_json(GrpParams(5, 59, 3)) == (
             '{"m_plus_1": 5, "l": 59, "c": 3, "w": 64, "q": 2}')
 
+    def test_proof_step_takes_the_fields_t(self, monkeypatch):
+        # The constructor hands the one proof step the t it built, with
+        # the degree's sieve and 64 rounds.
+        monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
+        calls = []
+        real = grpfield.params._decide
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(grpfield.params, "_decide", recording)
+        field = GrpParams(11, 42, 513)
+        assert calls == [(field.p, grpfield.oracle._products(11), 64,
+                          (1 << 42) * 513)]
+
     def test_field_proved_once(self, monkeypatch):
         monkeypatch.setattr(grpfield.params, "_PROVEN_PRIMES", set())
         runs = []
-        real = grpfield.params.is_prime_characteristic
+        real = grpfield.params._decide
 
-        def counting(p, m_plus_1, *args, **kwargs):
+        def counting(p, *args):
             runs.append(p)
-            return real(p, m_plus_1, *args, **kwargs)
-        monkeypatch.setattr(grpfield.params, "is_prime_characteristic",
-                            counting)
+            return real(p, *args)
+        monkeypatch.setattr(grpfield.params, "_decide", counting)
         f511 = params_new(11, 42, 513, 64, 2, require_prime=False)
         text = residue_to_json(psi(f511, 12345))
         for _ in range(2):

@@ -3,10 +3,12 @@
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import grpfield
 from grpfield import GrpParams, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -261,28 +263,28 @@ def _calls(node, owner=None):
 def test_primality_runs_sixty_four_rounds():
     # Standing rule: every primality test the package runs has 64 rounds.
     # Only is_probable_prime takes a count, for callers outside the
-    # package, and it hands that count to _decide unchanged.  Every other
-    # _decide call passes the constant 64: is_prime_characteristic's and
-    # the scans' in tables, which call it directly once their range is
-    # checked.  Those three also pass the candidate's t, so the proof
-    # from p - 1 can run; is_probable_prime, which knows no t, passes
-    # none.  _decide is the one caller of miller_rabin and passes its
-    # count on.
+    # package, and it hands that count to _decide unchanged, with no t.
+    # Every other _decide call is the one proof step of a characteristic,
+    # _decide(p, _products(m_plus_1), 64, t): the GrpParams constructor's
+    # and the scans', each passing the t it holds, so the proof from
+    # p - 1 can run.  _decide is the one caller of miller_rabin and
+    # passes its count on.
     bad, tested, decided = [], 0, []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for owner, call in _calls(tree):
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
             keywords = {k.arg for k in call.keywords}
-            if name in ("is_probable_prime", "is_prime_characteristic"):
-                most = 1 if name == "is_probable_prime" else 2
-                ok = (len(call.args) <= most and "rounds" not in keywords
+            if name == "is_probable_prime":
+                ok = (len(call.args) <= 1 and "rounds" not in keywords
                       and None not in keywords)
             elif name == "_decide":
                 decided.append((path.name, owner))
                 rounds = call.args[2]
                 ok = (isinstance(rounds, ast.Constant) and rounds.value == 64
                       and len(call.args) == 4
+                      and not (isinstance(call.args[3], ast.Constant)
+                               and call.args[3].value is None)
                       or isinstance(rounds, ast.Name) and rounds.id == "rounds"
                       and owner == "is_probable_prime"
                       and len(call.args) == 3)
@@ -297,10 +299,33 @@ def test_primality_runs_sixty_four_rounds():
                 bad.append((path.name, owner, call.lineno))
     assert bad == [], f"round counts passed at {bad}"
     assert tested == 1, "is the check looking?"
-    assert sorted(decided) == [("oracle.py", "is_prime_characteristic"),
-                               ("oracle.py", "is_probable_prime"),
-                               ("tables.py", "hw2_search"),
+    assert sorted(decided) == [("oracle.py", "is_probable_prime"),
+                               ("params.py", "__post_init__"),
+                               ("tables.py", "pure_power_scan"),
                                ("tables.py", "search_grps")], decided
+
+
+def test_hw2_search_scans_through_search_grps():
+    # hw2_search keeps its candidate set and bit-length test; the field
+    # checks, the proof and the building of a found field are
+    # search_grps' alone.
+    tree = ast.parse((ROOT / "src" / "grpfield" / "tables.py").read_text())
+    called = {getattr(call.func, "id", getattr(call.func, "attr", None))
+              for owner, call in _calls(tree) if owner == "hw2_search"}
+    assert "search_grps" in called
+    assert called.isdisjoint(
+        {"_decide", "check_field", "l_min", "_proven_field"}), called
+
+
+def test_all_holds_no_module():
+    # from grpfield import * binds the public functions and classes, and
+    # no submodule over a caller's own name such as params.
+    assert grpfield.__all__
+    assert not [name for name in grpfield.__all__
+                if isinstance(getattr(grpfield, name), types.ModuleType)]
+    namespace = {}
+    exec("from grpfield import *", namespace)
+    assert "params" not in namespace and "oracle" not in namespace
 
 
 def test_readme_python_blocks_run():

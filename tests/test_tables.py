@@ -15,11 +15,10 @@ from grpfield import (GrpError, GrpParams, ParameterError, RangeError,
                       from_montgomery, hw2_search, modmul, psi,
                       pure_power_scan, search_grps, stability_rows_to_csv,
                       stability_rows_to_json, stability_table, to_montgomery)
-from grpfield.oracle import (_SIEVE_BOUND, _prime_flags, bateman_horn,
-                             is_prime_characteristic)
-from grpfield.params import k_max, l_min, repunit
+from grpfield.oracle import _SIEVE_BOUND, _prime_flags, bateman_horn
+from grpfield.params import MAX_FIELD_BITS, k_max, l_min, repunit
 from grpfield.tables import _DEGREES
-from sieve import sieve_verdict
+from sieve import prove_characteristic, sieve_verdict
 
 
 def _primes_below(bound):
@@ -195,8 +194,8 @@ class TestSearchGrps:
     def test_equals_public_test_per_cofactor(self, data):
         # On a stable window of up to 64 cofactors the scan finds exactly
         # the cofactors, not powers of two, whose characteristic the
-        # public is_prime_characteristic accepts, and one call per
-        # cofactor finds the fields one call over the window finds.
+        # package's proof step accepts, and one call per cofactor finds
+        # the fields one call over the window finds.
         m_plus_1 = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
         w = data.draw(st.sampled_from((32, 64)))
         q = data.draw(st.integers(2, 8))
@@ -211,8 +210,8 @@ class TestSearchGrps:
         window = range(c_min, c_max + 1)
         found = search_grps(m_plus_1, l, c_min, c_max, 64, w, q)
         assert [f.c for f in found] == [
-            c for c in window if c & (c - 1) and is_prime_characteristic(
-                repunit((1 << l) * c, m_plus_1), m_plus_1)]
+            c for c in window
+            if c & (c - 1) and prove_characteristic((1 << l) * c, m_plus_1)]
         assert all(f.prime_checked
                    and dataclasses.astuple(f) == (m_plus_1, l, f.c, w, q)
                    for f in found)
@@ -337,9 +336,24 @@ class TestPurePowerScan:
     def test_l5_excluded(self):
         assert (5, 5) not in pure_power_scan(10)
 
+    def test_proof_step_takes_t(self, monkeypatch):
+        # Each prime l, read from the table, meets the one proof step with
+        # its degree's sieve, 64 rounds and t = 2**l.
+        calls = []
+        real = grpfield.tables._decide
+
+        def recording(n, sieve, rounds, t):
+            calls.append((n, sieve, rounds, t))
+            return real(n, sieve, rounds, t)
+        monkeypatch.setattr(grpfield.tables, "_decide", recording)
+        assert pure_power_scan(13) == [(2, 2), (3, 3), (7, 7)]
+        assert calls == [
+            (repunit(1 << l, l), grpfield.oracle._products(l), 64, 1 << l)
+            for l in (2, 3, 5, 7, 11, 13)]
+
     def test_cap(self):
-        with pytest.raises(ParameterError):
-            pure_power_scan(401)
+        with pytest.raises(ParameterError, match="capped at 131"):
+            pure_power_scan(132)
 
 
 class TestHw2Search:
@@ -372,7 +386,7 @@ class TestHw2Search:
     def test_equals_field_by_field_reference(self, bits):
         # Every weight-2 cofactor of the degree built as a public unproven
         # GrpParams, kept when stable, of the bitlength and accepted by
-        # is_prime_characteristic.  At 253 bits a field one bit below the
+        # the package's proof step.  At 253 bits a field one bit below the
         # stability minimum has the bitlength and a prime p.
         m_plus_1, k_hi = grpfield.tables._degree_for_bits(bits, 64)
         want = []
@@ -385,7 +399,7 @@ class TestHw2Search:
                 except StabilityError:
                     continue
                 if field.io_stable and field.bits == bits \
-                        and is_prime_characteristic(field.p, m_plus_1):
+                        and prove_characteristic(field.t, m_plus_1):
                     want.append(field)
         found = hw2_search(bits)
         assert found == want
@@ -396,10 +410,23 @@ class TestHw2Search:
         # exhaustive scan at 230 bits finds no weight-2 prime
         assert hw2_search(230) == []
 
+    @given(st.sampled_from(_DEGREES), st.integers(1, 120),
+           st.integers(1, 120), st.sampled_from((-1, 1)))
+    def test_bit_length_bracket(self, m_plus_1, l, e, sign):
+        # t**m < p < 2 * t**m, so hw2_search's bracket from t's bit
+        # length holds p's and drops no candidate it should prove.
+        c = (1 << e) + sign
+        m, log_t = m_plus_1 - 1, l + c.bit_length()
+        bits = repunit((1 << l) * c, m_plus_1).bit_length()
+        assert m * (log_t - 1) < bits <= m * log_t + 1
+
     def test_skips_candidates_over_size_cap(self, monkeypatch):
-        # At w = 256 the 8000-bit degree, 37, admits k up to 228, and
-        # 36*228 > MAX_FIELD_BITS: those candidates are skipped as the
-        # unstable ones are.  None has the bitlength, so none is tested.
+        # At w = 256 the degree of 8000 and 8208 bits is 37, which admits
+        # k up to 251, and 36*k > MAX_FIELD_BITS from k = 228 on.  No
+        # candidate has 8000 bits, so none reaches search_grps.  Every
+        # 8208-bit one is over the cap: search_grps refuses each by
+        # check_field, and hw2_search skips it as it skips an unstable
+        # one.  None is proven or returned.
         refused, decided = [], []
         real = grpfield.tables.check_field
 
@@ -413,4 +440,8 @@ class TestHw2Search:
         monkeypatch.setattr(grpfield.tables, "_decide",
                             lambda *args: decided.append(args))
         assert hw2_search(8000, 256) == []
+        assert refused == []
+        assert hw2_search(8208, 256) == []
         assert refused and decided == []
+        assert all(36 * (l + (c - 1).bit_length()) > MAX_FIELD_BITS
+                   for m_plus_1, l, c, w, q in refused)
